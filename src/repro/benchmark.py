@@ -124,17 +124,15 @@ def _make_file(
     tmpdir: Optional[str],
     cache_pages: int,
     readahead: int,
-    page_format: str = "packed",
 ) -> DenseSequentialFile:
     if backend == "memory":
-        return DenseSequentialFile(**geometry, page_format=page_format)
+        return DenseSequentialFile(**geometry)
     if backend == "buffered":
         return DenseSequentialFile(
             **geometry,
             backend="buffered",
             cache_pages=cache_pages,
             readahead=readahead,
-            page_format=page_format,
         )
     if backend == "disk":
         import os
@@ -147,7 +145,6 @@ def _make_file(
             backend="disk",
             path=path,
             overwrite=True,
-            page_format=page_format,
         )
     raise ConfigurationError(f"unknown backend {backend!r}; pick one of {BACKENDS}")
 
@@ -200,14 +197,11 @@ def _run_scenario(
     tmpdir: Optional[str],
     cache_pages: int,
     readahead: int,
-    page_format: str = "packed",
 ) -> dict:
     if backend == "cluster":
         return _run_cluster_scenario(scenario, ops, seed)
     geometry = _geometry(ops)
-    dense = _make_file(
-        backend, geometry, tmpdir, cache_pages, readahead, page_format
-    )
+    dense = _make_file(backend, geometry, tmpdir, cache_pages, readahead)
     clock = time.perf_counter
     latencies: List[float] = []
     executed = 0
@@ -443,16 +437,8 @@ def run_bench(
     quick: bool = False,
     cache_pages: int = DEFAULT_CACHE_PAGES,
     readahead: int = DEFAULT_READAHEAD,
-    page_format: str = "packed",
 ) -> dict:
-    """Run the scenario x backend matrix; returns the report dict.
-
-    ``page_format`` picks the in-core page representation for the local
-    backends (``"packed"`` — the default — or ``"object"``); the
-    ``cluster`` backend builds its own shards and ignores it.  Logical
-    page accesses are identical for both formats; only wall clock
-    differs.
-    """
+    """Run the scenario x backend matrix; returns the report dict."""
     import tempfile
 
     if quick:
@@ -469,7 +455,7 @@ def run_bench(
                 results.append(
                     _run_scenario(
                         scenario, backend, ops, seed, tmpdir,
-                        cache_pages, readahead, page_format,
+                        cache_pages, readahead,
                     )
                 )
     return {
@@ -477,7 +463,6 @@ def run_bench(
         "quick": quick,
         "seed": seed,
         "ops": ops,
-        "page_format": page_format,
         "geometry": _geometry(ops),
         "results": results,
     }

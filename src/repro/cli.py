@@ -31,7 +31,8 @@ Exit codes are part of the operator contract (scripts branch on them):
     1   error — bad usage, missing file, or a typed ReproError
     2   not found — ``get`` on an absent key
     3   corrupt — checksum failures (``verify``), unhealed pages
-        (``scrub``), or harness findings (``stress``/``chaos``/...)
+        (``scrub``), an undecodable page on any command that opens the
+        file, or harness findings (``stress``/``chaos``/...)
     4   regression — ``bench`` exceeded its baseline gate
     5   degraded — the file serves reads but is quarantined read-only
         (``verify``/``info`` on a file scrub could not fully heal)
@@ -61,6 +62,7 @@ from .analysis.heatmap import fill_summary, occupancy_bar, occupancy_legend
 from .analysis.stats import flatten_counters
 from .core.errors import ReproError
 from .persistent import JournaledDenseFile, PersistentDenseFile
+from .storage.codec import CodecError
 
 #: The documented exit-code contract (see the module docstring).
 EXIT_OK = 0
@@ -457,6 +459,13 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args, out)
+    except CodecError as error:
+        print(
+            f"error: undecodable page data ({error}); run `repro verify` "
+            "to locate the page and `repro scrub` to repair or quarantine it",
+            file=out,
+        )
+        return EXIT_CORRUPT
     except ReproError as error:
         print(f"error: {error}", file=out)
         return 1

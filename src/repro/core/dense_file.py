@@ -37,7 +37,6 @@ def build_engine(
     cache_pages: Optional[int] = None,
     overwrite: bool = False,
     readahead: int = 0,
-    page_format: str = "packed",
 ):
     """Construct the maintenance engine for the requested geometry.
 
@@ -82,7 +81,6 @@ def build_engine(
             overwrite=overwrite,
             model=model,
             readahead=readahead,
-            page_format=page_format,
         )
     elif store.num_pages != engine_params.num_pages:
         raise ConfigurationError(
@@ -154,7 +152,6 @@ class DenseSequentialFile:
         cache_pages: Optional[int] = None,
         overwrite: bool = False,
         readahead: int = 0,
-        page_format: str = "packed",
     ):
         self.engine = build_engine(
             num_pages,
@@ -170,7 +167,6 @@ class DenseSequentialFile:
             cache_pages=cache_pages,
             overwrite=overwrite,
             readahead=readahead,
-            page_format=page_format,
         )
         self.algorithm = algorithm
         # Hot-path aliases: bind insert/delete straight to the engine's

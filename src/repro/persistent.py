@@ -455,7 +455,7 @@ class JournaledDenseFile(PersistentDenseFile):
     exercised exhaustively by the crash-point sweep in
     ``tests/test_crash_consistency.py``.
 
-    After a :class:`~repro.storage.wal.SimulatedCrash` (or any mid-
+    After a :class:`~repro.storage.faults.SimulatedCrash` (or any mid-
     transaction exception) the in-memory object is dead: close it and
     reopen from disk.
     """

@@ -20,7 +20,6 @@ from .codec import CodecError, decode_page, encode_page
 from .cost import AccessStats, CostModel, DISK_ARM_MODEL, PAGE_ACCESS_MODEL
 from .disk import SimulatedDisk
 from .faults import (
-    BackoffPolicy,
     FaultInjector,
     FaultPlan,
     FaultyStore,
@@ -28,6 +27,7 @@ from .faults import (
     SimulatedCrash,
     fault_tolerant_stack,
 )
+from ..concurrent.retry import RetryPolicy
 from .ondisk import (
     CorruptPageError,
     DiskPagedStore,
@@ -44,7 +44,6 @@ __all__ = [
     "AccessStats",
     "AccessTrace",
     "BACKENDS",
-    "BackoffPolicy",
     "BufferPool",
     "BufferedStore",
     "CodecError",
@@ -65,6 +64,7 @@ __all__ = [
     "PageStore",
     "PoolStats",
     "READ",
+    "RetryPolicy",
     "RetryingStore",
     "ScrubReport",
     "SimulatedCrash",

@@ -48,11 +48,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from ..core.errors import ConfigurationError
-from ..records import Record
 from .bufferpool import BufferPool, PoolStats
 from .cost import CostModel, PAGE_ACCESS_MODEL
 from .disk import SimulatedDisk
-from .packed import PackedPage
 from .page import Page
 from .tracing import READ, WRITE
 
@@ -63,9 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 DEFAULT_CACHE_PAGES = 16
 
 BACKENDS = ("memory", "disk", "buffered")
-
-#: In-core page representations selectable via ``make_store(page_format=)``.
-PAGE_CLASSES = {"packed": PackedPage, "object": Page}
 
 
 @dataclass
@@ -90,18 +85,9 @@ def move_between(
     every backend so SHIFT semantics cannot drift between them.
     Returns the number of records moved.
     """
-    if type(source_page) is PackedPage and type(dest_page) is PackedPage:
-        # Column slice moves; same validation and result as below.
-        if dest < source:
-            return source_page.take_lowest_into(dest_page, count)
-        return source_page.take_highest_into(dest_page, count)
     if dest < source:
-        moved = source_page.take_lowest(count)
-        dest_page.extend_high(moved)
-    else:
-        moved = source_page.take_highest(count)
-        dest_page.extend_low(moved)
-    return len(moved)
+        return source_page.take_lowest_into(dest_page, count)
+    return source_page.take_highest_into(dest_page, count)
 
 
 class PageStore:
@@ -204,9 +190,9 @@ class DelegatingStore(PageStore):
     Forwards the whole :class:`PageStore` protocol — including the
     fused :meth:`get_page2` and the batch :meth:`move_records`, so a
     decorator never changes the inner store's touch sequence or its
-    counters — plus unknown attributes (``page_class``, ``raw``,
-    ``pool``, ...), so stacking a decorator is invisible to callers
-    that introspect the stack.  Subclasses override exactly the
+    counters — plus unknown attributes (``raw``, ``pool``, ...), so
+    stacking a decorator is invisible to callers that introspect the
+    stack.  Subclasses override exactly the
     methods they want to observe and delegate the rest; the sanitizer's
     :class:`~repro.sanitizer.instrument.SanitizedStore` is the first
     client.  Decorators whose read path adds no shared mutable state
@@ -267,12 +253,11 @@ class MemoryStore(PageStore):
 
     name = "memory"
 
-    def __init__(self, num_pages: int, page_class: type = PackedPage):
+    def __init__(self, num_pages: int):
         if num_pages < 1:
             raise ConfigurationError("a page store needs at least one page")
         self.num_pages = num_pages
-        self.page_class = page_class
-        self._pages: List[Page] = [page_class() for _ in range(num_pages + 1)]
+        self._pages: List[Page] = [Page() for _ in range(num_pages + 1)]
         self._stats = StoreStats()
 
     def peek(self, page_number: int) -> Page:
@@ -313,12 +298,7 @@ class DiskStore(PageStore):
 
     name = "disk"
 
-    def __init__(
-        self,
-        raw: "DiskPagedStore",
-        write_through: bool = True,
-        page_class: type = PackedPage,
-    ):
+    def __init__(self, raw: "DiskPagedStore", write_through: bool = True):
         from .ondisk import DiskPagedStore  # cycle guard
 
         if not isinstance(raw, DiskPagedStore):
@@ -326,15 +306,12 @@ class DiskStore(PageStore):
         self.raw = raw
         self.num_pages = raw.num_pages
         self.write_through = write_through
-        self.page_class = page_class
         #: Pages touched since the last flush (write-back mode only).
         self.dirty: set = set()
         #: Pages whose slot failed its CRC during a tolerant
         #: :meth:`load` — treated as empty in core and never rewritten.
         self.quarantined: set = set()
-        self._pages: List[Page] = [
-            page_class() for _ in range(self.num_pages + 1)
-        ]
+        self._pages: List[Page] = [Page() for _ in range(self.num_pages + 1)]
         self._stats = StoreStats()
 
     # -- lifecycle ------------------------------------------------------
@@ -351,7 +328,6 @@ class DiskStore(PageStore):
         overwrite: bool = False,
         write_through: bool = True,
         version: int = 0,
-        page_class: type = PackedPage,
     ) -> "DiskStore":
         """Create a fresh on-disk file with empty pages.
 
@@ -371,7 +347,7 @@ class DiskStore(PageStore):
             overwrite=overwrite,
             version=version,
         )
-        return cls(raw, write_through=write_through, page_class=page_class)
+        return cls(raw, write_through=write_through)
 
     @classmethod
     def open(
@@ -379,7 +355,6 @@ class DiskStore(PageStore):
         path: str,
         write_through: bool = True,
         tolerate_corruption: bool = False,
-        page_class: type = PackedPage,
     ) -> "DiskStore":
         """Open an existing file and materialize every stored page.
 
@@ -391,7 +366,7 @@ class DiskStore(PageStore):
         from .ondisk import DiskPagedStore
 
         raw = DiskPagedStore.open(path)
-        store = cls(raw, write_through=write_through, page_class=page_class)
+        store = cls(raw, write_through=write_through)
         store.load(tolerate_corruption=tolerate_corruption)
         return store
 
@@ -619,7 +594,6 @@ def make_store(
     overwrite: bool = False,
     model: CostModel = PAGE_ACCESS_MODEL,
     readahead: int = 0,
-    page_format: str = "packed",
 ) -> PageStore:
     """Build a backend from a ``"memory" | "disk" | "buffered"`` spec.
 
@@ -629,26 +603,13 @@ def make_store(
     requires ``path`` and creates a fresh file (pass ``overwrite=True``
     to clobber); opening an existing file goes through
     :meth:`DiskStore.open` or the persistent facade.
-
-    ``page_format`` picks the in-core page representation: ``"packed"``
-    (the default) uses the columnar
-    :class:`~repro.storage.packed.PackedPage`; ``"object"`` uses the
-    record-list :class:`~repro.storage.page.Page`.  Behaviour and
-    logical accounting are identical either way — the knob exists for
-    the parity suite and A/B benchmarks.
     """
     if backend not in BACKENDS:
         raise ConfigurationError(
             f"unknown backend {backend!r}; pick one of {BACKENDS}"
         )
-    if page_format not in PAGE_CLASSES:
-        raise ConfigurationError(
-            f"unknown page format {page_format!r}; "
-            f"pick one of {tuple(PAGE_CLASSES)}"
-        )
-    page_class = PAGE_CLASSES[page_format]
     if backend == "memory":
-        return MemoryStore(num_pages, page_class=page_class)
+        return MemoryStore(num_pages)
     if backend == "disk" or path is not None:
         if path is None:
             raise ConfigurationError(
@@ -662,10 +623,9 @@ def make_store(
             j=j,
             slot_capacity=slot_capacity,
             overwrite=overwrite,
-            page_class=page_class,
         )
     else:
-        inner = MemoryStore(num_pages, page_class=page_class)
+        inner = MemoryStore(num_pages)
     if backend == "disk":
         return inner
     return BufferedStore(

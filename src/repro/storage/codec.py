@@ -17,6 +17,7 @@ import struct
 from fractions import Fraction
 from typing import Any, List, Tuple
 
+from ..core.errors import ReproError
 from ..records import Record
 
 _TAG_NONE = 0
@@ -46,8 +47,12 @@ _FLOAT_BYTES = bytes([_TAG_FLOAT])
 _FRACTION_BYTES = bytes([_TAG_FRACTION])
 
 
-class CodecError(ValueError):
-    """Raised on malformed or unsupported data."""
+class CodecError(ReproError, ValueError):
+    """Raised on malformed or unsupported data.
+
+    On a read this means a CRC-valid slot whose payload does not decode;
+    the CLI reports it as corruption (exit 3).
+    """
 
 
 def _encode_int(number: int, out: List[bytes]) -> None:

@@ -78,43 +78,15 @@ class SimulatedDisk:
                 f"page {page} out of range [1, {self.num_pages}]"
             )
 
-    def _moved(self, page: int) -> bool:
-        if self._arm < 0:
-            return True
-        return abs(page - self._arm) > self.model.contiguous_window
-
-    def _charge(self, page: int) -> "tuple[float, bool]":
-        """Shared inline accounting for one access: ``(cost, moved)``.
-
-        Equivalent to ``model.access_cost`` + ``_moved`` but flattened
-        into one pass — read/write sit on the hot path of every logical
-        page touch, so the three method calls are folded away.  The
-        returned values are byte-identical to the un-flattened pair.
-        """
-        model = self.model
-        arm = self._arm
-        if arm < 0:
-            return model.transfer_cost + model.seek_base, True
-        distance = page - arm
-        if distance < 0:
-            distance = -distance
-        if distance <= model.contiguous_window:
-            return model.transfer_cost, False
-        seek = model.seek_base + model.seek_per_page * distance
-        seek_max = model.seek_max
-        if seek_max > 0 and seek > seek_max:
-            seek = seek_max
-        return model.transfer_cost + seek, True
-
     def read(self, page: int) -> None:
         """Charge one read of ``page``."""
         if not 1 <= page <= self.num_pages:
             self._check(page)
         stats = self.stats
         stats.reads += 1
-        # _charge, inlined: read/write sit on the hot path of every
-        # logical page touch, so the model math is folded in here (the
-        # resulting meters are byte-identical to the method pair).
+        # The cost model's math, inlined: read/write sit on the hot path
+        # of every logical page touch, so it is folded in here (the
+        # meters match ``model.access_cost`` byte for byte).
         arm = self._arm
         if arm < 0:
             stats.cost += self._transfer_cost + self._seek_base

@@ -7,8 +7,8 @@ suite can drive a fault into every injection point of every command and
 assert the file always lands in a legal state:
 
 :class:`FaultPlan`
-    A seeded, reproducible schedule of faults.  It generalizes the old
-    ``wal.FaultInjector`` (crash-at-Nth-physical-write) beyond the
+    A seeded, reproducible schedule of faults.  It generalizes the
+    crash-at-Nth-physical-write :class:`FaultInjector` beyond the
     journal to the whole store seam, and adds three more fault kinds:
     transient :class:`~repro.core.errors.TransientIOError` on
     get/put/flush (seeded Bernoulli per operation), **torn writes**
@@ -24,7 +24,8 @@ assert the file always lands in a legal state:
     no side effects and is safe to retry verbatim.
 :class:`RetryingStore`
     The absorption side: bounded retries with a deterministic
-    exponential :class:`BackoffPolicy` for transient faults, with
+    exponential :class:`~repro.concurrent.retry.RetryPolicy` for
+    transient faults, with
     retry/give-up counters in :meth:`~RetryingStore.stats`.  Crashes and
     corruption are *not* retried — those belong to the journal and
     :func:`~repro.storage.scrub.scrub` recovery paths.
@@ -77,8 +78,7 @@ class FaultInjector:
     """Counts down physical writes and 'crashes' when exhausted.
 
     The original crash-only injector of the journal tests, now the base
-    of the full :class:`FaultPlan`.  ``wal.FaultInjector`` remains as a
-    backwards-compatible alias.
+    of the full :class:`FaultPlan`.
     """
 
     def __init__(self):
@@ -316,27 +316,15 @@ class FaultyStore(PageStore):
         }
 
 
-class BackoffPolicy(RetryPolicy):
-    """The storage spelling of :class:`~repro.concurrent.retry.RetryPolicy`.
-
-    Kept as a distinct name for backwards compatibility (every test and
-    stack builder says ``BackoffPolicy``); the fields, validation and
-    ``delay(attempt)`` schedule all come from the shared policy, so
-    store-level and network-level retries can no longer diverge.  The
-    default has no jitter — store retries back off against a local disk,
-    not a thundering herd of clients.
-    """
-
-
 class RetryingStore(PageStore):
     """Absorb transient faults from the wrapped store with bounded retries.
 
     Each logical operation is attempted up to ``policy.max_attempts``
     times; only :class:`~repro.core.errors.TransientIOError` is retried
     (crashes and corruption must surface).  Between attempts the
-    deterministic :class:`BackoffPolicy` delay is accumulated in the
-    stats and slept via the injectable ``sleep`` callable (a no-op for
-    the default zero base delay).
+    deterministic :class:`~repro.concurrent.retry.RetryPolicy` delay is
+    accumulated in the stats and slept via the injectable ``sleep``
+    callable (a no-op for the default zero base delay).
 
     ``move_records`` uses the inherited default built from this store's
     own get/put, so retries happen at single-operation granularity — a
@@ -359,11 +347,11 @@ class RetryingStore(PageStore):
     def __init__(
         self,
         inner: PageStore,
-        policy: Optional[BackoffPolicy] = None,
+        policy: Optional[RetryPolicy] = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.inner = inner
-        self.policy = policy if policy is not None else BackoffPolicy()
+        self.policy = policy if policy is not None else RetryPolicy()
         self.num_pages = inner.num_pages
         self._sleep = sleep
         self._local = threading.local()
@@ -457,7 +445,7 @@ class RetryingStore(PageStore):
 def fault_tolerant_stack(
     inner: PageStore,
     plan: Optional[FaultPlan] = None,
-    policy: Optional[BackoffPolicy] = None,
+    policy: Optional[RetryPolicy] = None,
 ) -> RetryingStore:
     """``RetryingStore(FaultyStore(inner, plan), policy)`` in one call.
 

@@ -41,10 +41,7 @@ things build on that:
 Version 1 files (``DSJ1``, no sequence header) are still read; they
 report sequence 0.
 
-:class:`~repro.storage.faults.FaultInjector` (historically defined
-here, now part of the unified fault layer in
-:mod:`repro.storage.faults` and re-exported for compatibility) lets the
-test suite crash the process at *every* physical write of a command and
+:class:`~repro.storage.faults.FaultInjector` lets the test suite crash the process at *every* physical write of a command and
 assert that recovery lands on one of the two legal states.
 """
 
@@ -54,10 +51,12 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
-from .faults import FaultInjector, SimulatedCrash  # noqa: F401  (compat)
 from .ondisk import StorageError
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from .faults import FaultInjector
 
 JOURNAL_MAGIC = b"DSJ2"
 JOURNAL_MAGIC_V1 = b"DSJ1"

@@ -219,6 +219,37 @@ class TestExitCodeContract:
     def test_missing_key_is_2(self, created):
         assert run("get", created, "42")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("put", "1000", "v"),
+            ("get", "5"),
+            ("delete", "5"),
+            ("scan", "--start", "0", "--count", "5"),
+            ("range", "--lo", "0", "--hi", "50"),
+            ("load", "--keys", "2000:2010"),
+            ("rank", "5"),
+            ("count", "--lo", "0", "--hi", "50"),
+            ("delete-range", "--lo", "0", "--hi", "5"),
+            ("compact",),
+            ("info",),
+            ("verify",),
+            ("scrub",),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_undecodable_page_is_3_on_every_command(self, created, argv):
+        """A CRC-valid slot whose payload does not decode is corruption,
+        reported through the contract rather than a traceback."""
+        from repro.storage.ondisk import DiskPagedStore
+
+        run("load", created, "--keys", "0:300")
+        with DiskPagedStore.open(created) as raw:
+            raw.write_page_payload(3, b"\x09garbage")
+        code, output = run(argv[0], created, *argv[1:])
+        assert code == 3, output
+        assert "Traceback" not in output
+
 
 class TestClusterCli:
     def test_serve_binds_and_shuts_down(self):

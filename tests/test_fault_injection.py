@@ -27,8 +27,8 @@ from hypothesis import strategies as st
 from repro import DenseSequentialFile, JournaledDenseFile, PersistentDenseFile
 from repro.core.errors import ReadOnlyError, TransientIOError
 from repro.storage.backend import BufferedStore, DiskStore, MemoryStore
+from repro.concurrent.retry import RetryPolicy
 from repro.storage.faults import (
-    BackoffPolicy,
     FaultPlan,
     FaultyStore,
     RetryingStore,
@@ -127,7 +127,7 @@ class TestTransientAbsorption:
             inner, _ = make_backend(backend, directory)
             plan = FaultPlan(seed=seed, transient_rate=rate)
             stack = fault_tolerant_stack(
-                inner, plan, BackoffPolicy(max_attempts=50)
+                inner, plan, RetryPolicy(max_attempts=50)
             )
             dense = DenseSequentialFile(**GEOMETRY, store=stack)
             model = set()
@@ -144,7 +144,7 @@ class TestTransientAbsorption:
         surfaces (it must never be swallowed into silent data loss)."""
         plan = FaultPlan(seed=3, transient_rate=1.0)
         stack = RetryingStore(
-            FaultyStore(MemoryStore(4), plan), BackoffPolicy(max_attempts=3)
+            FaultyStore(MemoryStore(4), plan), RetryPolicy(max_attempts=3)
         )
         with pytest.raises(TransientIOError):
             stack.get_page(1)
@@ -157,7 +157,7 @@ class TestTransientAbsorption:
         slept = []
         stack = RetryingStore(
             FaultyStore(MemoryStore(4), plan),
-            BackoffPolicy(max_attempts=10, base_delay=0.25, max_delay=1.0),
+            RetryPolicy(max_attempts=10, base_delay=0.25, max_delay=1.0),
             sleep=slept.append,
         )
         stack.get_page(1)  # 4 transients then success
@@ -170,7 +170,7 @@ class TestCrashSchedulesLandOnLegalStates:
     @settings(max_examples=25, deadline=None)
     def test_recovery_is_pre_or_post_state(self, crash_point, seed):
         """A FaultPlan countdown through the journaled facade is exactly
-        the old wal.FaultInjector contract: atomic per command."""
+        the original FaultInjector contract: atomic per command."""
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "crash.dsf")
             plan = FaultPlan(seed=seed)

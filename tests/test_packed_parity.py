@@ -1,18 +1,15 @@
-"""Packed vs object pages: one behaviour, two representations.
+"""The page against a model, and the format-byte page images.
 
-:class:`~repro.storage.packed.PackedPage` is advertised as a drop-in
-behavioural replacement for the object
-:class:`~repro.storage.page.Page`: same results, same exceptions, same
-logical page-access counts — only the in-core layout differs.  These
-tests hold that promise in three tiers:
+The one in-core :class:`~repro.storage.page.Page` keeps key and value
+columns; the paper only asks that a page be a key-sorted run of
+records.  These tests hold the page to that definition in three tiers:
 
-* **page level** — a Hypothesis-driven mirror applies the same random
-  operation stream to both classes and demands identical return
+* **page level** — Hypothesis-driven operation streams run against a
+  sorted-list-of-``(key, value)`` model and demand identical return
   values, identical exceptions, and identical final record lists;
-* **file level** — a stateful machine drives two complete
-  ``DenseSequentialFile`` stacks (``page_format="packed"`` vs
-  ``"object"``) and checks per-page state, logical meters, and the
-  physical store counters agree after every command;
+* **file level** — a stateful machine drives a ``DenseSequentialFile``
+  against a dict oracle, with the paper's invariants validated after
+  every command;
 * **image level** — the format-byte classifier packs exactly the
   homogeneous pages it documents (int64 / float64 / short-str keys,
   bytes-or-None values) and demotes everything else to the generic
@@ -20,6 +17,7 @@ tests hold that promise in three tiers:
   legacy version-1 files that predate the packed format.
 """
 
+import io
 import os
 import shutil
 import tempfile
@@ -35,27 +33,71 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.cli import main
 from repro.core.dense_file import DenseSequentialFile
 from repro.core.errors import DuplicateKeyError, RecordNotFoundError, UsageError
 from repro.records import Record
 from repro.storage.backend import DiskStore, move_between
-from repro.storage.codec import CodecError, encode_page
+from repro.storage.codec import CodecError
 from repro.storage.packed import (
     PAGE_FORMAT_F64,
     PAGE_FORMAT_I64,
     PAGE_FORMAT_OBJECT,
     PAGE_FORMAT_STR,
-    PackedPage,
     decode_page_image,
     encode_page_image,
     encode_records_image,
-    page_columns,
 )
 from repro.storage.page import Page
 
 # ---------------------------------------------------------------------------
-# page level: every operation, both classes, identical outcomes
+# page level: every operation, page vs model, identical outcomes
 # ---------------------------------------------------------------------------
+
+
+class PageModel:
+    """The paper's page: a key-sorted list of ``(key, value)`` pairs."""
+
+    def __init__(self, records=()):
+        self.pairs = sorted(records, key=lambda record: record.key)
+
+    def _find(self, key):
+        return next((i for i, p in enumerate(self.pairs) if p[0] == key), None)
+
+    def records(self):
+        return [Record(*pair) for pair in self.pairs]
+
+    def insert_kv(self, key, value=None):
+        if self._find(key) is not None:
+            raise DuplicateKeyError(key)
+        index = sum(pair[0] < key for pair in self.pairs)
+        self.pairs.insert(index, (key, value))
+        return index
+
+    def get(self, key):
+        index = self._find(key)
+        return None if index is None else Record(key, self.pairs[index][1])
+
+    def remove(self, key):
+        index = self._find(key)
+        if index is None:
+            raise RecordNotFoundError(key)
+        return Record(key, self.pairs.pop(index)[1])
+
+    def replace(self, record):
+        old = self.remove(record.key)
+        self.insert_kv(*record)
+        return old
+
+    def take_lowest(self, count):
+        taken, self.pairs = self.pairs[:count], self.pairs[count:]
+        return [Record(*pair) for pair in taken]
+
+    def take_highest(self, count):
+        split = max(0, len(self.pairs) - count)
+        self.pairs, taken = self.pairs[:split], self.pairs[split:]
+        return [Record(*pair) for pair in taken]
+
 
 #: Heterogeneous keys on purpose: ints, floats, strings and Fractions
 #: are mutually comparable only within a type, so each generated stream
@@ -93,7 +135,13 @@ OPS = st.sampled_from(
 @st.composite
 def operation_streams(draw):
     kind = draw(st.sampled_from(sorted(KEY_STRATEGIES)))
-    keys = KEY_STRATEGIES[kind]
+    # A small key pool, partly preloaded, makes removes, gets and
+    # replaces hit records and inserts land deep inside a full page.
+    pool = draw(st.lists(KEY_STRATEGIES[kind], min_size=8, max_size=32))
+    keys = st.sampled_from(pool)
+    preload = [
+        Record(key, draw(VALUES)) for key in draw(st.lists(keys, unique=True))
+    ]
     stream = []
     for _ in range(draw(st.integers(min_value=1, max_value=40))):
         op = draw(OPS)
@@ -105,19 +153,20 @@ def operation_streams(draw):
             stream.append((op, (draw(keys), draw(VALUES))))
         else:  # remove / get
             stream.append((op, (draw(keys),)))
-    return stream
+    return preload, stream
 
 
 @given(operation_streams())
 @settings(max_examples=120, deadline=None)
-def test_operation_stream_parity(stream):
-    packed, plain = PackedPage(), Page()
+def test_operation_stream_parity(streams):
+    preload, stream = streams
+    page, model = Page(preload), PageModel(preload)
     for op, args in stream:
-        assert _apply(packed, op, args) == _apply(plain, op, args)
-        assert packed.records() == plain.records()
-        assert len(packed) == len(plain)
-        assert packed.is_empty == plain.is_empty
-    assert list(packed) == list(plain)
+        assert _apply(page, op, args) == _apply(model, op, args)
+        assert page.records() == model.records()
+        assert len(page) == len(model.pairs)
+        assert page.is_empty == (not model.pairs)
+    assert list(page) == model.records()
 
 
 @given(
@@ -128,153 +177,112 @@ def test_operation_stream_parity(stream):
 )
 @settings(max_examples=120, deadline=None)
 def test_slice_moves_match_record_moves(low_keys, high_keys, count, upward):
-    """``take_*_into`` is exactly ``take_* + extend_*`` — state and errors."""
-    source_records = [Record(key, key % 5) for key in sorted(low_keys)]
-    dest_records = [Record(key, None) for key in sorted(high_keys)]
-
-    packed_src = PackedPage(source_records)
-    packed_dst = PackedPage(dest_records)
-    plain_src = Page(source_records)
-    plain_dst = Page(dest_records)
+    """``take_*_into`` moves the nearest records or, when that would
+    break key order, raises and leaves both pages untouched."""
+    low_keys, high_keys = sorted(low_keys), sorted(high_keys)
+    source_records = [Record(key, key % 5) for key in low_keys]
+    dest_records = [Record(key, None) for key in high_keys]
+    source, dest = Page(source_records), Page(dest_records)
+    source_model, dest_model = PageModel(source_records), PageModel(dest_records)
 
     if upward:
-        fast = lambda: packed_src.take_lowest_into(packed_dst, count)  # noqa: E731
-        slow = lambda: plain_dst.extend_high(plain_src.take_lowest(count))  # noqa: E731
+        moved = source_model.take_lowest(count)
+        in_order = not (moved and dest_records) or moved[0].key > high_keys[-1]
+        expected_dest = dest_records + moved
+        move = source.take_lowest_into
     else:
-        fast = lambda: packed_src.take_highest_into(packed_dst, count)  # noqa: E731
-        slow = lambda: plain_dst.extend_low(plain_src.take_highest(count))  # noqa: E731
+        moved = source_model.take_highest(count)
+        in_order = not (moved and dest_records) or moved[-1].key < high_keys[0]
+        expected_dest = moved + dest_records
+        move = source.take_highest_into
 
-    try:
-        moved = fast()
-        failed = None
-    except UsageError as exc:
-        moved, failed = None, str(exc)
-    try:
-        slow()
-        plain_failed = None
-    except UsageError as exc:
-        plain_failed = str(exc)
-
-    assert (failed is None) == (plain_failed is None)
-    if failed is None:
-        assert moved == min(count, len(source_records))
-        assert packed_src.records() == plain_src.records()
-        assert packed_dst.records() == plain_dst.records()
+    if in_order:
+        assert move(dest, count) == len(moved)
+        assert source.records() == source_model.records()
+        assert dest.records() == expected_dest
     else:
-        assert failed == plain_failed
+        with pytest.raises(UsageError, match="would break key order"):
+            move(dest, count)
+        assert source.records() == source_records
+        assert dest.records() == dest_records
 
 
-def test_move_between_dispatches_both_representations():
-    for page_class in (PackedPage, Page):
-        low = page_class([Record(k) for k in (1, 2, 3)])
-        high = page_class([Record(k) for k in (10, 11)])
-        # dest above source: the highest records slide up.
-        assert move_between(low, high, source=1, dest=2, count=2) == 2
-        assert [r.key for r in low] == [1]
-        assert [r.key for r in high] == [2, 3, 10, 11]
-        # dest below source: the lowest records slide back down.
-        assert move_between(high, low, source=2, dest=1, count=3) == 3
-        assert [r.key for r in low] == [1, 2, 3, 10]
-        assert [r.key for r in high] == [11]
-
-
-def test_page_columns_agrees_across_representations():
-    records = [Record(k, bytes([k])) for k in (3, 7, 9)]
-    for page in (PackedPage(records), Page(records)):
-        keys, values = page_columns(page)
-        assert keys == [3, 7, 9]
-        assert values == [b"\x03", b"\x07", b"\x09"]
+def test_move_between_slides_the_nearest_records():
+    low = Page([Record(k) for k in (1, 2, 3)])
+    high = Page([Record(k) for k in (10, 11)])
+    # dest above source: the highest records slide up.
+    assert move_between(low, high, source=1, dest=2, count=2) == 2
+    assert [r.key for r in low] == [1]
+    assert [r.key for r in high] == [2, 3, 10, 11]
+    # dest below source: the lowest records slide back down.
+    assert move_between(high, low, source=2, dest=1, count=3) == 3
+    assert [r.key for r in low] == [1, 2, 3, 10]
+    assert [r.key for r in high] == [11]
 
 
 # ---------------------------------------------------------------------------
-# file level: two full stacks, identical logical and physical meters
+# file level: a full stack against a dict oracle
 # ---------------------------------------------------------------------------
 
 M, LOW_D, HIGH_D = 16, 4, 24
 FILE_KEYS = st.integers(min_value=0, max_value=10_000)
 
 
-def _format_pair():
-    return [
-        DenseSequentialFile(M, LOW_D, HIGH_D, page_format=page_format)
-        for page_format in ("packed", "object")
-    ]
+def _assert_matches_oracle(dense, oracle):
+    assert len(dense) == len(oracle)
+    assert list(dense.items()) == sorted(oracle.items())
+    dense.validate()
 
 
-def _assert_file_parity(packed_file, object_file):
-    assert len(packed_file) == len(object_file)
-    assert packed_file.occupancies() == object_file.occupancies()
-    for page_number in range(1, M + 1):
-        assert encode_page(
-            packed_file.engine.pagefile.page(page_number).records()
-        ) == encode_page(
-            object_file.engine.pagefile.page(page_number).records()
-        )
-    # The paper's metered quantity and the raw store counters both have
-    # to agree: the representation must not change what gets charged.
-    for name in ("reads", "writes", "cost"):
-        assert getattr(packed_file.stats, name) == getattr(
-            object_file.stats, name
-        )
-    packed_stats = dict(packed_file.store.stats())
-    object_stats = dict(object_file.store.stats())
-    assert packed_stats == object_stats
-    packed_file.validate()
-    object_file.validate()
-
-
-class PackedObjectParityMachine(RuleBasedStateMachine):
-    """Mirror every command into both page formats; compare constantly."""
+class DenseFileModelMachine(RuleBasedStateMachine):
+    """Every command on a dense file, mirrored into a dict oracle."""
 
     @initialize()
     def setup(self):
-        self.packed, self.plain = _format_pair()
-        self.keys = set()
+        self.dense = DenseSequentialFile(M, LOW_D, HIGH_D)
+        self.oracle = {}
 
     @rule(key=FILE_KEYS)
     def insert(self, key):
-        if key in self.keys or len(self.keys) >= LOW_D * M:
+        if key in self.oracle or len(self.oracle) >= LOW_D * M:
             return
-        self.keys.add(key)
-        self.packed.insert(key, f"v{key}")
-        self.plain.insert(key, f"v{key}")
+        self.oracle[key] = f"v{key}"
+        self.dense.insert(key, f"v{key}")
 
     @rule(key=FILE_KEYS)
     def delete(self, key):
-        if key not in self.keys:
+        if key not in self.oracle:
             return
-        self.keys.remove(key)
-        assert self.packed.delete(key) == self.plain.delete(key)
+        assert self.dense.delete(key) == Record(key, self.oracle.pop(key))
 
     @rule(lo=FILE_KEYS, hi=FILE_KEYS)
     def scan(self, lo, hi):
         lo, hi = min(lo, hi), max(lo, hi)
-        expected = sorted(k for k in self.keys if lo <= k <= hi)
-        for dense in (self.packed, self.plain):
-            assert [r.key for r in dense.range(lo, hi)] == expected
+        expected = sorted(k for k in self.oracle if lo <= k <= hi)
+        assert [r.key for r in self.dense.range(lo, hi)] == expected
 
     @invariant()
-    def formats_agree(self):
-        if hasattr(self, "packed"):
-            _assert_file_parity(self.packed, self.plain)
+    def file_matches_oracle(self):
+        if hasattr(self, "dense"):
+            _assert_matches_oracle(self.dense, self.oracle)
 
 
-TestPackedObjectParity = PackedObjectParityMachine.TestCase
-TestPackedObjectParity.settings = settings(
+TestDenseFileModel = DenseFileModelMachine.TestCase
+TestDenseFileModel.settings = settings(
     max_examples=15, stateful_step_count=30, deadline=None
 )
 
 
 def test_heterogeneous_keys_in_one_file_stay_identical():
-    """Columns accept any ordered key type; meters stay in lockstep."""
-    packed_file, object_file = _format_pair()
+    """Columns accept any ordered key type, exactly as a dict would."""
+    dense = DenseSequentialFile(M, LOW_D, HIGH_D)
+    oracle = {}
     for key in (Fraction(1, 3), Fraction(2, 3), Fraction(7, 2), Fraction(9)):
-        packed_file.insert(key, str(key))
-        object_file.insert(key, str(key))
-    assert packed_file.delete(Fraction(2, 3)) == object_file.delete(
-        Fraction(2, 3)
-    )
-    _assert_file_parity(packed_file, object_file)
+        dense.insert(key, str(key))
+        oracle[key] = str(key)
+    assert dense.delete(Fraction(2, 3)) == Record(Fraction(2, 3), "2/3")
+    del oracle[Fraction(2, 3)]
+    _assert_matches_oracle(dense, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +318,26 @@ def test_format_byte_classification(records, expected_format):
     assert decode_page_image(image) == records
 
 
-@pytest.mark.parametrize("page_class", [PackedPage, Page])
-def test_image_round_trip_is_exact_for_both_classes(page_class):
+def _page_by_inserts(records):
+    page = Page()
+    for record in reversed(records):
+        page.insert_kv(record.key, record.value)
+    return page
+
+
+#: The ids keep the names of the two in-core page layouts the repo once
+#: had.  Both now build the one ``Page``: from a record list in a single
+#: call ("PackedPage") or one ``insert_kv`` at a time ("Page").
+PAGE_BUILDS = [
+    pytest.param(Page, id="PackedPage"),
+    pytest.param(_page_by_inserts, id="Page"),
+]
+
+
+@pytest.mark.parametrize("build", PAGE_BUILDS)
+def test_image_round_trip_is_exact_for_both_classes(build):
     records = [Record(k, bytes([k % 251])) for k in range(0, 40, 3)]
-    page = page_class(records)
+    page = build(records)
     image = encode_page_image(page)
     assert image[0] == PAGE_FORMAT_I64
     assert decode_page_image(image) == records
@@ -356,7 +380,7 @@ def test_every_image_round_trips(pairs):
 def test_mid_stream_demotion_and_repromotion():
     """A Fraction key demotes the *write*, not the page; removing it
     restores the packed format on the next write."""
-    page = PackedPage([Record(k) for k in (10, 20, 30)])
+    page = Page([Record(k) for k in (10, 20, 30)])
     assert encode_page_image(page)[0] == PAGE_FORMAT_I64
     page.insert_kv(Fraction(25, 1))
     demoted = encode_page_image(page)
@@ -390,49 +414,58 @@ def workdir():
     shutil.rmtree(path, ignore_errors=True)
 
 
-def _disk_file(workdir, name, version, page_class):
+def _disk_file(workdir, name, version):
     store = DiskStore.create(
         os.path.join(workdir, name),
         num_pages=M,
         d=LOW_D,
         D=HIGH_D,
         version=version,
-        page_class=page_class,
     )
     return DenseSequentialFile(M, LOW_D, HIGH_D, store=store)
 
 
+#: The ids keep the names of the two in-core page layouts the repo once
+#: had.  The axis is now the page image a v2 file writes: bytes values
+#: pack into the int64 format ("PackedPage"), str values demote to the
+#: generic object codec ("Page").  Version 1 files have no format byte.
+PAGE_VALUES = [
+    pytest.param(lambda key: f"value-{key}".encode(), id="PackedPage"),
+    pytest.param(lambda key: f"value-{key}", id="Page"),
+]
+
+
 @pytest.mark.parametrize("version", [1, 2])
-@pytest.mark.parametrize("page_class", [PackedPage, Page])
+@pytest.mark.parametrize("value_of", PAGE_VALUES)
 def test_old_and_new_files_reopen_under_either_page_class(
-    workdir, version, page_class
+    workdir, version, value_of
 ):
-    """Both on-disk versions round trip through both in-core layouts —
-    in particular, packed cores keep legacy v1 files readable."""
-    name = f"v{version}-{page_class.__name__}.dsf"
-    dense = _disk_file(workdir, name, version, page_class)
+    """Both on-disk versions round trip and verify, with packed and
+    demoted page images — in particular, legacy v1 files stay readable."""
+    kind = "bytes" if isinstance(value_of(0), bytes) else "str"
+    name = f"v{version}-{kind}.dsf"
+    path = os.path.join(workdir, name)
+    dense = _disk_file(workdir, name, version)
     for key in range(0, 120, 2):
-        dense.insert(key, f"value-{key}")
+        dense.insert(key, value_of(key))
     for key in range(0, 120, 10):
         dense.delete(key)
     expected = list(dense.items())
     dense.close()
 
-    for reopen_class in (PackedPage, Page):
-        store = DiskStore.open(
-            os.path.join(workdir, name), page_class=reopen_class
-        )
-        assert store.raw.version == version
-        reopened = DenseSequentialFile(M, LOW_D, HIGH_D, store=store)
-        reopened.engine.restore_from_store()
-        assert list(reopened.items()) == expected
-        reopened.validate()
-        reopened.close()
+    store = DiskStore.open(path)
+    assert store.raw.version == version
+    reopened = DenseSequentialFile(M, LOW_D, HIGH_D, store=store)
+    reopened.engine.restore_from_store()
+    assert list(reopened.items()) == expected
+    reopened.validate()
+    reopened.close()
+    assert main(["verify", path], out=io.StringIO()) == 0
 
     # Both format versions also pass the scrub ladder untouched.
     from repro.storage.scrub import scrub
 
-    report = scrub(os.path.join(workdir, name))
+    report = scrub(path)
     assert report.healthy, report.summary()
     assert not report.corrupt
 
@@ -485,8 +518,8 @@ def test_format_byte_round_trips_through_replication(workdir):
 
 def test_v1_and_v2_files_hold_identical_logical_state(workdir):
     """The format version changes slot bytes, never logical contents."""
-    v1 = _disk_file(workdir, "old.dsf", 1, PackedPage)
-    v2 = _disk_file(workdir, "new.dsf", 2, PackedPage)
+    v1 = _disk_file(workdir, "old.dsf", 1)
+    v2 = _disk_file(workdir, "new.dsf", 2)
     for dense in (v1, v2):
         for key in range(60):
             dense.insert(key, bytes([key]))

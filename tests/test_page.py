@@ -1,4 +1,4 @@
-"""Unit tests for the in-memory page."""
+"""Unit tests for the in-memory (columnar) page."""
 
 import pytest
 
@@ -120,3 +120,33 @@ class TestPageBatchMoves:
         cleared = page.clear()
         assert [record.key for record in cleared] == [1, 3]
         assert page.is_empty
+
+    def test_take_lowest_into_appends_above_dest(self):
+        source = Page([Record(10, "a"), Record(11, "b"), Record(12, "c")])
+        dest = make_page(1, 2)
+        assert source.take_lowest_into(dest, 2) == 2
+        assert dest.records() == [
+            Record(1), Record(2), Record(10, "a"), Record(11, "b")
+        ]
+        assert source.records() == [Record(12, "c")]
+
+    def test_take_highest_into_prepends_below_dest(self):
+        source, dest = make_page(1, 2, 3), make_page(10)
+        assert source.take_highest_into(dest, 5) == 3
+        assert [record.key for record in dest] == [1, 2, 3, 10]
+        assert source.is_empty
+
+    def test_take_into_zero_moves_nothing(self):
+        source, dest = make_page(5), make_page(1)
+        assert source.take_lowest_into(dest, 0) == 0
+        assert source.take_highest_into(dest, 0) == 0
+        assert [len(source), len(dest)] == [1, 1]
+
+    def test_take_into_rejects_order_violation_untouched(self):
+        source, dest = make_page(5, 6), make_page(1, 7)
+        with pytest.raises(ValueError):
+            source.take_lowest_into(dest, 1)
+        with pytest.raises(ValueError):
+            source.take_highest_into(dest, 1)
+        assert [record.key for record in source] == [5, 6]
+        assert [record.key for record in dest] == [1, 7]

@@ -55,6 +55,19 @@ class TestPageProperties:
         remaining = page.records()
         assert [r.key for r in remaining] + [r.key for r in taken] == sorted(keys)
 
+    @given(st.lists(KEYS, unique=True, min_size=1), st.integers(0, 20))
+    def test_take_into_moves_round_trip(self, keys, count):
+        keys = sorted(keys)
+        split = len(keys) // 2
+        low = Page(Record(key, key) for key in keys[:split])
+        high = Page(Record(key, key) for key in keys[split:])
+        moved = high.take_lowest_into(low, count)
+        assert moved == min(count, len(keys) - split)
+        assert low.records() + high.records() == [Record(k, k) for k in keys]
+        assert low.take_highest_into(high, moved) == moved
+        assert [r.key for r in low] == keys[:split]
+        assert [r.key for r in high] == keys[split:]
+
 
 # ----------------------------------------------------------------------
 # PageFile properties

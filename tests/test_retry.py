@@ -15,7 +15,6 @@ from repro.core.errors import (
     OperationTimeout,
     TransientIOError,
 )
-from repro.storage.faults import BackoffPolicy
 
 
 class TestRetryPolicy:
@@ -76,12 +75,15 @@ class TestRetryPolicy:
         with pytest.raises(ConfigurationError):
             RetryPolicy(**kwargs)
 
-    def test_backoff_policy_is_a_retry_policy(self):
-        # The storage layer's BackoffPolicy is the same shape — one
-        # policy object can be handed to either retry loop.
-        policy = BackoffPolicy(max_attempts=3, base_delay=0.01)
-        assert isinstance(policy, RetryPolicy)
-        assert policy.delay(0) == pytest.approx(0.01)
+    def test_storage_layer_uses_the_shared_policy(self):
+        # One policy class for both retry loops: the storage package
+        # exports it and RetryingStore defaults to it.
+        from repro import storage
+        from repro.storage.backend import MemoryStore
+        from repro.storage.faults import RetryingStore
+
+        assert storage.RetryPolicy is RetryPolicy
+        assert type(RetryingStore(MemoryStore(1)).policy) is RetryPolicy
 
 
 class TestRetryCall:

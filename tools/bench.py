@@ -7,7 +7,6 @@ Usage:
     python tools/bench.py --validate BENCH_PR9.json    # schema-check a report
     python tools/bench.py --compare OLD.json NEW.json  # gate two reports
     python tools/bench.py --profile                    # hot functions -> stderr
-    python tools/bench.py --compare-page-formats       # packed vs object pages
 
 Scenarios (see ``repro.benchmark``): bulk_load, insert_burst (the
 batched ``insert_many`` fast path), mixed, and stream_scan (dense file
@@ -67,77 +66,6 @@ def _compare(baseline_path: str, current_path: str, max_regression) -> int:
     return 0
 
 
-#: Minimum allowed geometric-mean packed/object throughput ratio.  On
-#: the non-serializing smoke backends the true ratio sits near or above
-#: 1.0 with heavy single-trial jitter (±30% on shared runners), so the
-#: gate triggers only when packed is *systematically* slower — a real
-#: representation regression, not noise.
-MIN_FORMAT_RATIO = 0.70
-
-
-def _compare_page_formats(kwargs: dict, min_ratio: float) -> int:
-    """Run the same matrix with packed and object pages; compare cells.
-
-    Two gates.  Each (scenario, backend) cell must report *identical*
-    logical page accesses — the packed layout is a pure representation
-    change, so any difference means the layouts diverged behaviourally
-    (exit 4).  And packed pages must not be slower than object pages:
-    the geometric mean of the per-cell throughput ratios has to clear
-    ``min_ratio`` (exit 4 below it).
-    """
-    kwargs = dict(kwargs)
-    kwargs.pop("page_format", None)
-    packed = benchmark.run_bench(page_format="packed", **kwargs)
-    plain = benchmark.run_bench(page_format="object", **kwargs)
-    plain_cells = {
-        (cell["scenario"], cell["backend"]): cell
-        for cell in plain["results"]
-    }
-    divergences = []
-    ratios = []
-    print("packed vs object pages "
-          f"(ops={packed['ops']}, quick={packed['quick']}):")
-    for cell in packed["results"]:
-        key = (cell["scenario"], cell["backend"])
-        other = plain_cells.get(key)
-        if other is None:
-            continue
-        ratio = (
-            cell["ops_per_sec"] / other["ops_per_sec"]
-            if other["ops_per_sec"] > 0 else float("inf")
-        )
-        ratios.append(ratio)
-        marker = "ok"
-        if cell["page_accesses"] != other["page_accesses"]:
-            marker = "ACCESS DIVERGENCE"
-            divergences.append(
-                f"{key[0]}/{key[1]}: packed {cell['page_accesses']} vs "
-                f"object {other['page_accesses']} logical accesses"
-            )
-        print(f"  {key[0]:<13} {key[1]:<9} packed/object throughput "
-              f"{ratio:5.2f}x  accesses {cell['page_accesses']} vs "
-              f"{other['page_accesses']}  [{marker}]")
-    if divergences:
-        print("page-format divergence (identical logical accounting "
-              "is required):")
-        for line in divergences:
-            print(f"  {line}")
-        return 4
-    print("page formats agree on logical page accesses")
-    if ratios:
-        geomean = 1.0
-        for ratio in ratios:
-            geomean *= ratio
-        geomean **= 1.0 / len(ratios)
-        print(f"geometric-mean packed/object throughput {geomean:.2f}x "
-              f"(floor {min_ratio:.2f}x)")
-        if geomean < min_ratio:
-            print("packed pages are systematically slower than object "
-                  "pages — representation regression")
-            return 4
-    return 0
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--quick", action="store_true",
@@ -164,19 +92,6 @@ def main() -> int:
     parser.add_argument("--compare", nargs=2,
                         metavar=("BASELINE", "CURRENT"), default=None,
                         help="gate two existing reports and exit")
-    parser.add_argument("--page-format", default="packed",
-                        choices=["packed", "object"],
-                        help="in-core page representation for the local "
-                        "backends (default: packed)")
-    parser.add_argument("--compare-page-formats", action="store_true",
-                        help="run the matrix once per page format; exit 4 "
-                        "on any logical-access divergence or if packed "
-                        "pages are systematically slower")
-    parser.add_argument("--min-format-ratio", type=float,
-                        default=MIN_FORMAT_RATIO, metavar="R",
-                        help="geometric-mean packed/object throughput "
-                        "floor for --compare-page-formats (default "
-                        f"{MIN_FORMAT_RATIO})")
     parser.add_argument("--profile", action="store_true",
                         help="run under cProfile; print the hottest "
                         "functions (cumulative) to stderr")
@@ -197,13 +112,9 @@ def main() -> int:
         quick=args.quick,
         scenarios=tuple(args.scenarios or benchmark.SCENARIOS),
         backends=tuple(args.backends or ("memory", "buffered")),
-        page_format=args.page_format,
     )
     if args.ops is not None:
         kwargs["ops"] = args.ops
-
-    if args.compare_page_formats:
-        return _compare_page_formats(kwargs, args.min_format_ratio)
 
     if args.profile or args.profile_out is not None:
         report, table = benchmark.run_bench_profiled(

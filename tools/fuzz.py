@@ -58,6 +58,7 @@ from repro import (  # noqa: E402
     DensityParams,
     JournaledDenseFile,
     MacroBlockControl2Engine,
+    RetryPolicy,
 )
 from repro import DenseSequentialFile, PersistentDenseFile  # noqa: E402
 from repro.core.errors import (  # noqa: E402
@@ -70,12 +71,12 @@ from repro.storage.backend import (  # noqa: E402
     MemoryStore,
 )
 from repro.storage.faults import (  # noqa: E402
-    BackoffPolicy,
+    FaultInjector,
     FaultPlan,
+    SimulatedCrash,
     fault_tolerant_stack,
 )
 from repro.storage.scrub import scrub  # noqa: E402
-from repro.storage.wal import FaultInjector, SimulatedCrash  # noqa: E402
 
 
 def random_geometry(rng: random.Random):
@@ -207,7 +208,7 @@ def fuzz_faults_once(seed: int, verbose: bool = False):
     rate = rng.choice([0.0, 0.02, 0.1, 0.25])
     plan = FaultPlan(seed=seed, transient_rate=rate)
     stack = fault_tolerant_stack(
-        inner, plan, BackoffPolicy(max_attempts=40)
+        inner, plan, RetryPolicy(max_attempts=40)
     )
     dense = DenseSequentialFile(num_pages, d, cap, store=stack)
     model = set()

@@ -18,21 +18,30 @@ Usage (also via ``python -m repro``):
     repro verify  orders.dsf
     repro scrub   orders.dsf        # repair / quarantine corrupt pages
     repro stress  --threads 8 --ops 400 --seed 7   # concurrency torture
+    repro stress  --iterations 5    # five random seeds, replay line on failure
     repro stress  --replica-reads   # readers on a WAL-shipped replica
     repro soak    --seconds 20 --seed 7   # primary+replica SLO soak
     repro bench   --quick --baseline BENCH_PR9.json  # perf matrix + gate
+    repro bench   --validate BENCH_PR9.json          # schema-check a report
+    repro bench   --compare OLD.json NEW.json        # gate two reports
     repro serve   --shards 4 --port 7421   # sharded cluster over TCP
     repro chaos   --seed 7          # network chaos sweep (trichotomy)
     repro demo                      # replay the paper's Example 5.2
 
+``tools/{stress,chaos,soak,bench,lint}.py`` forward to the matching
+command, so each harness has one parser, one report writer and one set
+of exit codes.
+
 Exit codes are part of the operator contract (scripts branch on them):
 
     0   clean — the command succeeded and the file is healthy
-    1   error — bad usage, missing file, or a typed ReproError
+    1   error — bad usage, missing file, an invalid bench report, or a
+        typed ReproError
     2   not found — ``get`` on an absent key
     3   corrupt — checksum failures (``verify``), unhealed pages
-        (``scrub``), an undecodable page on any command that opens the
-        file, or harness findings (``stress``/``chaos``/...)
+        (``scrub``), a checksum mismatch or undecodable page on any
+        command that opens the file, or a harness verdict that is not
+        clean (``stress``, ``soak``, ``chaos``)
     4   regression — ``bench`` exceeded its baseline gate
     5   degraded — the file serves reads but is quarantined read-only
         (``verify``/``info`` on a file scrub could not fully heal)
@@ -54,15 +63,21 @@ as strings — one file should stick to one key type.
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import random
+import shlex
 import sys
-from typing import List, Optional
+import tempfile
+import time
+from typing import Any, Callable, List, NoReturn, Optional, Tuple
 
 from .analysis.heatmap import fill_summary, occupancy_bar, occupancy_legend
 from .analysis.stats import flatten_counters
 from .core.errors import ReproError
 from .persistent import JournaledDenseFile, PersistentDenseFile
 from .storage.codec import CodecError
+from .storage.ondisk import CorruptPageError
 
 #: The documented exit-code contract (see the module docstring).
 EXIT_OK = 0
@@ -72,6 +87,17 @@ EXIT_CORRUPT = 3
 EXIT_REGRESSION = 4
 EXIT_DEGRADED = 5
 EXIT_PENDING_REPLAY = 6
+
+#: Flags of the shared seeded sweep (``stress``, ``chaos``).
+SWEEP_FLAGS = ("--seed", "--seconds", "--iterations")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose bad-usage exit is the contract's 1, not 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def parse_key(text: str):
@@ -116,9 +142,24 @@ def _add_backend(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_sweep(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--seed", type=int, default=None,
+        help="run exactly this seed (default 0)",
+    )
+    parser.add_argument(
+        "--seconds", type=float, default=None,
+        help="instead of one seed, run random seeds for this long",
+    )
+    parser.add_argument(
+        "--iterations", type=int, default=None,
+        help="instead of one seed, run this many random seeds",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse command tree for the ``repro`` CLI."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Dense sequential files with worst-case maintenance "
         "(Willard, SIGMOD 1986).",
@@ -219,14 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     stress = commands.add_parser(
         "stress",
         help="deterministic concurrency torture run (linearizability "
-        "vs. a sequential oracle; exit 0 clean, 1 violation)",
+        "vs. a sequential oracle; exit 0 clean, 3 findings)",
     )
     stress.add_argument("--threads", type=int, default=4)
     stress.add_argument(
         "--ops", type=int, default=200,
         help="total operations across all threads",
     )
-    stress.add_argument("--seed", type=int, default=0)
+    _add_sweep(stress)
     stress.add_argument(
         "--batch", type=int, default=4,
         help="max operations raced in one batch",
@@ -241,15 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stress.add_argument(
         "--self-test", action="store_true",
-        help="also run the harness's negative controls (seeded race, "
-        "lock-order deadlock) and require they are detected",
+        help="run only the harness's controls instead: a clean run plus "
+        "a seeded race and a lock-order deadlock that must be detected",
     )
     stress.add_argument(
         "--sanitize", action="store_true",
         help="rebuild the stack with the race sanitizer (Eraser-style "
         "lockset + happens-before + lock-order graph) and fail on any "
-        "finding; with --self-test, also require the planted unlocked "
-        "write and ABBA acquisition are detected",
+        "finding; with --self-test, run the sanitizer's controls "
+        "instead (a planted unlocked write and ABBA must be detected)",
     )
     stress.add_argument(
         "--replica-reads", action="store_true", dest="replica_reads",
@@ -267,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="long-soak SLO runner: a primary+replica pair under mixed "
         "load, seeded crashes, torn writes and bit flips, with "
         "promote-on-crash failovers and scrub healing; writes a "
-        "repro-bench/1 JSON report (exit 0 clean, 1 findings)",
+        "repro-bench/1 JSON report (exit 0 clean, 3 findings)",
     )
     soak.add_argument(
         "--seconds", type=float, default=20.0,
@@ -348,6 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile-top", type=int, default=25, metavar="N",
         help="number of functions in the profile table (default 25)",
     )
+    bench.add_argument(
+        "--validate", metavar="REPORT", default=None,
+        help="schema-check an existing report and exit (1 if invalid)",
+    )
+    bench.add_argument(
+        "--compare", nargs=2, metavar=("BASELINE", "CURRENT"), default=None,
+        help="gate CURRENT against BASELINE without running anything",
+    )
 
     lint = commands.add_parser(
         "lint",
@@ -418,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         "the success / typed-timeout / not-applied trichotomy "
         "(exit 0 held, 3 violations)",
     )
-    chaos.add_argument("--seed", type=int, default=0)
+    _add_sweep(chaos)
     chaos.add_argument(
         "--ops", type=int, default=120,
         help="operations per profile",
@@ -432,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--out", default=None,
-        help="write a repro-chaos/1 JSON report here",
+        help="write a repro-chaos/1 JSON report of the last sweep here",
     )
 
     demo = commands.add_parser("demo", help="replay the paper's Example 5.2")
@@ -456,12 +505,13 @@ def _parse_range(spec: str) -> range:
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
     out = out if out is not None else sys.stdout
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args, out)
-    except CodecError as error:
+        return _dispatch(args, argv, out)
+    except (CodecError, CorruptPageError) as error:
         print(
-            f"error: undecodable page data ({error}); run `repro verify` "
+            f"error: corrupt page data ({error}); run `repro verify` "
             "to locate the page and `repro scrub` to repair or quarantine it",
             file=out,
         )
@@ -474,23 +524,44 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return 1
 
 
+def _plain_stack(args) -> dict:
+    """``cache_pages``/``readahead`` for the plain stack ``--backend`` names."""
+    if args.backend != "buffered":
+        return {"cache_pages": None, "readahead": 0}
+    from .storage.backend import DEFAULT_CACHE_PAGES
+
+    return {
+        "cache_pages": args.cache_pages or DEFAULT_CACHE_PAGES,
+        "readahead": args.readahead,
+    }
+
+
 def _open_backend(args):
     """Open an existing file through the stack ``--backend`` names."""
-    backend = getattr(args, "backend", "journaled")
-    if backend == "journaled":
+    if args.backend == "journaled":
         return JournaledDenseFile.open(args.path)
-    cache = args.cache_pages if backend == "buffered" else None
-    if backend == "buffered" and cache is None:
-        from .storage.backend import DEFAULT_CACHE_PAGES
+    return PersistentDenseFile.open(args.path, **_plain_stack(args))
 
-        cache = DEFAULT_CACHE_PAGES
-    readahead = getattr(args, "readahead", 0) if backend == "buffered" else 0
-    return PersistentDenseFile.open(
-        args.path, cache_pages=cache, readahead=readahead
+
+def _pending_replay(args, out) -> bool:
+    """True, after saying so, when committed journal work is outstanding
+    and the requested plain backend cannot replay it (the operator sees
+    the durable LSN instead of the refuse-to-open error)."""
+    from .storage.wal import journal_state
+
+    state = journal_state(args.path)
+    if state.clean or args.backend == "journaled":
+        return False
+    print(f"journal:   {state.describe()}", file=out)
+    print(
+        "reopen with the journaled backend (default) to replay the "
+        "committed transaction or discard the torn tail",
+        file=out,
     )
+    return True
 
 
-def _dispatch(args, out) -> int:
+def _dispatch(args, argv: List[str], out) -> int:
     if args.command == "create":
         common = dict(
             num_pages=args.pages,
@@ -504,14 +575,8 @@ def _dispatch(args, out) -> int:
         if args.backend == "journaled":
             dense = JournaledDenseFile.create(args.path, **common)
         else:
-            cache = args.cache_pages if args.backend == "buffered" else None
-            if args.backend == "buffered" and cache is None:
-                from .storage.backend import DEFAULT_CACHE_PAGES
-
-                cache = DEFAULT_CACHE_PAGES
-            readahead = args.readahead if args.backend == "buffered" else 0
             dense = PersistentDenseFile.create(
-                args.path, cache_pages=cache, readahead=readahead, **common
+                args.path, **_plain_stack(args), **common
             )
         print(
             f"created {args.path}: M={args.pages}, d={args.d}, D={args.D}, "
@@ -529,7 +594,7 @@ def _dispatch(args, out) -> int:
         return _bench(args, out)
 
     if args.command == "stress":
-        return _stress(args, out)
+        return _stress(args, argv, out)
 
     if args.command == "soak":
         return _soak(args, out)
@@ -538,7 +603,7 @@ def _dispatch(args, out) -> int:
         return _serve(args, out)
 
     if args.command == "chaos":
-        return _chaos(args, out)
+        return _chaos(args, argv, out)
 
     if args.command == "demo":
         return _demo(out, backend=args.backend, cache_pages=args.cache_pages)
@@ -550,20 +615,7 @@ def _dispatch(args, out) -> int:
         return _scrub(args, out)
 
     if args.command == "info":
-        from .storage.ondisk import CorruptPageError
-        from .storage.wal import journal_state
-
-        state = journal_state(args.path)
-        if not state.clean and getattr(args, "backend", "") != "journaled":
-            # A plain backend cannot replay the journal; report the
-            # durable LSN and what recovery would do instead of dying
-            # on the refuse-to-open error path.
-            print(f"journal:   {state.describe()}", file=out)
-            print(
-                "reopen with the journaled backend (default) to replay "
-                "the committed transaction or discard the torn tail",
-                file=out,
-            )
+        if _pending_replay(args, out):
             return EXIT_PENDING_REPLAY
         try:
             with _open_backend(args) as dense:
@@ -607,17 +659,7 @@ def _verify(args, out) -> int:
                 file=out,
             )
         return EXIT_CORRUPT
-    state = journal_state(args.path)
-    if not state.clean and getattr(args, "backend", "") != "journaled":
-        # Checksums passed, but recovery work is outstanding and the
-        # requested backend cannot run it: report the durable LSN and
-        # the pending-replay state instead of the refuse-to-open error.
-        print(f"journal:   {state.describe()}", file=out)
-        print(
-            "reopen with the journaled backend (default) to replay the "
-            "committed transaction or discard the torn tail",
-            file=out,
-        )
+    if _pending_replay(args, out):
         return EXIT_PENDING_REPLAY
     with _open_backend(args) as dense:
         dense.validate()
@@ -694,12 +736,63 @@ def _lint(args, out) -> int:
     return 0 if report.clean else 1
 
 
-def _bench(args, out) -> int:
-    """Run the benchmark matrix, write the JSON report, gate on baseline."""
-    import json
+def _write_json(path: str, payload: Any) -> str:
+    """The one JSON report writer (bench, soak and chaos artifacts)."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return f"report written to {path}"
 
+
+def _load_report(path: str) -> dict:
+    """A bench report from disk; an invalid one is a :class:`ReproError`."""
     from . import benchmark
 
+    with open(path) as handle:
+        try:
+            report = json.load(handle)
+        except ValueError as error:
+            raise ReproError(f"{path} is not JSON: {error}") from error
+    problems = benchmark.validate_report(report)
+    if problems:
+        raise ReproError(
+            f"{path} is not a valid {benchmark.SCHEMA} report: "
+            + "; ".join(problems)
+        )
+    return report
+
+
+def _gate(baseline_path: str, current: dict, args, out) -> int:
+    """Compare ``current`` against the report at ``baseline_path``."""
+    from . import benchmark
+
+    kwargs = {}
+    if args.max_regression is not None:
+        kwargs["max_regression"] = args.max_regression
+    regressions = benchmark.compare_reports(
+        _load_report(baseline_path), current, **kwargs
+    )
+    if regressions:
+        print(f"REGRESSION vs {baseline_path}:", file=out)
+        for line in regressions:
+            print(f"  {line}", file=out)
+        return EXIT_REGRESSION
+    print(f"no regression vs {baseline_path}", file=out)
+    return EXIT_OK
+
+
+def _bench(args, out) -> int:
+    """Run the benchmark matrix, write the JSON report, gate on baseline;
+    or, with ``--validate``/``--compare``, judge existing reports."""
+    from . import benchmark
+
+    if args.validate:
+        _load_report(args.validate)
+        print(f"{args.validate}: valid {benchmark.SCHEMA} report", file=out)
+        return EXIT_OK
+    if args.compare:
+        baseline_path, current_path = args.compare
+        return _gate(baseline_path, _load_report(current_path), args, out)
     kwargs = dict(
         seed=args.seed,
         quick=args.quick,
@@ -709,8 +802,6 @@ def _bench(args, out) -> int:
     if args.ops is not None:
         kwargs["ops"] = args.ops
     if args.profile or args.profile_out is not None:
-        import sys
-
         report, table = benchmark.run_bench_profiled(
             profile_top=args.profile_top, **kwargs
         )
@@ -728,96 +819,131 @@ def _bench(args, out) -> int:
         report = benchmark.run_bench(**kwargs)
     print(benchmark.render_report(report), file=out)
     if args.out and args.out != "-":
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"report written to {args.out}", file=out)
+        print(_write_json(args.out, report), file=out)
     if args.baseline:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-        problems = benchmark.validate_report(baseline)
-        if problems:
-            raise ReproError(
-                f"baseline {args.baseline} is not a valid report: "
-                + "; ".join(problems)
+        return _gate(args.baseline, report, args, out)
+    return EXIT_OK
+
+
+def replay_argv(argv: List[str], seed: int) -> List[str]:
+    """``argv`` with the sweep flags dropped and ``--seed seed`` pinned.
+
+    Every other flag is kept as typed, so the replayed run builds the
+    same configuration (and schedule) as the failing one.  Abbreviated
+    spellings that argparse accepted (``--iter 5``) are dropped too.
+    """
+    kept: List[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        flag, has_value, _value = token.partition("=")
+        if len(flag) > 2 and any(
+            name.startswith(flag) for name in SWEEP_FLAGS
+        ):
+            if not has_value:
+                next(tokens, None)
+            continue
+        kept.append(token)
+    return kept + ["--seed", str(seed)]
+
+
+def _sweep(
+    args, argv: List[str], out, label: str,
+    run_one: Callable[[int], Tuple[bool, str]],
+) -> int:
+    """One run at ``--seed`` (default 0), or a random-seed sweep.
+
+    ``run_one(seed)`` returns ``(ok, report text)``.  A sweep runs
+    ``--iterations`` seeds (else seeds until ``--seconds`` pass),
+    prints nothing for clean seeds, and stops at the first failure
+    with its report and a replay command line.
+    """
+    if args.seconds is None and args.iterations is None:
+        ok, text = run_one(args.seed or 0)
+        print(text, file=out)
+        return EXIT_OK if ok else EXIT_CORRUPT
+    if args.seed is not None:
+        raise ReproError(
+            "--seed pins one run; drop it to sweep with --seconds/--iterations"
+        )
+    deadline = time.monotonic() + (args.seconds or 0.0)
+    runs = 0
+    while (
+        runs < args.iterations
+        if args.iterations is not None
+        else time.monotonic() < deadline
+    ):
+        seed = random.randrange(1 << 30)
+        ok, text = run_one(seed)
+        if not ok:
+            print(text, file=out)
+            print(
+                "replay: python -m repro " + shlex.join(replay_argv(argv, seed)),
+                file=out,
             )
-        compare_kwargs = {}
-        if args.max_regression is not None:
-            compare_kwargs["max_regression"] = args.max_regression
-        regressions = benchmark.compare_reports(
-            baseline, report, **compare_kwargs
-        )
-        if regressions:
-            print(f"REGRESSION vs {args.baseline}:", file=out)
-            for line in regressions:
-                print(f"  {line}", file=out)
-            return EXIT_REGRESSION
-        print(f"no regression vs {args.baseline}", file=out)
-    return 0
+            return EXIT_CORRUPT
+        runs += 1
+    print(f"{label}: {runs} seeded runs clean", file=out)
+    return EXIT_OK
 
 
-def _stress(args, out) -> int:
-    """One seeded torture run (optionally plus the self-test controls)."""
-    import os
-    import tempfile
+def _stress_config(args, seed: int):
+    """The :class:`~repro.concurrent.harness.StressConfig` ``repro
+    stress`` flags describe, for one seed (disk stacks get a fresh
+    temp-dir path)."""
+    from .concurrent.harness import StressConfig
 
-    from .concurrent.harness import StressConfig, run_stress, self_test
-
-    if args.self_test and args.sanitize:
-        from .sanitizer import sanitize_self_test
-
-        sanitize_report = sanitize_self_test(seed=args.seed)
-        print(sanitize_report.summary(), file=out)
-        return 0 if sanitize_report.ok else 1
-    if args.self_test:
-        report = self_test(seed=args.seed)
-        print(report.summary(), file=out)
-        return 0 if report.ok else 1
-    if args.replica_reads:
-        from .concurrent.harness import (
-            ReplicaStressConfig,
-            run_replica_stress,
-        )
-
-        replica_report = run_replica_stress(
-            ReplicaStressConfig(
-                path=os.path.join(
-                    tempfile.mkdtemp(prefix="repro-stress-"), "primary.dsf"
-                ),
-                threads=args.threads,
-                readers=args.readers,
-                total_ops=args.ops,
-                seed=args.seed,
-            )
-        )
-        print(replica_report.summary(), file=out)
-        return 0 if replica_report.ok else 1
     path = None
     if args.stack in ("disk", "buffered"):
         path = os.path.join(
             tempfile.mkdtemp(prefix="repro-stress-"), "stress.dsf"
         )
-    report = run_stress(
-        StressConfig(
-            threads=args.threads,
-            total_ops=args.ops,
-            seed=args.seed,
-            max_batch=args.batch,
-            stack=args.stack,
-            transient_rate=args.fault_rate,
-            path=path,
-            sanitize=args.sanitize,
-        )
+    return StressConfig(
+        threads=args.threads,
+        total_ops=args.ops,
+        seed=seed,
+        max_batch=args.batch,
+        stack=args.stack,
+        transient_rate=args.fault_rate,
+        path=path,
+        sanitize=args.sanitize,
     )
-    print(report.summary(), file=out)
-    return 0 if report.ok else 1
+
+
+def _stress(args, argv: List[str], out) -> int:
+    """Torture runs, the replica-reads schedule, or the self-test controls."""
+    from .concurrent.harness import run_stress, self_test
+    from .replication import ReplicaStressConfig, run_replica_stress
+    from .sanitizer import sanitize_self_test
+
+    def run_one(seed: int) -> Tuple[bool, str]:
+        report: Any
+        if args.self_test:
+            report = (sanitize_self_test if args.sanitize else self_test)(
+                seed=seed
+            )
+        elif args.replica_reads:
+            report = run_replica_stress(
+                ReplicaStressConfig(
+                    path=os.path.join(
+                        tempfile.mkdtemp(prefix="repro-stress-"),
+                        "primary.dsf",
+                    ),
+                    threads=args.threads,
+                    readers=args.readers,
+                    total_ops=args.ops,
+                    seed=seed,
+                )
+            )
+        else:
+            report = run_stress(_stress_config(args, seed))
+        return report.ok, report.summary()
+
+    mode = " sanitized" if args.sanitize else ""
+    return _sweep(args, argv, out, f"stress[{args.stack}]{mode}", run_one)
 
 
 def _soak(args, out) -> int:
     """Run the replication SLO soak; write the repro-bench/1 report."""
-    import json
-    import tempfile
-
     from .replication import SoakConfig, run_soak
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="repro-soak-")
@@ -834,12 +960,8 @@ def _soak(args, out) -> int:
     )
     print(report.summary(), file=out)
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report.to_bench_report(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"report written to {args.out}", file=out)
-    return 0 if report.clean else 1
+        print(_write_json(args.out, report.to_bench_report()), file=out)
+    return EXIT_OK if report.clean else EXIT_CORRUPT
 
 
 def _serve(args, out) -> int:
@@ -883,10 +1005,8 @@ def _serve(args, out) -> int:
     return EXIT_OK
 
 
-def _chaos(args, out) -> int:
+def _chaos(args, argv: List[str], out) -> int:
     """Run the chaos sweep (or one profile) and gate on the trichotomy."""
-    import json
-
     from .cluster.chaos import SWEEP_PROFILES, run_sweep
 
     profiles = SWEEP_PROFILES
@@ -899,35 +1019,35 @@ def _chaos(args, out) -> int:
             )
         profiles = ((args.profile, chosen),)
 
-    reports = run_sweep(
-        seed=args.seed,
-        total_ops=args.ops,
-        threads=args.threads,
-        profiles=profiles,
-    )
-    failed = 0
-    for name, report in reports:
-        print(f"[{name}]", file=out)
-        print(report.summary(), file=out)
-        if not report.ok:
-            failed += 1
-    if args.out:
-        payload = {
-            "schema": "repro-chaos/1",
-            "seed": args.seed,
-            "profiles": {name: report.to_dict() for name, report in reports},
-            "ok": failed == 0,
-        }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.out}", file=out)
-    print(
-        f"{len(reports) - failed}/{len(reports)} profiles held the "
-        "trichotomy",
-        file=out,
-    )
-    return EXIT_OK if failed == 0 else EXIT_CORRUPT
+    def run_one(seed: int) -> Tuple[bool, str]:
+        reports = run_sweep(
+            seed=seed,
+            total_ops=args.ops,
+            threads=args.threads,
+            profiles=profiles,
+        )
+        held = sum(1 for _name, report in reports if report.ok)
+        lines = [
+            f"[{name}]\n{report.summary()}" for name, report in reports
+        ]
+        if args.out:
+            payload = {
+                "schema": "repro-chaos/1",
+                "seed": seed,
+                "ops": args.ops,
+                "threads": args.threads,
+                "ok": held == len(reports),
+                "profiles": {
+                    name: report.to_dict() for name, report in reports
+                },
+            }
+            lines.append(_write_json(args.out, payload))
+        lines.append(
+            f"{held}/{len(reports)} profiles held the trichotomy"
+        )
+        return held == len(reports), "\n".join(lines)
+
+    return _sweep(args, argv, out, "chaos", run_one)
 
 
 def _scrub(args, out) -> int:

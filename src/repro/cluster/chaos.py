@@ -204,7 +204,7 @@ class ChaosReport:
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready payload for ``tools/chaos.py`` and CI artifacts."""
+        """JSON-ready per-profile payload of ``repro chaos --out``."""
         return {
             "seed": self.config.seed,
             "digest": self.digest,

@@ -22,8 +22,9 @@ ThreadSafeDenseFile``) with a worst-case-minded concurrency stack:
     The shared capped-backoff-with-seeded-jitter retry shape used by
     storage retries and cluster network retries alike.
 :mod:`repro.concurrent.harness`
-    The deterministic interleaving torture harness (also reachable via
-    ``tools/stress.py`` and ``repro stress``).
+    The deterministic interleaving torture harness, run by
+    ``repro stress`` (``tools/stress.py`` forwards to it).  The
+    replica-reads schedule lives in :mod:`repro.replication.soak`.
 """
 
 from .admission import AdmissionGate

@@ -35,14 +35,9 @@ A variant runs the whole torture over a
 transient-fault plan underneath, reporting how many transients the
 deadline-aware :class:`~repro.storage.faults.RetryingStore` absorbed.
 
-A second schedule, :func:`run_replica_stress`, splits the roles across
-a replication pair: writer threads hammer a journaled *primary* while
-reader threads hold snapshots on a WAL-shipped *replica*.  The check
-is prefix consistency — every replica snapshot's record digest must
-equal the digest the primary-side
-:class:`~repro.replication.StateRecorder` captured at exactly that
-committed sequence, so readers can never observe a torn or reordered
-replication state.
+The replica-reads schedule, which splits writers and readers across a
+replication pair, lives with the other pair schedules in
+:mod:`repro.replication.soak`.
 """
 
 from __future__ import annotations
@@ -397,10 +392,10 @@ def schedule_digest(schedule: List[List[ClientOp]]) -> str:
 # ----------------------------------------------------------------------
 
 
-def _geometry(config: StressConfig) -> Tuple[int, int, int]:
-    """An (M, d, D) that can hold the worst-case live set with slack."""
+def stress_geometry(total_ops: int) -> Tuple[int, int, int]:
+    """An (M, d, D) that can hold ``total_ops`` worth of live keys."""
     d = 8
-    num_pages = max(16, -(-config.total_ops // d) * 2)
+    num_pages = max(16, -(-total_ops // d) * 2)
     D = d + 3 * ceil_log2(num_pages) + 4
     return num_pages, d, D
 
@@ -424,7 +419,7 @@ def build_file(
 
         return SanitizedStore(store, runtime)
 
-    num_pages, d, D = _geometry(config)
+    num_pages, d, D = stress_geometry(config.total_ops)
     if config.stack == "memory":
         if runtime is None:
             return DenseSequentialFile(num_pages, d, D), None
@@ -623,218 +618,6 @@ def _first_difference(left: List, right: List) -> int:
         if a != b:
             return index
     return min(len(left), len(right))
-
-
-# ----------------------------------------------------------------------
-# replica-reads schedule: writers on the primary, readers on the replica
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class ReplicaStressConfig:
-    """A replica-reads torture run: writers on node A, readers on B."""
-
-    path: Optional[str] = None
-    threads: int = 2
-    readers: int = 2
-    total_ops: int = 120
-    seed: int = 0
-    insert_ratio: float = 0.7
-    key_space: int = 10_000
-    op_timeout: Optional[float] = 30.0
-    sync_interval: float = 0.002
-
-    def __post_init__(self) -> None:
-        if self.threads < 1 or self.readers < 1:
-            raise ConfigurationError(
-                "replica stress needs at least one writer and one reader"
-            )
-
-
-@dataclass
-class ReplicaStressReport:
-    """What one replica-reads run observed."""
-
-    seed: int = 0
-    writers: int = 0
-    readers: int = 0
-    writes_applied: int = 0
-    snapshots_checked: int = 0
-    records_shipped: int = 0
-    records_applied: int = 0
-    final_sequence: int = 0
-    final_lag: int = 0
-    timeouts: int = 0
-    violations: List[str] = field(default_factory=list)
-    elapsed: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        """Every snapshot was a committed prefix and lag drained to 0."""
-        return not self.violations
-
-    def summary(self) -> str:
-        """Human-readable verdict with shipping and snapshot counters."""
-        verdict = "CLEAN" if self.ok else "FAILED"
-        lines = [
-            f"replica-stress seed={self.seed} writers={self.writers} "
-            f"readers={self.readers}: {verdict} — "
-            f"{self.writes_applied} writes, {self.snapshots_checked} "
-            f"prefix-consistent snapshots, shipped="
-            f"{self.records_shipped} applied={self.records_applied}, "
-            f"final LSN {self.final_sequence} (lag {self.final_lag}), "
-            f"{self.elapsed:.2f}s",
-        ]
-        if self.timeouts:
-            lines.append(f"  timeouts={self.timeouts}")
-        for violation in self.violations:
-            lines.append(f"  VIOLATION: {violation}")
-        return "\n".join(lines)
-
-
-def run_replica_stress(config: ReplicaStressConfig) -> ReplicaStressReport:
-    """Writers on the primary, readers on the replica, digests between.
-
-    Writer threads drive disjoint seeded insert/delete streams through
-    a :class:`ThreadSafeDenseFile` over a journaled primary; an applier
-    thread continuously drains the WAL shipper into the replica; reader
-    threads take :meth:`~repro.replication.Replica.snapshot` pairs and
-    check each snapshot's record digest against the digest the
-    primary-side :class:`~repro.replication.StateRecorder` captured at
-    exactly that committed sequence.  Any mismatch — a torn, reordered
-    or mid-transaction replica state — is a violation, as is residual
-    lag after the final drain.
-    """
-    # Imported here: the replication package layers on top of this
-    # harness's package, and the base torture must import without it.
-    from ..persistent import JournaledDenseFile
-    from ..replication import Failover, QueueTransport, bootstrap_replica
-    from ..replication.failover import records_digest
-
-    if config.path is None:
-        raise ConfigurationError("replica stress needs a path")
-    report = ReplicaStressReport(
-        seed=config.seed, writers=config.threads, readers=config.readers
-    )
-    num_pages, d, D = _geometry(
-        StressConfig(total_ops=config.total_ops, seed=config.seed)
-    )
-    primary = JournaledDenseFile.create(
-        config.path, num_pages=num_pages, d=d, D=D, overwrite=True
-    )
-    shared = ThreadSafeDenseFile(primary)
-    replica = bootstrap_replica(primary, config.path + ".replica")
-    pair = Failover(primary, replica, QueueTransport())
-
-    streams = split_workload(
-        mixed_workload(
-            config.total_ops,
-            insert_ratio=config.insert_ratio,
-            key_space=config.key_space,
-            seed=config.seed,
-        ),
-        config.threads,
-    )
-    stop = threading.Event()
-    failures: "queue.Queue" = queue.Queue()
-
-    def writer(stream: List) -> None:
-        for operation in stream:
-            try:
-                if operation.kind == INSERT:
-                    shared.insert(operation.key, timeout=config.op_timeout)
-                else:
-                    shared.delete(operation.key, timeout=config.op_timeout)
-                report.writes_applied += 1
-            except OperationTimeout:  # lint: allow[errors] -- counted, run continues
-                report.timeouts += 1
-            except ReproError:
-                # Duplicate/missing keys can happen when streams race;
-                # the digest check below is the correctness oracle.
-                pass
-
-    def applier() -> None:
-        while not stop.is_set():
-            try:
-                pair.sync(timeout=config.op_timeout)
-            except ReproError as error:
-                failures.put(f"applier: {type(error).__name__}: {error}")
-                return
-            stop.wait(config.sync_interval)
-
-    def reader() -> None:
-        while not stop.is_set():
-            try:
-                sequence, records = replica.snapshot(
-                    timeout=config.op_timeout
-                )
-            except OperationTimeout:  # lint: allow[errors] -- counted, run continues
-                report.timeouts += 1
-                continue
-            except ReproError as error:
-                failures.put(f"reader: {type(error).__name__}: {error}")
-                return
-            expected = pair.recorder.digest_at(sequence)
-            if expected is None:
-                failures.put(
-                    f"snapshot at sequence {sequence} which the primary "
-                    "never committed"
-                )
-                return
-            if records_digest(records) != expected:
-                failures.put(
-                    f"snapshot at sequence {sequence} is not the "
-                    "primary's committed state at that sequence"
-                )
-                return
-            report.snapshots_checked += 1
-
-    writer_threads = [
-        threading.Thread(target=writer, args=(stream,), daemon=True)
-        for stream in streams
-    ]
-    helper_threads = [
-        threading.Thread(target=applier, daemon=True)
-    ] + [
-        threading.Thread(target=reader, daemon=True)
-        for _ in range(config.readers)
-    ]
-    start = time.monotonic()
-    for thread in helper_threads + writer_threads:
-        thread.start()
-    try:
-        for thread in writer_threads:
-            thread.join(timeout=120.0)
-    finally:
-        stop.set()
-        for thread in helper_threads:
-            thread.join(timeout=30.0)
-        report.elapsed = time.monotonic() - start
-    while not failures.empty():
-        report.violations.append(failures.get())
-
-    # Final drain: everything committed must reach the replica, and the
-    # fully caught-up snapshot must equal the primary's final state.
-    if not report.violations:
-        pair.sync(timeout=config.op_timeout)
-        report.final_lag = pair.lag()
-        if report.final_lag:
-            report.violations.append(
-                f"replica still lags by {report.final_lag} after drain"
-            )
-        sequence, records = replica.snapshot(timeout=config.op_timeout)
-        expected = pair.recorder.digest_at(sequence)
-        if expected is None or records_digest(records) != expected:
-            report.violations.append(
-                f"final snapshot at sequence {sequence} diverges from "
-                "the primary's committed state"
-            )
-    report.final_sequence = replica.applied_sequence
-    report.records_shipped = pair.shipper.shipped
-    report.records_applied = replica.records_applied
-    replica.close()
-    shared.inner.close()
-    return report
 
 
 # ----------------------------------------------------------------------

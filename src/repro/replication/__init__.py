@@ -11,7 +11,9 @@ and :class:`Failover` orchestrates promote-on-crash with a built-in
 proof obligation: the promoted state must equal the primary's committed
 state at the promoted LSN (checked against :class:`StateRecorder`
 digests).  :func:`run_soak` wires all of it into a long-running SLO
-soak with seeded crashes, torn writes and bit flips.
+soak with seeded crashes, torn writes and bit flips, and
+:func:`run_replica_stress` races writer threads on the primary against
+snapshot readers on the replica.
 
 Quickstart::
 
@@ -29,6 +31,7 @@ Quickstart::
 """
 
 from .failover import (
+    DrainResult,
     Failover,
     PromotionResult,
     StateRecorder,
@@ -37,21 +40,32 @@ from .failover import (
 )
 from .replica import Replica, bootstrap_replica
 from .shipper import JournalShipper
-from .soak import SoakConfig, SoakReport, run_soak
+from .soak import (
+    ReplicaStressConfig,
+    ReplicaStressReport,
+    SoakConfig,
+    SoakReport,
+    run_replica_stress,
+    run_soak,
+)
 from .transport import DirectoryTransport, QueueTransport
 
 __all__ = [
     "DirectoryTransport",
+    "DrainResult",
     "Failover",
     "JournalShipper",
     "PromotionResult",
     "QueueTransport",
     "Replica",
+    "ReplicaStressConfig",
+    "ReplicaStressReport",
     "SoakConfig",
     "SoakReport",
     "StateRecorder",
     "bootstrap_replica",
     "file_digest",
     "records_digest",
+    "run_replica_stress",
     "run_soak",
 ]

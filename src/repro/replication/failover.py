@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..persistent import JournaledDenseFile
 from ..storage.wal import TransactionRecord
@@ -113,6 +113,21 @@ class PromotionResult:
         return self.finding is None
 
 
+@dataclass
+class DrainResult:
+    """Outcome of :meth:`Failover.final_drain`."""
+
+    #: Committed primary transactions still unapplied after the drain.
+    lag: int
+    #: The LSN of the replica's final snapshot.
+    sequence: int
+    #: The replica's final ``(key, value)`` records, in key order.
+    records: Tuple[Tuple[Any, Any], ...]
+    #: Empty when the replica drained to lag zero and its final
+    #: snapshot is the primary's committed state; else the findings.
+    findings: List[str]
+
+
 class Failover:
     """One primary–replica pair: shipping, lag, promote-on-crash."""
 
@@ -141,6 +156,55 @@ class Failover:
         """Committed primary transactions the replica has not applied."""
         return self.replica.lag(self.primary.durable_sequence)
 
+    def _state_finding(
+        self, what: str, sequence: int, digest: str
+    ) -> Optional[str]:
+        """None when ``digest`` is the primary's state at ``sequence``."""
+        expected = self.recorder.digest_at(sequence)
+        if expected is None:
+            return (
+                f"{what} at sequence {sequence}, which the primary never "
+                "committed (or it fell outside the recorder window)"
+            )
+        if digest != expected:
+            return (
+                f"{what} at sequence {sequence} diverges from the "
+                "primary's committed state at that sequence "
+                f"(digest {digest[:12]}.. != {expected[:12]}..)"
+            )
+        return None
+
+    def check_snapshot(
+        self, sequence: int, records: Any
+    ) -> Optional[str]:
+        """None when a replica snapshot is a committed primary prefix.
+
+        ``(sequence, records)`` is what :meth:`Replica.snapshot`
+        returned; the records' digest must equal the digest the
+        recorder captured at exactly that committed sequence.
+        Otherwise the result describes the mismatch.
+        """
+        return self._state_finding(
+            "replica snapshot", sequence, records_digest(records)
+        )
+
+    def final_drain(self, timeout: Optional[float] = None) -> DrainResult:
+        """Ship and apply everything, then verify the caught-up replica.
+
+        The replica must reach lag zero and its final snapshot must be
+        the primary's committed state; each failure is a finding.
+        """
+        self.sync(timeout=timeout)
+        lag = self.lag()
+        sequence, records = self.replica.snapshot(timeout=timeout)
+        findings: List[str] = []
+        if lag:
+            findings.append(f"final sync left the replica {lag} records behind")
+        finding = self.check_snapshot(sequence, records)
+        if finding is not None:
+            findings.append(f"final {finding}")
+        return DrainResult(lag, sequence, records, findings)
+
     def promote_after_crash(
         self,
         injector: Any = None,
@@ -163,21 +227,8 @@ class Failover:
         self.replica.catch_up(self.transport, timeout=timeout)
         promoted = self.replica.promote(injector=injector, timeout=timeout)
         sequence = promoted.durable_sequence
-        expected = self.recorder.digest_at(sequence)
-        finding: Optional[str] = None
-        if expected is None:
-            finding = (
-                f"promoted replica recovered to sequence {sequence}, "
-                "which the primary never committed (or it fell outside "
-                "the recorder window)"
-            )
-        else:
-            actual = file_digest(promoted)
-            if actual != expected:
-                finding = (
-                    f"promoted replica at sequence {sequence} diverges "
-                    "from the primary's committed state at that sequence "
-                    f"(digest {actual[:12]}.. != {expected[:12]}..)"
-                )
+        finding = self._state_finding(
+            "promoted replica", sequence, file_digest(promoted)
+        )
         self.failovers += 1
         return PromotionResult(promoted, sequence, finding)

@@ -30,11 +30,20 @@ The result is a :class:`SoakReport`: p50/p99 latencies per operation
 class, replication-lag percentiles, failover/corruption counts, and
 the list of findings (empty on a clean run) — exportable as a
 ``repro-bench/1`` JSON report for the CI soak-smoke gate.
+
+:func:`run_replica_stress` (``repro stress --replica-reads``) is the
+short, crash-free pair schedule: writer threads on a journaled primary,
+reader threads snapshotting a WAL-shipped replica.  Both schedules
+judge the pair with the same two :class:`~repro.replication.Failover`
+checks — :meth:`~repro.replication.Failover.check_snapshot` on every
+replica snapshot and :meth:`~repro.replication.Failover.final_drain`
+at the end.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import random
 import threading
 import time
@@ -43,6 +52,7 @@ from typing import Any, Dict, List, Optional
 
 from ..analysis.stats import percentile
 from ..concurrent import ThreadSafeDenseFile
+from ..concurrent.harness import stress_geometry
 from ..core.errors import (
     ConfigurationError,
     OperationTimeout,
@@ -52,7 +62,9 @@ from ..core.errors import (
 from ..persistent import JournaledDenseFile
 from ..storage.faults import FaultPlan, SimulatedCrash
 from ..storage.scrub import scrub
-from .failover import Failover, StateRecorder, records_digest
+from ..workloads.driver import split_workload
+from ..workloads.generators import INSERT, Operation, mixed_workload
+from .failover import Failover
 from .replica import Replica, bootstrap_replica
 from .transport import DirectoryTransport, QueueTransport
 
@@ -337,18 +349,7 @@ def run_soak(config: SoakConfig) -> SoakReport:
                     report.reader_races += 1
                 continue
             elapsed = time.perf_counter() - begin
-            expected = current.pair.recorder.digest_at(sequence)
-            finding: Optional[str] = None
-            if expected is None:
-                finding = (
-                    f"replica snapshot at sequence {sequence} has no "
-                    "recorded primary state to verify against"
-                )
-            elif records_digest(records) != expected:
-                finding = (
-                    f"replica snapshot at sequence {sequence} is not "
-                    "the primary's committed state at that sequence"
-                )
+            finding = current.pair.check_snapshot(sequence, records)
             with report_lock:
                 report.replica_reads += 1
                 report.replica_latencies.append(elapsed)
@@ -543,21 +544,10 @@ def run_soak(config: SoakConfig) -> SoakReport:
 
     # Final barrier: ship and apply everything, then the replica must
     # be byte-for-byte the primary's committed state (lag zero).
-    live.pair.sync(timeout=config.op_timeout)
-    final_lag = live.pair.lag()
-    report.lag_samples.append(final_lag)
-    if final_lag != 0:
-        report.findings.append(
-            f"final sync left the replica {final_lag} records behind"
-        )
-    sequence, records = live.replica.snapshot(timeout=config.op_timeout)
-    expected = live.pair.recorder.digest_at(sequence)
-    if expected is None or records_digest(records) != expected:
-        report.findings.append(
-            f"final replica snapshot at sequence {sequence} does not "
-            "match the primary's committed state"
-        )
-    if {key for key, _ in records} != model:
+    drain = live.pair.final_drain(timeout=config.op_timeout)
+    report.lag_samples.append(drain.lag)
+    report.findings.extend(drain.findings)
+    if {key for key, _ in drain.records} != model:
         report.findings.append(
             "final replica key set diverges from the workload model"
         )
@@ -571,4 +561,185 @@ def run_soak(config: SoakConfig) -> SoakReport:
     report.elapsed_s = time.monotonic() - started
     live.replica.close()
     live.wrapper.close()
+    return report
+
+
+# ----------------------------------------------------------------------
+# replica-reads schedule: writers on the primary, readers on the replica
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class ReplicaStressConfig:
+    """A replica-reads torture run: writers on node A, readers on B."""
+
+    path: Optional[str] = None
+    threads: int = 2
+    readers: int = 2
+    total_ops: int = 120
+    seed: int = 0
+    insert_ratio: float = 0.7
+    key_space: int = 10_000
+    op_timeout: Optional[float] = 30.0
+    sync_interval: float = 0.002
+
+    def __post_init__(self) -> None:
+        if self.threads < 1 or self.readers < 1:
+            raise ConfigurationError(
+                "replica stress needs at least one writer and one reader"
+            )
+
+
+@dataclass
+class ReplicaStressReport:
+    """What one replica-reads run observed."""
+
+    seed: int = 0
+    writers: int = 0
+    readers: int = 0
+    writes_applied: int = 0
+    snapshots_checked: int = 0
+    records_shipped: int = 0
+    records_applied: int = 0
+    final_sequence: int = 0
+    final_lag: int = 0
+    timeouts: int = 0
+    violations: List[str] = field(default_factory=list)
+    elapsed: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        """Every snapshot was a committed prefix and lag drained to 0."""
+        return not self.violations
+
+    def summary(self) -> str:
+        """Human-readable verdict with shipping and snapshot counters."""
+        verdict = "CLEAN" if self.ok else "FAILED"
+        lines = [
+            f"replica-stress seed={self.seed} writers={self.writers} "
+            f"readers={self.readers}: {verdict} — "
+            f"{self.writes_applied} writes, {self.snapshots_checked} "
+            f"prefix-consistent snapshots, shipped="
+            f"{self.records_shipped} applied={self.records_applied}, "
+            f"final LSN {self.final_sequence} (lag {self.final_lag}), "
+            f"{self.elapsed:.2f}s",
+        ]
+        if self.timeouts:
+            lines.append(f"  timeouts={self.timeouts}")
+        for violation in self.violations:
+            lines.append(f"  VIOLATION: {violation}")
+        return "\n".join(lines)
+
+
+def run_replica_stress(config: ReplicaStressConfig) -> ReplicaStressReport:
+    """Writers on the primary, readers on the replica, digests between.
+
+    Writer threads drive disjoint seeded insert/delete streams through
+    a :class:`~repro.concurrent.ThreadSafeDenseFile` over a journaled
+    primary; an applier thread continuously drains the WAL shipper into
+    the replica; reader threads take :meth:`Replica.snapshot` pairs and
+    check each one with :meth:`Failover.check_snapshot`.  Any mismatch
+    — a torn, reordered or mid-transaction replica state — is a
+    violation, as is a failed :meth:`Failover.final_drain`.
+    """
+    if config.path is None:
+        raise ConfigurationError("replica stress needs a path")
+    report = ReplicaStressReport(
+        seed=config.seed, writers=config.threads, readers=config.readers
+    )
+    num_pages, d, D = stress_geometry(config.total_ops)
+    primary = JournaledDenseFile.create(
+        config.path, num_pages=num_pages, d=d, D=D, overwrite=True
+    )
+    shared = ThreadSafeDenseFile(primary)
+    replica = bootstrap_replica(primary, config.path + ".replica")
+    pair = Failover(primary, replica, QueueTransport())
+
+    streams = split_workload(
+        mixed_workload(
+            config.total_ops,
+            insert_ratio=config.insert_ratio,
+            key_space=config.key_space,
+            seed=config.seed,
+        ),
+        config.threads,
+    )
+    stop = threading.Event()
+    failures: "queue.Queue[str]" = queue.Queue()
+
+    def writer(stream: List[Operation]) -> None:
+        for operation in stream:
+            try:
+                if operation.kind == INSERT:
+                    shared.insert(operation.key, timeout=config.op_timeout)
+                else:
+                    shared.delete(operation.key, timeout=config.op_timeout)
+                report.writes_applied += 1
+            except OperationTimeout:  # lint: allow[errors] -- counted, run continues
+                report.timeouts += 1
+            except ReproError:
+                # Duplicate/missing keys can happen when streams race;
+                # the digest check below is the correctness oracle.
+                pass
+
+    def applier() -> None:
+        while not stop.is_set():
+            try:
+                pair.sync(timeout=config.op_timeout)
+            except ReproError as error:
+                failures.put(f"applier: {type(error).__name__}: {error}")
+                return
+            stop.wait(config.sync_interval)
+
+    def reader() -> None:
+        while not stop.is_set():
+            try:
+                sequence, records = replica.snapshot(
+                    timeout=config.op_timeout
+                )
+            except OperationTimeout:  # lint: allow[errors] -- counted, run continues
+                report.timeouts += 1
+                continue
+            except ReproError as error:
+                failures.put(f"reader: {type(error).__name__}: {error}")
+                return
+            finding = pair.check_snapshot(sequence, records)
+            if finding is not None:
+                failures.put(finding)
+                return
+            report.snapshots_checked += 1
+
+    writer_threads = [
+        threading.Thread(target=writer, args=(stream,), daemon=True)
+        for stream in streams
+    ]
+    helper_threads = [
+        threading.Thread(target=applier, daemon=True)
+    ] + [
+        threading.Thread(target=reader, daemon=True)
+        for _ in range(config.readers)
+    ]
+    start = time.monotonic()
+    for thread in helper_threads + writer_threads:
+        thread.start()
+    try:
+        for thread in writer_threads:
+            thread.join(timeout=120.0)
+    finally:
+        stop.set()
+        for thread in helper_threads:
+            thread.join(timeout=30.0)
+        report.elapsed = time.monotonic() - start
+    while not failures.empty():
+        report.violations.append(failures.get())
+
+    if not report.violations:
+        drain = pair.final_drain(timeout=config.op_timeout)
+        report.final_lag = drain.lag
+        report.violations.extend(drain.findings)
+    report.final_sequence = replica.applied_sequence
+    report.records_shipped = pair.shipper.shipped
+    report.records_applied = replica.records_applied
+    replica.close()
+    shared.inner.close()
     return report

@@ -12,9 +12,10 @@ lock-acquisition-order graph.  Verdicts are deterministic under the
 torture harness's seeded schedules because every detector depends only
 on the per-thread event sets, never on the interleaving the OS chose.
 
-Entry points: ``repro stress --sanitize`` (and
-``tools/stress.py --sanitize``) run the torture harness sanitized;
-:func:`sanitize_self_test` adds the planted negative controls.  With
+Entry points: ``repro stress --sanitize`` runs the torture harness
+sanitized; ``repro stress --sanitize --self-test`` runs
+:func:`sanitize_self_test` instead, the planted negative controls plus
+one sanitized clean run.  With
 the sanitizer off, none of these classes is instantiated — the plain
 stack runs unmodified, so the off-mode overhead is zero by
 construction (see ``benchmarks/test_sanitizer_overhead.py``).

@@ -172,7 +172,7 @@ class TestStandaloneTool:
 
         with open(report_path, "w") as handle:
             json.dump({"schema": "nope"}, handle)
-        assert self._tool("--validate", report_path).returncode == 2
+        assert self._tool("--validate", report_path).returncode == 1
 
     def test_compare_mode_flags_regression(self, tmp_path, quick_report):
         old = str(tmp_path / "old.json")

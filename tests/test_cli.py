@@ -250,6 +250,195 @@ class TestExitCodeContract:
         assert code == 3, output
         assert "Traceback" not in output
 
+    @staticmethod
+    def _damage(path, rung):
+        """Break the first nonempty page's slot the way ``rung`` names.
+
+        ``torn-slot``: the second half of the frame never landed (stale
+        bytes remain); ``bit-flip``: one payload bit flipped at rest.
+        Either way the slot's CRC no longer matches its payload.
+        """
+        from repro.persistent import PersistentDenseFile
+        from repro.storage.ondisk import SLOT_HEADER, DiskPagedStore
+
+        with PersistentDenseFile.open(path) as dense:
+            page = dense.engine.pagefile.nonempty_pages()[0]
+        with DiskPagedStore.open(path) as raw:
+            offset = raw._slot_offset(page)
+        with open(path, "r+b") as handle:
+            handle.seek(offset)
+            length, _crc = SLOT_HEADER.unpack(handle.read(SLOT_HEADER.size))
+            frame = SLOT_HEADER.size + length
+            if rung == "torn-slot":
+                handle.seek(offset + frame // 2)
+                handle.write(b"\xa5" * (frame - frame // 2))
+            else:
+                handle.seek(offset + SLOT_HEADER.size + length // 2)
+                byte = handle.read(1)[0]
+                handle.seek(-1, 1)
+                handle.write(bytes([byte ^ 0x10]))
+
+    @pytest.mark.parametrize("rung", ["torn-slot", "bit-flip"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("put", "1000", "v"),
+            ("get", "5"),
+            ("delete", "5"),
+            ("scan", "--start", "0", "--count", "5"),
+            ("range", "--lo", "0", "--hi", "50"),
+            ("load", "--keys", "2000:2010"),
+            ("rank", "5"),
+            ("count", "--lo", "0", "--hi", "50"),
+            ("delete-range", "--lo", "0", "--hi", "5"),
+            ("compact",),
+            ("verify",),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_checksum_mismatch_is_3_on_every_command(
+        self, created, argv, rung
+    ):
+        """A slot that fails its CRC is corruption on every command that
+        opens the file, with an ``error:``/``CORRUPT`` line, no traceback."""
+        run("load", created, "--keys", "0:300")
+        self._damage(created, rung)
+        code, output = run(argv[0], created, *argv[1:])
+        assert code == 3, output
+        assert "Traceback" not in output
+        assert "checksum mismatch" in output or "CORRUPT" in output
+
+    @pytest.mark.parametrize("rung", ["torn-slot", "bit-flip"])
+    def test_checksum_mismatch_info_degrades_scrub_repairs(
+        self, created, rung
+    ):
+        """``info`` falls back to the degraded view (5); ``scrub`` heals
+        the page from the retained applied journal image (0)."""
+        run("load", created, "--keys", "0:300")
+        self._damage(created, rung)
+        code, output = run("info", created)
+        assert code == 5, output
+        assert "DEGRADED" in output
+        code, output = run("scrub", created)
+        assert code == 0, output
+        assert "repaired pages" in output
+        assert run("verify", created)[0] == 0
+
+
+class TestHarnessVerdicts:
+    """Harness verdicts follow the contract: 0 clean, 3 findings, 1 bad
+    usage; a failing report is planted so no real run has to fail."""
+
+    def test_stress_findings_are_3(self, monkeypatch):
+        from repro.concurrent import harness
+
+        monkeypatch.setattr(
+            harness,
+            "run_stress",
+            lambda config: harness.StressReport(violations=["planted"]),
+        )
+        code, output = run("stress", "--ops", "20")
+        assert code == 3, output
+        assert "VIOLATION: planted" in output
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_self_test_failure_is_3(self, monkeypatch, sanitize):
+        from repro import sanitizer
+        from repro.concurrent import harness
+
+        failed = harness.SelfTestReport(
+            clean=harness.StressReport(),
+            race_detected=False,
+            deadlock_detected=True,
+        )
+        sanitize_failed = sanitizer.SanitizeSelfTestReport(
+            clean=harness.StressReport(),
+            unlocked_write_detected=True,
+            abba_detected=False,
+        )
+        monkeypatch.setattr(harness, "self_test", lambda seed: failed)
+        monkeypatch.setattr(
+            sanitizer, "sanitize_self_test", lambda seed: sanitize_failed
+        )
+        argv = ["stress", "--self-test"] + (["--sanitize"] if sanitize else [])
+        code, output = run(*argv)
+        assert code == 3, output
+        assert "FAILED" in output
+
+    def test_replica_reads_findings_are_3(self, monkeypatch):
+        from repro import replication
+
+        monkeypatch.setattr(
+            replication,
+            "run_replica_stress",
+            lambda config: replication.ReplicaStressReport(
+                violations=["planted"]
+            ),
+        )
+        code, output = run("stress", "--replica-reads", "--ops", "20")
+        assert code == 3, output
+        assert "VIOLATION: planted" in output
+
+    def test_soak_findings_are_3(self, monkeypatch, tmp_path):
+        from repro import replication
+
+        monkeypatch.setattr(
+            replication,
+            "run_soak",
+            lambda config: replication.SoakReport(
+                seconds=1.0, seed=7, transport="queue",
+                findings=["planted"],
+            ),
+        )
+        code, output = run("soak", "--workdir", str(tmp_path))
+        assert code == 3, output
+        assert "FINDING: planted" in output
+
+    def test_chaos_violation_is_3(self, monkeypatch):
+        from repro.cluster import chaos
+
+        def planted(**kwargs):
+            report = chaos.ChaosReport(config=chaos.ChaosConfig())
+            report.violations.append("planted")
+            return [("clean", report)]
+
+        monkeypatch.setattr(chaos, "run_sweep", planted)
+        code, output = run("chaos", "--profile", "clean")
+        assert code == 3, output
+        assert "0/1 profiles held" in output
+
+    def test_sweep_failure_is_3_with_a_replay_line(self, monkeypatch):
+        from repro.cluster import chaos
+
+        def planted(seed, **kwargs):
+            report = chaos.ChaosReport(config=chaos.ChaosConfig(seed=seed))
+            report.violations.append("planted")
+            return [("storm", report)]
+
+        monkeypatch.setattr(chaos, "run_sweep", planted)
+        code, output = run("chaos", "--ops", "9", "--iterations", "3")
+        assert code == 3, output
+        replay = [line for line in output.splitlines() if "replay:" in line]
+        assert len(replay) == 1
+        assert replay[0].startswith("replay: python -m repro chaos --ops 9 --seed ")
+
+    def test_bad_usage_is_1(self):
+        assert run("stress", "--seed", "1", "--iterations", "2")[0] == 1
+        with pytest.raises(SystemExit) as exit_info:
+            run("stress", "--no-such-flag")
+        assert exit_info.value.code == 1
+
+    def test_invalid_bench_report_is_1(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"schema": "nope"}')
+        code, output = run("bench", "--validate", str(bad))
+        assert code == 1
+        assert "not a valid" in output
+        code, output = run("bench", "--compare", str(bad), str(bad))
+        assert code == 1
+        (tmp_path / "garbage.json").write_text("{")
+        assert run("bench", "--validate", str(tmp_path / "garbage.json"))[0] == 1
+
 
 class TestClusterCli:
     def test_serve_binds_and_shuts_down(self):

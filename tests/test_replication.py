@@ -208,6 +208,30 @@ class TestReplicaReplay:
         replica.close()
         primary.close()
 
+    def test_pair_checks_judge_snapshots_and_the_final_drain(self, tmp_path):
+        """The two checks every pair schedule shares: a snapshot must be
+        the primary's recorded state at its sequence, and the final
+        drain must reach lag zero on a matching snapshot."""
+        primary, replica, pair = make_pair(tmp_path, QueueTransport())
+        primary.insert(777, "shipped")
+        lagging = pair.replica.snapshot()
+        assert pair.check_snapshot(*lagging) is None  # an older prefix
+        sequence, records = lagging
+        assert "diverges" in pair.check_snapshot(sequence, records[1:])
+        assert "never committed" in pair.check_snapshot(sequence + 9, records)
+        drain = pair.final_drain()
+        assert drain.findings == []
+        assert drain.lag == 0
+        assert drain.sequence == primary.durable_sequence
+        assert (777, "shipped") in drain.records
+        pair.shipper.detach()
+        primary.insert(778, "unshipped")
+        assert pair.final_drain().findings == [
+            "final sync left the replica 1 records behind"
+        ]
+        replica.close()
+        primary.close()
+
     def test_duplicates_are_idempotent_and_gaps_refused(self, tmp_path):
         primary, replica, pair = make_pair(tmp_path, QueueTransport())
         primary.insert(100)
@@ -375,7 +399,7 @@ class TestSoak:
 
 class TestReplicaReadsStress:
     def test_schedule_is_prefix_consistent(self, tmp_path):
-        from repro.concurrent.harness import (
+        from repro.replication import (
             ReplicaStressConfig,
             run_replica_stress,
         )

@@ -206,8 +206,9 @@ class TestCliSurface:
         assert run_cli("scrub", path)[0] == 3
         code, output = run_cli("info", path)
         assert code == 5 and "DEGRADED" in output
-        # A mutating command surfaces the corruption as a CLI error
-        # rather than silently writing through a broken page.
+        # A mutating command surfaces the corruption through the exit
+        # contract (3, corrupt) rather than silently writing through a
+        # broken page.
         code, output = run_cli("put", path, "999")
-        assert code == 1
+        assert code == 3
         assert "error" in output

@@ -2,10 +2,10 @@
 
 import io
 import os
+import shlex
+import subprocess
 import sys
 import tempfile
-
-import pytest
 
 from repro.concurrent.harness import (
     StressConfig,
@@ -18,17 +18,7 @@ from repro.concurrent.harness import (
     self_test,
 )
 
-TOOLS = os.path.join(os.path.dirname(__file__), "..", "tools")
-
-
-@pytest.fixture(scope="module")
-def stress_tool():
-    sys.path.insert(0, TOOLS)
-    try:
-        import stress as module
-    finally:
-        sys.path.remove(TOOLS)
-    return module
+TOOL = os.path.join(os.path.dirname(__file__), "..", "tools", "stress.py")
 
 
 class TestDeterminism:
@@ -121,19 +111,70 @@ class TestCommandLineFronts:
         assert code == 0
         assert "negative control" in out.getvalue()
 
-    def test_stress_tool_build_config_round_trip(self, stress_tool):
-        parser_args = type(
-            "Args",
-            (),
-            dict(
-                threads=3, ops=50, batch=4, stack="disk", fault_rate=0.0,
-                shed_load=False, max_in_flight=None, op_timeout=30.0,
-                sanitize=False,
-            ),
-        )()
-        config = stress_tool.build_config(parser_args, seed=9)
-        assert config.stack == "disk"
-        assert not config.sanitize
-        assert config.path and config.path.endswith(".dsf")
-        report = run_stress(config)
-        assert report.ok, report.summary()
+    def test_stress_tool_build_config_round_trip(self):
+        """``tools/stress.py`` builds the disk stack's config (a fresh
+        temp-dir path per seed) and runs it clean end to end."""
+        result = subprocess.run(
+            [
+                sys.executable, TOOL, "--stack", "disk", "--threads", "3",
+                "--ops", "50", "--fault-rate", "0.0", "--seed", "9",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "stress[disk] seed=9 threads=3: CLEAN" in result.stdout
+
+
+def _digest(config):
+    return schedule_digest(build_schedule(config, build_streams(config)))
+
+
+class TestReplayLine:
+    def test_replay_argv_drops_sweep_flags_and_pins_the_seed(self):
+        from repro.cli import replay_argv
+
+        argv = [
+            "stress", "--batch", "8", "--seconds=5", "--iter", "3",
+            "--fault-rate", "0.2",
+        ]
+        assert replay_argv(argv, 42) == [
+            "stress", "--batch", "8", "--fault-rate", "0.2", "--seed", "42",
+        ]
+
+    def test_replay_line_rebuilds_the_failing_run(self, monkeypatch):
+        """The printed replay command parses to the failing run's exact
+        config — ``--batch``/``--fault-rate`` included — and therefore
+        to the same schedule."""
+        from repro import cli
+        from repro.concurrent import harness
+
+        seen = []
+
+        def failing(config):
+            seen.append(config)
+            return harness.StressReport(
+                seed=config.seed, stack=config.stack, violations=["planted"]
+            )
+
+        monkeypatch.setattr(harness, "run_stress", failing)
+        argv = [
+            "stress", "--stack", "faulty", "--batch", "8", "--fault-rate",
+            "0.2", "--threads", "3", "--ops", "50", "--iterations", "3",
+        ]
+        out = io.StringIO()
+        assert cli.main(argv, out=out) == 3
+        replay = [
+            line for line in out.getvalue().splitlines()
+            if line.startswith("replay: ")
+        ]
+        assert len(replay) == 1
+        words = shlex.split(replay[0][len("replay: "):])
+        assert words[:3] == ["python", "-m", "repro"]
+        assert cli.main(words[3:], out=io.StringIO()) == 3
+        failing_config, replayed_config = seen
+        assert replayed_config == failing_config
+        assert replayed_config.max_batch == 8
+        assert replayed_config.transient_rate == 0.2
+        assert _digest(replayed_config) == _digest(failing_config)

@@ -1,133 +1,24 @@
-"""Network chaos harness: seeded fault sweeps against the cluster.
+"""Standalone entry point for the network chaos harness.
 
-Usage:
-    python tools/chaos.py --seed 7 --ops 200
-    python tools/chaos.py --profile kill-shard --ops 120
-    python tools/chaos.py --seconds 30            # randomized soak
-    python tools/chaos.py --out chaos.json        # CI artifact
+Usage:  python tools/chaos.py --seed 7 --ops 200
+        python tools/chaos.py --profile kill-shard --ops 120
+        python tools/chaos.py --seconds 30            # random-seed sweeps
+        python tools/chaos.py --out chaos.json        # CI artifact
 
-One run drives seeded multi-client workloads through channels that
-drop, delay, duplicate, reorder and truncate frames per a
-deterministic ``NetFaultPlan``, and proves the robustness trichotomy:
-every operation ends in success (linearizable against the sequential
-oracle), a typed failure within its deadline, or a provably-not-applied
-write (resolved against the server's idempotency table).  The
-``kill-shard`` profile additionally kills a shard mid-run and asserts
-the surviving key ranges keep serving.
-
-The default invocation sweeps one profile per fault family plus a
-combined storm and the kill-shard drill.  A failure prints the exact
-replay command.
-
-Exit codes: 0 trichotomy held everywhere, 1 violation/hang/crash.
+Thin wrapper over ``repro chaos`` (one implementation, two spellings);
+``python -m repro chaos --help`` lists the flags.  Exit codes: 0 the
+trichotomy held everywhere, 1 bad usage or unknown profile, 3 findings.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import random
 import sys
-import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.cluster.chaos import (  # noqa: E402
-    SWEEP_PROFILES,
-    ChaosConfig,
-    run_chaos,
-    run_sweep,
-)
-
-
-def sweep_once(seed: int, args, verbose: bool) -> tuple[bool, list]:
-    """One full sweep at ``seed``; returns (all_ok, results)."""
-    profiles = None
-    if args.profile:
-        table = dict(SWEEP_PROFILES)
-        if args.profile not in table:
-            known = ", ".join(name for name, _ in SWEEP_PROFILES)
-            print(f"unknown profile {args.profile!r} (choose from: {known})")
-            raise SystemExit(2)
-        profiles = ((args.profile, table[args.profile]),)
-    results = run_sweep(
-        seed=seed, total_ops=args.ops, threads=args.threads, profiles=profiles
-    )
-    all_ok = True
-    for name, report in results:
-        if verbose or not report.ok:
-            print(f"[{name}]")
-            print(report.summary())
-        all_ok = all_ok and report.ok
-    return all_ok, results
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(
-        description="network chaos sweeps against the sharded cluster"
-    )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="run one deterministic sweep at this seed")
-    parser.add_argument("--ops", type=int, default=120,
-                        help="operations per profile run")
-    parser.add_argument("--threads", type=int, default=3,
-                        help="concurrent chaos clients")
-    parser.add_argument("--profile", default=None,
-                        help="run only this sweep profile (e.g. storm, "
-                        "kill-shard)")
-    parser.add_argument("--seconds", type=float, default=10.0,
-                        help="randomized soak budget when no --seed is given")
-    parser.add_argument("--iterations", type=int, default=0,
-                        help="cap on soak sweeps (0 = until --seconds)")
-    parser.add_argument("--out", default=None,
-                        help="write a JSON report of the last sweep here")
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args()
-
-    def emit(seed: int, results) -> None:
-        if not args.out:
-            return
-        payload = {
-            "schema": "repro-chaos/1",
-            "seed": seed,
-            "ops": args.ops,
-            "threads": args.threads,
-            "ok": all(report.ok for _, report in results),
-            "profiles": {
-                name: report.to_dict() for name, report in results
-            },
-        }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    if args.seed is not None:
-        ok, results = sweep_once(args.seed, args, verbose=True)
-        emit(args.seed, results)
-        held = sum(1 for _, report in results if report.ok)
-        print(f"chaos: {held}/{len(results)} profiles held the trichotomy")
-        return 0 if ok else 1
-
-    deadline = time.time() + args.seconds
-    iteration = 0
-    while True:
-        if args.iterations and iteration >= args.iterations:
-            break
-        if not args.iterations and time.time() >= deadline:
-            break
-        seed = random.randrange(1 << 30)
-        ok, results = sweep_once(seed, args, verbose=args.verbose)
-        emit(seed, results)
-        if not ok:
-            profile = f" --profile {args.profile}" if args.profile else ""
-            print(f"replay: python tools/chaos.py --seed {seed} "
-                  f"--ops {args.ops} --threads {args.threads}{profile}")
-            return 1
-        iteration += 1
-    print(f"chaos: {iteration} seeded sweeps clean")
-    return 0
+from repro.cli import main  # noqa: E402
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["chaos"] + sys.argv[1:]))

@@ -5,7 +5,7 @@ Usage:  python tools/lint.py [paths...] [--format=json] [--fix]
 
 Thin wrapper over ``repro lint`` (one implementation, two spellings) so
 CI and pre-commit hooks can run the linter without installing the
-package.  Exit codes: 0 clean, 1 findings, 2 bad usage.
+package.  Exit codes: 0 clean, 1 findings or bad usage.
 """
 
 from __future__ import annotations

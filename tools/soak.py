@@ -1,78 +1,22 @@
-"""Long-soak SLO runner: a primary+replica pair under fire.
+"""Standalone entry point for the replication SLO soak.
 
-Usage:
-    python tools/soak.py --seconds 20 --seed 7 --out soak.json
-    python tools/soak.py --seconds 300 --transport directory
+Usage:  python tools/soak.py --seconds 20 --seed 7 --out soak.json
+        python tools/soak.py --seconds 300 --transport directory
 
-One run stands up a journaled primary and a WAL-shipped replica, then
-drives mixed read/write load while a seeded :class:`FaultPlan` crashes
-the primary and tears/bit-flips physical frames mid-commit.  Every
-crash triggers a promote-on-crash failover whose result is verified as
-a committed prefix of the dead primary's history; every corruption is
-healed by scrub from the retained journal images; replica readers
-check prefix consistency on every snapshot.  The report is the
-repro-bench/1 JSON schema with write/read/replica latency percentiles
-and replication-lag percentiles.
-
-Exit codes: 0 clean (zero unrecovered findings), 1 findings.
+Thin wrapper over ``repro soak`` (one implementation, two spellings);
+``python -m repro soak --help`` lists the flags.  Exit codes: 0 clean,
+1 bad usage, 3 findings.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
-import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.replication import SoakConfig, run_soak  # noqa: E402
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seconds", type=float, default=20.0,
-                        help="wall-clock soak duration")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--transport", choices=["queue", "directory"],
-                        default="queue",
-                        help="WAL shipping transport")
-    parser.add_argument("--workdir", default=None,
-                        help="node file directory (default: fresh temp dir)")
-    parser.add_argument("--out", default=None,
-                        help="write the repro-bench/1 JSON report here")
-    parser.add_argument("--crash-every", type=int, default=200,
-                        dest="crash_every",
-                        help="mean writes between seeded primary crashes")
-    parser.add_argument("--corrupt-every", type=int, default=450,
-                        dest="corrupt_every",
-                        help="mean writes between corruption rounds")
-    parser.add_argument("--op-timeout", type=float, default=2.0,
-                        dest="op_timeout",
-                        help="per-operation deadline budget, seconds")
-    args = parser.parse_args()
-
-    report = run_soak(
-        SoakConfig(
-            workdir=args.workdir or tempfile.mkdtemp(prefix="repro-soak-"),
-            seconds=args.seconds,
-            seed=args.seed,
-            transport=args.transport,
-            crash_every=args.crash_every,
-            corrupt_every=args.corrupt_every,
-            op_timeout=args.op_timeout,
-        )
-    )
-    print(report.summary())
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report.to_bench_report(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"report written to {args.out}")
-    return 0 if report.clean else 1
+from repro.cli import main  # noqa: E402
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["soak"] + sys.argv[1:]))

@@ -1,175 +1,24 @@
-"""Concurrency torture harness: seeded threads vs. a sequential oracle.
+"""Standalone entry point for the concurrency torture harness.
 
-Usage:
-    python tools/stress.py --threads 8 --ops 400 --seed 7
-    python tools/stress.py --stack faulty --fault-rate 0.1 --seconds 20
-    python tools/stress.py --self-test
+Usage:  python tools/stress.py --threads 8 --ops 400 --seed 7
+        python tools/stress.py --stack faulty --fault-rate 0.1 --seconds 20
+        python tools/stress.py --self-test [--sanitize]
+        python tools/stress.py --replica-reads --ops 200 --seed 7
 
-One run drives N seeded client threads (mixed insert/delete/scan from
-``workloads.generators``) against a shared ``ThreadSafeDenseFile`` in
-deterministically scheduled batches, and checks every batch is
-linearizable against a sequential oracle (plus periodic full-content
-and invariant checks).  The schedule is a pure function of the seed —
-the report prints a schedule digest so a failure replays exactly.
-
-``--self-test`` additionally proves the harness's teeth: a seeded race
-with the lock deliberately bypassed must be *detected*, and a lock-
-order deadlock must surface as ``OperationTimeout`` instead of a hang.
-
-``--sanitize`` rebuilds the stack with the dynamic race sanitizer
-(Eraser-style lockset + vector-clock happens-before + lock-order
-graph; see ``repro.sanitizer``) and fails on any finding.  Combined
-with ``--self-test`` it runs the sanitizer's own controls instead: a
-sanitized clean run must report zero findings, while a planted
-unlocked write and a planted ABBA acquisition must each be detected —
-deterministically, even under a fully serialized schedule.
-
-``--replica-reads`` swaps in the replication schedule: writer threads
-on a journaled primary, reader threads snapshotting a WAL-shipped
-replica, every snapshot checked prefix-consistent against the
-primary's commit-time digests.
-
-Exit codes: 0 clean, 1 violation/deadlock, 2 failed self-test.
+Thin wrapper over ``repro stress`` (one implementation, two spellings);
+``python -m repro stress --help`` lists the flags.  Exit codes: 0 clean,
+1 bad usage, 3 findings.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-import random
 import sys
-import tempfile
-import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.concurrent.harness import (  # noqa: E402
-    STACKS,
-    StressConfig,
-    run_stress,
-    self_test,
-)
-
-
-def build_config(args, seed: int) -> StressConfig:
-    """A :class:`StressConfig` from the CLI switches (one seed per run)."""
-    path = None
-    if args.stack in ("disk", "buffered"):
-        path = os.path.join(
-            tempfile.mkdtemp(prefix="repro-stress-"), "stress.dsf"
-        )
-    return StressConfig(
-        threads=args.threads,
-        total_ops=args.ops,
-        seed=seed,
-        max_batch=args.batch,
-        stack=args.stack,
-        transient_rate=args.fault_rate,
-        shed_load=args.shed_load,
-        max_in_flight=args.max_in_flight,
-        op_timeout=args.op_timeout,
-        path=path,
-        sanitize=args.sanitize,
-    )
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--threads", type=int, default=4)
-    parser.add_argument("--ops", type=int, default=200,
-                        help="total operations across all threads")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="run exactly one seed (default: random seeds)")
-    parser.add_argument("--seconds", type=float, default=10.0,
-                        help="wall-clock budget when no --seed is given")
-    parser.add_argument("--iterations", type=int, default=0,
-                        help="seed count when no --seed is given (0 = by time)")
-    parser.add_argument("--batch", type=int, default=4,
-                        help="max operations raced in one batch")
-    parser.add_argument("--stack", choices=STACKS, default="memory")
-    parser.add_argument("--fault-rate", type=float, default=0.05,
-                        help="transient-fault rate for --stack faulty")
-    parser.add_argument("--shed-load", action="store_true",
-                        help="enable the admission gate in shed-load mode")
-    parser.add_argument("--max-in-flight", type=int, default=None,
-                        help="admission cap (enables the gate)")
-    parser.add_argument("--op-timeout", type=float, default=30.0,
-                        help="per-operation deadline in seconds")
-    parser.add_argument("--self-test", action="store_true",
-                        help="run the positive + negative controls and exit")
-    parser.add_argument("--sanitize", action="store_true",
-                        help="run with the dynamic race sanitizer on "
-                        "(with --self-test: run the sanitizer's planted "
-                        "controls instead of the harness's)")
-    parser.add_argument("--replica-reads", action="store_true",
-                        dest="replica_reads",
-                        help="replication schedule: writers on the primary, "
-                        "prefix-consistency-checked readers on a replica")
-    parser.add_argument("--readers", type=int, default=2,
-                        help="replica reader threads for --replica-reads")
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args()
-
-    if args.self_test and args.sanitize:
-        from repro.sanitizer import sanitize_self_test  # noqa: E402
-
-        sanitize_report = sanitize_self_test(seed=args.seed or 0)
-        print(sanitize_report.summary())
-        return 0 if sanitize_report.ok else 2
-
-    if args.self_test:
-        report = self_test(seed=args.seed or 0)
-        print(report.summary())
-        return 0 if report.ok else 2
-
-    if args.replica_reads:
-        from repro.concurrent.harness import (  # noqa: E402
-            ReplicaStressConfig,
-            run_replica_stress,
-        )
-
-        report = run_replica_stress(
-            ReplicaStressConfig(
-                path=os.path.join(
-                    tempfile.mkdtemp(prefix="repro-stress-"), "primary.dsf"
-                ),
-                threads=args.threads,
-                readers=args.readers,
-                total_ops=args.ops,
-                seed=args.seed if args.seed is not None else 0,
-            )
-        )
-        print(report.summary())
-        return 0 if report.ok else 1
-
-    if args.seed is not None:
-        report = run_stress(build_config(args, args.seed))
-        print(report.summary())
-        return 0 if report.ok else 1
-
-    deadline = time.time() + args.seconds
-    iteration = 0
-    while True:
-        if args.iterations and iteration >= args.iterations:
-            break
-        if not args.iterations and time.time() >= deadline:
-            break
-        seed = random.randrange(1 << 30)
-        report = run_stress(build_config(args, seed))
-        if args.verbose:
-            print(report.summary())
-        if not report.ok:
-            sanitize = " --sanitize" if args.sanitize else ""
-            print(report.summary())
-            print(f"replay: python tools/stress.py --stack {args.stack} "
-                  f"--threads {args.threads} --ops {args.ops} "
-                  f"--seed {seed}{sanitize}")
-            return 1
-        iteration += 1
-    mode = " sanitized" if args.sanitize else ""
-    print(f"stress[{args.stack}]: {iteration}{mode} seeded runs clean")
-    return 0
+from repro.cli import main  # noqa: E402
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["stress"] + sys.argv[1:]))

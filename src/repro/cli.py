@@ -637,25 +637,26 @@ def _verify(args, out) -> int:
     """Checksums first (works even when pages are unreadable), then the
     structural invariants through the requested storage stack."""
     from .storage.ondisk import DiskPagedStore
-    from .storage.wal import TransactionJournal, journal_state
+    from .storage.scrub import plan_repairs
+    from .storage.wal import journal_state
 
     with DiskPagedStore.open(args.path) as store:
         corrupt = store.verify_all()
     if corrupt:
         print(f"CORRUPT pages: {corrupt}", file=out)
-        committed = TransactionJournal(args.path + ".journal").read_committed()
-        journaled = sorted(set(corrupt) & set(committed or ()))
-        if journaled:
+        plan = plan_repairs(args.path, corrupt)
+        for pages, guidance in (
+            (plan.journal, "repairable from the journal"),
+            (plan.heal, "repairable from the retained applied journal image"),
+        ):
+            if pages:
+                print(f"{guidance}: {list(pages)} — run `repro scrub`",
+                      file=out)
+        if plan.quarantine:
             print(
-                f"repairable from the journal: {journaled} — run "
-                "`repro scrub`",
-                file=out,
-            )
-        unrepairable = sorted(set(corrupt) - set(committed or ()))
-        if unrepairable:
-            print(
-                f"no journaled image for: {unrepairable} — `repro scrub` "
-                "will quarantine them (file becomes read-only)",
+                f"no journaled image for: {list(plan.quarantine)} — "
+                "`repro scrub` will quarantine them (file becomes "
+                "read-only)",
                 file=out,
             )
         return EXIT_CORRUPT
@@ -886,34 +887,14 @@ def _sweep(
     return EXIT_OK
 
 
-def _stress_config(args, seed: int):
-    """The :class:`~repro.concurrent.harness.StressConfig` ``repro
-    stress`` flags describe, for one seed (disk stacks get a fresh
-    temp-dir path)."""
-    from .concurrent.harness import StressConfig
-
-    path = None
-    if args.stack in ("disk", "buffered"):
-        path = os.path.join(
-            tempfile.mkdtemp(prefix="repro-stress-"), "stress.dsf"
-        )
-    return StressConfig(
-        threads=args.threads,
-        total_ops=args.ops,
-        seed=seed,
-        max_batch=args.batch,
-        stack=args.stack,
-        transient_rate=args.fault_rate,
-        path=path,
-        sanitize=args.sanitize,
-    )
-
-
 def _stress(args, argv: List[str], out) -> int:
     """Torture runs, the replica-reads schedule, or the self-test controls."""
-    from .concurrent.harness import run_stress, self_test
+    from .concurrent.harness import StressConfig, run_stress, self_test
     from .replication import ReplicaStressConfig, run_replica_stress
     from .sanitizer import sanitize_self_test
+
+    def scratch_file(name: str) -> str:
+        return os.path.join(tempfile.mkdtemp(prefix="repro-stress-"), name)
 
     def run_one(seed: int) -> Tuple[bool, str]:
         report: Any
@@ -924,10 +905,7 @@ def _stress(args, argv: List[str], out) -> int:
         elif args.replica_reads:
             report = run_replica_stress(
                 ReplicaStressConfig(
-                    path=os.path.join(
-                        tempfile.mkdtemp(prefix="repro-stress-"),
-                        "primary.dsf",
-                    ),
+                    path=scratch_file("primary.dsf"),
                     threads=args.threads,
                     readers=args.readers,
                     total_ops=args.ops,
@@ -935,7 +913,19 @@ def _stress(args, argv: List[str], out) -> int:
                 )
             )
         else:
-            report = run_stress(_stress_config(args, seed))
+            on_disk = args.stack in ("disk", "buffered")
+            report = run_stress(
+                StressConfig(
+                    threads=args.threads,
+                    total_ops=args.ops,
+                    seed=seed,
+                    max_batch=args.batch,
+                    stack=args.stack,
+                    transient_rate=args.fault_rate,
+                    path=scratch_file("stress.dsf") if on_disk else None,
+                    sanitize=args.sanitize,
+                )
+            )
         return report.ok, report.summary()
 
     mode = " sanitized" if args.sanitize else ""

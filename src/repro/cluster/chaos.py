@@ -14,14 +14,14 @@ uphold:
    server's idempotency table (it *was* applied; its recorded outcome
    must then linearize) or is absent (proof it never executed).
 
-:func:`run_chaos` drives a deterministic multi-client workload (the
-schedule machinery of :mod:`repro.concurrent.harness`) through clients
-whose only route to the server is a
-:class:`~repro.cluster.netfaults.ChaosChannel` mangling exchanges per a
-seeded :class:`~repro.cluster.netfaults.NetFaultPlan`.  After each
-batch the harness resolves every ambiguous write against the token
-table, then searches for a sequential witness with
-:func:`~repro.concurrent.harness.check_batch`.  A mid-run
+:func:`run_chaos` drives a seeded multi-client schedule through
+:func:`~repro.concurrent.harness.run_batches`, so each batch is
+barrier-released and truly overlaps; each client's only route to the
+server is a :class:`~repro.cluster.netfaults.ChaosChannel` mangling
+exchanges per a seeded :class:`~repro.cluster.netfaults.NetFaultPlan`.
+After each batch, ambiguous writes are resolved against the token
+table and deadline overruns flagged; the runner's witness search then
+stops the run at the first divergence.  A mid-run
 ``kill_shard`` event additionally asserts graceful degradation: the
 surviving key ranges must keep serving while the dead shard's range
 fails fast with typed errors.
@@ -29,49 +29,26 @@ fails fast with typed errors.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..concurrent.deadline import Deadline
 from ..concurrent.harness import (
+    NOT_APPLIED,
     ClientOp,
+    Issued,
     SequentialOracle,
-    StressConfig,
     build_schedule,
-    build_streams,
-    check_batch,
+    run_batches,
     schedule_digest,
 )
 from ..concurrent.retry import RetryPolicy
-from ..core.errors import (
-    CircuitOpenError,
-    ConfigurationError,
-    OperationTimeout,
-    OverloadError,
-    ReproError,
-    ShardUnavailableError,
-    TransientNetworkError,
-    WireProtocolError,
-)
+from ..core.errors import ConfigurationError
 from .client import ClusterClient
 from .netfaults import ChaosChannel, NetFaultPlan
 from .server import ClusterServer
 from .store import ShardedDenseFile
 from .transport import LocalChannel
-
-#: Outcome tags that mean "not applied, skip in the witness search".
-#: ``timeout`` and ``overload`` reuse the harness vocabulary; the rest
-#: are cluster-specific refusals, equally definite about non-application.
-NOT_APPLIED = (
-    "timeout",
-    "overload",
-    "unavailable",
-    "circuit_open",
-    "partial",
-    "network",
-)
 
 
 @dataclass
@@ -228,73 +205,12 @@ class ChaosReport:
         }
 
 
-@dataclass
-class _Issued:
-    """One executed operation: what we asked, what we saw, the token."""
-
-    op: ClientOp
-    outcome: Tuple
-    token: Optional[str] = None
-    elapsed: float = 0.0
-    shard_id: int = -1
-
-
-def _run_op(client: ClusterClient, op: ClientOp, timeout: float) -> _Issued:
-    """Issue one operation; encode the outcome in oracle vocabulary."""
-    # Generate the token up front: if the call raises, the token is
-    # what lets the audit prove whether the write was applied anyway.
-    token: Optional[str] = None
-    if op.kind in ("insert", "delete"):
-        token = client.new_token()
-    start = time.monotonic()
-    try:
-        if op.kind == "insert":
-            client.insert_with_token(op.key, token=token, timeout=timeout)
-            outcome: Tuple = ("ok",)
-        elif op.kind == "delete":
-            client.delete_with_token(op.key, token=token, timeout=timeout)
-            outcome = ("ok",)
-        elif op.kind == "search":
-            record = client.search(op.key, timeout=timeout)
-            outcome = ("hit",) if record is not None else ("miss",)
-        elif op.kind == "scan":
-            scan = client.scan(op.key, op.arg, timeout=timeout)
-            if scan.partial:
-                outcome = ("partial",)
-            else:
-                outcome = ("scan", tuple(record.key for record in scan.records))
-        elif op.kind == "count":
-            total = client.count_range(op.key, op.key + op.arg, timeout=timeout)
-            outcome = ("count", total)
-        else:
-            raise ConfigurationError(f"unknown chaos op kind {op.kind!r}")
-    except OperationTimeout:  # lint: allow[errors] -- timeout is a recorded outcome here
-        outcome = ("timeout",)
-    except OverloadError:
-        outcome = ("overload",)
-    except ShardUnavailableError:
-        outcome = ("unavailable",)
-    except CircuitOpenError:
-        outcome = ("circuit_open",)
-    except (TransientNetworkError, WireProtocolError):
-        # The retry policy gave up mid-fault: a typed failure whose
-        # application status the token audit resolves below.
-        outcome = ("network",)
-    except ReproError as error:
-        outcome = ("error", type(error).__name__)
-    except Exception as error:  # wreckage is a finding, not a crash of the harness  # lint: allow[errors]
-        outcome = ("crash", f"{type(error).__name__}: {error}")
-    return _Issued(
-        op=op,
-        outcome=outcome,
-        token=token,
-        elapsed=time.monotonic() - start,
-    )
-
-
 def _resolve_ambiguous(
-    issued: _Issued, server: ClusterServer, report: ChaosReport
-) -> _Issued:
+    issued: Issued,
+    token: Optional[str],
+    server: ClusterServer,
+    report: ChaosReport,
+) -> None:
     """Resolve a failed write against the idempotency table.
 
     A write whose outcome is in :data:`NOT_APPLIED` *might* still have
@@ -303,25 +219,18 @@ def _resolve_ambiguous(
     that outcome so the witness search accounts for it; an absent token
     is proof of non-application — keep the skipped outcome.
     """
-    if issued.token is None or issued.outcome[0] not in NOT_APPLIED:
-        return issued
+    if token is None or issued.outcome[0] not in NOT_APPLIED:
+        return
     report.ambiguous_writes += 1
-    recorded = server.tokens.peek(issued.token)
+    recorded = server.tokens.peek(token)
     if recorded is None:
         report.proven_not_applied += 1
-        return issued
+        return
     report.resolved_applied += 1
     if recorded.get("ok"):
-        resolved: Tuple = ("ok",)
+        issued.outcome = ("ok",)
     else:
-        resolved = ("error", str(recorded.get("error", "ReproError")))
-    return _Issued(
-        op=issued.op,
-        outcome=resolved,
-        token=issued.token,
-        elapsed=issued.elapsed,
-        shard_id=issued.shard_id,
-    )
+        issued.outcome = ("error", str(recorded.get("error", "ReproError")))
 
 
 def run_chaos(config: ChaosConfig) -> ChaosReport:
@@ -335,157 +244,129 @@ def run_chaos(config: ChaosConfig) -> ChaosReport:
         capacity_hint=max(2048, config.total_ops * 2),
     )
     server = ClusterServer(store)
-    clients: List[ClusterClient] = []
-    for tid in range(config.threads):
-        channel = ChaosChannel(
-            LocalChannel(server.handle_frame),
-            config.net_plan(tid),
-            sleep=time.sleep,
+    plans = [config.net_plan(tid) for tid in range(config.threads)]
+    clients = [
+        ClusterClient(
+            ChaosChannel(
+                LocalChannel(server.handle_frame), plan, sleep=time.sleep
+            ),
+            client_id=f"chaos-{config.seed}-t{tid}",
+            retry_policy=config.retry_policy(),
+            client_seed=(config.seed << 4) ^ tid,
+            default_timeout=config.op_timeout,
+            breaker_threshold=config.breaker_threshold,
+            breaker_reset=config.breaker_reset,
         )
-        clients.append(
-            ClusterClient(
-                channel,
-                client_id=f"chaos-{config.seed}-t{tid}",
-                retry_policy=config.retry_policy(),
-                client_seed=(config.seed << 4) ^ tid,
-                default_timeout=config.op_timeout,
-                breaker_threshold=config.breaker_threshold,
-                breaker_reset=config.breaker_reset,
-            )
-        )
-        clients[-1].prime(store.shard_map)
+        for tid, plan in enumerate(plans)
+    ]
+    for client in clients:
+        client.prime(store.shard_map)
 
-    stress = StressConfig(
-        threads=config.threads,
-        total_ops=config.total_ops,
-        seed=config.seed,
-        max_batch=config.max_batch,
-        key_space=config.key_space,
-        insert_ratio=config.insert_ratio,
+    schedule = build_schedule(
+        config.seed, config.threads, config.total_ops, config.max_batch,
+        insert_ratio=config.insert_ratio, key_space=config.key_space,
         read_fraction=config.read_fraction,
     )
-    schedule = build_schedule(stress, build_streams(stress))
     report.digest = schedule_digest(schedule)
-
-    oracle = SequentialOracle()
+    # Each thread's write token, generated before the call: if the
+    # call raises, the token is what lets the audit prove whether the
+    # write was applied anyway.
+    tokens: List[Optional[str]] = [None] * config.threads
     dead_ranges: Tuple[Tuple[Any, Any], ...] = ()
 
-    for batch_index, batch in enumerate(schedule):
-        if config.kill_at is not None and batch_index == config.kill_at:
+    def issue(op: ClientOp) -> Tuple:
+        client = clients[op.thread]
+        token = client.new_token() if op.kind in ("insert", "delete") else None
+        tokens[op.thread] = token
+        if op.kind == "insert":
+            client.insert_with_token(op.key, token=token)
+            return ("ok",)
+        if op.kind == "delete":
+            client.delete_with_token(op.key, token=token)
+            return ("ok",)
+        if op.kind == "search":
+            record = client.search(op.key)
+            return ("hit",) if record is not None else ("miss",)
+        if op.kind == "scan":
+            scan = client.scan(op.key, op.arg)
+            if scan.partial:
+                return ("partial",)
+            return ("scan", tuple(record.key for record in scan.records))
+        if op.kind == "count":
+            return ("count", client.count_range(op.key, op.key + op.arg))
+        raise ConfigurationError(f"unknown chaos op kind {op.kind!r}")
+
+    def before_batch(index: int) -> None:
+        nonlocal dead_ranges
+        if index == config.kill_at:
             store.mark_down(config.kill_shard_id)
             dead_ranges = store.shard_map.key_ranges((config.kill_shard_id,))
-        if config.revive_at is not None and batch_index == config.revive_at:
+        if index == config.revive_at:
             store.revive(config.kill_shard_id)
             dead_ranges = ()
 
-        results: List[Optional[_Issued]] = [None] * len(batch)
-
-        def worker(slot: int, op: ClientOp) -> None:
-            results[slot] = _run_op(
-                clients[op.thread], op, timeout=config.op_timeout
-            )
-
-        threads = [
-            threading.Thread(
-                target=worker, args=(slot, op), name=f"chaos-op-{slot}"
-            )
-            for slot, op in enumerate(batch)
-        ]
-        for thread in threads:
-            thread.start()
-        join_deadline = Deadline.after(config.batch_timeout)
-        for thread in threads:
-            thread.join(timeout=join_deadline.wait_budget())
-            if thread.is_alive():
-                report.hangs += 1
-                report.violations.append(
-                    f"batch {batch_index}: {thread.name} still alive after "
-                    f"{config.batch_timeout}s — an operation hung"
-                )
-        if report.hangs:
-            break  # the run is wedged; report what we have
-
-        report.batches += 1
-        executed: List[Tuple[ClientOp, Tuple]] = []
-        for issued in results:
-            if issued is None:
-                continue
-            report.ops_issued += 1
-            issued = _resolve_ambiguous(issued, server, report)
-            tag = issued.outcome[0]
-            report.outcomes[tag] = report.outcomes.get(tag, 0) + 1
-            if tag == "crash":
-                report.crashes += 1
-                report.violations.append(
-                    f"batch {batch_index}: {issued.op.describe()} crashed "
-                    f"untyped: {issued.outcome[1]}"
-                )
-            budget_cap = config.op_timeout + config.grace
+    def settle(index: int, batch: List[Issued]) -> None:
+        budget_cap = config.op_timeout + config.grace
+        for issued in batch:
+            _resolve_ambiguous(issued, tokens[issued.op.thread], server, report)
             if issued.elapsed > budget_cap:
                 report.deadline_overruns += 1
                 report.violations.append(
-                    f"batch {batch_index}: {issued.op.describe()} took "
+                    f"batch {index}: {issued.op.describe()} took "
                     f"{issued.elapsed:.3f}s, over its {budget_cap:.3f}s "
                     "budget+grace"
                 )
-            if dead_ranges and tag in ("ok", "hit", "miss", "scan", "count"):
+            if dead_ranges and issued.outcome[0] in (
+                "ok", "hit", "miss", "scan", "count"
+            ):
                 lo, hi = dead_ranges[0]
                 if not (lo <= issued.op.key < hi):
                     report.post_kill_successes += 1
-            # The harness's witness search only knows the base skip
-            # vocabulary; map the cluster-specific not-applied refusals
-            # onto it (the report keeps the precise tag above).
-            witness_outcome = (
-                ("timeout",)
-                if tag in ("unavailable", "circuit_open", "partial", "network")
-                else issued.outcome
-            )
-            executed.append((issued.op, witness_outcome))
 
-        advanced, problem = check_batch(oracle, executed)
-        if problem is not None:
-            report.violations.append(f"batch {batch_index}: {problem}")
-        else:
-            assert advanced is not None
-            oracle = advanced
+    def audit(oracle: SequentialOracle) -> Optional[str]:
+        """Surviving shards must hold exactly the oracle's keys."""
+        owner = store.shard_map.shard_for
+        problems = []
+        for shard in store.shard_map.ranges():
+            if store.state_of(shard.shard_id) == "down":
+                continue
+            held = store.shards[shard.shard_id].range(shard.lo, config.key_space)
+            actual = [r.key for r in held if owner(r.key) == shard.shard_id]
+            expected = [k for k in oracle.keys() if owner(k) == shard.shard_id]
+            if actual != expected:
+                problems.append(
+                    f"contents of {shard.describe()} diverge from the "
+                    f"oracle: {len(actual)} vs {len(expected)} keys "
+                    "(silent loss or duplication)"
+                )
+        return "; ".join(problems) or None
 
-    # Final audit: surviving shards must hold exactly the oracle's keys.
-    for shard_range in store.shard_map.ranges():
-        if store.state_of(shard_range.shard_id) == "down":
-            continue
-        actual = [
-            record.key
-            for record in store.shards[shard_range.shard_id].range(
-                shard_range.lo, config.key_space
-            )
-            if shard_range.shard_id == store.shard_map.shard_for(record.key)
-        ]
-        expected = [
-            key
-            for key in oracle.keys()
-            if store.shard_map.shard_for(key) == shard_range.shard_id
-        ]
-        if actual != expected:
-            report.violations.append(
-                f"final contents of {shard_range.describe()} diverge from "
-                f"the oracle: {len(actual)} vs {len(expected)} keys "
-                "(silent loss or duplication)"
-            )
-
-    # Aggregate observability counters.
-    server_stats = store.stats()
-    report.dedup_replays = server.dedup_replays
-    for client in clients:
-        stats = client.client_stats()
-        report.retries += stats["retries"]
-        report.breaker_opens += sum(
-            breaker["opens"] for breaker in stats["breakers"].values()
+    try:
+        run = run_batches(
+            schedule, config.threads, issue, audit,
+            batch_timeout=config.batch_timeout, audit_every=0,
+            before_batch=before_batch, settle=settle,
         )
-        for kind, count in client.channel.plan.describe()["injected"].items():  # type: ignore[attr-defined]
-            report.faults[kind] = report.faults.get(kind, 0) + count
-        client.close()
-    del server_stats
-    store.close()
+    finally:
+        report.dedup_replays = server.dedup_replays
+        for client, plan in zip(clients, plans):
+            stats = client.client_stats()
+            report.retries += stats["retries"]
+            report.breaker_opens += sum(
+                breaker["opens"] for breaker in stats["breakers"].values()
+            )
+            for kind, count in plan.describe()["injected"].items():
+                report.faults[kind] = report.faults.get(kind, 0) + count
+            client.close()
+        store.close()
+    report.batches = run.batches
+    report.ops_issued = run.ops
+    report.outcomes = run.outcomes
+    report.crashes = run.outcomes.get("crash", 0)
+    report.violations.extend(run.violations)
+    if run.hang is not None:
+        report.hangs = 1
+        report.violations.append(run.hang)
     report.elapsed = time.monotonic() - started
     return report
 

@@ -22,9 +22,9 @@ ThreadSafeDenseFile``) with a worst-case-minded concurrency stack:
     The shared capped-backoff-with-seeded-jitter retry shape used by
     storage retries and cluster network retries alike.
 :mod:`repro.concurrent.harness`
-    The deterministic interleaving torture harness, run by
-    ``repro stress`` (``tools/stress.py`` forwards to it).  The
-    replica-reads schedule lives in :mod:`repro.replication.soak`.
+    The deterministic interleaving torture harness and its batch
+    runner, the one batch loop behind ``repro stress``, ``repro
+    chaos`` and ``repro stress --replica-reads``.
 """
 
 from .admission import AdmissionGate

@@ -1,28 +1,34 @@
-"""Deterministic interleaving torture harness for the concurrent front-end.
+"""Deterministic interleaving torture harness and its batch runner.
 
-The harness drives N seeded client threads — mixed insert/delete/scan
-streams built from :mod:`repro.workloads.generators` — against one
-shared :class:`~repro.concurrent.file.ThreadSafeDenseFile` and checks
-**linearizability**: every batch of concurrently released operations
-must be equivalent to *some* sequential order of those operations
-applied to a model oracle, and the file's full contents must match the
-oracle's whenever the harness looks.
+:func:`run_batches` is the one batch loop behind ``repro stress``
+(:func:`run_stress`), ``repro chaos``
+(:func:`repro.cluster.chaos.run_chaos`) and ``repro stress
+--replica-reads`` (:func:`repro.replication.soak.run_replica_stress`).
+A seeded schedule — per-thread mixed insert/delete/scan streams from
+:mod:`repro.workloads.generators`, cut into batches — runs on one
+persistent worker per client thread.  Each batch is released through a
+fresh barrier so its operations genuinely overlap, and the runner
+checks **linearizability**: every batch must be equivalent to *some*
+sequential order of its operations applied to a
+:class:`SequentialOracle`, and the target's contents must match the
+oracle's whenever the runner audits them.  Outcomes share one
+vocabulary (:func:`outcome_of`; the :data:`NOT_APPLIED` tags are
+refusals the witness search skips).  A caller supplies only the
+target, ``issue(op) -> outcome``, the audit and optional hooks.
 
-Determinism: the *schedule* — which thread runs which operation in
-which batch — is a pure function of the seed.  A coordinator thread
-releases each batch through a fresh barrier so its operations genuinely
-overlap in time; the OS may interleave the racing operations however it
-likes, which is exactly what the permutation check accounts for.  The
-same seed therefore always produces the same schedule (asserted via
+Determinism: the *schedule* is a pure function of the seed; the OS may
+interleave the racing operations however it likes, which is exactly
+what the permutation check accounts for.  The same seed therefore
+always produces the same schedule (asserted via
 :attr:`StressReport.schedule_digest`), and a failure names the batch
 and seed that reproduce it.
 
 The harness **proves its own teeth** with two negative controls
-(:func:`self_test`):
+(:func:`self_test`), both run through the same runner:
 
-* *seeded race*: the same workload with the lock deliberately bypassed
+* *seeded race*: inserts with the lock deliberately bypassed
   (``bypass_lock=True``) over a store that sleeps between page touches
-  to amplify interleavings — the checker must catch the resulting
+  to amplify interleavings — the runner must catch the resulting
   corruption (oracle divergence, invariant violation, or an outright
   exception);
 * *deadlock*: two operations acquiring two locks in opposite orders,
@@ -34,10 +40,6 @@ A variant runs the whole torture over a
 :func:`~repro.storage.faults.fault_tolerant_stack` with a seeded
 transient-fault plan underneath, reporting how many transients the
 deadline-aware :class:`~repro.storage.faults.RetryingStore` absorbed.
-
-The replica-reads schedule, which splits writers and readers across a
-replication pair, lives with the other pair schedules in
-:mod:`repro.replication.soak`.
 """
 
 from __future__ import annotations
@@ -50,21 +52,25 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..core.dense_file import DenseSequentialFile
 from ..core.errors import (
+    CircuitOpenError,
     ConfigurationError,
     OperationTimeout,
     OverloadError,
     ReproError,
+    ShardUnavailableError,
+    TransientNetworkError,
+    WireProtocolError,
 )
 from ..core.params import ceil_log2
 from ..storage.backend import (
-    BufferedStore,
-    DiskStore,
+    DelegatingStore,
     MemoryStore,
     PageStore,
+    make_store,
 )
 from ..storage.faults import FaultPlan, fault_tolerant_stack
 from ..storage.page import Page
@@ -77,9 +83,6 @@ from .rwlock import FairRWLock
 
 if TYPE_CHECKING:  # pragma: no cover - imported lazily at runtime
     from ..sanitizer import SanitizerRuntime
-
-#: Operation kinds a client thread can issue.
-KINDS = ("insert", "delete", "scan", "search", "count")
 
 #: Stacks the harness can torture.
 STACKS = ("memory", "disk", "buffered", "faulty")
@@ -212,7 +215,7 @@ class SequentialOracle:
     """A plain sorted-set model of the dense file's visible semantics.
 
     Results are encoded as small tuples so they compare ``==`` against
-    what :func:`_execute` observed from the real file.
+    what the targets observed (see :func:`outcome_of`).
     """
 
     __slots__ = ("_keys",)
@@ -257,11 +260,44 @@ class SequentialOracle:
         raise AssertionError(f"unknown op kind {op.kind!r}")
 
 
-def _execute(
-    shared: ThreadSafeDenseFile, op: ClientOp, timeout: Optional[float]
-) -> Tuple:
-    """Issue one client operation; encode the outcome like the oracle."""
-    try:
+#: Typed refusals and the outcome tag each one becomes.
+_REFUSALS: Tuple[Tuple[Tuple[type, ...], str], ...] = (
+    ((OperationTimeout,), "timeout"),
+    ((OverloadError,), "overload"),
+    ((ShardUnavailableError,), "unavailable"),
+    ((CircuitOpenError,), "circuit_open"),
+    # The retry policy gave up mid-fault.
+    ((TransientNetworkError, WireProtocolError), "network"),
+)
+
+#: Outcome tags that mean "definitely not applied": the operation was
+#: refused before it could touch the target, so the witness search
+#: skips it.  ``partial`` is a cross-shard scan that met a dead shard.
+NOT_APPLIED = tuple(tag for _types, tag in _REFUSALS) + ("partial",)
+
+
+def outcome_of(error: Exception) -> Tuple:
+    """Encode the exception an operation raised as its outcome tuple.
+
+    Typed refusals map onto :data:`NOT_APPLIED`; any other
+    :class:`~repro.core.errors.ReproError` is an ``error`` the oracle
+    must reproduce; anything else is a ``crash`` — corruption shows up
+    as arbitrary wreckage.
+    """
+    for types, tag in _REFUSALS:
+        if isinstance(error, types):
+            return (tag,)
+    if isinstance(error, ReproError):
+        return ("error", type(error).__name__)
+    return ("crash", f"{type(error).__name__}: {error}")
+
+
+def file_issuer(
+    shared: ThreadSafeDenseFile, timeout: Optional[float]
+) -> Callable[[ClientOp], Tuple]:
+    """``issue(op) -> outcome`` against a thread-safe dense file."""
+
+    def issue(op: ClientOp) -> Tuple:
         if op.kind == "insert":
             shared.insert(op.key, timeout=timeout)
             return ("ok",)
@@ -278,19 +314,8 @@ def _execute(
             total = shared.count_range(op.key, op.key + op.arg, timeout=timeout)
             return ("count", total)
         raise AssertionError(f"unknown op kind {op.kind!r}")
-    except OperationTimeout:  # lint: allow[errors] -- timeout is a recorded outcome here
-        return ("timeout",)
-    except OverloadError:
-        return ("overload",)
-    except ReproError as error:
-        return ("error", type(error).__name__)
-    except Exception as error:  # corruption shows up as arbitrary wreckage  # lint: allow[errors]
-        return ("crash", f"{type(error).__name__}: {error}")
 
-
-#: Outcomes that mean "the operation was rejected before touching the
-#: file" — the oracle skips them when searching for a witness order.
-_REJECTED = ("timeout", "overload")
+    return issue
 
 
 def check_batch(
@@ -305,7 +330,7 @@ def check_batch(
     for order in itertools.permutations(executed):
         candidate = oracle.copy()
         for op, observed in order:
-            if observed[0] in _REJECTED or observed[0] == "crash":
+            if observed[0] in NOT_APPLIED or observed[0] == "crash":
                 continue
             if candidate.apply(op) != observed:
                 break
@@ -322,42 +347,44 @@ def check_batch(
 # ----------------------------------------------------------------------
 
 
-def build_streams(config: StressConfig) -> List[List[ClientOp]]:
-    """Per-thread operation streams, a pure function of the config.
+def build_schedule(
+    seed: int,
+    threads: int,
+    total_ops: int,
+    max_batch: int,
+    *,
+    insert_ratio: float,
+    key_space: int,
+    read_fraction: float,
+) -> List[List[ClientOp]]:
+    """Deterministic batches of per-thread streams, a pure function of
+    its arguments.
 
     Write traffic comes from :func:`~repro.workloads.generators.mixed_workload`
     split by key ownership (so each stream stays executable no matter
     how streams interleave); reads — scans, point lookups, range counts
-    over the *whole* key space — are woven in between.
+    over the *whole* key space — are woven in between.  Each batch then
+    takes the next operation of a seeded choice of up to ``max_batch``
+    threads: who races whom, when.
     """
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     writes = mixed_workload(
-        config.total_ops,
-        insert_ratio=config.insert_ratio,
-        key_space=config.key_space,
-        seed=config.seed,
+        total_ops, insert_ratio=insert_ratio, key_space=key_space, seed=seed
     )
-    streams = split_workload(writes, config.threads)
-    client_streams: List[List[ClientOp]] = []
-    for tid, stream in enumerate(streams):
+    streams: List[List[ClientOp]] = []
+    for tid, stream in enumerate(split_workload(writes, threads)):
         ops: List[ClientOp] = []
         for operation in stream:
-            if rng.random() < config.read_fraction:
+            if rng.random() < read_fraction:
                 kind = rng.choice(("scan", "search", "count"))
-                key = rng.randrange(config.key_space)
+                key = rng.randrange(key_space)
                 arg = rng.randrange(1, 24)
                 ops.append(ClientOp(kind, key, arg, tid))
             kind = "insert" if operation.kind == INSERT else "delete"
             ops.append(ClientOp(kind, operation.key, 0, tid))
-        client_streams.append(ops)
-    return client_streams
+        streams.append(ops)
 
-
-def build_schedule(
-    config: StressConfig, streams: List[List[ClientOp]]
-) -> List[List[ClientOp]]:
-    """Deterministic batches: seeded choice of who races whom, when."""
-    rng = random.Random(config.seed ^ 0x5EED)
+    rng = random.Random(seed ^ 0x5EED)
     cursors = [0] * len(streams)
     schedule: List[List[ClientOp]] = []
     while True:
@@ -367,10 +394,9 @@ def build_schedule(
         ]
         if not pending:
             break
-        width = rng.randint(1, min(config.max_batch, len(pending)))
-        chosen = rng.sample(pending, width)
+        width = rng.randint(1, min(max_batch, len(pending)))
         batch = []
-        for tid in sorted(chosen):
+        for tid in sorted(rng.sample(pending, width)):
             batch.append(streams[tid][cursors[tid]])
             cursors[tid] += 1
         schedule.append(batch)
@@ -411,174 +437,252 @@ def build_file(
     :class:`~repro.sanitizer.SanitizedStore`, so the sanitizer observes
     exactly the logical access sequence the engine issues.
     """
-
-    def wrap(store: PageStore) -> PageStore:
-        if runtime is None:
-            return store
-        from ..sanitizer import SanitizedStore
-
-        return SanitizedStore(store, runtime)
-
     num_pages, d, D = stress_geometry(config.total_ops)
-    if config.stack == "memory":
-        if runtime is None:
-            return DenseSequentialFile(num_pages, d, D), None
-        store: PageStore = wrap(MemoryStore(num_pages))
-        return DenseSequentialFile(num_pages, d, D, store=store), None
+    plan = None
+    store: PageStore
     if config.stack == "faulty":
         plan = FaultPlan(seed=config.seed, transient_rate=config.transient_rate)
-        stack = fault_tolerant_stack(
-            MemoryStore(num_pages),
-            plan,
-            RetryPolicy(max_attempts=100),
+        store = fault_tolerant_stack(
+            MemoryStore(num_pages), plan, RetryPolicy(max_attempts=100)
         )
-        return DenseSequentialFile(num_pages, d, D, store=wrap(stack)), plan
-    if config.path is None:
+    elif config.stack != "memory" and config.path is None:
         raise ConfigurationError(f"stack {config.stack!r} needs a path")
-    disk = DiskStore.create(
-        config.path, num_pages=num_pages, d=d, D=D, overwrite=True
-    )
-    store = disk
-    if config.stack == "buffered":
-        store = BufferedStore(disk, capacity=8)
-    return DenseSequentialFile(num_pages, d, D, store=wrap(store)), None
+    else:
+        store = make_store(
+            config.stack, num_pages, d=d, D=D, path=config.path,
+            cache_pages=8, overwrite=True,
+        )
+    if runtime is not None:
+        from ..sanitizer import SanitizedStore
+
+        store = SanitizedStore(store, runtime)
+    return DenseSequentialFile(num_pages, d, D, store=store), plan
 
 
 # ----------------------------------------------------------------------
-# the torture loop
+# the batch runner
 # ----------------------------------------------------------------------
 
 
-def _worker(
-    shared: ThreadSafeDenseFile,
-    inbox: "queue.Queue",
-    outbox: "queue.Queue",
-    timeout: Optional[float],
-) -> None:
-    while True:
-        job = inbox.get()
-        if job is None:
-            return
-        barrier, op = job
-        try:
-            barrier.wait(timeout=60.0)
-            result = _execute(shared, op, timeout)
-        except threading.BrokenBarrierError:
-            result = ("crash", "start barrier broken")
-        outbox.put((op, result))
+@dataclass
+class Issued:
+    """One executed operation: what was asked, what came back, how long."""
+
+    op: ClientOp
+    outcome: Tuple
+    elapsed: float = 0.0
 
 
-def run_stress(
-    config: StressConfig,
-    shared: Optional[ThreadSafeDenseFile] = None,
-) -> StressReport:
-    """Run one seeded torture campaign and check it end to end.
+@dataclass
+class BatchRun:
+    """What :func:`run_batches` observed."""
 
-    Pass ``shared`` to torture a pre-built front-end (the self-test
-    uses this to run the identical schedule with the lock bypassed);
-    by default the file and front-end come from the config.
+    batches: int = 0
+    ops: int = 0
+    #: Outcome tag -> count, after the ``settle`` hook.
+    outcomes: Dict[str, int] = field(default_factory=dict)
+    #: ``error``/``crash`` class name -> count.
+    errors: Dict[str, int] = field(default_factory=dict)
+    violations: List[str] = field(default_factory=list)
+    #: The stuck batch, when one outlived ``batch_timeout``.
+    hang: Optional[str] = None
+
+
+#: One job for a worker: release barrier, batch slot, operation.
+_Job = Tuple[threading.Barrier, int, ClientOp]
+
+
+def run_batches(
+    schedule: List[List[ClientOp]],
+    threads: int,
+    issue: Callable[[ClientOp], Tuple],
+    audit: Callable[[SequentialOracle], Optional[str]],
+    *,
+    batch_timeout: float = 60.0,
+    audit_every: int = 8,
+    before_batch: Optional[Callable[[int], None]] = None,
+    settle: Optional[Callable[[int, List[Issued]], None]] = None,
+) -> BatchRun:
+    """Run ``schedule`` on ``threads`` workers and check every batch.
+
+    ``before_batch(index)`` runs before a batch's barrier release.  Its
+    results are collected under one ``batch_timeout`` (a stuck batch is
+    one hang finding and ends the run), handed to ``settle`` — which
+    may record the caller's own findings and replace an ambiguous
+    outcome with ground truth — then tallied and checked by
+    :func:`check_batch`; the first failed witness ends the run.
+    ``audit(oracle)`` returns a mismatch or ``None``; it runs every
+    ``audit_every`` batches (0 = never) and once at the end.
     """
-    streams = build_streams(config)
-    schedule = build_schedule(config, streams)
+    run = BatchRun()
+    oracle = SequentialOracle()
+    outbox: "queue.Queue[Tuple[int, Issued]]" = queue.Queue()
+
+    def work(inbox: "queue.Queue[Optional[_Job]]") -> None:
+        while (job := inbox.get()) is not None:
+            barrier, slot, op = job
+            start = time.monotonic()
+            try:
+                barrier.wait(timeout=60.0)
+                start = time.monotonic()
+                outcome = issue(op)
+            except Exception as error:  # lint: allow[errors] -- every exception is an outcome
+                outcome = outcome_of(error)
+            outbox.put((slot, Issued(op, outcome, time.monotonic() - start)))
+
+    inboxes: List["queue.Queue[Optional[_Job]]"] = [
+        queue.Queue() for _ in range(threads)
+    ]
+    workers = [
+        threading.Thread(
+            target=work, args=(inbox,), name=f"batch-worker-{tid}", daemon=True
+        )
+        for tid, inbox in enumerate(inboxes)
+    ]
+    for worker in workers:
+        worker.start()
+    try:
+        for index, batch in enumerate(schedule):
+            if before_batch is not None:
+                before_batch(index)
+            barrier = threading.Barrier(len(batch))
+            for slot, op in enumerate(batch):
+                inboxes[op.thread].put((barrier, slot, op))
+            done: Dict[int, Issued] = {}
+            deadline = Deadline.after(batch_timeout)
+            try:
+                while len(done) < len(batch):
+                    slot, issued = outbox.get(timeout=deadline.wait_budget())
+                    done[slot] = issued
+            except queue.Empty:
+                stuck = ", ".join(
+                    op.describe() for slot, op in enumerate(batch)
+                    if slot not in done
+                )
+                run.hang = (
+                    f"batch {index}: no result within {batch_timeout}s — "
+                    f"stuck on [{stuck}]"
+                )
+                return run
+            executed = [done[slot] for slot in range(len(batch))]
+            run.batches += 1
+            run.ops += len(executed)
+            if settle is not None:
+                settle(index, executed)
+            for issued in executed:
+                tag = issued.outcome[0]
+                run.outcomes[tag] = run.outcomes.get(tag, 0) + 1
+                if tag in ("error", "crash"):
+                    label = issued.outcome[1].split(":")[0]
+                    run.errors[label] = run.errors.get(label, 0) + 1
+                if tag == "crash":
+                    run.violations.append(
+                        f"batch {index}: {issued.op.describe()} crashed: "
+                        f"{issued.outcome[1]}"
+                    )
+            advanced, problem = check_batch(
+                oracle, [(issued.op, issued.outcome) for issued in executed]
+            )
+            if advanced is None:
+                run.violations.append(f"batch {index}: {problem}")
+                return run
+            oracle = advanced
+            if audit_every and (index + 1) % audit_every == 0:
+                mismatch = audit(oracle)
+                if mismatch:
+                    run.violations.append(f"batch {index}: {mismatch}")
+                    return run
+        mismatch = audit(oracle)
+        if mismatch:
+            run.violations.append(f"final: {mismatch}")
+        return run
+    finally:
+        for inbox in inboxes:
+            inbox.put(None)
+        for worker in workers:
+            worker.join(timeout=10.0)
+
+
+def file_audit(
+    shared: ThreadSafeDenseFile, key_space: int
+) -> Callable[[SequentialOracle], Optional[str]]:
+    """The :func:`run_batches` audit for a thread-safe dense file: its
+    keys must be the oracle's, and its invariants must hold."""
+
+    def audit(oracle: SequentialOracle) -> Optional[str]:
+        observed = [
+            record.key
+            for record in shared.range(-1, key_space + 1, timeout=None)
+        ]
+        if observed != oracle.keys():
+            return (
+                f"contents diverge from oracle: file has {len(observed)} "
+                f"keys, oracle has {len(oracle.keys())}"
+            )
+        try:
+            shared.validate()
+        except Exception as error:  # lint: allow[errors] -- recorded as a violation
+            return f"validate(): {type(error).__name__}: {error}"
+        return None
+
+    return audit
+
+
+# ----------------------------------------------------------------------
+# the stress schedule
+# ----------------------------------------------------------------------
+
+
+def run_stress(config: StressConfig) -> StressReport:
+    """Run one seeded torture campaign and check it end to end."""
+    schedule = build_schedule(
+        config.seed, config.threads, config.total_ops, config.max_batch,
+        insert_ratio=config.insert_ratio, key_space=config.key_space,
+        read_fraction=config.read_fraction,
+    )
     report = StressReport(
         seed=config.seed,
         threads=config.threads,
         stack=config.stack,
         schedule_digest=schedule_digest(schedule),
     )
-    plan = None
     runtime: Optional["SanitizerRuntime"] = None
-    owns_file = shared is None
-    if owns_file:
-        lock: Optional[FairRWLock] = None
-        if config.sanitize:
-            from ..sanitizer import SanitizedRWLock, SanitizerRuntime
+    lock: Optional[FairRWLock] = None
+    if config.sanitize:
+        from ..sanitizer import SanitizedRWLock, SanitizerRuntime
 
-            runtime = SanitizerRuntime()
-            lock = SanitizedRWLock(runtime)
-        dense, plan = build_file(config, runtime=runtime)
-        shared = ThreadSafeDenseFile(
-            dense,
-            max_in_flight=config.max_in_flight,
-            shed_load=config.shed_load,
-            lock=lock,
-        )
-    inboxes = [queue.Queue() for _ in range(config.threads)]
-    outbox: "queue.Queue" = queue.Queue()
-    workers = [
-        threading.Thread(
-            target=_worker,
-            args=(shared, inboxes[tid], outbox, config.op_timeout),
-            daemon=True,
-        )
-        for tid in range(config.threads)
-    ]
-    for worker in workers:
-        worker.start()
-
-    oracle = SequentialOracle()
+        runtime = SanitizerRuntime()
+        lock = SanitizedRWLock(runtime)
+    dense, plan = build_file(config, runtime=runtime)
+    shared = ThreadSafeDenseFile(
+        dense,
+        max_in_flight=config.max_in_flight,
+        shed_load=config.shed_load,
+        lock=lock,
+    )
     start = time.monotonic()
     try:
-        for index, batch in enumerate(schedule):
-            barrier = threading.Barrier(len(batch))
-            for op in batch:
-                inboxes[op.thread].put((barrier, op))
-            executed: List[Tuple[ClientOp, Tuple]] = []
-            for _ in batch:
-                try:
-                    executed.append(outbox.get(timeout=config.batch_timeout))
-                except queue.Empty:
-                    report.deadlocks.append(
-                        f"batch {index}: no result within "
-                        f"{config.batch_timeout}s — workers stuck on "
-                        f"[{', '.join(op.describe() for op in batch)}]"
-                    )
-                    return report
-            report.batches += 1
-            report.ops_executed += len(executed)
-            for op, observed in executed:
-                if observed[0] == "timeout":
-                    report.timeouts += 1
-                elif observed[0] == "overload":
-                    report.overloads += 1
-                elif observed[0] in ("error", "crash"):
-                    label = observed[1].split(":")[0]
-                    report.errors[label] = report.errors.get(label, 0) + 1
-                if observed[0] == "crash":
-                    report.violations.append(
-                        f"batch {index}: {op.describe()} crashed: "
-                        f"{observed[1]}"
-                    )
-            advanced, problem = check_batch(oracle, executed)
-            if problem is not None:
-                report.violations.append(f"batch {index}: {problem}")
-                return report
-            oracle = advanced
-            if (index + 1) % config.check_contents_every == 0:
-                mismatch = _contents_mismatch(shared, oracle, config)
-                if mismatch:
-                    report.violations.append(f"batch {index}: {mismatch}")
-                    return report
-        mismatch = _contents_mismatch(shared, oracle, config)
-        if mismatch:
-            report.violations.append(f"final: {mismatch}")
-        try:
-            shared.validate()
-        except Exception as error:  # lint: allow[errors] -- recorded as a violation
-            report.violations.append(
-                f"final validate(): {type(error).__name__}: {error}"
-            )
+        run = run_batches(
+            schedule, config.threads,
+            file_issuer(shared, config.op_timeout),
+            file_audit(shared, config.key_space),
+            batch_timeout=config.batch_timeout,
+            audit_every=config.check_contents_every,
+        )
+        report.batches = run.batches
+        report.ops_executed = run.ops
+        report.timeouts = run.outcomes.get("timeout", 0)
+        report.overloads = run.outcomes.get("overload", 0)
+        report.errors = run.errors
+        report.violations = run.violations
+        if run.hang is not None:
+            report.deadlocks.append(run.hang)
     finally:
-        for inbox in inboxes:
-            inbox.put(None)
-        for worker in workers:
-            worker.join(timeout=10.0)
         report.elapsed = time.monotonic() - start
         report.lock_stats = shared.lock.stats()
         if shared.gate is not None:
             report.gate_stats = shared.gate.stats()
-        stats = shared.concurrency_stats()
-        layers = stats.get("retries")
+        layers = shared.concurrency_stats().get("retries")
         if layers:
             report.retry_counters = layers[0]
         if plan is not None:
@@ -589,35 +693,8 @@ def run_stress(
                 finding.render() for finding in race_report.findings
             ]
             report.sanitizer_counters = race_report.counters()
-        if owns_file:
-            shared.inner.close()
+        shared.inner.close()
     return report
-
-
-def _contents_mismatch(
-    shared: ThreadSafeDenseFile,
-    oracle: SequentialOracle,
-    config: StressConfig,
-) -> Optional[str]:
-    observed = [
-        record.key
-        for record in shared.range(-1, config.key_space + 1, timeout=None)
-    ]
-    if observed != oracle.keys():
-        return (
-            f"contents diverge from oracle: file has {len(observed)} "
-            f"keys, oracle has {len(oracle.keys())} "
-            f"(first difference at index "
-            f"{_first_difference(observed, oracle.keys())})"
-        )
-    return None
-
-
-def _first_difference(left: List, right: List) -> int:
-    for index, (a, b) in enumerate(zip(left, right)):
-        if a != b:
-            return index
-    return min(len(left), len(right))
 
 
 # ----------------------------------------------------------------------
@@ -625,99 +702,56 @@ def _first_difference(left: List, right: List) -> int:
 # ----------------------------------------------------------------------
 
 
-class _YieldingStore(PageStore):
+class _YieldingStore(DelegatingStore):
     """Pass-through store that sleeps between page touches.
 
     Widens every window between a read and its dependent write, so a
     deliberately unlocked run interleaves destructively with near
-    certainty.  ``move_records`` uses the inherited get/put default,
-    planting a yield inside every SHIFT step.
+    certainty.  The fused read and ``move_records`` use the
+    :class:`PageStore` get/put defaults, planting a yield inside every
+    SHIFT step.
     """
 
     name = "yielding"
-
-    def __init__(self, inner: PageStore, delay: float = 0.0005):
-        self.inner = inner
-        self.num_pages = inner.num_pages
-        self.delay = delay
-
-    def peek(self, page_number: int) -> Page:
-        return self.inner.peek(page_number)
+    get_page2 = PageStore.get_page2
+    move_records = PageStore.move_records
 
     def get_page(self, page_number: int) -> Page:
-        time.sleep(self.delay)
+        time.sleep(0.0005)
         return self.inner.get_page(page_number)
 
     def put_page(self, page_number: int) -> None:
-        time.sleep(self.delay)
+        time.sleep(0.0005)
         self.inner.put_page(page_number)
-
-    def flush(self) -> int:
-        return self.inner.flush()
-
-    def close(self) -> None:
-        self.inner.close()
-
-    @property
-    def closed(self) -> bool:
-        return self.inner.closed
-
-    def stats(self) -> Dict[str, object]:
-        return {"backend": self.name, "inner": self.inner.stats()}
 
 
 def negative_control_race(seed: int = 0, attempts: int = 3) -> bool:
-    """Bypass the lock and check the harness catches the carnage.
+    """Bypass the lock and check the runner catches the carnage.
 
     Returns ``True`` when a race was detected (contents diverged, an
     invariant broke, or an operation crashed outright) within
     ``attempts`` seeded rounds.  The hardened front-end runs the same
     pattern clean, so detection here is the harness's teeth, not noise.
     """
+    num_pages, d, D = stress_geometry(64)
+    threads, key_space = 4, 1000
     for attempt in range(attempts):
-        if _race_round(seed + attempt):
+        store = _YieldingStore(MemoryStore(num_pages))
+        dense = DenseSequentialFile(num_pages, d, D, store=store)
+        unlocked = ThreadSafeDenseFile(dense, bypass_lock=True)
+        # Interleaved key stripes: every batch races all threads over
+        # the same pages.
+        keys = random.Random(seed + attempt).sample(range(key_space), 48)
+        schedule = [
+            [ClientOp("insert", key, 0, tid) for tid, key in enumerate(row)]
+            for row in zip(*[iter(keys)] * threads)
+        ]
+        run = run_batches(
+            schedule, threads,
+            file_issuer(unlocked, None), file_audit(unlocked, key_space),
+        )
+        if run.violations or run.hang is not None:
             return True
-    return False
-
-
-def _race_round(seed: int) -> bool:
-    rng = random.Random(seed)
-    num_pages, d = 16, 8
-    D = d + 3 * ceil_log2(num_pages) + 4
-    store = _YieldingStore(MemoryStore(num_pages))
-    dense = DenseSequentialFile(num_pages, d, D, store=store)
-    unlocked = ThreadSafeDenseFile(dense, bypass_lock=True)
-    threads, per_thread = 4, 12
-    # Interleaved key stripes: every thread hammers the same pages.
-    keys = rng.sample(range(1000), threads * per_thread)
-    start = threading.Barrier(threads)
-    failures: List[str] = []
-
-    def client(tid: int) -> None:
-        try:
-            start.wait(timeout=30.0)
-            for key in keys[tid::threads]:
-                unlocked.insert(key)
-        except Exception as error:  # lint: allow[errors] -- wreckage is the expected outcome
-            failures.append(f"{type(error).__name__}: {error}")
-
-    clients = [
-        threading.Thread(target=client, args=(tid,), daemon=True)
-        for tid in range(threads)
-    ]
-    for thread in clients:
-        thread.start()
-    for thread in clients:
-        thread.join(timeout=60.0)
-    if failures:
-        return True
-    try:
-        stored = [record.key for record in dense.range(-1, 1001)]
-        if stored != sorted(keys):
-            return True
-        dense.validate()
-    except Exception:  # lint: allow[errors] -- any wreckage proves the negative control
-        return True
     return False
 
 
@@ -727,34 +761,25 @@ def negative_control_deadlock(hold: float = 0.05, budget: float = 0.5) -> bool:
     A guaranteed lock-order inversion: each client takes its first lock,
     meets the other at a barrier, then requests the other's lock.  With
     unbounded waiting this hangs forever; with per-operation deadlines
-    the harness observes :class:`~repro.core.errors.OperationTimeout`
-    from both clients and reports the deadlock instead of wedging the
+    the runner records a ``timeout`` outcome instead of wedging the
     build.  Returns ``True`` when the timeout path fired as designed.
     """
     lock_a, lock_b = FairRWLock(), FairRWLock()
+    orders = ((lock_a, lock_b), (lock_b, lock_a))
     meet = threading.Barrier(2)
-    outcomes: List[str] = []
 
-    def client(first: FairRWLock, second: FairRWLock) -> None:
+    def issue(op: ClientOp) -> Tuple:
+        first, second = orders[op.thread]
         with first.write_locked(Deadline.after(budget)):
             meet.wait(timeout=30.0)
             time.sleep(hold)
-            try:
-                # lint: allow[lock-order] -- deliberate ABBA deadlock for the negative control
-                with second.write_locked(Deadline.after(budget)):
-                    outcomes.append("acquired")
-            except OperationTimeout:  # lint: allow[errors] -- timeout is the expected outcome
-                outcomes.append("timeout")
+            # lint: allow[lock-order] -- deliberate ABBA deadlock for the negative control
+            with second.write_locked(Deadline.after(budget)):
+                return ("miss",)  # an empty lookup, to the oracle
 
-    clients = [
-        threading.Thread(target=client, args=pair, daemon=True)
-        for pair in ((lock_a, lock_b), (lock_b, lock_a))
-    ]
-    for thread in clients:
-        thread.start()
-    for thread in clients:
-        thread.join(timeout=60.0)
-    return "timeout" in outcomes
+    batch = [ClientOp("search", -1, 0, tid) for tid in range(2)]
+    run = run_batches([batch], 2, issue, lambda oracle: None)
+    return run.outcomes.get("timeout", 0) > 0
 
 
 @dataclass

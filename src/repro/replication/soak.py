@@ -32,12 +32,17 @@ the list of findings (empty on a clean run) — exportable as a
 ``repro-bench/1`` JSON report for the CI soak-smoke gate.
 
 :func:`run_replica_stress` (``repro stress --replica-reads``) is the
-short, crash-free pair schedule: writer threads on a journaled primary,
-reader threads snapshotting a WAL-shipped replica.  Both schedules
-judge the pair with the same two :class:`~repro.replication.Failover`
-checks — :meth:`~repro.replication.Failover.check_snapshot` on every
-replica snapshot and :meth:`~repro.replication.Failover.final_drain`
-at the end.
+short, crash-free pair schedule: seeded writer batches on a journaled
+primary, run and oracle-checked by the batch runner of
+:mod:`repro.concurrent.harness`
+(:func:`~repro.concurrent.harness.run_batches`), while an applier
+thread ships the WAL and reader threads snapshot the replica.  Both
+schedules judge the pair with the same two
+:class:`~repro.replication.Failover` checks —
+:meth:`~repro.replication.Failover.check_snapshot` on every replica
+snapshot and :meth:`~repro.replication.Failover.final_drain` at the
+end.  :func:`run_soak` keeps its own loop: it is time-budgeted and
+single-writer, with failovers in between, not a precomputed schedule.
 """
 
 from __future__ import annotations
@@ -52,7 +57,13 @@ from typing import Any, Dict, List, Optional
 
 from ..analysis.stats import percentile
 from ..concurrent import ThreadSafeDenseFile
-from ..concurrent.harness import stress_geometry
+from ..concurrent.harness import (
+    build_schedule,
+    file_audit,
+    file_issuer,
+    run_batches,
+    stress_geometry,
+)
 from ..core.errors import (
     ConfigurationError,
     OperationTimeout,
@@ -62,8 +73,6 @@ from ..core.errors import (
 from ..persistent import JournaledDenseFile
 from ..storage.faults import FaultPlan, SimulatedCrash
 from ..storage.scrub import scrub
-from ..workloads.driver import split_workload
-from ..workloads.generators import INSERT, Operation, mixed_workload
 from .failover import Failover
 from .replica import Replica, bootstrap_replica
 from .transport import DirectoryTransport, QueueTransport
@@ -632,15 +641,16 @@ class ReplicaStressReport:
 
 
 def run_replica_stress(config: ReplicaStressConfig) -> ReplicaStressReport:
-    """Writers on the primary, readers on the replica, digests between.
+    """Seeded writer batches on the primary, readers on the replica.
 
-    Writer threads drive disjoint seeded insert/delete streams through
-    a :class:`~repro.concurrent.ThreadSafeDenseFile` over a journaled
-    primary; an applier thread continuously drains the WAL shipper into
-    the replica; reader threads take :meth:`Replica.snapshot` pairs and
-    check each one with :meth:`Failover.check_snapshot`.  Any mismatch
-    — a torn, reordered or mid-transaction replica state — is a
-    violation, as is a failed :meth:`Failover.final_drain`.
+    The batch runner drives ``config.threads`` key-disjoint seeded
+    insert/delete streams through a
+    :class:`~repro.concurrent.ThreadSafeDenseFile` over a journaled
+    primary and checks them against the oracle, so a lost or phantom
+    write is a violation.  Alongside, an applier thread drains the WAL
+    shipper into the replica and reader threads check every
+    :meth:`Replica.snapshot` with :meth:`Failover.check_snapshot`; a
+    failed :meth:`Failover.final_drain` is a violation too.
     """
     if config.path is None:
         raise ConfigurationError("replica stress needs a path")
@@ -654,33 +664,16 @@ def run_replica_stress(config: ReplicaStressConfig) -> ReplicaStressReport:
     shared = ThreadSafeDenseFile(primary)
     replica = bootstrap_replica(primary, config.path + ".replica")
     pair = Failover(primary, replica, QueueTransport())
-
-    streams = split_workload(
-        mixed_workload(
-            config.total_ops,
-            insert_ratio=config.insert_ratio,
-            key_space=config.key_space,
-            seed=config.seed,
-        ),
-        config.threads,
+    # Writes only (the replica readers are the reads); every batch may
+    # race all writers.
+    schedule = build_schedule(
+        config.seed, config.threads, config.total_ops, config.threads,
+        insert_ratio=config.insert_ratio, key_space=config.key_space,
+        read_fraction=0.0,
     )
     stop = threading.Event()
     failures: "queue.Queue[str]" = queue.Queue()
-
-    def writer(stream: List[Operation]) -> None:
-        for operation in stream:
-            try:
-                if operation.kind == INSERT:
-                    shared.insert(operation.key, timeout=config.op_timeout)
-                else:
-                    shared.delete(operation.key, timeout=config.op_timeout)
-                report.writes_applied += 1
-            except OperationTimeout:  # lint: allow[errors] -- counted, run continues
-                report.timeouts += 1
-            except ReproError:
-                # Duplicate/missing keys can happen when streams race;
-                # the digest check below is the correctness oracle.
-                pass
+    counters_lock = threading.Lock()
 
     def applier() -> None:
         while not stop.is_set():
@@ -698,7 +691,8 @@ def run_replica_stress(config: ReplicaStressConfig) -> ReplicaStressReport:
                     timeout=config.op_timeout
                 )
             except OperationTimeout:  # lint: allow[errors] -- counted, run continues
-                report.timeouts += 1
+                with counters_lock:
+                    report.timeouts += 1
                 continue
             except ReproError as error:
                 failures.put(f"reader: {type(error).__name__}: {error}")
@@ -707,29 +701,32 @@ def run_replica_stress(config: ReplicaStressConfig) -> ReplicaStressReport:
             if finding is not None:
                 failures.put(finding)
                 return
-            report.snapshots_checked += 1
+            with counters_lock:
+                report.snapshots_checked += 1
 
-    writer_threads = [
-        threading.Thread(target=writer, args=(stream,), daemon=True)
-        for stream in streams
-    ]
-    helper_threads = [
-        threading.Thread(target=applier, daemon=True)
-    ] + [
+    helpers = [threading.Thread(target=applier, daemon=True)] + [
         threading.Thread(target=reader, daemon=True)
         for _ in range(config.readers)
     ]
     start = time.monotonic()
-    for thread in helper_threads + writer_threads:
+    for thread in helpers:
         thread.start()
     try:
-        for thread in writer_threads:
-            thread.join(timeout=120.0)
+        run = run_batches(
+            schedule, config.threads,
+            file_issuer(shared, config.op_timeout),
+            file_audit(shared, config.key_space),
+        )
     finally:
         stop.set()
-        for thread in helper_threads:
+        for thread in helpers:
             thread.join(timeout=30.0)
         report.elapsed = time.monotonic() - start
+    report.writes_applied = run.outcomes.get("ok", 0)
+    report.timeouts += run.outcomes.get("timeout", 0)
+    report.violations.extend(run.violations)
+    if run.hang is not None:
+        report.violations.append(run.hang)
     while not failures.empty():
         report.violations.append(failures.get())
 

@@ -7,8 +7,9 @@ refinement and the lock-order graph are functions of the *set* of
 events each thread produced, not of their interleaving, so the planted
 bugs below are detected even when the scheduler happens to serialize
 the threads completely.  Each control runs its threads strictly one
-after the other — the worst case for a dynamic race detector — and
-must still produce a finding under any fixed seed.
+after the other — one operation per batch of the harness's batch
+runner, the worst case for a dynamic race detector — and must still
+produce a finding under any fixed seed.
 
 :func:`sanitize_self_test` packages the controls with a sanitized
 clean run (which must report exactly zero findings) into one verdict
@@ -19,67 +20,58 @@ for ``repro stress --sanitize --self-test`` and the CI
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..concurrent.file import ThreadSafeDenseFile
+from ..concurrent.harness import (
+    ClientOp,
+    StressConfig,
+    StressReport,
+    file_issuer,
+    run_batches,
+    run_stress,
+    stress_geometry,
+)
 from ..core.dense_file import DenseSequentialFile
-from ..core.params import ceil_log2
 from ..storage.backend import MemoryStore
 from .instrument import SanitizedRWLock, SanitizedStore
 from .runtime import RaceReport, SanitizerRuntime
-
-if TYPE_CHECKING:  # pragma: no cover - the harness imports us lazily
-    from ..concurrent.harness import StressReport
-
-
-def _planted_geometry() -> tuple:
-    num_pages, d = 16, 8
-    return num_pages, d, d + 3 * ceil_log2(num_pages) + 4
 
 
 def planted_unlocked_write(seed: int = 0) -> RaceReport:
     """Two threads mutate the same pages with no lock at all.
 
-    The threads run *sequentially* (each joined before the next
-    starts), so the structure itself never corrupts and an
-    outcome-checking harness would see nothing wrong — yet the second
-    thread's writes arrive with an empty lockset and no happens-before
-    edge to the first thread's, which is the definition of a data
-    race waiting for an unlucky schedule.  The report must contain an
+    The threads run *sequentially* (one operation per batch of the
+    :func:`~repro.concurrent.harness.run_batches` runner), so the
+    structure itself never corrupts and the runner's outcome checks see
+    nothing wrong — yet the second thread's writes arrive with an empty
+    lockset and no happens-before edge to the first thread's, which is
+    the definition of a data race waiting for an unlucky schedule.  The report must contain an
     ``unlocked-access`` finding for any seed.
     """
     runtime = SanitizerRuntime()
-    num_pages, d, D = _planted_geometry()
+    num_pages, d, D = stress_geometry(64)
     store = SanitizedStore(MemoryStore(num_pages), runtime)
     dense = DenseSequentialFile(num_pages, d, D, store=store)
     unlocked = ThreadSafeDenseFile(dense, bypass_lock=True)
     keys = random.Random(seed).sample(range(1000), 32)
-
-    def writer() -> None:
-        for key in keys:
-            unlocked.insert(key)
-
-    def eraser() -> None:
-        # Deleting keys the first thread inserted guarantees a write to
-        # a page the first thread wrote — a conflicting pair on the
-        # same resource for *every* seed, not just lucky key layouts.
-        for key in keys[::2]:
-            unlocked.delete(key)
-
-    for client in (writer, eraser):
-        worker = threading.Thread(target=client, daemon=True)
-        worker.start()
-        worker.join(timeout=30.0)
+    # One operation per batch: thread 0 inserts every key, then thread
+    # 1 deletes every other one.  Deleting keys the first thread
+    # inserted guarantees a write to a page the first thread wrote — a
+    # conflicting pair on the same resource for *every* seed, not just
+    # lucky key layouts.
+    schedule = [[ClientOp("insert", key, 0, 0)] for key in keys] + [
+        [ClientOp("delete", key, 0, 1)] for key in keys[::2]
+    ]
+    run_batches(schedule, 2, file_issuer(unlocked, None), lambda oracle: None)
     return runtime.report()
 
 
 def planted_abba(seed: int = 0) -> RaceReport:
     """Two locks acquired in opposite orders by two threads.
 
-    No barrier, no timing: the first client takes A then B and exits,
-    then the second takes B then A.  Nothing blocks, nothing times
+    No meeting point, no timing: the first client takes A then B and
+    exits, then the second takes B then A.  Nothing blocks, nothing times
     out — but the acquisition-order graph now contains A→B and B→A,
     and :meth:`~repro.sanitizer.runtime.SanitizerRuntime.report` must
     surface the ``lock-order-cycle``.  (``seed`` only varies the lock
@@ -88,19 +80,20 @@ def planted_abba(seed: int = 0) -> RaceReport:
     runtime = SanitizerRuntime()
     lock_a = SanitizedRWLock(runtime, label="lock-a")
     lock_b = SanitizedRWLock(runtime, label="lock-b")
+    orders = ((lock_a, lock_b), (lock_b, lock_a))
     repeats = 1 + random.Random(seed).randrange(3)
 
-    def client(first: SanitizedRWLock, second: SanitizedRWLock) -> None:
+    def issue(op: ClientOp) -> tuple:
+        first, second = orders[op.thread]
         for _ in range(repeats):
             with first.write_locked():
                 # lint: allow[lock-order] -- deliberate ABBA for the negative control
                 with second.write_locked():
                     pass
+        return ("miss",)  # an empty lookup, to the oracle
 
-    for pair in ((lock_a, lock_b), (lock_b, lock_a)):
-        worker = threading.Thread(target=client, args=pair, daemon=True)
-        worker.start()
-        worker.join(timeout=30.0)
+    schedule = [[ClientOp("search", -1, 0, tid)] for tid in range(2)]
+    run_batches(schedule, 2, issue, lambda oracle: None)
     return runtime.report()
 
 
@@ -108,7 +101,7 @@ def planted_abba(seed: int = 0) -> RaceReport:
 class SanitizeSelfTestReport:
     """Outcome of the sanitized clean run plus both planted controls."""
 
-    clean: "StressReport"
+    clean: StressReport
     unlocked_write_detected: bool
     abba_detected: bool
 
@@ -140,8 +133,6 @@ def sanitize_self_test(
     seed: int = 0, total_ops: int = 120
 ) -> SanitizeSelfTestReport:
     """A sanitized clean run (zero findings) plus both planted bugs."""
-    from ..concurrent.harness import StressConfig, run_stress
-
     clean = run_stress(
         StressConfig(seed=seed, total_ops=total_ops, sanitize=True)
     )

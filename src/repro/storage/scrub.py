@@ -27,14 +27,44 @@ can no longer be trusted (a torn write, a bit-flip, a crash mid-apply):
    ``BALANCE``, calibrator counters, on-disk/in-core agreement); any
    violation is reported rather than raised.
 
-The CLI surfaces this as ``repro scrub FILE`` (exit 0 when the file
-ends healthy, 3 when pages stay quarantined or invariants fail).
+:func:`plan_repairs` decides the rung of each corrupt page up front;
+``repro verify`` prints that same plan.  The CLI surfaces the ladder
+as ``repro scrub FILE`` (exit 0 when the file ends healthy, 3 when
+pages stay quarantined or invariants fail).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
+
+
+class RepairPlan(NamedTuple):
+    """Per corrupt page, the ladder rung that mends it."""
+
+    journal: Tuple[int, ...]  #: rewritten by the pending journal's redo
+    heal: Dict[int, bytes]  #: page -> retained applied-journal image
+    quarantine: Tuple[int, ...]  #: no surviving committed image
+
+
+def plan_repairs(path: str, corrupt: Sequence[int]) -> RepairPlan:
+    """Decide, without writing anything, how :func:`scrub` mends ``corrupt``.
+
+    A committed journal pending replay rewrites the pages it holds;
+    replaying it retires it into the applied slot, so the previously
+    retained applied image only heals when no journal is pending.
+    """
+    from .wal import TransactionJournal
+
+    journal = TransactionJournal(path + ".journal")
+    pending = journal.read_committed()
+    images = pending if pending is not None else journal.read_applied() or {}
+    covered = {page: images[page] for page in corrupt if page in images}
+    return RepairPlan(
+        journal=tuple(covered) if pending is not None else (),
+        heal=covered if pending is None else {},
+        quarantine=tuple(page for page in corrupt if page not in images),
+    )
 
 
 @dataclass
@@ -112,6 +142,8 @@ def scrub(path: str) -> ScrubReport:
             + (f" {list(report.corrupt)}" if report.corrupt else "")
         )
 
+        # Planned before recover(), which may discard a torn journal.
+        plan = plan_repairs(path, report.corrupt)
         journal = TransactionJournal(path + ".journal")
         had_torn = journal.exists() and journal.read_committed() is None
         committed = journal.recover()
@@ -126,6 +158,10 @@ def scrub(path: str) -> ScrubReport:
             )
         elif had_torn:
             report.log.append("discarded torn (uncommitted) journal")
+        for page, payload in plan.heal.items():
+            raw.write_page_payload(page, payload)
+        if plan.heal:
+            raw.flush()
 
         still_corrupt = (
             tuple(raw.verify_all())
@@ -133,31 +169,18 @@ def scrub(path: str) -> ScrubReport:
             else ()
         )
         report.repaired = tuple(
-            page for page in report.corrupt if page not in still_corrupt
+            page for page in plan.journal if page not in still_corrupt
         )
         if report.repaired:
             report.log.append(f"repaired pages {list(report.repaired)}")
-
-        if still_corrupt:
-            applied = journal.read_applied()
-            if applied:
-                healed = []
-                for page in still_corrupt:
-                    payload = applied.get(page)
-                    if payload is not None:
-                        raw.write_page_payload(page, payload)
-                        healed.append(page)
-                if healed:
-                    raw.flush()
-                    still_corrupt = tuple(raw.verify_all())
-                    report.healed = tuple(
-                        page for page in healed if page not in still_corrupt
-                    )
-                    report.log.append(
-                        "healed pages "
-                        f"{list(report.healed)} from the retained "
-                        "applied-journal image"
-                    )
+        report.healed = tuple(
+            page for page in plan.heal if page not in still_corrupt
+        )
+        if report.healed:
+            report.log.append(
+                f"healed pages {list(report.healed)} from the retained "
+                "applied-journal image"
+            )
         report.quarantined = still_corrupt
         if report.quarantined:
             report.log.append(

@@ -312,10 +312,15 @@ class TestExitCodeContract:
     def test_checksum_mismatch_info_degrades_scrub_repairs(
         self, created, rung
     ):
-        """``info`` falls back to the degraded view (5); ``scrub`` heals
-        the page from the retained applied journal image (0)."""
+        """``verify`` names the retained applied journal image as the
+        repair path (3), ``info`` falls back to the degraded view (5),
+        and ``scrub`` heals the page from that image (0)."""
         run("load", created, "--keys", "0:300")
         self._damage(created, rung)
+        code, output = run("verify", created)
+        assert code == 3, output
+        assert "repairable from the retained applied journal image" in output
+        assert "no journaled image" not in output
         code, output = run("info", created)
         assert code == 5, output
         assert "DEGRADED" in output
@@ -323,6 +328,44 @@ class TestExitCodeContract:
         assert code == 0, output
         assert "repaired pages" in output
         assert run("verify", created)[0] == 0
+
+
+    @staticmethod
+    def _plant_pending_journal(path):
+        """Leave a committed but unapplied transaction beside ``path``:
+        the first nonempty page's own image, so replaying it is sound."""
+        from repro.persistent import JournaledDenseFile
+        from repro.storage.packed import encode_records_image
+
+        with JournaledDenseFile.open(path) as dense:
+            page = dense.engine.pagefile.nonempty_pages()[0]
+            records = dense.engine.pagefile.page(page).records()
+            dense.journal.write_transaction(
+                {page: encode_records_image(records)}
+            )
+            return dense.journal.sequence
+
+    @pytest.mark.parametrize("backend", ["disk", "buffered"])
+    @pytest.mark.parametrize("command", ["verify", "info"])
+    def test_pending_journal_is_6_on_plain_backends(
+        self, created, command, backend
+    ):
+        """A plain backend cannot replay a committed journal: it reports
+        the durable LSN and exits 6 instead of refusing to open."""
+        run("load", created, "--keys", "0:300")
+        sequence = self._plant_pending_journal(created)
+        code, output = run(command, created, "--backend", backend)
+        assert code == 6, output
+        assert f"durable LSN {sequence}" in output
+        assert "pending replay" in output
+
+    def test_pending_journal_replays_under_journaled_verify(self, created):
+        run("load", created, "--keys", "0:300")
+        self._plant_pending_journal(created)
+        code, output = run("verify", created)
+        assert code == 0, output
+        assert "ok:" in output
+        assert run("verify", created, "--backend", "disk")[0] == 0
 
 
 class TestHarnessVerdicts:

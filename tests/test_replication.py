@@ -414,6 +414,40 @@ class TestReplicaReadsStress:
         assert report.final_lag == 0
         assert report.records_applied == report.records_shipped
 
+    def test_dropped_deletes_are_an_oracle_violation(
+        self, tmp_path, monkeypatch
+    ):
+        """Planted control: a primary that silently drops every other
+        delete still agrees with its own replica, so only the oracle
+        check on the writer batches can catch it."""
+        from repro.persistent import JournaledDenseFile
+        from repro.replication import (
+            ReplicaStressConfig,
+            run_replica_stress,
+        )
+
+        real_delete = JournaledDenseFile.delete
+        calls = []
+
+        def dropping_delete(self, key):
+            calls.append(key)
+            if len(calls) % 2 == 0:
+                return None
+            return real_delete(self, key)
+
+        monkeypatch.setattr(JournaledDenseFile, "delete", dropping_delete)
+        report = run_replica_stress(
+            ReplicaStressConfig(
+                path=str(tmp_path / "p.dsf"), total_ops=80, seed=5
+            )
+        )
+        assert len(calls) >= 2
+        assert not report.ok, report.summary()
+        assert any(
+            "oracle" in violation or "witness" in violation
+            for violation in report.violations
+        ), report.violations
+
     def test_cli_replica_reads(self):
         code, text = run_cli(
             "stress", "--replica-reads", "--ops", "60", "--seed", "1"

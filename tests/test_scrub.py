@@ -120,6 +120,32 @@ class TestScrubLadder:
         assert report.quarantined == (victim,)
         assert not journal.exists()  # torn journal cleaned up
 
+    def test_torn_tail_keeps_the_applied_image_heal(self, tmp_path):
+        """A torn journal tail with a newer sequence must not cost the
+        retained applied image: ``verify`` names it as the repair path
+        and ``scrub`` heals from it."""
+        import os
+
+        from repro.persistent import JournaledDenseFile
+
+        path = str(tmp_path / "torn.dsf")
+        with JournaledDenseFile.create(path, num_pages=32, d=8, D=40) as dense:
+            dense.insert_many(range(120))
+            victim = dense.engine.pagefile.nonempty_pages()[0]
+        assert victim in TransactionJournal(path + ".journal").read_applied()
+        corrupt_slot(path, victim)
+        journal = TransactionJournal(path + ".journal")
+        journal.sequence = 10**6
+        journal.write_transaction({victim: encode_records_image([])})
+        with open(journal.path, "r+b") as handle:
+            handle.truncate(os.path.getsize(journal.path) // 2)
+        code, output = run_cli("verify", path)
+        assert code == 3
+        assert "repairable from the retained applied journal image" in output
+        report = scrub(path)
+        assert report.healed == (victim,)
+        assert report.healthy, report.summary()
+
     def test_partial_repair_mixed_outcome(self, populated):
         """Two corrupt pages, one journaled image: repair one,
         quarantine the other."""

@@ -10,7 +10,6 @@ import tempfile
 from repro.concurrent.harness import (
     StressConfig,
     build_schedule,
-    build_streams,
     negative_control_deadlock,
     negative_control_race,
     run_stress,
@@ -32,21 +31,26 @@ class TestDeterminism:
 
     def test_different_seeds_different_schedules(self):
         digests = {
-            schedule_digest(
-                build_schedule(
-                    StressConfig(seed=seed, total_ops=80),
-                    build_streams(StressConfig(seed=seed, total_ops=80)),
-                )
-            )
+            _digest(StressConfig(seed=seed, total_ops=80))
             for seed in range(5)
         }
         assert len(digests) == 5
 
     def test_schedule_is_pure_function_of_the_seed(self):
         config = StressConfig(seed=7, total_ops=60)
-        one = build_schedule(config, build_streams(config))
-        two = build_schedule(config, build_streams(config))
-        assert one == two
+        assert _schedule(config) == _schedule(config)
+
+    def test_pinned_schedule_digests_still_replay(self):
+        """Replay lines printed by earlier releases name these schedules;
+        the digests must not drift."""
+        from repro.cluster.chaos import ChaosConfig
+
+        assert _digest(StressConfig(seed=0, total_ops=200)) == (
+            "85e0ba1c4a1223193186f16055bf510ac47c249c5c75716cf7582d54213ba266"
+        )
+        assert _digest(ChaosConfig(seed=7, total_ops=120)) == (
+            "38714c2b228ca5cfc77a728237440a25abd574151afa5ed38dd161b5e1e0079a"
+        )
 
 
 class TestHarnessTeeth:
@@ -127,8 +131,21 @@ class TestCommandLineFronts:
         assert "stress[disk] seed=9 threads=3: CLEAN" in result.stdout
 
 
+def _schedule(config):
+    """The schedule a stress or chaos config runs."""
+    return build_schedule(
+        config.seed,
+        config.threads,
+        config.total_ops,
+        config.max_batch,
+        insert_ratio=config.insert_ratio,
+        key_space=config.key_space,
+        read_fraction=config.read_fraction,
+    )
+
+
 def _digest(config):
-    return schedule_digest(build_schedule(config, build_streams(config)))
+    return schedule_digest(_schedule(config))
 
 
 class TestReplayLine:

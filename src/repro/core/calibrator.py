@@ -196,6 +196,43 @@ class CalibratorTree:
         """Rank counter of the leaf covering ``page``."""
         return self.count[self.leaf_of_page[page]]
 
+    def count_before(self, page: int) -> int:
+        """Records on the pages strictly left of ``page``.
+
+        One root-to-leaf walk: every left sibling the walk passes by
+        contributes its whole counter, so the cost is ``O(log M)``
+        whatever the number of pages.
+        """
+        left = self.left
+        node = 0
+        total = 0
+        while left[node] >= 0:
+            child = left[node]
+            if page <= self.hi[child]:
+                node = child
+            else:
+                total += self.count[child]
+                node = self.right[node]
+        return total
+
+    def page_of_rank(self, rank: int) -> Tuple[int, int]:
+        """The page holding the record of 0-based ``rank``, and its slot.
+
+        One root-to-leaf walk steered by the counters; requires
+        ``0 <= rank < count[root]``.  Returns ``(page, position)`` with
+        ``position`` the record's index on that page.
+        """
+        left = self.left
+        node = 0
+        while left[node] >= 0:
+            child = left[node]
+            if rank < self.count[child]:
+                node = child
+            else:
+                rank -= self.count[child]
+                node = self.right[node]
+        return self.lo[node], rank
+
     # ------------------------------------------------------------------
     # flags (CONTROL 2 warning states)
     # ------------------------------------------------------------------

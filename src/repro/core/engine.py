@@ -434,22 +434,16 @@ class BaseEngine:
     def rank(self, key) -> int:
         """Number of stored records with key strictly less than ``key``.
 
-        The page counts of every page left of the boundary come from the
-        in-core machinery for free; only the single boundary page is
-        read.  Cost: at most one page access.
+        The records left of the boundary page come from the calibrator's
+        rank counters for free; only the boundary page is read.  Cost:
+        at most one page access.
         """
         boundary = self.pagefile.locate_in_core(key)
         if boundary is None:
             return 0
-        total = 0
-        for page in self.pagefile.nonempty_pages():
-            if page >= boundary:
-                break
-            total += self.pagefile.page_len(page)
-        for record in self.pagefile.read_page(boundary):
-            if record.key < key:
-                total += 1
-        return total
+        return self.calibrator.count_before(boundary) + (
+            self.pagefile.read_view(boundary).rank(key)
+        )
 
     def count_range(self, lo_key, hi_key) -> int:
         """Number of records with ``lo_key <= key <= hi_key``.
@@ -464,44 +458,25 @@ class BaseEngine:
         if lo_page is None:
             return 0
         hi_page = self.pagefile.locate_in_core(hi_key)
-        if lo_page == hi_page:
-            return sum(
-                1
-                for record in self.pagefile.read_page(lo_page)
-                if lo_key <= record.key <= hi_key
-            )
-        total = sum(
-            1
-            for record in self.pagefile.read_page(lo_page)
-            if record.key >= lo_key
-        )
-        total += sum(
-            1
-            for record in self.pagefile.read_page(hi_page)
-            if record.key <= hi_key
-        )
-        for page in self.pagefile.nonempty_pages():
-            if lo_page < page < hi_page:
-                total += self.pagefile.page_len(page)
-        return total
+        total = self.pagefile.read_view(lo_page).count_between(lo_key, hi_key)
+        if hi_page == lo_page:
+            return total
+        total += self.pagefile.read_view(hi_page).count_between(lo_key, hi_key)
+        tree = self.calibrator
+        return total + tree.count_before(hi_page) - tree.count_before(lo_page + 1)
 
     def select(self, index: int) -> Record:
         """The record of rank ``index`` (0-based, in key order).
 
-        Walks the in-core page counts to the owning page, then reads
+        Walks the calibrator's counters to the owning page, then reads
         that one page.  Cost: one page access.
         """
         if index < 0 or index >= self.size:
             raise IndexError(
                 f"rank {index} out of range [0, {self.size})"
             )
-        remaining = index
-        for page in self.pagefile.nonempty_pages():
-            count = self.pagefile.page_len(page)
-            if remaining < count:
-                return self.pagefile.read_page(page)[remaining]
-            remaining -= count
-        raise AssertionError("size and page counts disagree")
+        page, position = self.calibrator.page_of_rank(index)
+        return self.pagefile.read_view(page).record_at(position)
 
     # ------------------------------------------------------------------
     # maintenance

@@ -45,6 +45,7 @@ Access discipline (what makes cross-backend parity exact):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from ..core.errors import ConfigurationError
@@ -151,11 +152,13 @@ class PageStore:
     def prefetch(self, page_numbers: Iterable[int]) -> int:
         """Hint that ``page_numbers`` are about to be read sequentially.
 
-        Non-caching backends ignore the hint (the default returns 0);
-        :class:`BufferedStore` faults up to :attr:`readahead` of them
-        into its pool.  Never affects logical page-access accounting —
-        the hint is issued by uncharged scan positioning code.  Returns
-        the number of pages actually faulted in.
+        A scan issues the hint after each page it reads, naming the next
+        pages of its run and none past its last page.  Non-caching
+        backends ignore it (the default returns 0); :class:`BufferedStore`
+        faults up to :attr:`readahead` of them into its pool.  Never
+        affects logical page-access accounting — the hint comes from
+        the in-core directory, uncharged.  Returns the number of pages
+        actually faulted in.
         """
         return 0
 
@@ -518,18 +521,28 @@ class BufferedStore(PageStore):
     def prefetch(self, page_numbers: Iterable[int]) -> int:
         """Fault up to :attr:`readahead` upcoming pages into the pool.
 
-        Sequential scans hand the next pages they will read; each is
-        brought in as a clean, not-yet-used frame (one physical read)
-        so the demand read that follows is a hit.  Capped by the
-        configured readahead window; 0 disables the whole path.
+        A scan offers, after each page it reads, the next pages of its
+        run (never past the run's last page).  Pages already resident
+        are skipped by a lookup in the pool's frame table, with no pool
+        call; each other page is brought in as a clean, not-yet-used
+        frame (one physical read) so the demand read that follows is a
+        hit.  The first page the pool declines — every frame is held by
+        a prefetched page still waiting to be read — ends the offer; the
+        scan offers it again after its next read, once a frame is free.
+        Capped by the configured window; 0 disables the whole path.
+        Returns the number of pages faulted in.
         """
         if not self.readahead:
             return 0
+        pool = self.pool
+        resident = pool.frames
         faulted = 0
-        for page_number in list(page_numbers)[: self.readahead]:
-            if 1 <= page_number <= self.num_pages:
-                if self.pool.prefetch(page_number):
-                    faulted += 1
+        for page_number in islice(page_numbers, self.readahead):
+            if page_number in resident or not 1 <= page_number <= self.num_pages:
+                continue
+            if not pool.prefetch(page_number):
+                break
+            faulted += 1
         return faulted
 
     def move_records(self, source: int, dest: int, count: int) -> int:

@@ -24,14 +24,17 @@ For stream retrievals the pool additionally supports **readahead**:
 :meth:`BufferPool.prefetch` faults a page in speculatively, charged to
 separate ``prefetches`` / ``prefetch_hits`` counters so demand hit/miss
 ratios stay honest.  :class:`~repro.storage.backend.BufferedStore`
-drives it from the sequential-scan hints the page file emits.
+drives it from the sequential-scan hints the page file emits; a scan
+never hints past its own last page, so on scans ``prefetch_hits``
+equals ``prefetches`` unless a demand miss evicts a prefetched frame
+before it is read.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Mapping, Optional
 
 from ..core.errors import ConfigurationError
 from .tracing import AccessEvent, WRITE
@@ -183,6 +186,15 @@ class BufferPool:
         for page in list(self._frames):
             self._frames[page] = False
         return written
+
+    @property
+    def frames(self) -> Mapping[int, bool]:
+        """The live frame table, page -> dirty, least-recently-used first.
+
+        A read-only view for callers that test residency on a hot path
+        without a method call per page (the store's readahead does).
+        """
+        return self._frames
 
     def resident_pages(self) -> List[int]:
         """Pages currently cached, least-recently-used first."""

@@ -5,9 +5,11 @@ values — and materializes :class:`~repro.records.Record` objects only
 when a caller actually asks for them (scans, deletes returning the
 victim, snapshots).  Every mutation is a ``bisect`` plus C-level list
 surgery with no per-record object allocation, and batch moves between
-two pages (``take_*_into``) are single slice operations.  Any mutually
-comparable key type works — heterogeneous keys (Fractions, tuples) live
-in the columns just fine.
+two pages (``take_*_into``) are single slice operations.  Queries that
+look inside a page (a scan's bounds, a rank, a successor) bisect the key
+column and build records only for the slice they return, in one C-level
+pass.  Any mutually comparable key type works — heterogeneous keys
+(Fractions, tuples) live in the columns just fine.
 
 The capacity ``D`` of the paper is enforced *softly*: the structures above
 may let a page transiently exceed ``D`` records within a command, because
@@ -18,11 +20,26 @@ at those points.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import repeat
 from typing import Any, Iterable, Iterator, List, Optional
 
 from ..core.errors import DuplicateKeyError, RecordNotFoundError, UsageError
 from ..records import Record
+
+#: Typed ``Any``: called as ``_tuple_new(Record, (key, value))`` it
+#: returns a ``Record``, which the checker cannot infer through ``map``.
+_tuple_new: Any = tuple.__new__
+
+
+def _records(keys: Iterable[Any], values: Iterable[Any]) -> Iterator[Record]:
+    """Records over two parallel columns, built at C level.
+
+    ``tuple.__new__(Record, (key, value))`` makes the same instance as
+    ``Record(key, value)`` without the named tuple's Python-level
+    ``__new__``, which costs more than the tuple itself.
+    """
+    return map(_tuple_new, repeat(Record), zip(keys, values))
 
 
 class Page:
@@ -41,7 +58,7 @@ class Page:
         return len(self._keys)
 
     def __iter__(self) -> Iterator[Record]:
-        return map(Record, self._keys, self._values)
+        return _records(self._keys, self._values)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Page({len(self._keys)} records)"
@@ -62,7 +79,47 @@ class Page:
 
     def records(self) -> List[Record]:
         """Materialize the records in key order (a fresh list)."""
-        return list(map(Record, self._keys, self._values))
+        return list(_records(self._keys, self._values))
+
+    def records_slice(self, start: int, stop: int) -> List[Record]:
+        """The records at positions ``start .. stop - 1`` (a fresh list)."""
+        return list(
+            _records(self._keys[start:stop], self._values[start:stop])
+        )
+
+    def records_between(self, lo_key: Any, hi_key: Any) -> List[Record]:
+        """The records with ``lo_key <= key <= hi_key`` (a fresh list)."""
+        keys = self._keys
+        start = bisect_left(keys, lo_key)
+        stop = bisect_right(keys, hi_key)
+        return list(_records(keys[start:stop], self._values[start:stop]))
+
+    def rank(self, key: Any) -> int:
+        """Number of records on the page with key strictly below ``key``."""
+        return bisect_left(self._keys, key)
+
+    def count_between(self, lo_key: Any, hi_key: Any) -> int:
+        """Number of records with ``lo_key <= key <= hi_key``."""
+        keys = self._keys
+        return max(0, bisect_right(keys, hi_key) - bisect_left(keys, lo_key))
+
+    def record_at(self, index: int) -> Record:
+        """The record at position ``index`` (negative counts from the top)."""
+        return Record(self._keys[index], self._values[index])
+
+    def successor(self, key: Any) -> Optional[Record]:
+        """Smallest record with key strictly above ``key``, or ``None``."""
+        index = bisect_right(self._keys, key)
+        if index < len(self._keys):
+            return self.record_at(index)
+        return None
+
+    def predecessor(self, key: Any) -> Optional[Record]:
+        """Largest record with key strictly below ``key``, or ``None``."""
+        index = bisect_left(self._keys, key)
+        if index:
+            return self.record_at(index - 1)
+        return None
 
     def contains(self, key: Any) -> bool:
         """Whether a record with ``key`` is on the page."""
@@ -131,7 +188,7 @@ class Page:
     def take_lowest(self, count: int) -> List[Record]:
         """Remove and return the ``count`` lowest-keyed records."""
         count = min(count, len(self._keys))
-        taken = list(map(Record, self._keys[:count], self._values[:count]))
+        taken = self.records_slice(0, count)
         del self._keys[:count]
         del self._values[:count]
         return taken
@@ -141,7 +198,7 @@ class Page:
         count = min(count, len(self._keys))
         if count == 0:
             return []
-        taken = list(map(Record, self._keys[-count:], self._values[-count:]))
+        taken = self.records_slice(-count, len(self._keys))
         del self._keys[-count:]
         del self._values[-count:]
         return taken
@@ -166,7 +223,7 @@ class Page:
 
     def clear(self) -> List[Record]:
         """Remove and return every record on the page."""
-        taken = list(map(Record, self._keys, self._values))
+        taken = self.records()
         self._keys = []
         self._values = []
         return taken

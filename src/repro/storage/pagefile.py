@@ -30,11 +30,15 @@ Cost accounting conventions
   write of each of the two touched pages.
 * Length/emptiness queries are free: the rank counters live in the
   in-core calibrator.
+* A scan charges one read per page of its run — from the page owning
+  its lower bound to the last page it needs — in one ascending sweep;
+  see the scans section below.
 """
 
 from __future__ import annotations
 
 import bisect
+from itertools import chain
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.errors import ConfigurationError, RecordNotFoundError, UsageError
@@ -198,10 +202,12 @@ class PageFile:
         """
         if not self._nonempty:
             return None
+        return self._nonempty[self._directory_index(key)]
+
+    def _directory_index(self, key: Any) -> int:
+        """Directory index of :meth:`locate_in_core` (non-empty file)."""
         index = bisect.bisect_right(self._mins, key) - 1
-        if index < 0:
-            return self._nonempty[0]
-        return self._nonempty[index]
+        return index if index > 0 else 0
 
     def locate_in_core_hinted(
         self, key: Any, hint: Optional[int]
@@ -241,49 +247,47 @@ class PageFile:
         """
         if not self._nonempty or hi_key < lo_key:
             return []
-        start = bisect.bisect_right(self._mins, lo_key) - 1
-        if start < 0:
-            start = 0
         end = bisect.bisect_right(self._mins, hi_key)
-        return self._nonempty[start:end]
+        return self._nonempty[self._directory_index(lo_key) : end]
 
     def get(self, page_number: int, key: Any) -> Optional[Record]:
         """Charge one read; return the record with ``key`` or ``None``."""
         self.disk.read(page_number)
         return self.store.get_page(page_number).get(key)
 
+    def read_view(self, page_number: int) -> Page:
+        """Charge one read and return the live page, for read-only use.
+
+        The order-statistics queries look inside one page (a rank, a
+        count, one record) without copying it into records first.
+        """
+        self.disk.read(page_number)
+        return self.store.get_page(page_number)
+
     def min_record(self) -> Optional[Record]:
         """Smallest-keyed record (one read), or ``None`` when empty."""
         if not self._nonempty:
             return None
-        page_number = self._nonempty[0]
-        self.disk.read(page_number)
-        return self.store.get_page(page_number).records()[0]
+        return self.read_view(self._nonempty[0]).record_at(0)
 
     def max_record(self) -> Optional[Record]:
         """Largest-keyed record (one read), or ``None`` when empty."""
         if not self._nonempty:
             return None
-        page_number = self._nonempty[-1]
-        self.disk.read(page_number)
-        return self.store.get_page(page_number).records()[-1]
+        return self.read_view(self._nonempty[-1]).record_at(-1)
 
     def successor(self, key: Any) -> Optional[Record]:
         """Smallest record with key strictly greater than ``key``.
 
         Charges one read (two when the answer sits on the next page).
         """
-        start = self.locate_in_core(key)
-        if start is None:
+        nonempty = self._nonempty
+        if not nonempty:
             return None
-        index = bisect.bisect_left(self._nonempty, start)
-        while index < len(self._nonempty):
-            page_number = self._nonempty[index]
-            self.disk.read(page_number)
-            for record in self.store.get_page(page_number):
-                if record.key > key:
-                    return record
-            index += 1
+        for index in range(self._directory_index(key), len(nonempty)):
+            record = self.read_view(nonempty[index]).successor(key)
+            if record is not None:
+                return record
         return None
 
     def predecessor(self, key: Any) -> Optional[Record]:
@@ -291,19 +295,13 @@ class PageFile:
 
         Charges one read (two when the answer sits on the previous page).
         """
-        start = self.locate_in_core(key)
-        if start is None:
+        nonempty = self._nonempty
+        if not nonempty:
             return None
-        index = bisect.bisect_left(self._nonempty, start)
-        while index >= 0:
-            page_number = self._nonempty[index]
-            self.disk.read(page_number)
-            for record in reversed(
-                self.store.get_page(page_number).records()
-            ):
-                if record.key < key:
-                    return record
-            index -= 1
+        for index in range(self._directory_index(key), -1, -1):
+            record = self.read_view(nonempty[index]).predecessor(key)
+            if record is not None:
+                return record
         return None
 
     def insert_record(self, page_number: int, record: Record) -> None:
@@ -538,75 +536,85 @@ class PageFile:
     # ------------------------------------------------------------------
     # scans
     # ------------------------------------------------------------------
+    #
+    # Every stream retrieval is one walk over a run of consecutive
+    # directory entries.  The in-core directory says, before any page is
+    # read, where the run ends: ``bisect_right(_mins, hi_key)`` for a
+    # range, the directory end for a full iteration, and for a counted
+    # scan the first page at which the free page lengths add up to the
+    # count.  So the readahead window never reaches past the last page
+    # the scan will read, and a scan read to its end leaves no
+    # prefetched frame unread.
+    # Records are built per page, only for the slice of keys the scan
+    # returns.
 
-    def _readahead_hint(self, index: int) -> None:
-        """Hand the next upcoming non-empty pages to the store's prefetcher.
+    def _walk(self, first: int, stop: Optional[int] = None) -> Iterator[Page]:
+        """Charge and yield the pages of directory entries ``first .. stop-1``.
 
-        Uncharged scan positioning: the page numbers come from the
-        in-core directory, and backends without a readahead window
-        (``store.readahead == 0``, the default) never see the call —
-        logical page-access accounting is identical with and without
-        readahead.
+        The one page loop under every scan: each page costs one
+        ``disk.read`` and one ``store.get_page``, in ascending order.
+        After each read the store is offered the next ``readahead``
+        pages of the run, never past its end; a page the store declined
+        (its pool had no frame to spare) is offered again after the
+        next read.  The run is fixed when the walk starts, so a scan
+        suspended across a mutation still reads the pages it planned.
         """
-        window = getattr(self.store, "readahead", 0)
-        if window:
-            self.store.prefetch(self._nonempty[index + 1 : index + 1 + window])
+        pages = self._nonempty[first:stop]
+        read = self.disk.read
+        store = self.store
+        get_page = store.get_page
+        window = store.readahead
+        last = len(pages)
+        for offset, page_number in enumerate(pages, 1):
+            read(page_number)
+            page = get_page(page_number)
+            if window and offset < last:
+                store.prefetch(pages[offset : offset + window])
+            yield page
 
     def scan_range(self, lo_key: Any, hi_key: Any) -> Iterator[Record]:
         """Yield records with ``lo_key <= key <= hi_key`` in key order.
 
-        Charges one read per page touched; pages are touched in
-        ascending order so the accesses form one sequential sweep (and,
-        on a readahead-enabled store, the upcoming pages are prefetched
-        while the current one is consumed).
+        Charges one read per page from the page owning ``lo_key`` to the
+        last page whose minimum is at most ``hi_key``; the pages form
+        one ascending sweep (with readahead, the next pages of the sweep
+        are prefetched while the current one is consumed).  Pages are
+        read lazily, one at a time, as the caller consumes records.
         """
-        start = self.locate_in_core(lo_key)
-        if start is None:
-            return
-        index = bisect.bisect_left(self._nonempty, start)
-        while index < len(self._nonempty):
-            page_number = self._nonempty[index]
-            if self._mins[index] > hi_key:
-                return
-            self.disk.read(page_number)
-            page = self.store.get_page(page_number)
-            self._readahead_hint(index)
-            for record in page:
-                if record.key < lo_key:
-                    continue
-                if record.key > hi_key:
-                    return
-                yield record
-            index += 1
+        return chain.from_iterable(self._range_slices(lo_key, hi_key))
+
+    def _range_slices(self, lo_key: Any, hi_key: Any) -> Iterator[List[Record]]:
+        stop = bisect.bisect_right(self._mins, hi_key)
+        for page in self._walk(self._directory_index(lo_key), stop):
+            yield page.records_between(lo_key, hi_key)
 
     def scan_count(self, start_key: Any, count: int) -> List[Record]:
-        """Return up to ``count`` records with key >= ``start_key``."""
+        """Return up to ``count`` records with key >= ``start_key``.
+
+        Charges one read per page from the page owning ``start_key`` up
+        to the page that completes the count.  The run's end comes from
+        the free page lengths, plus the position of ``start_key`` on the
+        first page, which the scan reads in any case.
+        """
+        nonempty = self._nonempty
+        if not nonempty or count <= 0:
+            return []
+        first = self._directory_index(start_key)
+        skip = self.store.peek(nonempty[first]).rank(start_key)
+        stop = first
+        need = count + skip
+        while stop < len(nonempty) and need > 0:
+            need -= self.page_len(nonempty[stop])
+            stop += 1
         result: List[Record] = []
-        start = self.locate_in_core(start_key)
-        if start is None or count <= 0:
-            return result
-        index = bisect.bisect_left(self._nonempty, start)
-        while index < len(self._nonempty) and len(result) < count:
-            page_number = self._nonempty[index]
-            self.disk.read(page_number)
-            page = self.store.get_page(page_number)
-            self._readahead_hint(index)
-            for record in page:
-                if record.key >= start_key:
-                    result.append(record)
-                    if len(result) == count:
-                        break
-            index += 1
+        for page in self._walk(first, stop):
+            result += page.records_slice(skip, skip + count - len(result))
+            skip = 0
         return result
 
     def iter_all(self) -> Iterator[Record]:
         """Yield every record in key order, charging reads per page."""
-        for index, page_number in enumerate(list(self._nonempty)):
-            self.disk.read(page_number)
-            page = self.store.get_page(page_number)
-            self._readahead_hint(index)
-            for record in page:
-                yield record
+        return chain.from_iterable(map(Page.records, self._walk(0)))
 
     def snapshot(self) -> List[Tuple[int, List[Record]]]:
         """Uncharged dump of (page, records) for tests and checkers."""

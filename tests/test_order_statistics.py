@@ -1,10 +1,32 @@
 """Tests for rank / select / count_range / compact."""
 
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import Control2Engine, DenseSequentialFile, DensityParams
+from repro import (
+    AdaptiveControl2Engine,
+    Control1Engine,
+    Control2Engine,
+    DenseSequentialFile,
+    DensityParams,
+    MacroBlockControl2Engine,
+)
+
+#: Every engine, at geometries holding up to 128 records.  The last
+#: one has too little slack for plain CONTROL 2 (8 <= 3 * 5), so its
+#: pages are macro-blocks of K = 2 physical pages.
+ENGINES = {
+    "control1": lambda: Control1Engine(DensityParams(num_pages=32, d=4, D=24)),
+    "control2": lambda: Control2Engine(DensityParams(num_pages=32, d=4, D=24)),
+    "adaptive": lambda: AdaptiveControl2Engine(
+        DensityParams(num_pages=32, d=4, D=24)
+    ),
+    "macroblock": lambda: MacroBlockControl2Engine(32, 4, 12),
+}
 
 
 @pytest.fixture
@@ -174,3 +196,61 @@ class TestFacadeAndPersistent:
         with PersistentDenseFile.open(path) as f:
             f.validate()
             assert len(f) == 30
+
+
+def _key(record):
+    return None if record is None else record.key
+
+
+class TestAgainstTheModel:
+    """Order statistics on every engine equal a sorted list's, at a
+    pinned charge: ``rank`` reads the boundary page, ``count_range``
+    its one or two boundary pages, ``select`` the owning page, and
+    ``successor``/``predecessor`` at most two pages."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(ENGINES)),
+        operations=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 300)), max_size=160
+        ),
+        probes=st.lists(st.integers(-5, 305), min_size=1, max_size=12),
+    )
+    def test_queries_and_charges(self, name, operations, probes):
+        engine = ENGINES[name]()
+        model = set()
+        for insert, key in operations:
+            if insert and key not in model and len(model) < 128:
+                engine.insert(key)
+                model.add(key)
+            elif not insert and key in model:
+                engine.delete(key)
+                model.discard(key)
+        model = sorted(model)
+        meter = engine.stats
+
+        def charged(query, *args):
+            meter.checkpoint("query")
+            result = query(*args)
+            return result, meter.delta("query").page_accesses
+
+        locate = engine.pagefile.locate_in_core
+        nonempty = 1 if model else 0
+        for lo, hi in zip(probes, probes[1:] + probes[:1]):
+            assert charged(engine.rank, lo) == (
+                bisect_left(model, lo), nonempty
+            )
+            expected = max(0, bisect_right(model, hi) - bisect_left(model, lo))
+            pages = 0 if hi < lo or not model else 1 + (locate(lo) != locate(hi))
+            assert charged(engine.count_range, lo, hi) == (expected, pages)
+            above = bisect_right(model, lo)
+            record, cost = charged(engine.successor, lo)
+            assert cost <= 2
+            assert _key(record) == (model[above] if above < len(model) else None)
+            below = bisect_left(model, lo)
+            record, cost = charged(engine.predecessor, lo)
+            assert cost <= 2
+            assert _key(record) == (model[below - 1] if below else None)
+        for index in range(0, len(model), 7):
+            record, cost = charged(engine.select, index)
+            assert (record.key, cost) == (model[index], 1)

@@ -8,6 +8,8 @@ a single access, and ``replay()`` semantics are untouched because
 prefetched frames enter the pool clean.
 """
 
+import random
+
 import pytest
 
 from repro import DenseSequentialFile, PersistentDenseFile
@@ -72,6 +74,75 @@ class TestStreamScanHitRate:
         assert stats["readahead"] == 0
         assert stats["prefetches"] == 0
         assert stats["prefetch_hits"] == 0
+        dense.close()
+
+
+def _scan(dense, entry, lo, width):
+    """One scan through a public entry point (``iter`` reads every page)."""
+    if entry == "range":
+        return list(dense.range(lo, lo + width - 1))
+    if entry == "scan":
+        return dense.scan(lo, width)
+    return list(dense.items())
+
+
+def _counting_pool_prefetch(dense):
+    """Wrap the pool's ``prefetch`` so every call lands in a list."""
+    pool = dense.engine.pagefile.store.pool
+    calls = []
+    original = pool.prefetch
+
+    def prefetch(page):
+        calls.append(page)
+        return original(page)
+
+    pool.prefetch = prefetch
+    return calls
+
+
+class TestWindowStopsAtLastPage:
+    """The window ends at the scan's last page; nothing is read twice."""
+
+    @pytest.mark.parametrize("entry", ["range", "scan", "iter"])
+    def test_scan_prefetches_only_its_own_pages(self, entry):
+        dense = DenseSequentialFile(
+            num_pages=128, d=8, D=40, backend="buffered",
+            cache_pages=64, readahead=8,
+        )
+        dense.bulk_load(range(1000))
+        dense.flush()
+        calls = _counting_pool_prefetch(dense)
+        before = dense.store_stats()
+        dense.stats.checkpoint("scan")
+        assert _scan(dense, entry, 400, 80)
+        pages = dense.stats.delta("scan").page_accesses
+        after = dense.store_stats()
+        prefetches = after["prefetches"] - before["prefetches"]
+        assert pages > 8
+        assert prefetches <= pages - 1
+        assert after["prefetch_hits"] - before["prefetch_hits"] == prefetches
+        # Resident pages are skipped without asking the pool: one pool
+        # call per page faulted in, none per page merely re-offered.
+        assert len(calls) <= pages - 1
+        dense.close()
+
+    @pytest.mark.parametrize("entry", ["range", "scan"])
+    def test_scattered_short_scans_leave_no_unread_frames(self, entry):
+        dense = _loaded(4, cache_pages=16)
+        rng = random.Random(11)
+        for number in range(60):
+            before = dense.store_stats()
+            _scan(dense, entry, rng.randrange(460), 30)
+            after = dense.store_stats()
+            # Every prefetched frame was read by the scan that asked.
+            assert after["prefetches"] == after["prefetch_hits"]
+            if number:
+                assert after["misses"] - before["misses"] <= 1
+        before = dense.store_stats()
+        assert len(list(dense.items())) == 500
+        after = dense.store_stats()
+        assert after["prefetches"] == after["prefetch_hits"]
+        assert after["misses"] - before["misses"] <= 1
         dense.close()
 
 

@@ -84,5 +84,5 @@ def test_adaptive_budget(benchmark):
     # The adaptive engine is cheaper in the calm/drain phase...
     assert adaptive["calm_mean"] <= fixed["calm_mean"]
     # ...and never exceeds the paper's per-command ceiling.
-    bound = 3 * PARAMS.shift_budget + 2 * PARAMS.log_m + 4
+    bound = PARAMS.worst_case_bound
     assert adaptive["worst"] <= bound

@@ -125,7 +125,7 @@ def test_burst_update_cost_stays_bounded(benchmark):
 
     log = once(benchmark, run)
     params = DensityParams(num_pages=NUM_PAGES, d=16, D=CAPACITY)
-    bound = 3 * params.shift_budget + 2 * params.log_m + 4
+    bound = params.worst_case_bound
     emit(
         f"EXP-W3b: dense-file worst per-op accesses during burst: "
         f"{log.worst_case_accesses} (bound {bound})"

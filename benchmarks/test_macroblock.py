@@ -65,7 +65,7 @@ def test_macroblock_maintenance_and_cost(benchmark):
     for (num_pages, d, cap_d), row in zip(GEOMETRIES, rows):
         params = macro_params(num_pages, d, cap_d)
         factor = int(row[2])
-        bound = factor * (3 * params.shift_budget + 2 * params.log_m + 4)
+        bound = factor * params.worst_case_bound
         assert int(row[4]) <= bound
 
 

@@ -59,7 +59,7 @@ def test_worst_case_scaling(benchmark):
     c1_worst, c1_mean = table["Control1Engine"]
     c2_worst, c2_mean = table["Control2Engine"]
     bounds = [
-        float(3 * params_for(m).shift_budget + 2 * params_for(m).log_m + 4)
+        float(params_for(m).worst_case_bound)
         for m in SIZES
     ]
     emit(

@@ -11,7 +11,8 @@ first-class, testable failure domain:
     with per-shard health and honest partial results.
 :mod:`~repro.cluster.wire`
     The length-prefixed framed protocol (magic + length + CRC-32 +
-    JSON) with correlation ids and idempotency tokens.
+    a binary body whose values use the page codec) with correlation
+    ids and idempotency tokens.
 :mod:`~repro.cluster.transport`
     :class:`SocketChannel` (real TCP) and :class:`LocalChannel`
     (in-process, byte-identical dispatch) client transports.

@@ -50,9 +50,11 @@ from ..core.errors import (
     ReproError,
     ShardUnavailableError,
     TransientNetworkError,
+    UsageError,
     WireProtocolError,
 )
 from ..records import Record
+from ..storage.codec import CodecError
 from .breaker import CircuitBreaker
 from .sharding import ShardMap
 from .store import ScanResult
@@ -100,6 +102,8 @@ def _rebuild_error(name: str, message: str, detail: Dict[str, Any]) -> ReproErro
         "TransientNetworkError": TransientNetworkError,
         "InvariantViolationError": InvariantViolationError,
         "ConfigurationError": ConfigurationError,
+        "UsageError": UsageError,
+        "CodecError": CodecError,
     }.get(name)
     if plain is not None:
         return plain(message)
@@ -235,29 +239,15 @@ class ClusterClient:
 
     # -- the call path ---------------------------------------------------
 
-    def _exchange(
-        self,
-        op: str,
-        args: Dict[str, Any],
-        budget: Deadline,
-        token: Optional[str],
-    ) -> Any:
-        """One attempt: frame, send, decode, correlate, raise-or-return.
+    def _exchange(self, frame: bytes, request_id: str, budget: Deadline) -> Any:
+        """One attempt: send, decode, correlate, raise-or-return.
 
         The caller checks the budget *before* breaker admission; by the
         time we are here an ``OperationTimeout`` can only be the
         server's answer, so the breaker accounting in ``_call`` may
         treat it as a shard failure.
         """
-        request_id = self._next_request_id()
-        body = request(
-            op,
-            request_id,
-            args=args,
-            token=token,
-            budget=None if budget.expires_at is None else budget.remaining(),
-        )
-        raw = self.channel.request(encode_frame(body), timeout=budget.wait_budget())
+        raw = self.channel.request(frame, timeout=budget.wait_budget())
         response = decode_bytes(raw)
         check_correlation(response, request_id)
         if response.get("ok"):
@@ -293,6 +283,22 @@ class ClusterClient:
             # never contacted.  Past this point an OperationTimeout is
             # the server's answer.
             budget.check(f"cluster {op}")
+            # Encode before admission too: an argument the wire cannot
+            # carry raises the non-retryable CodecError here, without
+            # touching the breaker or the network.
+            request_id = self._next_request_id()
+            frame = encode_frame(
+                request(
+                    op,
+                    request_id,
+                    args=args,
+                    token=token,
+                    budget=(
+                        None if budget.expires_at is None
+                        else budget.remaining()
+                    ),
+                )
+            )
             if breaker is not None:
                 breaker.allow()
             # The breaker admitted this call, so exactly one outcome
@@ -300,7 +306,7 @@ class ClusterClient:
             # release — on every path out, or a half-open probe slot
             # leaks and the breaker wedges shut forever.
             try:
-                result = self._exchange(op, args, budget, token)
+                result = self._exchange(frame, request_id, budget)
             except (ShardUnavailableError, OperationTimeout):
                 # A definite "this shard cannot serve" answer: feed the
                 # breaker so later calls fail fast.

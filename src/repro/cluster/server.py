@@ -49,7 +49,9 @@ from ..core.errors import (
     ShardUnavailableError,
     WireProtocolError,
 )
+from ..storage.codec import CodecError
 from .store import ShardedDenseFile
+from .transport import recv_frames
 from .wire import decode_bytes, encode_frame, error_response, ok_response
 
 #: Error classes whose outcome means the write was NOT applied — these
@@ -82,7 +84,10 @@ class IdempotencyTable:
     window would double-execute.  :meth:`reserve` therefore claims the
     token atomically **before** dispatch — the first attempt becomes
     the owner, duplicates wait on its completion event and then replay
-    the recorded outcome — and :meth:`finish` releases the claim.
+    the recorded outcome — and :meth:`finish` releases the claim.  The
+    event is built only when a duplicate actually has to wait: most
+    writes never meet one, and an :class:`threading.Event` costs more
+    than the rest of the claim.
     """
 
     def __init__(self, capacity: int = 8192):
@@ -91,7 +96,9 @@ class IdempotencyTable:
         self.capacity = capacity
         self._mutex = threading.Lock()
         self._outcomes: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._pending: Dict[str, threading.Event] = {}
+        #: Claimed tokens; the value is the completion event, built by
+        #: the first duplicate that has to wait (``None`` until then).
+        self._pending: Dict[str, Optional[threading.Event]] = {}
         self.hits = 0
         self.evictions = 0
         self.waits = 0
@@ -141,11 +148,13 @@ class IdempotencyTable:
             if outcome is not None:
                 self.hits += 1
                 return ("replay", outcome)
-            event = self._pending.get(token)
-            if event is not None:
+            if token in self._pending:
+                event = self._pending[token]
+                if event is None:
+                    event = self._pending[token] = threading.Event()
                 self.waits += 1
                 return ("wait", event)
-            self._pending[token] = threading.Event()
+            self._pending[token] = None
             return ("execute", None)
 
     def finish(self, token: str, outcome: Optional[Dict[str, Any]]) -> None:
@@ -156,7 +165,7 @@ class IdempotencyTable:
         (admission timeout, shard down, overload shed) and the token
         must stay free for a retry to execute.  Either way the pending
         claim is dropped and any duplicate attempts parked on the
-        event are woken.
+        event (if one was built) are woken.
         """
         with self._mutex:
             if outcome is not None:
@@ -225,7 +234,20 @@ class ClusterServer:
             return encode_frame(
                 error_response("?", "WireProtocolError", str(error))
             )
-        return encode_frame(self.handle_body(body))
+        response = self.handle_body(body)
+        try:
+            return encode_frame(response)
+        except CodecError as error:
+            # A stored value the wire cannot carry: answer with a typed
+            # error so the connection keeps serving.
+            self.errors += 1
+            return encode_frame(
+                error_response(
+                    str(response.get("id", "?")),
+                    "CodecError",
+                    f"result cannot be sent: {error}",
+                )
+            )
 
     def handle_body(self, body: Dict[str, Any]) -> Dict[str, Any]:
         """Dispatch one decoded request body to the store.
@@ -481,34 +503,20 @@ class ClusterServer:
             worker.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        from .wire import HEADER, MAGIC, MAX_FRAME
-
-        def recv_exact(count: int) -> bytes:
-            chunks = []
-            remaining = count
-            while remaining > 0:
-                chunk = conn.recv(min(remaining, 65536))
-                if not chunk:
-                    return b"".join(chunks)  # short read = peer left
-                chunks.append(chunk)
-                remaining -= len(chunk)
-            return b"".join(chunks)
-
+        pending = b""
         try:
             conn.settimeout(30.0)
             while not self._stopping.is_set():
-                header = recv_exact(HEADER.size)
-                if len(header) < HEADER.size:
-                    return  # clean (or mid-header) disconnect
-                magic, length, _crc = HEADER.unpack(header)
-                if magic != MAGIC or length > MAX_FRAME:
-                    return  # unrecoverable stream; drop the connection
-                payload = recv_exact(length)
-                if len(payload) < length:
-                    return
-                conn.sendall(self.handle_frame(header + payload))
+                # Every complete frame in the buffer is served, in
+                # order, before the next read.
+                frames, pending = recv_frames(conn, pending)
+                for frame in frames:
+                    conn.sendall(self.handle_frame(frame))
         except OSError:
-            return  # reset/timeout: connection-scoped, server keeps serving
+            # Reset, timeout, the peer leaving or a bad frame header
+            # (both network errors are OSErrors): connection-scoped,
+            # the server drops this stream and keeps serving.
+            return
         finally:
             try:
                 conn.close()

@@ -20,7 +20,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Any, List, Sequence, Tuple
 
-from ..core.errors import ConfigurationError
+from ..core.errors import ConfigurationError, UsageError
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,18 @@ class ShardMap:
         return len(self.cuts) + 1
 
     def shard_for(self, key: Any) -> int:
-        """The shard id owning ``key``."""
-        return bisect.bisect_right(self.cuts, key)
+        """The shard id owning ``key``.
+
+        A key that does not compare with the cuts (a tuple against int
+        cuts, say) has no owner and raises :class:`UsageError`.
+        """
+        try:
+            return bisect.bisect_right(self.cuts, key)
+        except TypeError as error:
+            raise UsageError(
+                f"key {key!r} cannot be routed by the shard map with cuts "
+                f"{self.cuts!r}: {error}"
+            ) from error
 
     def shards_for_range(self, lo_key: Any, hi_key: Any) -> List[int]:
         """Every shard id intersecting ``[lo_key, hi_key]`` in key order."""
@@ -105,7 +115,11 @@ class ShardMap:
     # -- wire round trip ------------------------------------------------
 
     def to_wire(self) -> dict:
-        """JSON-ready description shipped in the ``hello`` handshake."""
+        """The description shipped in the ``hello`` handshake.
+
+        The cuts and the envelope are keys, and the wire codec carries
+        them with their types intact.
+        """
         return {"cuts": self.cuts, "lo": self.lo, "hi": self.hi}
 
     @classmethod

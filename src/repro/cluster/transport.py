@@ -6,9 +6,9 @@ connection:
 
 :class:`SocketChannel`
     A real TCP connection (used by ``repro serve`` deployments and the
-    networked benchmark cell).  Reads are exact-length with a socket
-    timeout, so a stalled peer surfaces as
-    :class:`~repro.core.errors.OperationTimeout` raw material
+    networked benchmark cell).  A response normally arrives in one
+    ``recv``; reads carry a socket timeout, so a stalled peer surfaces
+    as :class:`~repro.core.errors.OperationTimeout` raw material
     (``socket.timeout``) rather than a hang.
 :class:`LocalChannel`
     Calls the server's dispatcher in-process, byte-for-byte through the
@@ -26,10 +26,64 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Callable, Optional, Protocol
+from typing import Callable, List, Optional, Protocol, Tuple
 
 from ..core.errors import TransientNetworkError, WireProtocolError
-from .wire import HEADER, MAGIC, MAX_FRAME
+from .wire import HEADER, frame_size
+
+#: Bytes asked of the kernel per read: any request or response the
+#: cluster makes in steady state fits, so one frame costs one read.
+RECV_SIZE = 65536
+
+
+def recv_frames(
+    sock: socket.socket, pending: bytes = b""
+) -> Tuple[List[bytes], bytes]:
+    """Read from ``sock`` until at least one whole frame is buffered.
+
+    ``pending`` is what an earlier call left over.  Returns every
+    complete frame in arrival order plus the bytes of the next,
+    incomplete one.  A frame normally arrives in one ``recv``; a short
+    read is finished with reads of exactly the missing length.  A bad
+    header raises :class:`WireProtocolError`, and a peer that closes
+    first raises :class:`TransientNetworkError`.
+    """
+    data = pending
+    while len(data) < HEADER.size:
+        data += _recv_some(sock, RECV_SIZE, len(data))
+    end = frame_size(data)
+    if len(data) < end:
+        parts = [data]
+        have = len(data)
+        while have < end:
+            chunk = _recv_some(sock, min(end - have, RECV_SIZE), have)
+            parts.append(chunk)
+            have += len(chunk)
+        data = b"".join(parts)
+    frames = [data if len(data) == end else data[:end]]
+    # Frames sent back to back may share a read: split off every
+    # complete one, keep the partial tail.  A bad header stays in the
+    # tail, so the frames before it are still served and the next call
+    # refuses it.
+    while len(data) - end >= HEADER.size:
+        try:
+            next_end = end + frame_size(data, end)
+        except WireProtocolError:
+            break
+        if next_end > len(data):
+            break
+        frames.append(data[end:next_end])
+        end = next_end
+    return frames, data[end:]
+
+
+def _recv_some(sock: socket.socket, count: int, have: int) -> bytes:
+    chunk = sock.recv(count)
+    if not chunk:
+        raise TransientNetworkError(
+            f"peer closed the connection with {have} bytes of a frame read"
+        )
+    return chunk
 
 
 class Channel(Protocol):
@@ -74,27 +128,15 @@ class SocketChannel:
         self.connects += 1
         return sock
 
-    def _recv_exact(self, sock: socket.socket, count: int) -> bytes:
-        chunks = []
-        remaining = count
-        while remaining > 0:
-            chunk = sock.recv(min(remaining, 65536))
-            if not chunk:
-                raise TransientNetworkError(
-                    f"peer closed the connection with {remaining} of "
-                    f"{count} bytes unread"
-                )
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
     def request(self, frame: bytes, timeout: Optional[float] = None) -> bytes:
         """Send one frame, read one framed response, return its bytes.
 
         ``timeout`` bounds every blocking socket call for this
         exchange; expiry raises ``socket.timeout`` (an ``OSError``)
         wrapped as :class:`TransientNetworkError` after the connection
-        is torn down, so the next attempt starts clean.
+        is torn down, so the next attempt starts clean.  Only one
+        request is ever in flight, so bytes past the end of the
+        response frame are a :class:`WireProtocolError`.
         """
         with self._mutex:
             if self._sock is None:
@@ -103,14 +145,14 @@ class SocketChannel:
             try:
                 sock.settimeout(timeout)
                 sock.sendall(frame)
-                header = self._recv_exact(sock, HEADER.size)
-                magic, length, _crc = HEADER.unpack(header)
-                if magic != MAGIC or length > MAX_FRAME:
+                frames, rest = recv_frames(sock)
+                if len(frames) > 1 or rest:
+                    extra = sum(map(len, frames[1:])) + len(rest)
                     raise WireProtocolError(
-                        f"bad response header (magic={magic!r}, len={length})"
+                        f"{extra} bytes past the end of the response frame"
                     )
-                return header + self._recv_exact(sock, length)
-            except TransientNetworkError:
+                return frames[0]
+            except (TransientNetworkError, WireProtocolError):
                 self._teardown()
                 raise
             except OSError as error:

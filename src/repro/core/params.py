@@ -108,6 +108,19 @@ class DensityParams:
         return recommended_j(self.num_pages, self.slack, self.j_coefficient)
 
     @property
+    def worst_case_bound(self) -> int:
+        """``3·J + 2·⌈log₂M⌉ + 4``: most accesses of one CONTROL 2 command.
+
+        The concrete ceiling behind Theorem 5.5, which bounds every
+        CONTROL 2 command by O(log²M/(D−d)) page accesses: at most
+        ``J`` SHIFTs of at most three accesses each, plus an
+        ``O(log M)`` allowance for the update search and the command's
+        own page changes.  The tests and EXPs that check the theorem
+        assert ``worst_case_accesses <= worst_case_bound``.
+        """
+        return 3 * self.shift_budget + 2 * self.log_m + 4
+
+    @property
     def satisfies_slack_condition(self) -> bool:
         """Whether ``D - d > 3 * ceil(log2 M)`` (equation 5.1) holds."""
         return self.slack > 3 * self.log_m

@@ -94,7 +94,7 @@ class TestCorrectness:
         log = engine.enable_operation_log()
         for operation in converging_inserts(500):
             engine.insert(operation.key)
-        bound = 3 * params.shift_budget + 2 * params.log_m + 4
+        bound = params.worst_case_bound
         assert log.worst_case_accesses <= bound
 
 

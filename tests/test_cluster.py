@@ -7,8 +7,13 @@ idempotent retried writes, seeded network faults, and the chaos
 harness's success / typed-failure / provably-not-applied trichotomy.
 """
 
+import io
+import json
+import socket
+import sys
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -31,6 +36,7 @@ from repro.cluster import (
 )
 from repro.cluster import wire
 from repro.cluster.chaos import SWEEP_PROFILES
+from repro.cluster.transport import SocketChannel, recv_frames
 from repro.concurrent.retry import RetryPolicy
 from repro.core.errors import (
     CircuitOpenError,
@@ -40,8 +46,10 @@ from repro.core.errors import (
     RecordNotFoundError,
     ShardUnavailableError,
     TransientNetworkError,
+    UsageError,
     WireProtocolError,
 )
+from repro.storage.codec import CodecError
 
 
 class FakeClock:
@@ -118,6 +126,25 @@ class TestShardMap:
 # ----------------------------------------------------------------------
 
 
+def reframe(payload):
+    """A frame with a valid header and CRC around any body bytes."""
+    return wire.HEADER.pack(
+        wire.MAGIC, len(payload), zlib.crc32(payload)
+    ) + payload
+
+
+VALID_BODIES = [
+    wire.request("insert", "c0:r1", {"key": 7, "value": b"v"},
+                 token="c0:t1", budget=0.25),
+    wire.request("ping", "c0:r2"),
+    wire.ok_response("c0:r3", [7, "x"]),
+    wire.error_response("c0:r4", "ShardUnavailableError", "shard 1 down",
+                        detail={"shard_ids": [1], "mode": "down"}),
+    dict(wire.ok_response("c0:r5", None), replayed=True),
+]
+BODY_IDS = ["request", "bare-request", "ok", "error-detail", "replayed"]
+
+
 class TestWire:
     def test_round_trip(self):
         body = wire.request("insert", "c0:r1", {"key": 7}, token="c0:t1",
@@ -150,6 +177,94 @@ class TestWire:
         with pytest.raises(WireProtocolError, match="correlation"):
             wire.check_correlation(response, "my-request")
         wire.check_correlation(wire.ok_response("mine", 1), "mine")
+
+    @pytest.mark.parametrize("body", VALID_BODIES, ids=BODY_IDS)
+    def test_every_body_shape_round_trips(self, body):
+        assert wire.decode_bytes(wire.encode_frame(body)) == body
+
+    def test_decode_frame_reads_through_a_reader(self):
+        frame = wire.encode_frame(VALID_BODIES[0])
+        assert wire.decode_frame(io.BytesIO(frame).read) == VALID_BODIES[0]
+        with pytest.raises(WireProtocolError, match="mid-body"):
+            wire.decode_frame(io.BytesIO(frame[:-1]).read)
+        with pytest.raises(WireProtocolError, match="mid-header"):
+            wire.decode_frame(io.BytesIO(frame[:4]).read)
+
+    @pytest.mark.parametrize("body", VALID_BODIES, ids=BODY_IDS)
+    def test_every_truncation_is_refused(self, body):
+        frame = wire.encode_frame(body)
+        for cut in range(len(frame)):
+            with pytest.raises(WireProtocolError):
+                wire.decode_bytes(frame[:cut])
+
+    @pytest.mark.parametrize("body", VALID_BODIES, ids=BODY_IDS)
+    def test_every_bit_flip_is_refused(self, body):
+        frame = wire.encode_frame(body)
+        for bit in range(len(frame) * 8):
+            flipped = bytearray(frame)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(WireProtocolError):
+                wire.decode_bytes(bytes(flipped))
+
+    @pytest.mark.parametrize("body", VALID_BODIES, ids=BODY_IDS)
+    def test_mangled_bodies_under_a_valid_crc_fail_typed(self, body):
+        # Past the CRC the body parser itself must refuse a cut body,
+        # and a flipped bit either still decodes or is refused: no
+        # other exception may escape.
+        payload = wire.encode_frame(body)[wire.HEADER.size:]
+        for cut in range(len(payload)):
+            with pytest.raises(WireProtocolError):
+                wire.decode_bytes(reframe(payload[:cut]))
+        for bit in range(len(payload) * 8):
+            flipped = bytearray(payload)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            try:
+                assert isinstance(wire.decode_bytes(reframe(bytes(flipped))),
+                                  dict)
+            except WireProtocolError:
+                pass
+
+    def test_unknown_body_kind_is_refused(self):
+        payload = wire.encode_frame(VALID_BODIES[0])[wire.HEADER.size:]
+        with pytest.raises(WireProtocolError, match="kind"):
+            wire.decode_bytes(reframe(b"\x09" + payload[1:]))
+        with pytest.raises(WireProtocolError, match="kind"):
+            wire.decode_bytes(reframe(b""))
+
+    def test_trailing_bytes_are_refused(self):
+        for body in VALID_BODIES:
+            payload = wire.encode_frame(body)[wire.HEADER.size:]
+            with pytest.raises(WireProtocolError, match="trailing"):
+                wire.decode_bytes(reframe(payload + b"\x00"))
+        frame = wire.encode_frame(VALID_BODIES[0])
+        with pytest.raises(WireProtocolError, match="after the end"):
+            wire.decode_bytes(frame + frame)
+
+    def test_old_json_protocol_is_refused(self):
+        payload = json.dumps({"op": "ping", "id": "x", "args": {}}).encode()
+        old = wire.HEADER.pack(b"DW", len(payload), zlib.crc32(payload))
+        with pytest.raises(WireProtocolError, match="magic"):
+            wire.decode_bytes(old + payload)
+
+    def test_bad_string_or_codec_tag_is_refused(self):
+        request = wire.encode_frame(wire.request("ping", "x"))
+        payload = bytearray(request[wire.HEADER.size:])
+        payload[wire._REQUEST.size] = 0xFF  # first byte of the op name
+        with pytest.raises(WireProtocolError, match="UnicodeDecodeError"):
+            wire.decode_bytes(reframe(bytes(payload)))
+        response = wire.encode_frame(wire.ok_response("x", None))
+        payload = bytearray(response[wire.HEADER.size:])
+        payload[-1] = 0x7F  # the result's type tag
+        with pytest.raises(WireProtocolError, match="tag"):
+            wire.decode_bytes(reframe(bytes(payload)))
+
+    def test_unencodable_body_is_a_codec_error(self):
+        with pytest.raises(CodecError, match="set"):
+            wire.encode_frame(wire.request("insert", "r", {"key": {1, 2}}))
+        with pytest.raises(CodecError):
+            wire.encode_frame(wire.request("ping", "r", budget="soon"))
+        with pytest.raises(CodecError):
+            wire.encode_frame(wire.ok_response("r", object()))
 
 
 # ----------------------------------------------------------------------
@@ -371,6 +486,20 @@ class TestShardedStore:
 # ----------------------------------------------------------------------
 
 
+@pytest.fixture
+def events_built(monkeypatch):
+    """A list that grows by one for every ``threading.Event`` built."""
+    built = []
+    real_event = threading.Event
+
+    def counting_event():
+        built.append(1)
+        return real_event()
+
+    monkeypatch.setattr(threading, "Event", counting_event)
+    return built
+
+
 class TestIdempotencyTable:
     def test_records_and_replays(self):
         table = IdempotencyTable()
@@ -407,6 +536,19 @@ class TestIdempotencyTable:
         assert event.is_set()
         assert table.reserve("t") == ("replay", {"ok": True})
         assert table.waits == 1
+
+    def test_event_is_built_only_for_a_waiting_duplicate(self, events_built):
+        table = IdempotencyTable()
+        assert table.reserve("t") == ("execute", None)
+        table.finish("t", {"ok": True})
+        assert events_built == []  # no duplicate, no Event
+        assert table.reserve("u")[0] == "execute"
+        first = table.reserve("u")
+        second = table.reserve("u")
+        assert first[0] == second[0] == "wait"
+        assert first[1] is second[1] and len(events_built) == 1
+        table.finish("u", None)
+        assert first[1].is_set()
 
     def test_finish_without_outcome_frees_the_token(self):
         table = IdempotencyTable()
@@ -720,6 +862,81 @@ class TestClientServer:
         # The dispatcher survived all of it.
         assert server.handle_body({"op": "ping", "id": "r5"})["result"] == "pong"
 
+    def test_writes_without_duplicates_build_no_event(self, cluster,
+                                                       events_built):
+        _, server, client = cluster
+        for key in range(0, 300, 30):
+            client.insert(key, "v")
+        assert client.delete(30).key == 30
+        assert events_built == []
+        assert server.tokens.waits == 0
+
+    @pytest.mark.parametrize("value", [{1, 2}, object()],
+                             ids=["set", "object"])
+    def test_unencodable_argument_fails_typed_once(self, cluster, value):
+        _, server, client = cluster
+        shard_id = client.shard_map.shard_for(5)
+        breaker = client.breaker(shard_id).stats()
+        requests = client.channel.requests
+        served = server.requests
+        with pytest.raises(CodecError):
+            client.insert(5, value)
+        assert client.counters.retries == 0
+        assert client.breaker(shard_id).stats() == breaker
+        assert client.channel.requests == requests
+        assert server.requests == served
+
+    def test_unroutable_key_is_a_usage_error(self, cluster):
+        _, _, client = cluster
+        with pytest.raises(UsageError, match=r"key \(1, 2\).*cuts \[100, 200\]"):
+            client.insert((1, 2), "v")
+        assert client.counters.retries == 0
+
+    def test_racing_duplicates_execute_each_token_once(self):
+        # Eight threads, more than the cores, send the same tokened
+        # insert at once, token after token.  Whichever claim each
+        # duplicate gets (replay, wait on the lazily built event, or
+        # execute), every token executes exactly once and every
+        # attempt answers ok.
+        sharded = ShardedDenseFile.build(num_shards=1, key_space=100)
+        server = ClusterServer(sharded)
+        executed = []
+        original = server._dispatch
+
+        def counting_dispatch(op, args, deadline):
+            executed.append(args["key"])
+            return original(op, args, deadline)
+
+        server._dispatch = counting_dispatch
+        threads, tokens = 8, 60
+        barrier = threading.Barrier(threads)
+        failures = []
+
+        def worker():
+            for key in range(tokens):
+                barrier.wait(5.0)
+                response = server.handle_body(wire.request(
+                    "insert", f"r{key}", {"key": key}, token=f"race:t{key}"
+                ))
+                if not response["ok"]:
+                    failures.append(response)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=worker) for _ in range(threads)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+            sharded.close()
+        assert not any(thread.is_alive() for thread in workers)
+        assert failures == []
+        assert sorted(executed) == list(range(tokens))
+        assert server.dedup_replays == (threads - 1) * tokens
+
     def test_duplicate_token_waits_for_in_flight_first_attempt(self):
         # Regression: check-then-execute on the idempotency table let a
         # retry racing a still-executing first attempt double-execute —
@@ -831,6 +1048,134 @@ class TestTcpTransport:
         client.prime(ShardMap.uniform(1, 10))
         with pytest.raises(TransientNetworkError):
             client.ping()
+
+
+class TestSocketFraming:
+    """One read per frame must still cope with any split of the stream."""
+
+    @staticmethod
+    def one_shot_server(reply):
+        """A listener that answers one request frame via ``reply``."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        done = threading.Event()
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                (frame,), _rest = recv_frames(conn)
+                reply(conn, wire.decode_bytes(frame))
+                done.wait(5.0)  # keep the connection open until checked
+            listener.close()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        return listener.getsockname(), done, thread
+
+    def test_response_sent_one_byte_per_send_is_decoded(self):
+        def reply(conn, request):
+            response = wire.encode_frame(
+                wire.ok_response(request["id"], list(range(50)))
+            )
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for index in range(len(response)):
+                conn.send(response[index : index + 1])
+
+        (host, port), done, thread = self.one_shot_server(reply)
+        channel = SocketChannel(host, port)
+        try:
+            raw = channel.request(
+                wire.encode_frame(wire.request("ping", "r1")), timeout=5.0
+            )
+            assert wire.decode_bytes(raw) == wire.ok_response(
+                "r1", list(range(50))
+            )
+        finally:
+            done.set()
+            channel.close()
+            thread.join(5.0)
+
+    def test_bytes_past_the_response_are_refused(self):
+        def reply(conn, request):
+            response = wire.encode_frame(wire.ok_response(request["id"], 1))
+            conn.sendall(response + response)
+
+        (host, port), done, thread = self.one_shot_server(reply)
+        channel = SocketChannel(host, port)
+        try:
+            with pytest.raises(WireProtocolError, match="past the end"):
+                channel.request(
+                    wire.encode_frame(wire.request("ping", "r1")), timeout=5.0
+                )
+            assert channel._sock is None  # torn down, next call reconnects
+        finally:
+            done.set()
+            channel.close()
+            thread.join(5.0)
+
+    @pytest.fixture
+    def served(self):
+        sharded = ShardedDenseFile.build(num_shards=2, key_space=100)
+        server = ClusterServer(sharded)
+        host, port = server.start()
+        conn = socket.create_connection((host, port), timeout=5.0)
+        yield conn, sharded
+        conn.close()
+        server.stop()
+        sharded.close()
+
+    @staticmethod
+    def read_responses(conn, count):
+        frames, pending = [], b""
+        while len(frames) < count:
+            more, pending = recv_frames(conn, pending)
+            frames.extend(more)
+        assert pending == b"" and len(frames) == count
+        return [wire.decode_bytes(frame) for frame in frames]
+
+    def test_coalesced_requests_are_answered_in_order(self, served):
+        conn, sharded = served
+        insert = wire.request("insert", "r1", {"key": 5, "value": b"v"},
+                              token="co:t1")
+        search = wire.request("search", "r2", {"key": 5})
+        conn.sendall(wire.encode_frame(insert) + wire.encode_frame(search))
+        first, second = self.read_responses(conn, 2)
+        assert first == wire.ok_response("r1", None)
+        assert second == wire.ok_response("r2", [5, b"v"])
+        assert sharded.search(5).value == b"v"
+
+    def test_frames_before_a_bad_header_are_served_then_dropped(self, served):
+        conn, _ = served
+        frame = wire.encode_frame(wire.request("ping", "r1"))
+        conn.sendall(frame + b"XX" + frame[2:])
+        (response,) = self.read_responses(conn, 1)
+        assert response == wire.ok_response("r1", "pong")
+        assert conn.recv(64) == b""  # the server dropped the stream
+
+    def test_request_sent_one_byte_per_send_is_served(self, served):
+        conn, _ = served
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        frame = wire.encode_frame(wire.request("ping", "r1"))
+        for index in range(len(frame)):
+            conn.send(frame[index : index + 1])
+        (response,) = self.read_responses(conn, 1)
+        assert response == wire.ok_response("r1", "pong")
+
+    def test_unencodable_result_is_typed_and_the_connection_survives(self):
+        sharded = ShardedDenseFile.build(num_shards=2, key_space=100)
+        sharded.insert(5, {1, 2})  # in-process: no wire to refuse the set
+        server = ClusterServer(sharded)
+        host, port = server.start()
+        try:
+            with ClusterClient.connect(host, port, default_timeout=5.0) as client:
+                with pytest.raises(CodecError, match="set"):
+                    client.search(5)
+                assert client.counters.retries == 0
+                client.insert(6, "ok")
+                assert client.search(6).value == "ok"
+                assert client.channel.connects == 1
+        finally:
+            server.stop()
+            sharded.close()
 
 
 # ----------------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_per_command_cost_is_bounded(name):
     engine = Control2Engine(params)
     operations = WORKLOADS[name](min(500, params.max_records))
     result = run_workload(engine, operations)
-    bound = 3 * params.shift_budget + 2 * params.log_m + 4
+    bound = params.worst_case_bound
     assert result.log.worst_case_accesses <= bound
 
 

@@ -87,9 +87,7 @@ class TestMacroEngine:
     def test_worst_case_cost_bounded(self, engine):
         result = run_workload(engine, converging_inserts(300))
         params = engine.params
-        bound = engine.block_factor * (
-            3 * params.shift_budget + 2 * params.log_m + 4
-        )
+        bound = engine.block_factor * params.worst_case_bound
         assert result.log.worst_case_accesses * engine.block_factor <= bound
 
 

@@ -309,5 +309,5 @@ class TestControl2WorkloadProperties:
         log = engine.enable_operation_log()
         for key in keys:
             engine.insert(key)
-        bound = 3 * params.shift_budget + 2 * params.log_m + 4
+        bound = params.worst_case_bound
         assert log.worst_case_accesses <= bound

@@ -85,10 +85,12 @@ def reads_are_shareable(store: Any) -> bool:
 class ThreadSafeDenseFile:
     """Serialize writers, share readers, bound waiting — over any facade.
 
-    Wraps a :class:`~repro.core.dense_file.DenseSequentialFile`, a
-    :class:`~repro.persistent.PersistentDenseFile` or a
-    :class:`~repro.persistent.JournaledDenseFile`.  Drop-in compatible
-    with the old coarse-lock wrapper; all hardening knobs are optional.
+    Wraps a :class:`~repro.core.dense_file.DenseSequentialFile`,
+    including its durable subclasses
+    :class:`~repro.persistent.PersistentDenseFile` and
+    :class:`~repro.persistent.JournaledDenseFile`, so every query it
+    forwards exists on every file it wraps.  Drop-in compatible with
+    the old coarse-lock wrapper; all hardening knobs are optional.
 
     Parameters
     ----------

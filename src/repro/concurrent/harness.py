@@ -707,13 +707,11 @@ class _YieldingStore(DelegatingStore):
 
     Widens every window between a read and its dependent write, so a
     deliberately unlocked run interleaves destructively with near
-    certainty.  The fused read and ``move_records`` use the
-    :class:`PageStore` get/put defaults, planting a yield inside every
-    SHIFT step.
+    certainty.  ``move_records`` uses the :class:`PageStore` get/put
+    default, planting a yield inside every SHIFT step.
     """
 
     name = "yielding"
-    get_page2 = PageStore.get_page2
     move_records = PageStore.move_records
 
     def get_page(self, page_number: int) -> Page:

@@ -173,13 +173,6 @@ class BaseEngine:
     # step 1 plumbing
     # ------------------------------------------------------------------
 
-    def _target_page_for_insert(self, key) -> int:
-        located = self.pagefile.locate(key)
-        if located is None:
-            # Empty file: start in the middle so growth is symmetric.
-            return self._middle_page
-        return located
-
     def _begin_command(self, label: str) -> None:
         if self.operation_log is not None:
             self.disk.stats.checkpoint("op")

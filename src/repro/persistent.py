@@ -1,14 +1,16 @@
 """A durable dense sequential file backed by a real OS file.
 
-:class:`PersistentDenseFile` is a thin convenience wrapper over
-:class:`~repro.core.dense_file.DenseSequentialFile` running on the
-``"disk"`` storage backend (a
-:class:`~repro.storage.backend.DiskStore`, optionally decorated with a
-live :class:`~repro.storage.backend.BufferedStore` cache): every page
+:class:`PersistentDenseFile` is a
+:class:`~repro.core.dense_file.DenseSequentialFile` over the disk
+backend (a :class:`~repro.storage.backend.DiskStore`, optionally
+decorated with a live :class:`~repro.storage.backend.BufferedStore`
+cache).  It inherits every query, scan and lifecycle method; it only
+guards the seven mutators, so a read-only degraded file refuses writes
+and :class:`JournaledDenseFile` can commit each one.  Every page
 mutation flows through the same ``PageStore`` seam every other engine
-uses, and :meth:`open` rebuilds the complete engine state — page
-contents, in-core directory, calibrator rank counters, and the WARNING
-flags the paper's Fact 5.1 requires — from the file alone.
+uses, and :meth:`PersistentDenseFile.open` rebuilds the complete engine
+state — page contents, in-core directory, calibrator rank counters, and
+the WARNING flags the paper's Fact 5.1 requires — from the file alone.
 
 This is deliberately a *write-through* design by default: the
 dense-file algorithms already bound how many pages one command touches
@@ -31,15 +33,11 @@ Example
 from __future__ import annotations
 
 import os
-from typing import Iterator, List, Optional
+from typing import Any, Callable, List, Optional, cast
 
 from .core.control2 import Control2Engine
 from .core.dense_file import DenseSequentialFile
-from .core.errors import (
-    ConfigurationError,
-    ReadOnlyError,
-    RecordNotFoundError,
-)
+from .core.errors import ConfigurationError, ReadOnlyError
 from .core.params import DensityParams
 from .records import Record
 from .storage.backend import BufferedStore, DiskStore
@@ -56,7 +54,7 @@ def _wrap_threadsafe(opened):
     return ThreadSafeDenseFile(opened)
 
 
-class PersistentDenseFile:
+class PersistentDenseFile(DenseSequentialFile):
     """Durable ``(d, D)``-dense sequential file with CONTROL 2 updates."""
 
     #: Whether the first mutation retires a retained ``.journal.applied``
@@ -67,9 +65,38 @@ class PersistentDenseFile:
     #: this — its own commits keep the applied image current.
     _retires_applied = True
 
-    def __init__(self, dense: DenseSequentialFile):
-        self.dense = dense
-        self.engine = dense.engine
+    def __init__(
+        self,
+        store: DiskStore,
+        cache_pages: Optional[int] = None,
+        readahead: int = 0,
+    ):
+        """Mount the facade over ``store``, cached when ``cache_pages`` is set.
+
+        The geometry and algorithm come from the file's header.  The
+        engine starts empty; :meth:`open` restores it from the pages.
+        """
+        raw = store.raw
+        algorithm = _ALGORITHM_NAMES.get(raw.j >> 24)
+        if algorithm is None:
+            store.close()
+            raise StorageError(f"{raw.path}: unknown algorithm code")
+        if readahead and cache_pages is None:
+            store.close()
+            raise ConfigurationError(
+                "readahead prefetches into the page cache; pass cache_pages"
+            )
+        super().__init__(
+            store.num_pages,
+            raw.d,
+            raw.D,
+            algorithm=algorithm,
+            j=(raw.j & 0xFFFFFF) or None,
+            auto_macroblock=False,
+            store=store if cache_pages is None else BufferedStore(
+                store, capacity=cache_pages, readahead=readahead
+            ),
+        )
         self._applied_retired = False
         #: Read-only degraded mode: set when the file was opened over
         #: quarantined (unrepairable) pages.  Mutations raise
@@ -129,9 +156,7 @@ class PersistentDenseFile:
             overwrite=overwrite,
             write_through=write_through,
         )
-        created = cls(
-            cls._mount(store, params, algorithm, cache_pages, readahead)
-        )
+        created = cls(store, cache_pages, readahead)
         return _wrap_threadsafe(created) if threadsafe else created
 
     @classmethod
@@ -175,51 +200,13 @@ class PersistentDenseFile:
             write_through=write_through,
             tolerate_corruption=on_corruption == "degrade",
         )
-        algorithm = _ALGORITHM_NAMES.get(store.raw.j >> 24)
-        if algorithm is None:
-            store.close()
-            raise StorageError(f"{path}: unknown algorithm code")
-        explicit_j = store.raw.j & 0xFFFFFF
-        params = DensityParams(
-            num_pages=store.num_pages,
-            d=store.raw.d,
-            D=store.raw.D,
-            j=explicit_j or None,
-        )
-        dense = cls._mount(store, params, algorithm, cache_pages, readahead)
-        dense.engine.restore_from_store()
-        if isinstance(dense.engine, Control2Engine):
-            cls._rebuild_warning_flags(dense.engine)
-        opened = cls(dense)
+        opened = cls(store, cache_pages, readahead)
+        opened.engine.restore_from_store()
+        if isinstance(opened.engine, Control2Engine):
+            cls._rebuild_warning_flags(opened.engine)
         if store.quarantined:
             opened._degrade(store.quarantined)
         return _wrap_threadsafe(opened) if threadsafe else opened
-
-    @staticmethod
-    def _mount(
-        store: DiskStore,
-        params: DensityParams,
-        algorithm: str,
-        cache_pages: Optional[int],
-        readahead: int = 0,
-    ) -> DenseSequentialFile:
-        """Wrap the store (cached if asked) in a backend-agnostic facade."""
-        if readahead and cache_pages is None:
-            raise ConfigurationError(
-                "readahead prefetches into the page cache; pass cache_pages"
-            )
-        backend = store if cache_pages is None else BufferedStore(
-            store, capacity=cache_pages, readahead=readahead
-        )
-        return DenseSequentialFile(
-            params.num_pages,
-            params.d,
-            params.D,
-            algorithm=algorithm,
-            j=params.j,
-            auto_macroblock=False,
-            store=backend,
-        )
 
     @staticmethod
     def _rebuild_warning_flags(engine: Control2Engine) -> None:
@@ -243,9 +230,9 @@ class PersistentDenseFile:
     # ------------------------------------------------------------------
 
     @property
-    def store(self):
-        """The top of the storage stack (cache when ``cache_pages`` set)."""
-        return self.engine.store
+    def dense(self) -> "PersistentDenseFile":
+        """The dense-file facade: this file itself."""
+        return self
 
     @property
     def _disk_store(self) -> DiskStore:
@@ -260,9 +247,10 @@ class PersistentDenseFile:
         """The slotted OS-file layer at the bottom of the stack."""
         return self._disk_store.raw
 
-    def store_stats(self) -> dict:
-        """Physical-layer counters (cache hit rates when cached)."""
-        return self.engine.store.stats()
+    @property
+    def path(self) -> str:
+        """The OS file at the bottom of the storage stack."""
+        return self._raw.path
 
     # ------------------------------------------------------------------
     # read-only degradation
@@ -289,111 +277,46 @@ class PersistentDenseFile:
             if os.path.exists(applied):
                 os.unlink(applied)
 
-    def close(self) -> None:
-        """Flush every layer and close the backing store."""
-        self.engine.store.close()
-
-    def flush(self) -> None:
-        """Write back any cached pages and fsync the backing file."""
-        self.engine.store.flush()
-
-    @property
-    def closed(self) -> bool:
-        return self.engine.store.closed
-
-    @property
-    def path(self) -> str:
-        return self._raw.path
-
-    def __enter__(self) -> "PersistentDenseFile":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
-    # the dense-file API (delegated)
+    # the seven mutators, each through one guarded hook
     # ------------------------------------------------------------------
+
+    def _apply(self, operation: Callable[..., Any], *args: Any) -> Any:
+        """Run one mutator of the dense-file API once writes are allowed."""
+        self._check_writable()
+        return operation(*args)
 
     def insert(self, key, value=None) -> None:
         """Insert a record (written through to disk)."""
-        self._check_writable()
-        self.engine.insert(key, value)
+        self._apply(super().insert, key, value)
 
     def delete(self, key) -> Record:
         """Delete and return the record with ``key``."""
-        self._check_writable()
-        return self.engine.delete(key)
+        return self._apply(super().delete, key)
 
     def update(self, key, value) -> Record:
         """Replace the value stored under an existing ``key`` in place."""
-        self._check_writable()
-        page = self.engine.pagefile.locate(key)
-        if page is None:
-            raise RecordNotFoundError(key)
-        return self.engine.pagefile.replace_record(page, Record(key, value))
+        return self._apply(super().update, key, value)
 
     def insert_many(self, items, batch: bool = True) -> int:
         """Insert an iterable of records/keys in a key-ordered sweep."""
-        self._check_writable()
-        return self.engine.insert_many(items, batch=batch)
+        return self._apply(super().insert_many, items, batch)
 
     def delete_range(self, lo_key, hi_key, batch: bool = True) -> int:
         """Bulk-delete every record with ``lo_key <= key <= hi_key``."""
-        self._check_writable()
-        return self.engine.delete_range(lo_key, hi_key, batch=batch)
-
-    def rank(self, key) -> int:
-        """Number of records with key strictly less than ``key``."""
-        return self.engine.rank(key)
-
-    def count_range(self, lo_key, hi_key) -> int:
-        """Records with ``lo_key <= key <= hi_key`` (<= 2 accesses)."""
-        return self.engine.count_range(lo_key, hi_key)
-
-    def select(self, index: int) -> Record:
-        """The record of 0-based rank ``index`` in key order."""
-        return self.engine.select(index)
+        return self._apply(super().delete_range, lo_key, hi_key, batch)
 
     def compact(self) -> int:
         """Uniformly redistribute all records; returns pages rewritten."""
-        self._check_writable()
-        return self.engine.compact()
-
-    def search(self, key) -> Optional[Record]:
-        """Return the record with ``key`` or ``None``."""
-        return self.engine.search(key)
-
-    def __contains__(self, key) -> bool:
-        return key in self.engine
-
-    def __len__(self) -> int:
-        return len(self.engine)
-
-    def range(self, lo_key, hi_key) -> Iterator[Record]:
-        """Stream records with ``lo_key <= key <= hi_key`` in order."""
-        return self.engine.range_scan(lo_key, hi_key)
-
-    def scan(self, start_key, count: int) -> List[Record]:
-        """Return up to ``count`` records with key >= ``start_key``."""
-        return self.engine.scan_count(start_key, count)
+        return self._apply(super().compact)
 
     def bulk_load(self, records) -> None:
         """Uniformly load records into an empty file (durable)."""
-        self._check_writable()
-        self.engine.bulk_load(records)
+        self._apply(super().bulk_load, records)
 
-    def occupancies(self) -> List[int]:
-        """Records per page, as a list of length M."""
-        return self.engine.occupancies()
-
-    @property
-    def params(self) -> DensityParams:
-        return self.engine.params
-
-    @property
-    def stats(self):
-        return self.engine.stats
+    # ------------------------------------------------------------------
+    # validation
+    # ------------------------------------------------------------------
 
     def validate(self) -> None:
         """In-core invariants plus on-disk/in-core agreement.
@@ -464,15 +387,16 @@ class JournaledDenseFile(PersistentDenseFile):
     #: retire it (it is this class's own durable-LSN/heal-source record).
     _retires_applied = False
 
-    def __init__(self, dense: DenseSequentialFile, injector=None):
+    def __init__(
+        self,
+        store: DiskStore,
+        cache_pages: Optional[int] = None,
+        readahead: int = 0,
+    ):
         from .storage.wal import TransactionJournal
 
-        super().__init__(dense)
-        store = self._disk_store
-        # Journaled mode buffers dirty pages instead of writing through.
-        store.write_through = False
-        self.journal = TransactionJournal(store.path + ".journal", injector)
-        store.raw.fault_injector = injector
+        super().__init__(store, cache_pages, readahead)
+        self.journal = TransactionJournal(store.path + ".journal")
         #: Nesting depth of open :meth:`transaction` blocks; while
         #: positive, per-command commits are deferred (group commit).
         self._txn_depth = 0
@@ -500,7 +424,7 @@ class JournaledDenseFile(PersistentDenseFile):
         ``threadsafe=True`` wraps the file in a
         :class:`~repro.concurrent.ThreadSafeDenseFile`.
         """
-        plain = PersistentDenseFile.create(
+        created = super().create(
             path,
             num_pages=num_pages,
             d=d,
@@ -511,8 +435,7 @@ class JournaledDenseFile(PersistentDenseFile):
             overwrite=overwrite,
             write_through=False,
         )
-        created = cls(plain.dense, injector=injector)
-        return _wrap_threadsafe(created) if threadsafe else created
+        return cast("JournaledDenseFile", created)._armed(injector, threadsafe)
 
     @classmethod
     def open(
@@ -534,9 +457,14 @@ class JournaledDenseFile(PersistentDenseFile):
             store.flush()
             store.close()
             journal.mark_applied()
-        plain = PersistentDenseFile.open(path, write_through=False)
-        opened = cls(plain.dense, injector=injector)
-        return _wrap_threadsafe(opened) if threadsafe else opened
+        opened = super().open(path, write_through=False)
+        return cast("JournaledDenseFile", opened)._armed(injector, threadsafe)
+
+    def _armed(self, injector, threadsafe: bool):
+        """Install the fault injector; wrap for threads when asked."""
+        self.journal.injector = injector
+        self._raw.fault_injector = injector
+        return _wrap_threadsafe(self) if threadsafe else self
 
     # ------------------------------------------------------------------
     # transactions
@@ -568,9 +496,9 @@ class JournaledDenseFile(PersistentDenseFile):
         self.journal.mark_applied()
         store.dirty.clear()
 
-    def _transactional(self, operation):
-        self._check_writable()
-        result = operation()
+    def _apply(self, operation: Callable[..., Any], *args: Any) -> Any:
+        """Run one mutator as one atomic, durable transaction."""
+        result = super()._apply(operation, *args)
         self._commit()
         return result
 
@@ -610,42 +538,6 @@ class JournaledDenseFile(PersistentDenseFile):
                 self._commit()
 
         return _group()
-
-    # -- wrapped mutators ----------------------------------------------
-
-    def insert(self, key, value=None) -> None:
-        """Insert a record (one atomic, durable transaction)."""
-        self._transactional(lambda: self.engine.insert(key, value))
-
-    def delete(self, key) -> Record:
-        """Delete and return the record with ``key`` (atomic)."""
-        return self._transactional(lambda: self.engine.delete(key))
-
-    def update(self, key, value) -> Record:
-        """Replace the value under an existing ``key`` (atomic)."""
-        return self._transactional(
-            lambda: PersistentDenseFile.update(self, key, value)
-        )
-
-    def insert_many(self, items, batch: bool = True) -> int:
-        """Insert a batch as one atomic transaction (all or nothing)."""
-        return self._transactional(
-            lambda: self.engine.insert_many(items, batch=batch)
-        )
-
-    def delete_range(self, lo_key, hi_key, batch: bool = True) -> int:
-        """Bulk-delete a key range as one atomic transaction."""
-        return self._transactional(
-            lambda: self.engine.delete_range(lo_key, hi_key, batch=batch)
-        )
-
-    def bulk_load(self, records) -> None:
-        """Uniformly load an empty file as one atomic transaction."""
-        self._transactional(lambda: self.engine.bulk_load(records))
-
-    def compact(self) -> int:
-        """Uniformly redistribute all records as one atomic transaction."""
-        return self._transactional(lambda: self.engine.compact())
 
     def close(self) -> None:
         """Commit any buffered transaction, then close the store."""

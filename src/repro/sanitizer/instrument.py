@@ -16,7 +16,7 @@ The store seam is the LNT001 seam: the accounting lint rule already
 forces every engine's physical traffic through
 ``get_page``/``get_page2``/``put_page``/``move_records`` on the store
 attribute, so wrapping the store is guaranteed to observe every
-metered page touch.  ``peek`` is also reported (as a read): it is
+metered page touch (``get_page2`` arrives as two ``get_page`` calls).  ``peek`` is also reported (as a read): it is
 uncharged *cost-wise* but still a shared-memory access the detector
 must order.
 """
@@ -67,12 +67,6 @@ class SanitizedStore(DelegatingStore):
     def get_page(self, page_number: int) -> Page:
         self._runtime.on_access(self._resource(page_number), READ)
         return self.inner.get_page(page_number)
-
-    def get_page2(self, page_number: int) -> Page:
-        # Two fused logical reads: one event suffices for the detector
-        # (the second touch carries no extra ordering information).
-        self._runtime.on_access(self._resource(page_number), READ)
-        return self.inner.get_page2(page_number)
 
     def put_page(self, page_number: int) -> None:
         self._runtime.on_access(self._resource(page_number), WRITE)

@@ -190,12 +190,13 @@ class PageStore:
 class DelegatingStore(PageStore):
     """A transparent pass-through decorator base over any backend.
 
-    Forwards the whole :class:`PageStore` protocol — including the
-    fused :meth:`get_page2` and the batch :meth:`move_records`, so a
-    decorator never changes the inner store's touch sequence or its
-    counters — plus unknown attributes (``raw``, ``pool``, ...), so
-    stacking a decorator is invisible to callers that introspect the
-    stack.  Subclasses override exactly the
+    Forwards the :class:`PageStore` protocol — including the batch
+    :meth:`move_records`, so a decorator never changes the inner
+    store's touch sequence or its counters — plus unknown attributes
+    (``raw``, ``pool``, ...), so stacking a decorator is invisible to
+    callers that introspect the stack.  The fused :meth:`get_page2`
+    keeps the :class:`PageStore` default: two :meth:`get_page` calls,
+    each seen by the decorator.  Subclasses override exactly the
     methods they want to observe and delegate the rest; the sanitizer's
     :class:`~repro.sanitizer.instrument.SanitizedStore` is the first
     client.  Decorators whose read path adds no shared mutable state
@@ -224,9 +225,6 @@ class DelegatingStore(PageStore):
 
     def get_page(self, page_number: int) -> Page:
         return self.inner.get_page(page_number)
-
-    def get_page2(self, page_number: int) -> Page:
-        return self.inner.get_page2(page_number)
 
     def put_page(self, page_number: int) -> None:
         self.inner.put_page(page_number)

@@ -112,20 +112,6 @@ class AccessStats:
         """Total page accesses (reads plus writes) so far."""
         return self.reads + self.writes
 
-    def record_read(self, cost: float, moved_arm: bool) -> None:
-        """Account one read of the given modelled cost."""
-        self.reads += 1
-        self.cost += cost
-        if moved_arm:
-            self.seeks += 1
-
-    def record_write(self, cost: float, moved_arm: bool) -> None:
-        """Account one write of the given modelled cost."""
-        self.writes += 1
-        self.cost += cost
-        if moved_arm:
-            self.seeks += 1
-
     def checkpoint(self, name: str = "default") -> None:
         """Remember the current counters under ``name``."""
         self._marks[name] = (self.reads, self.writes, self.seeks, self.cost)

@@ -151,8 +151,8 @@ class SimulatedDisk:
         The exact access pattern of a one-hop record move (SHIFT's
         workhorse): read the source, write the moved records into the
         destination, write the shrunk source back.  The two writes sit
-        at the same distance ``|dest - source|``, so their seek cost is
-        computed once and applied twice; every meter, seek count and
+        at the same distance ``|dest - source|``, so their charge is
+        computed once and added twice; every meter, seek count and
         trace entry matches the three separate calls bit for bit, and
         the arm ends on ``source`` exactly as the unfused sequence
         leaves it.
@@ -185,14 +185,18 @@ class SimulatedDisk:
         if distance < 0:
             distance = -distance
         if distance <= self._window:
-            stats.cost += 2 * self._transfer_cost
+            charge = self._transfer_cost
         else:
             seek = self._seek_base + self._seek_per_page * distance
             seek_max = self._seek_max
             if seek_max > 0 and seek > seek_max:
                 seek = seek_max
-            stats.cost += 2 * (self._transfer_cost + seek)
+            charge = self._transfer_cost + seek
             stats.seeks += 2
+        # Two additions, not one of ``2 * charge``: float sums are not
+        # associative, and the total must match the separate writes.
+        stats.cost += charge
+        stats.cost += charge
         trace = self.trace
         if trace.enabled:
             trace.record(READ, source)

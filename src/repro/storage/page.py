@@ -185,33 +185,6 @@ class Page:
         values[index] = record.value
         return old
 
-    def take_lowest(self, count: int) -> List[Record]:
-        """Remove and return the ``count`` lowest-keyed records."""
-        count = min(count, len(self._keys))
-        taken = self.records_slice(0, count)
-        del self._keys[:count]
-        del self._values[:count]
-        return taken
-
-    def take_highest(self, count: int) -> List[Record]:
-        """Remove and return the ``count`` highest-keyed records."""
-        count = min(count, len(self._keys))
-        if count == 0:
-            return []
-        taken = self.records_slice(-count, len(self._keys))
-        del self._keys[-count:]
-        del self._values[-count:]
-        return taken
-
-    def extend_low(self, records: List[Record]) -> None:
-        """Prepend records whose keys all precede the page's current keys."""
-        if not records:
-            return
-        if self._keys and records[-1].key >= self._keys[0]:
-            raise UsageError("extend_low would break key order")
-        self._keys[:0] = [record.key for record in records]
-        self._values[:0] = [record.value for record in records]
-
     def extend_high(self, records: List[Record]) -> None:
         """Append records whose keys all follow the page's current keys."""
         if not records:
@@ -233,17 +206,17 @@ class Page:
     def take_lowest_into(self, dest: "Page", count: int) -> int:
         """Move the ``count`` lowest records onto the top of ``dest``.
 
-        Slice-level equivalent of ``dest.extend_high(self.take_lowest(
-        count))`` — same validation, same final state, two C-level slice
-        moves and no :class:`Record` materialization.  Returns the
-        number of records moved.
+        The records keep their order above ``dest``'s keys (the same
+        check as :meth:`extend_high`), through two C-level slice moves
+        and no :class:`Record` materialization.  Returns the number of
+        records moved.
         """
         count = min(count, len(self._keys))
         if count == 0:
             return 0
         keys = self._keys[:count]
         if dest._keys and keys[0] <= dest._keys[-1]:
-            raise UsageError("extend_high would break key order")
+            raise UsageError("take_lowest_into would break key order")
         dest._keys += keys
         dest._values += self._values[:count]
         del self._keys[:count]
@@ -257,7 +230,7 @@ class Page:
             return 0
         keys = self._keys[-count:]
         if dest._keys and keys[-1] >= dest._keys[0]:
-            raise UsageError("extend_low would break key order")
+            raise UsageError("take_highest_into would break key order")
         dest._keys[:0] = keys
         dest._values[:0] = self._values[-count:]
         del self._keys[-count:]

@@ -403,7 +403,7 @@ class PageFile:
     # A sorted batch destined for one page pays its read and write once
     # per touched page instead of once per record: the engine opens the
     # page with ``group_read``, applies each record through
-    # ``group_insert`` (uncharged — the caller owns the group's
+    # ``group_insert_kv`` (uncharged — the caller owns the group's
     # charges), and closes it with ``group_write``.  The per-record
     # maintenance algorithm still runs between group inserts; any page
     # I/O *it* performs is charged normally through the methods above,
@@ -414,15 +414,10 @@ class PageFile:
         self.disk.read(page_number)
         self.store.get_page(page_number)
 
-    def group_insert(self, page_number: int, record: Record) -> None:
-        """Insert into a page opened by :meth:`group_read` (uncharged)."""
-        self.store.peek(page_number).insert(record)
-        self._directory_update(page_number)
-
     def group_insert_kv(
         self, page_number: int, key: Any, value: Any = None
     ) -> None:
-        """:meth:`group_insert` without materializing the Record."""
+        """Insert into a page opened by :meth:`group_read` (uncharged)."""
         index = self.store.peek(page_number).insert_kv(key, value)
         if index == 0:
             self._directory_update(page_number)

@@ -1,11 +1,17 @@
 """Unit tests for the access-cost model and counters."""
 
+import random
+
+import pytest
+
 from repro.storage.cost import (
     AccessStats,
     CostModel,
     DISK_ARM_MODEL,
     PAGE_ACCESS_MODEL,
 )
+from repro.storage.disk import SimulatedDisk
+from repro.storage.tracing import READ, AccessTrace
 
 
 class TestCostModel:
@@ -48,51 +54,134 @@ class TestCostModel:
 
 class TestAccessStats:
     def test_counts_reads_and_writes_separately(self):
-        stats = AccessStats()
-        stats.record_read(1.0, moved_arm=False)
-        stats.record_write(1.0, moved_arm=True)
-        stats.record_write(1.0, moved_arm=False)
+        disk = SimulatedDisk(100)
+        disk.read(5)  # cold arm: one seek
+        disk.write(6)
+        disk.write(6)
+        stats = disk.stats
         assert stats.reads == 1
         assert stats.writes == 2
         assert stats.page_accesses == 3
         assert stats.seeks == 1
 
     def test_cost_accumulates(self):
-        stats = AccessStats()
-        stats.record_read(2.5, moved_arm=False)
-        stats.record_write(1.5, moved_arm=False)
-        assert stats.cost == 4.0
+        disk = SimulatedDisk(100, CostModel(seek_base=2.0, seek_per_page=0.5))
+        disk.read(10)  # cold arm: 1 + 2
+        disk.write(20)  # 1 + 2 + 0.5 * 10
+        assert disk.stats.cost == 11.0
 
     def test_checkpoint_delta_isolates_an_operation(self):
-        stats = AccessStats()
-        stats.record_read(1.0, False)
-        stats.checkpoint("op")
-        stats.record_write(3.0, True)
-        delta = stats.delta("op")
+        disk = SimulatedDisk(100, CostModel(seek_base=2.0))
+        disk.read(1)
+        disk.stats.checkpoint("op")
+        disk.write(50)
+        delta = disk.stats.delta("op")
         assert delta.reads == 0
         assert delta.writes == 1
         assert delta.cost == 3.0
         assert delta.seeks == 1
 
     def test_delta_without_checkpoint_measures_from_zero(self):
-        stats = AccessStats()
-        stats.record_read(1.0, False)
-        assert stats.delta("never-set").reads == 1
+        disk = SimulatedDisk(100)
+        disk.read(1)
+        assert disk.stats.delta("never-set").reads == 1
 
     def test_named_checkpoints_are_independent(self):
-        stats = AccessStats()
+        disk = SimulatedDisk(100)
+        stats = disk.stats
         stats.checkpoint("a")
-        stats.record_read(1.0, False)
+        disk.read(1)
         stats.checkpoint("b")
-        stats.record_read(1.0, False)
+        disk.read(1)
         assert stats.delta("a").reads == 2
         assert stats.delta("b").reads == 1
 
     def test_reset_clears_everything(self):
-        stats = AccessStats()
-        stats.record_read(1.0, True)
+        disk = SimulatedDisk(100)
+        disk.read(1)
+        stats = disk.stats
         stats.checkpoint("x")
         stats.reset()
         assert stats.page_accesses == 0
         assert stats.cost == 0.0
         assert stats.delta("x").reads == 0
+
+
+def _macro_scaled(model: CostModel, factor: int) -> CostModel:
+    """``model`` priced per macro-block, as the macro-block engine builds it."""
+    return CostModel(
+        transfer_cost=model.transfer_cost * factor,
+        seek_base=model.seek_base,
+        seek_per_page=model.seek_per_page * factor,
+        seek_max=model.seek_max,
+        contiguous_window=model.contiguous_window,
+    )
+
+
+def _replay(model: CostModel, trace) -> tuple:
+    """Reads, writes, seeks, cost and arm of a trace priced by ``model``."""
+    reads = writes = seeks = 0
+    cost = 0.0
+    arm = -1
+    for event in trace:
+        if event.kind == READ:
+            reads += 1
+        else:
+            writes += 1
+        if arm < 0 or abs(event.page - arm) > model.contiguous_window:
+            seeks += 1
+        cost += model.access_cost(arm, event.page)
+        arm = event.page
+    return reads, writes, seeks, cost, arm
+
+
+def _meter(disk: SimulatedDisk) -> tuple:
+    stats = disk.stats
+    return stats.reads, stats.writes, stats.seeks, stats.cost, disk.arm_position
+
+
+class TestMeterReference:
+    """The fused meters against the separate calls and ``access_cost``."""
+
+    PAGES = 600
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "model",
+        [DISK_ARM_MODEL, _macro_scaled(DISK_ARM_MODEL, 4)],
+        ids=["disk-arm", "macro-scaled"],
+    )
+    def test_fused_meters_equal_separate_calls_and_replay(self, model, seed):
+        rng = random.Random(seed)
+        fused = SimulatedDisk(self.PAGES, model, AccessTrace(enabled=True))
+        plain = SimulatedDisk(self.PAGES, model, AccessTrace(enabled=True))
+        page = rng.randint(1, self.PAGES)
+        for _ in range(400):
+            # Half the steps stay near the arm (inside and just past the
+            # contiguous window); the rest jump anywhere.
+            if rng.random() < 0.5:
+                page = min(max(page + rng.randint(-3, 3), 1), self.PAGES)
+            else:
+                page = rng.randint(1, self.PAGES)
+            other = min(max(page + rng.choice([-40, -2, -1, 1, 2, 40]), 1),
+                        self.PAGES)
+            kind = rng.choice(["read", "write", "read2", "move_charge"])
+            if kind == "read":
+                fused.read(page)
+                plain.read(page)
+            elif kind == "write":
+                fused.write(page)
+                plain.write(page)
+            elif kind == "read2":
+                fused.read2(page)
+                plain.read(page)
+                plain.read(page)
+            else:
+                fused.move_charge(page, other)
+                plain.read(page)
+                plain.write(other)
+                plain.write(page)
+            assert _meter(fused) == _meter(plain), kind
+        assert list(fused.trace) == list(plain.trace)
+        assert _replay(model, fused.trace) == _meter(fused)
+        assert fused.stats.seeks > 0

@@ -119,8 +119,16 @@ VALUES = st.one_of(
 
 
 def _apply(page, op, args):
-    """Run one operation; return ``("ok", result)`` or ``("err", type)``."""
+    """Run one operation; return ``("ok", result)`` or ``("err", type)``.
+
+    The page takes records out only by a slice move into another page,
+    so ``take_lowest``/``take_highest`` move into a fresh page there.
+    """
     try:
+        if isinstance(page, Page) and op.startswith("take_"):
+            taken = Page()
+            getattr(page, op + "_into")(taken, *args)
+            return "ok", taken.records()
         method = getattr(page, op)
         return "ok", method(*args)
     except (DuplicateKeyError, RecordNotFoundError, UsageError) as exc:

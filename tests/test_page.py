@@ -68,41 +68,35 @@ class TestPageBasics:
 
 class TestPageBatchMoves:
     def test_take_lowest(self):
-        page = make_page(1, 2, 3, 4)
-        taken = page.take_lowest(2)
-        assert [record.key for record in taken] == [1, 2]
+        page, dest = make_page(1, 2, 3, 4), Page()
+        assert page.take_lowest_into(dest, 2) == 2
+        assert [record.key for record in dest] == [1, 2]
         assert [record.key for record in page] == [3, 4]
 
     def test_take_highest(self):
-        page = make_page(1, 2, 3, 4)
-        taken = page.take_highest(3)
-        assert [record.key for record in taken] == [2, 3, 4]
+        page, dest = make_page(1, 2, 3, 4), Page()
+        assert page.take_highest_into(dest, 3) == 3
+        assert [record.key for record in dest] == [2, 3, 4]
         assert [record.key for record in page] == [1]
 
     def test_take_more_than_available(self):
-        page = make_page(1, 2)
-        assert len(page.take_lowest(10)) == 2
+        page, dest = make_page(1, 2), Page()
+        assert page.take_lowest_into(dest, 10) == 2
         assert page.is_empty
+        assert dest.take_highest_into(page, 10) == 2
+        assert dest.is_empty
+        assert [record.key for record in page] == [1, 2]
 
     def test_take_zero(self):
-        page = make_page(1)
-        assert page.take_highest(0) == []
+        page, dest = make_page(1), Page()
+        assert page.take_highest_into(dest, 0) == 0
         assert len(page) == 1
-
-    def test_extend_low_prepends(self):
-        page = make_page(10, 20)
-        page.extend_low([Record(1), Record(2)])
-        assert [record.key for record in page] == [1, 2, 10, 20]
+        assert dest.is_empty
 
     def test_extend_high_appends(self):
         page = make_page(1, 2)
         page.extend_high([Record(10), Record(20)])
         assert [record.key for record in page] == [1, 2, 10, 20]
-
-    def test_extend_low_rejects_order_violation(self):
-        page = make_page(5)
-        with pytest.raises(ValueError):
-            page.extend_low([Record(7)])
 
     def test_extend_high_rejects_order_violation(self):
         page = make_page(5)
@@ -111,8 +105,7 @@ class TestPageBatchMoves:
 
     def test_extend_into_empty_page(self):
         page = Page()
-        page.extend_high([Record(1)])
-        page.extend_low([Record(0)])
+        page.extend_high([Record(0), Record(1)])
         assert [record.key for record in page] == [0, 1]
 
     def test_clear_returns_everything(self):

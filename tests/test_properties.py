@@ -43,15 +43,15 @@ class TestPageProperties:
 
     @given(st.lists(KEYS, unique=True, min_size=1), st.integers(0, 20))
     def test_take_lowest_plus_remainder_is_original(self, keys, count):
-        page = Page(Record(key) for key in keys)
-        taken = page.take_lowest(count)
+        page, taken = Page(Record(key) for key in keys), Page()
+        page.take_lowest_into(taken, count)
         remaining = page.records()
         assert [r.key for r in taken] + [r.key for r in remaining] == sorted(keys)
 
     @given(st.lists(KEYS, unique=True, min_size=1), st.integers(0, 20))
     def test_take_highest_plus_remainder_is_original(self, keys, count):
-        page = Page(Record(key) for key in keys)
-        taken = page.take_highest(count)
+        page, taken = Page(Record(key) for key in keys), Page()
+        page.take_highest_into(taken, count)
         remaining = page.records()
         assert [r.key for r in remaining] + [r.key for r in taken] == sorted(keys)
 

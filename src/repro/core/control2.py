@@ -122,9 +122,6 @@ class Control2Engine(BaseEngine):
     def _density_at_least(self, node: int, thirds: int) -> bool:
         return self.calibrator.count[node] >= self._ge_thresholds[thirds][node]
 
-    def _density_at_most(self, node: int, thirds: int) -> bool:
-        return self.calibrator.count[node] <= self._le_thresholds[thirds][node]
-
     def _lower_flag(self, node: int) -> None:
         self.calibrator.set_flag(node, False)
         self.destinations.pop(node, None)
@@ -439,15 +436,3 @@ class Control2Engine(BaseEngine):
     def warning_nodes(self) -> List[int]:
         """Node ids currently in a warning state."""
         return self.calibrator.flagged_nodes()
-
-    def describe_warnings(self) -> List[str]:
-        """Human-readable warning-state summary (for examples/debugging)."""
-        tree = self.calibrator
-        lines = []
-        for node in self.warning_nodes():
-            lo, hi, depth, count = tree.describe(node)
-            lines.append(
-                f"node {node} range=[{lo},{hi}] depth={depth} N={count} "
-                f"DEST={self.destinations.get(node)}"
-            )
-        return lines

@@ -10,7 +10,7 @@ subclasses implement in :meth:`BaseEngine._after_insert` and
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from ..records import Record, ensure_record
 from ..storage.backend import PageStore
@@ -168,6 +168,17 @@ class BaseEngine:
             self.calibrator.add(page, self.pagefile.page_len(page))
         self.size = total
         return total
+
+    def adopt_pages(self, pages: Iterable[int]) -> None:
+        """:meth:`restore_from_store` for just ``pages``, whose store
+        contents were replaced beneath this engine (uncharged)."""
+        for page in pages:
+            delta = self.pagefile.page_len(page)
+            delta -= self.calibrator.leaf_count(page)
+            if delta:
+                self.calibrator.add(page, delta)
+                self.size += delta
+            self.pagefile._directory_update(page)
 
     # ------------------------------------------------------------------
     # step 1 plumbing

@@ -32,8 +32,7 @@ Example
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, List, Optional, cast
+from typing import Any, Callable, Iterable, Optional, cast
 
 from .core.control2 import Control2Engine
 from .core.dense_file import DenseSequentialFile
@@ -42,6 +41,7 @@ from .core.params import DensityParams
 from .records import Record
 from .storage.backend import BufferedStore, DiskStore
 from .storage.ondisk import DiskPagedStore, StorageError
+from .storage.wal import TransactionJournal, recover_file
 
 _ALGORITHM_CODES = {"control2": 0, "control1": 1}
 _ALGORITHM_NAMES = {code: name for name, code in _ALGORITHM_CODES.items()}
@@ -190,7 +190,7 @@ class PersistentDenseFile(DenseSequentialFile):
                 f"on_corruption must be 'raise' or 'degrade', "
                 f"not {on_corruption!r}"
             )
-        if os.path.exists(path + ".journal"):
+        if TransactionJournal.beside(path).exists():
             raise StorageError(
                 f"{path} has a pending transaction journal; open it with "
                 "JournaledDenseFile.open() so recovery can run"
@@ -207,6 +207,16 @@ class PersistentDenseFile(DenseSequentialFile):
         if store.quarantined:
             opened._degrade(store.quarantined)
         return _wrap_threadsafe(opened) if threadsafe else opened
+
+    def reload_pages(self, pages: Iterable[int]) -> None:
+        """Re-read ``pages`` after a caller wrote their slots beneath us.
+
+        For the replica, which commits shipped records into :attr:`_raw`
+        and never writes through this facade, so warning flags (write-side
+        state) are left as they are.
+        """
+        self._disk_store.reload(pages)
+        self.engine.adopt_pages(pages)
 
     @staticmethod
     def _rebuild_warning_flags(engine: Control2Engine) -> None:
@@ -273,9 +283,7 @@ class PersistentDenseFile(DenseSequentialFile):
             # retained applied-journal image now describes a stale state
             # and must stop being a heal source.  Read-only flows keep it.
             self._applied_retired = True
-            applied = self.path + ".journal.applied"
-            if os.path.exists(applied):
-                os.unlink(applied)
+            TransactionJournal.beside(self.path).discard()
 
     # ------------------------------------------------------------------
     # the seven mutators, each through one guarded hook
@@ -344,10 +352,6 @@ class PersistentDenseFile(DenseSequentialFile):
                     f"page {page}: on-disk contents diverge from memory"
                 )
 
-    def verify_checksums(self) -> List[int]:
-        """Checksum every on-disk page; return corrupt page numbers."""
-        return self._raw.verify_all()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"PersistentDenseFile({self.path!r}, {self.params}, "
@@ -369,12 +373,14 @@ class JournaledDenseFile(PersistentDenseFile):
        set;
     2. the new page images plus a checksummed commit marker are fsynced
        to a side journal (``<path>.journal``);
-    3. only then are the pages applied to the main file and the journal
-       removed.
+    3. only then are the pages applied to the main file, the file
+       fsynced, and the journal retired.
 
+    Steps 2–3 are :meth:`~repro.storage.wal.TransactionJournal.commit`.
     :meth:`open` replays a committed journal (redo) or discards a torn
-    one, so a reopened file always shows the state exactly before or
-    exactly after each command — never in between.  The invariant is
+    one (:func:`~repro.storage.wal.recover_file`), so a reopened file
+    always shows the state exactly before or exactly after each
+    command — never in between.  The invariant is
     exercised exhaustively by the crash-point sweep in
     ``tests/test_crash_consistency.py``.
 
@@ -393,10 +399,8 @@ class JournaledDenseFile(PersistentDenseFile):
         cache_pages: Optional[int] = None,
         readahead: int = 0,
     ):
-        from .storage.wal import TransactionJournal
-
         super().__init__(store, cache_pages, readahead)
-        self.journal = TransactionJournal(store.path + ".journal")
+        self.journal = TransactionJournal.beside(store.path)
         #: Nesting depth of open :meth:`transaction` blocks; while
         #: positive, per-command commits are deferred (group commit).
         self._txn_depth = 0
@@ -446,17 +450,7 @@ class JournaledDenseFile(PersistentDenseFile):
         ``threadsafe=True`` wraps the file in a
         :class:`~repro.concurrent.ThreadSafeDenseFile`.
         """
-        from .storage.wal import TransactionJournal
-
-        journal = TransactionJournal(path + ".journal")
-        committed = journal.recover()
-        if committed is not None:
-            store = DiskPagedStore.open(path)
-            for page, payload in sorted(committed.items()):
-                store.write_page_payload(page, payload)
-            store.flush()
-            store.close()
-            journal.mark_applied()
+        recover_file(path)
         opened = super().open(path, write_through=False)
         return cast("JournaledDenseFile", opened)._armed(injector, threadsafe)
 
@@ -489,11 +483,7 @@ class JournaledDenseFile(PersistentDenseFile):
             page: encode_image(self.engine.pagefile.page(page))
             for page in sorted(store.dirty)
         }
-        self.journal.write_transaction(payloads)
-        for page, payload in payloads.items():
-            store.raw.write_page_payload(page, payload)
-        store.raw.flush()
-        self.journal.mark_applied()
+        self.journal.commit(store.raw, payloads)
         store.dirty.clear()
 
     def _apply(self, operation: Callable[..., Any], *args: Any) -> Any:

@@ -1,22 +1,21 @@
 """Replica: replays shipped transaction records onto its own store.
 
-A replica owns a full copy of the primary's file plus its own
-:class:`~repro.storage.wal.TransactionJournal`.  Every shipped record
-is applied with the same journal-then-apply-then-retire protocol the
-primary uses (journal the pages under the *primary's* sequence number,
-fsync, write the pages, rename the journal to the applied slot) — so a
-replica crash at any point recovers exactly like a primary crash, and
-the applied LSN is always durable on the replica's own disk.
-
-Reads run under a :class:`~repro.concurrent.FairRWLock` with deadline
-budgets, against a lazily (re)built read view: the replica applies raw
-page images without interpreting them, and mounts a fresh
-:class:`~repro.persistent.PersistentDenseFile` over the store when a
-reader first arrives after an apply.  Because applies are whole
-committed transactions, every view — and every
-:meth:`Replica.snapshot` — is a *prefix-consistent* state: exactly the
-primary's state at some committed sequence, never a mid-transaction
-mixture.
+A replica owns a full copy of the primary's file, opened once as a
+:class:`~repro.persistent.PersistentDenseFile`, plus its own journal.
+Each shipped record goes through the primary's own
+:meth:`~repro.storage.wal.TransactionJournal.commit` under the
+*primary's* sequence number, and a reopened replica runs the same
+:func:`~repro.storage.wal.recover_file` — so a replica crash recovers
+exactly like a primary crash.  The apply then re-reads just the
+record's pages into the open file
+(:meth:`~repro.persistent.PersistentDenseFile.reload_pages`), all under
+the write lock of a :class:`~repro.concurrent.FairRWLock`, so reads
+take only the read lock, and every read — and every
+:meth:`Replica.snapshot` — sees the primary's state at some committed
+sequence, never a mid-transaction mixture.  An apply that raises
+part-way leaves the in-core state untrusted: reads and applies then
+raise :class:`~repro.core.errors.ReplicationError` until the replica
+is reopened or promoted.
 
 :meth:`Replica.promote` turns the replica into a writable primary: it
 runs the standard journal recovery (discard a torn tail, replay to the
@@ -31,14 +30,13 @@ from __future__ import annotations
 
 import shutil
 import time
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..concurrent import Deadline, FairRWLock
 from ..core.errors import ReplicationError, StaleReplicaError
 from ..persistent import JournaledDenseFile, PersistentDenseFile
 from ..records import Record
-from ..storage.ondisk import DiskPagedStore
-from ..storage.wal import TransactionJournal, TransactionRecord
+from ..storage.wal import TransactionJournal, TransactionRecord, recover_file
 
 
 class Replica:
@@ -54,20 +52,17 @@ class Replica:
         self.op_timeout = op_timeout
         self._clock = clock
         self._lock = FairRWLock(clock=clock)
-        self.journal = TransactionJournal(path + ".journal")
         # Crash recovery: a committed journal left by a replica that
         # died mid-apply is replayed (idempotent redo), a torn one is
         # discarded — identical to primary recovery.
-        committed = self.journal.recover()
-        if committed is not None:
-            with DiskPagedStore.open(path) as store:
-                for page, payload in sorted(committed.items()):
-                    store.write_page_payload(page, payload)
-                store.flush()
-            self.journal.mark_applied()
-        self._store: Optional[DiskPagedStore] = DiskPagedStore.open(path)
-        self._view: Optional[PersistentDenseFile] = None
+        recover_file(path)
+        self.journal = TransactionJournal.beside(path)
+        self._file: Optional[PersistentDenseFile] = PersistentDenseFile.open(
+            path, write_through=False
+        )
         self._promoted = False
+        #: Why an apply raised part-way (then nothing is served).
+        self._failure: Optional[str] = None
         #: Shipped records applied by this object (duplicates excluded).
         self.records_applied = 0
         #: Already-applied records skipped idempotently.
@@ -93,14 +88,22 @@ class Replica:
             timeout, deadline, self.op_timeout, self._clock
         )
 
-    def _check_serving(self) -> None:
+    def _serving(self, trusted: bool = True) -> PersistentDenseFile:
+        """The open file; raises once promoted or closed, and with
+        ``trusted`` after a failed apply."""
         if self._promoted:
             raise StaleReplicaError(
                 f"replica {self.path} was promoted; this handle is "
                 "retired — read from the promoted primary instead"
             )
-        if self._store is None:
+        if self._file is None:
             raise ReplicationError(f"replica {self.path} is closed")
+        if trusted and self._failure is not None:
+            raise ReplicationError(
+                f"replica {self.path} stopped serving after a failed "
+                f"apply ({self._failure}); reopen or promote it"
+            )
+        return self._file
 
     # ------------------------------------------------------------------
     # applying shipped records
@@ -121,30 +124,7 @@ class Replica:
         replica from a fresh copy).
         """
         budget = self._budget(timeout, deadline)
-        with self._lock.write_locked(budget):
-            self._check_serving()
-            assert self._store is not None
-            applied = self.journal.sequence
-            if record.sequence <= applied:
-                self.duplicates_skipped += 1
-                return False
-            if record.sequence != applied + 1:
-                raise StaleReplicaError(
-                    f"replica {self.path} is at sequence {applied} but "
-                    f"record {record.sequence} arrived — records "
-                    f"{applied + 1}..{record.sequence - 1} were lost in "
-                    "transport; re-seed the replica"
-                )
-            self.journal.write_transaction(
-                record.pages, sequence=record.sequence
-            )
-            for page, payload in sorted(record.pages.items()):
-                self._store.write_page_payload(page, payload)
-            self._store.flush()
-            self.journal.mark_applied()
-            self._invalidate_view_locked()
-            self.records_applied += 1
-            return True
+        return self._apply_run([record], budget) == 1
 
     def catch_up(
         self,
@@ -160,35 +140,61 @@ class Replica:
             records = transport.poll(self.applied_sequence, limit=batch)
             if not records:
                 return applied
-            for record in records:
-                if self.apply(record, deadline=budget):
-                    applied += 1
+            applied += self._apply_run(records, budget)
             transport.ack(self.applied_sequence)
             budget.check("replica catch-up")
+
+    def _apply_run(
+        self, records: Sequence[TransactionRecord], budget: Deadline
+    ) -> int:
+        """Commit each record in turn, then re-read their pages once.
+
+        One write-lock hold; returns the records applied.  Duplicates
+        are skipped; a gap raises after the records before it apply.
+        """
+        with self._lock.write_locked(budget):
+            opened = self._serving()
+            expected = self.journal.sequence + 1
+            run: List[TransactionRecord] = []
+            gap: Optional[TransactionRecord] = None
+            for record in records:
+                if record.sequence < expected:
+                    self.duplicates_skipped += 1
+                elif record.sequence > expected:
+                    gap = record
+                    break
+                else:
+                    run.append(record)
+                    expected += 1
+            try:
+                for record in run:
+                    self.journal.commit(
+                        opened._raw, record.pages, sequence=record.sequence
+                    )
+                opened.reload_pages(
+                    {page for record in run for page in record.pages}
+                )
+            except BaseException as exc:
+                self._failure = f"{type(exc).__name__}: {exc}"
+                raise
+            self.records_applied += len(run)
+            if gap is not None:
+                raise StaleReplicaError(
+                    f"replica {self.path} is at sequence {expected - 1} "
+                    f"but record {gap.sequence} arrived — records "
+                    f"{expected}..{gap.sequence - 1} were lost in "
+                    "transport; re-seed the replica"
+                )
+            return len(run)
 
     # ------------------------------------------------------------------
     # reading (prefix-consistent snapshots)
     # ------------------------------------------------------------------
 
-    def _invalidate_view_locked(self) -> None:
-        if self._view is not None:
-            self._view.close()
-            self._view = None
-
-    def _with_view(self, budget: Deadline, reader: Callable[..., Any]) -> Any:
-        """Run ``reader(view)`` under the read lock, building if needed."""
-        while True:
-            with self._lock.read_locked(budget):
-                self._check_serving()
-                if self._view is not None:
-                    return reader(self._view)
-            with self._lock.write_locked(budget):
-                self._check_serving()
-                if self._view is None:
-                    self._view = PersistentDenseFile.open(
-                        self.path, write_through=False
-                    )
-            budget.check("replica read")
+    def _read(self, budget: Deadline, reader: Callable[..., Any]) -> Any:
+        """Run ``reader(open file)`` under the read lock."""
+        with self._lock.read_locked(budget):
+            return reader(self._serving())
 
     def snapshot(
         self,
@@ -204,14 +210,14 @@ class Replica:
         """
         budget = self._budget(timeout, deadline)
 
-        def _read(view: PersistentDenseFile) -> Tuple[int, Tuple]:
+        def _records(opened: PersistentDenseFile) -> Tuple[int, Tuple]:
             records = tuple(
                 (record.key, record.value)
-                for record in view.engine.pagefile.iter_all()
+                for record in opened.engine.pagefile.iter_all()
             )
             return (self.journal.sequence, records)
 
-        return self._with_view(budget, _read)
+        return self._read(budget, _records)
 
     def search(
         self,
@@ -219,9 +225,9 @@ class Replica:
         timeout: Optional[float] = None,
         deadline: Optional[Deadline] = None,
     ) -> Optional[Record]:
-        """Point lookup against the current prefix-consistent view."""
+        """Point lookup against the current prefix-consistent state."""
         budget = self._budget(timeout, deadline)
-        return self._with_view(budget, lambda view: view.search(key))
+        return self._read(budget, lambda opened: opened.search(key))
 
     def scan(
         self,
@@ -230,15 +236,15 @@ class Replica:
         timeout: Optional[float] = None,
         deadline: Optional[Deadline] = None,
     ) -> List[Record]:
-        """Ordered scan against the current prefix-consistent view."""
+        """Ordered scan against the current prefix-consistent state."""
         budget = self._budget(timeout, deadline)
-        return self._with_view(
-            budget, lambda view: view.scan(start_key, count)
+        return self._read(
+            budget, lambda opened: opened.scan(start_key, count)
         )
 
     def __len__(self) -> int:
         budget = self._budget(None, None)
-        return int(self._with_view(budget, len))
+        return int(self._read(budget, len))
 
     # ------------------------------------------------------------------
     # promotion
@@ -254,16 +260,14 @@ class Replica:
 
         Runs the standard journal recovery (discard a torn tail, replay
         to the last durable commit) and rebuilds the full engine state
-        from disk.  This handle is retired: subsequent reads raise
+        from disk — also after a failed apply.  This handle is retired:
+        subsequent reads raise
         :class:`~repro.core.errors.StaleReplicaError`.
         """
         budget = self._budget(timeout, deadline)
         with self._lock.write_locked(budget):
-            self._check_serving()
-            assert self._store is not None
-            self._invalidate_view_locked()
-            self._store.close()
-            self._store = None
+            self._serving(trusted=False).close()
+            self._file = None
             self._promoted = True
         return JournaledDenseFile.open(self.path, injector=injector)
 
@@ -271,10 +275,9 @@ class Replica:
         """Release file handles (idempotent)."""
         budget = self._budget(None, None)
         with self._lock.write_locked(budget):
-            self._invalidate_view_locked()
-            if self._store is not None:
-                self._store.close()
-                self._store = None
+            if self._file is not None:
+                self._file.close()
+                self._file = None
 
 
 def bootstrap_replica(
@@ -288,8 +291,9 @@ def bootstrap_replica(
     The primary must be quiescent for the copy: no uncommitted dirty
     pages (commit or roll back the open transaction first) and no
     concurrent writers until this returns.  The copied file already
-    holds every page through the primary's durable sequence, so the
-    replica's journal is stamped with that LSN and shipping resumes
+    holds every page through the primary's durable sequence, so journal
+    files an earlier occupant left at ``replica_path`` are discarded,
+    the replica's journal is stamped with that LSN and shipping resumes
     from there.
     """
     if primary._dirty:
@@ -299,8 +303,7 @@ def bootstrap_replica(
         )
     primary._raw.flush()
     shutil.copyfile(primary.path, replica_path)
-    if primary.durable_sequence > 0:
-        TransactionJournal(replica_path + ".journal").stamp_applied(
-            primary.durable_sequence
-        )
+    journal = TransactionJournal.beside(replica_path)
+    journal.discard()
+    journal.stamp_applied(primary.durable_sequence)
     return Replica(replica_path, op_timeout=op_timeout, clock=clock)

@@ -417,10 +417,6 @@ def run_soak(config: SoakConfig) -> SoakReport:
         model = {
             record.key for record in promoted.engine.pagefile.iter_all()
         }
-        for suffix in ("", ".journal", ".journal.applied"):
-            stale = dead_path + suffix
-            if os.path.exists(stale):
-                os.unlink(stale)
         new_replica = bootstrap_replica(
             promoted, dead_path, op_timeout=config.op_timeout
         )

@@ -27,7 +27,7 @@ from .controls import (
     planted_unlocked_write,
     sanitize_self_test,
 )
-from .instrument import SanitizedMutex, SanitizedRWLock, SanitizedStore
+from .instrument import SanitizedRWLock, SanitizedStore
 from .runtime import READ, WRITE, RaceFinding, RaceReport, SanitizerRuntime
 from .vectorclock import VectorClock
 
@@ -37,7 +37,6 @@ __all__ = [
     "RaceFinding",
     "RaceReport",
     "SanitizeSelfTestReport",
-    "SanitizedMutex",
     "SanitizedRWLock",
     "SanitizedStore",
     "SanitizerRuntime",

@@ -23,7 +23,6 @@ must order.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Callable, Optional
 
@@ -124,47 +123,3 @@ class SanitizedRWLock(FairRWLock):
     def release_write(self) -> None:
         self._runtime.on_release(self._label, WRITE)
         super().release_write()
-
-
-class SanitizedMutex:
-    """A plain mutex whose acquire/release feed the runtime.
-
-    The cluster and replication layers guard their tables with
-    ``threading.Lock``; this wrapper gives tests and future refactors
-    an instrumented drop-in (``with``-compatible, explicit
-    ``acquire``/``release``) so mutex-only protocols participate in
-    lockset refinement, happens-before edges and the lock-order graph
-    exactly like the reader-writer lock.
-    """
-
-    def __init__(self, runtime: SanitizerRuntime, label: str = "mutex"):
-        self._lock = threading.Lock()
-        self._runtime = runtime
-        self._label = runtime.register_label(label)
-
-    @property
-    def label(self) -> str:
-        """The runtime-unique instance label (for tests and reports)."""
-        return self._label
-
-    def acquire(self, timeout: Optional[float] = None) -> bool:
-        """Take the mutex, reporting request and grant to the runtime."""
-        self._runtime.on_acquire_request(self._label, WRITE)
-        acquired = self._lock.acquire(
-            timeout=-1 if timeout is None else timeout
-        )
-        if acquired:
-            self._runtime.on_acquired(self._label, WRITE)
-        return acquired
-
-    def release(self) -> None:
-        """Drop the mutex, publishing the holder's clock first."""
-        self._runtime.on_release(self._label, WRITE)
-        self._lock.release()
-
-    def __enter__(self) -> "SanitizedMutex":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.release()

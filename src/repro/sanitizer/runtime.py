@@ -1,8 +1,7 @@
 """The race-detection core: lockset state machine + happens-before.
 
-:class:`SanitizerRuntime` is a passive event sink.  Instrumented locks
-(:class:`~repro.sanitizer.instrument.SanitizedRWLock`,
-:class:`~repro.sanitizer.instrument.SanitizedMutex`) report
+:class:`SanitizerRuntime` is a passive event sink.  The instrumented
+lock (:class:`~repro.sanitizer.instrument.SanitizedRWLock`) reports
 request/acquire/release events; the instrumented store
 (:class:`~repro.sanitizer.instrument.SanitizedStore`) reports one
 access event per metered page touch — the same ``get_page``/``put_page``
@@ -229,7 +228,7 @@ class SanitizerRuntime:
             thread = self._thread()
             for held_label, _held_mode in thread.held:
                 if held_label == label:
-                    # FairRWLock and SanitizedMutex are not reentrant: a
+                    # FairRWLock is not reentrant: a
                     # nested request waits on itself forever (or until
                     # its deadline).  Deterministic, so report directly.
                     self._findings.append(RaceFinding(

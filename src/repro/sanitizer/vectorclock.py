@@ -72,10 +72,6 @@ class VectorClock:
             for index, count in other._counts.items()
         )
 
-    def as_dict(self) -> Dict[int, int]:
-        """A plain-dict snapshot (for reports and tests)."""
-        return dict(self._counts)
-
     def __repr__(self) -> str:
         inner = ", ".join(
             f"T{index}:{count}"

@@ -398,6 +398,16 @@ class DiskStore(PageStore):
             total += len(records)
         return total
 
+    def reload(self, page_numbers: Iterable[int]) -> None:
+        """Re-materialize just ``page_numbers`` (strict: a corrupt slot
+        raises :class:`~repro.storage.ondisk.CorruptPageError`)."""
+        for page_number in sorted(page_numbers):
+            self._stats.physical_reads += 1
+            records = self.raw.read_page(page_number)
+            page = self._pages[page_number]
+            page.clear()
+            page.extend_high(records)
+
     def close(self) -> None:
         if not self.raw.closed:
             self.flush()

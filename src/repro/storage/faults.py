@@ -425,13 +425,6 @@ class RetryingStore(PageStore):
             "backoff_total": self.backoff_total,
         }
 
-    def reset_counters(self) -> None:
-        """Zero the absorption counters (for per-run reporting)."""
-        self.retries = 0
-        self.giveups = 0
-        self.deadline_giveups = 0
-        self.backoff_total = 0.0
-
     def stats(self) -> Dict[str, object]:
         report: Dict[str, object] = {
             "backend": self.name,

@@ -6,11 +6,12 @@ can no longer be trusted (a torn write, a bit-flip, a crash mid-apply):
 1. **Detect** — checksum every page slot of the
    :class:`~repro.storage.ondisk.DiskPagedStore` and collect the
    corrupt page numbers.
-2. **Repair** — if a *committed* transaction journal sits beside the
-   file, replay it (redo is idempotent): any damaged page whose image
-   was journaled gets its last committed contents back.  The journal is
-   then retired exactly as crash recovery would (renamed to the
-   ``.applied`` slot, preserving the durable sequence).  Pages still
+2. **Repair** — run the same journal recovery a reopened file runs
+   (:meth:`~repro.storage.wal.TransactionJournal.redo`): a *committed*
+   journal beside the file is replayed (redo is idempotent), so any
+   damaged page whose image was journaled gets its last committed
+   contents back, and the journal is retired to the ``.applied`` slot,
+   preserving the durable sequence; a torn one is discarded.  Pages still
    corrupt afterwards get a second chance from the *retained applied*
    journal image — the last applied transaction's pages are already on
    the main store, so rewriting them is an idempotent heal for a torn
@@ -56,7 +57,7 @@ def plan_repairs(path: str, corrupt: Sequence[int]) -> RepairPlan:
     """
     from .wal import TransactionJournal
 
-    journal = TransactionJournal(path + ".journal")
+    journal = TransactionJournal.beside(path)
     pending = journal.read_committed()
     images = pending if pending is not None else journal.read_applied() or {}
     covered = {page: images[page] for page in corrupt if page in images}
@@ -142,21 +143,17 @@ def scrub(path: str) -> ScrubReport:
             + (f" {list(report.corrupt)}" if report.corrupt else "")
         )
 
-        # Planned before recover(), which may discard a torn journal.
+        # Planned before redo(), which retires or discards the journal.
         plan = plan_repairs(path, report.corrupt)
-        journal = TransactionJournal(path + ".journal")
-        had_torn = journal.exists() and journal.read_committed() is None
-        committed = journal.recover()
+        journal = TransactionJournal.beside(path)
+        pending = journal.exists()
+        committed = journal.redo(raw)
         if committed is not None:
-            for page, payload in sorted(committed.items()):
-                raw.write_page_payload(page, payload)
-            raw.flush()
-            journal.mark_applied()
             report.journal_replayed = True
             report.log.append(
                 f"replayed committed journal ({len(committed)} page images)"
             )
-        elif had_torn:
+        elif pending:
             report.log.append("discarded torn (uncommitted) journal")
         for page, payload in plan.heal.items():
             raw.write_page_payload(page, payload)

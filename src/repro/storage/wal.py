@@ -9,14 +9,18 @@ classic redo journal:
 1. the command runs against memory, collecting the dirty page set;
 2. the new images of every dirty page are appended to a side journal
    file, followed by a checksummed **commit marker**, and fsynced;
-3. only then are the pages applied to the main store and the journal
-   retired.
+3. only then are the pages applied to the main store, the store is
+   fsynced, and the journal retired.
 
 On open, a journal with a valid commit marker is replayed (redo is
 idempotent); a journal without one is discarded — the main file was
 never touched by that transaction, so it still holds the consistent
 pre-command state.  Either way the reopened file shows exactly the
 state before or after each command, never in between.
+
+This module is the protocol's only owner: :meth:`TransactionJournal.commit`
+runs steps 2–3 and :meth:`TransactionJournal.redo` / :func:`recover_file`
+the recovery, for the journaled file, the replica and ``scrub`` alike.
 
 Version 2 of the on-disk format (magic ``DSJ2``) prepends a 64-bit
 **sequence number** (LSN) to the record: transaction ``N`` carries
@@ -53,7 +57,7 @@ import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
-from .ondisk import StorageError
+from .ondisk import DiskPagedStore, StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from .faults import FaultInjector
@@ -155,7 +159,24 @@ class JournalState:
 
 def journal_state(path: str) -> JournalState:
     """The :class:`JournalState` for the main store file at ``path``."""
-    return TransactionJournal(path + ".journal").state()
+    return TransactionJournal.beside(path).state()
+
+
+def recover_file(path: str) -> Optional[Dict[int, bytes]]:
+    """:meth:`TransactionJournal.redo` for the closed main file at
+    ``path``, opened only when a journal is pending."""
+    journal = TransactionJournal.beside(path)
+    if not journal.exists():
+        return None
+    with DiskPagedStore.open(path) as raw:
+        return journal.redo(raw)
+
+
+def _apply(raw: DiskPagedStore, pages: Mapping[int, bytes]) -> None:
+    """Write committed page images to their slots, then fsync the store."""
+    for page, payload in sorted(pages.items()):
+        raw.write_page_payload(page, payload)
+    raw.flush()
 
 
 def _parse(raw: bytes) -> Tuple[int, Optional[Dict[int, bytes]]]:
@@ -208,6 +229,11 @@ def _read_bytes(path: str) -> Optional[bytes]:
 
 class TransactionJournal:
     """Append-once redo journal (and replication log) beside the store."""
+
+    @classmethod
+    def beside(cls, path: str) -> "TransactionJournal":
+        """The journal of the main store file at ``path``."""
+        return cls(path + ".journal")
 
     def __init__(self, path: str, injector: Optional[FaultInjector] = None):
         self.path = path
@@ -338,9 +364,36 @@ class TransactionJournal:
                 subscriber(record)
         return assigned
 
+    def commit(
+        self,
+        raw: DiskPagedStore,
+        pages: Mapping[int, bytes],
+        sequence: Optional[int] = None,
+    ) -> int:
+        """Journal ``pages`` + fsync, write their slots + fsync, retire.
+
+        A crash in between recovers to the pre-transaction state (no
+        commit marker) or the post-transaction one (redo).  Returns
+        the sequence :meth:`write_transaction` assigned.
+        """
+        assigned = self.write_transaction(pages, sequence)
+        _apply(raw, pages)
+        self.mark_applied()
+        return assigned
+
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------
+
+    def redo(self, raw: DiskPagedStore) -> Optional[Dict[int, bytes]]:
+        """Replay a committed journal onto ``raw`` and retire it, or
+        discard a torn one; returns the replayed images, else ``None``.
+        """
+        committed = self.recover()
+        if committed is not None:
+            _apply(raw, committed)
+            self.mark_applied()
+        return committed
 
     def read_committed(self) -> Optional[Dict[int, bytes]]:
         """Return the page images of a committed journal, else ``None``.
@@ -370,9 +423,9 @@ class TransactionJournal:
     def recover(self) -> Optional[Dict[int, bytes]]:
         """Run recovery on the journal file itself.
 
-        Returns the committed page images to replay (the caller applies
-        them to the main store, then calls :meth:`mark_applied`), or
-        ``None`` when there is nothing to redo.  A torn journal is
+        Returns the committed page images to replay (:meth:`redo`
+        applies them to the main store, then calls :meth:`mark_applied`),
+        or ``None`` when there is nothing to redo.  A torn journal is
         discarded here, preserving the durable sequence in a
         zero-entry applied stamp so the LSN survives the discard.
         """
@@ -393,6 +446,14 @@ class TransactionJournal:
         if sequence > self.sequence:
             self.sequence = sequence
         self._stamp_sequence()
+
+    def discard(self) -> None:
+        """Delete the pending and applied journal (LSN 0): the main
+        file no longer follows this journal's history."""
+        for path in (self.path, self.applied_path):
+            if os.path.exists(path):
+                os.unlink(path)
+        self.sequence = 0
 
     def _stamp_sequence(self) -> None:
         """Persist ``self.sequence`` in the applied slot if nothing newer.
@@ -431,8 +492,8 @@ class TransactionJournal:
         """Remove the pending journal without retaining it.
 
         Kept for discarding torn journals in tests and tooling;
-        production recovery goes through :meth:`recover` /
-        :meth:`mark_applied`, which preserve the durable sequence.
+        production recovery goes through :meth:`redo`, which preserves
+        the durable sequence.
         """
         if os.path.exists(self.path):
             os.unlink(self.path)

@@ -36,7 +36,7 @@ from typing import Any, Callable, Iterable, Optional, cast
 
 from .core.control2 import Control2Engine
 from .core.dense_file import DenseSequentialFile
-from .core.errors import ConfigurationError, ReadOnlyError
+from .core.errors import ConfigurationError, ReadOnlyError, UsageError
 from .core.params import DensityParams
 from .records import Record
 from .storage.backend import BufferedStore, DiskStore
@@ -207,6 +207,19 @@ class PersistentDenseFile(DenseSequentialFile):
         if store.quarantined:
             opened._degrade(store.quarantined)
         return _wrap_threadsafe(opened) if threadsafe else opened
+
+    @classmethod
+    def from_records(cls, records, num_pages: int, d: int, D: int, **kwargs):
+        """Refused: a durable file needs a path, which this signature lacks.
+
+        Raises :class:`~repro.core.errors.UsageError`; build it with
+        ``create(path, M, d, D)`` and load it with :meth:`bulk_load`.
+        """
+        raise UsageError(
+            f"{cls.__name__}.from_records cannot place a durable file; "
+            f"use {cls.__name__}.create(path, M, d, D) and then "
+            "bulk_load(records)"
+        )
 
     def reload_pages(self, pages: Iterable[int]) -> None:
         """Re-read ``pages`` after a caller wrote their slots beneath us.

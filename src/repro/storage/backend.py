@@ -152,8 +152,8 @@ class PageStore:
     def prefetch(self, page_numbers: Iterable[int]) -> int:
         """Hint that ``page_numbers`` are about to be read sequentially.
 
-        A scan issues the hint after each page it reads, naming the next
-        pages of its run and none past its last page.  Non-caching
+        A scan issues the hint once per window, naming the next pages of
+        its run and none past its last page.  Non-caching
         backends ignore it (the default returns 0); :class:`BufferedStore`
         faults up to :attr:`readahead` of them into its pool.  Never
         affects logical page-access accounting — the hint comes from
@@ -529,16 +529,18 @@ class BufferedStore(PageStore):
     def prefetch(self, page_numbers: Iterable[int]) -> int:
         """Fault up to :attr:`readahead` upcoming pages into the pool.
 
-        A scan offers, after each page it reads, the next pages of its
-        run (never past the run's last page).  Pages already resident
-        are skipped by a lookup in the pool's frame table, with no pool
-        call; each other page is brought in as a clean, not-yet-used
-        frame (one physical read) so the demand read that follows is a
-        hit.  The first page the pool declines — every frame is held by
-        a prefetched page still waiting to be read — ends the offer; the
-        scan offers it again after its next read, once a frame is free.
-        Capped by the configured window; 0 disables the whole path.
-        Returns the number of pages faulted in.
+        A scan offers the next window of its run (never past the run's
+        last page) once per window: after its first read, then after the
+        read that ends the last window this method faulted whole.  Pages
+        already resident are skipped by a lookup in the pool's frame
+        table, with no pool call; each other page is brought in as a
+        clean, not-yet-used frame (one physical read) so the demand read
+        that follows is a hit.  The first page the pool declines — every
+        frame is held by a prefetched page still waiting to be read —
+        ends the offer.  A return below the number offered (a page was
+        resident or declined) makes the scan offer again after its next
+        read.  Capped by the configured window; 0 disables the whole
+        path.  Returns the number of pages faulted in.
         """
         if not self.readahead:
             return 0

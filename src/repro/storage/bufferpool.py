@@ -24,10 +24,17 @@ For stream retrievals the pool additionally supports **readahead**:
 :meth:`BufferPool.prefetch` faults a page in speculatively, charged to
 separate ``prefetches`` / ``prefetch_hits`` counters so demand hit/miss
 ratios stay honest.  :class:`~repro.storage.backend.BufferedStore`
-drives it from the sequential-scan hints the page file emits; a scan
-never hints past its own last page, so on scans ``prefetch_hits``
+drives it from the page file's scan walk, which offers the next window
+of its run once per window: after the page that ends the last window
+the pool took whole (a window with a page already resident or declined
+is offered again, slid by one page, after the next read).  A scan
+never offers past its own last page, so on scans ``prefetch_hits``
 equals ``prefetches`` unless a demand miss evicts a prefetched frame
 before it is read.
+
+A demand miss and a prefetch enter the pool through one helper,
+``_admit``: it evicts the LRU frame when the pool is full (writing it
+back if dirty), counts the physical read and faults the page in.
 """
 
 from __future__ import annotations
@@ -118,16 +125,13 @@ class BufferPool:
             if page in self._prefetched:
                 self.stats.prefetch_hits += 1
                 self._prefetched.discard(page)
-            dirty = frames.pop(page)
-            frames[page] = dirty or kind == WRITE
+            frames.move_to_end(page)
+            if kind == WRITE:
+                frames[page] = True
             return True
         self.stats.misses += 1
-        self._evict_if_full()
         # Both read and write misses fault the page in first.
-        self.stats.physical_reads += 1
-        if self.on_fault is not None:
-            self.on_fault(page)
-        frames[page] = kind == WRITE
+        self._admit(page, kind == WRITE)
         return False
 
     def prefetch(self, page: int) -> bool:
@@ -147,32 +151,39 @@ class BufferPool:
         it to make room for a further-ahead page turns readahead into
         thrash whenever the window approaches the pool capacity.
         """
-        if page in self._frames:
+        frames = self._frames
+        if page in frames:
             return False
-        if len(self._frames) >= self.capacity:
-            victim = next(iter(self._frames))
-            if victim in self._prefetched:
-                return False
+        if (
+            len(frames) >= self.capacity
+            and next(iter(frames)) in self._prefetched
+        ):
+            return False
         self.stats.prefetches += 1
-        self._evict_if_full()
-        self.stats.physical_reads += 1
-        if self.on_fault is not None:
-            self.on_fault(page)
-        self._frames[page] = False
+        self._admit(page, False)
         self._prefetched.add(page)
         return True
 
-    def _evict_if_full(self) -> None:
-        """Make room for one incoming frame (LRU victim, write-back)."""
-        if len(self._frames) < self.capacity:
-            return
-        victim, victim_dirty = self._frames.popitem(last=False)
-        self._prefetched.discard(victim)
-        self.stats.evictions += 1
-        if victim_dirty:
-            self.stats.physical_writes += 1
-            if self.on_writeback is not None:
-                self.on_writeback(victim)
+    def _admit(self, page: int, dirty: bool) -> None:
+        """Fault ``page`` in as the most recent frame: the one eviction rule.
+
+        A full pool first evicts its least-recently-used frame, writing
+        it back when dirty; then the page costs one physical read.
+        """
+        frames = self._frames
+        stats = self.stats
+        if len(frames) >= self.capacity:
+            victim, victim_dirty = frames.popitem(last=False)
+            self._prefetched.discard(victim)
+            stats.evictions += 1
+            if victim_dirty:
+                stats.physical_writes += 1
+                if self.on_writeback is not None:
+                    self.on_writeback(victim)
+        stats.physical_reads += 1
+        if self.on_fault is not None:
+            self.on_fault(page)
+        frames[page] = dirty
 
     def flush(self) -> int:
         """Write back every dirty frame; returns the number written."""

@@ -541,18 +541,22 @@ class PageFile:
     # the scan will read, and a scan read to its end leaves no
     # prefetched frame unread.
     # Records are built per page, only for the slice of keys the scan
-    # returns.
+    # returns; a range scan's interior pages are built from their whole
+    # columns, with no bisect and no slice.
 
     def _walk(self, first: int, stop: Optional[int] = None) -> Iterator[Page]:
         """Charge and yield the pages of directory entries ``first .. stop-1``.
 
         The one page loop under every scan: each page costs one
         ``disk.read`` and one ``store.get_page``, in ascending order.
-        After each read the store is offered the next ``readahead``
-        pages of the run, never past its end; a page the store declined
-        (its pool had no frame to spare) is offered again after the
-        next read.  The run is fixed when the walk starts, so a scan
-        suspended across a mutation still reads the pages it planned.
+        Readahead is offered once per window: after the first read, and
+        then after the read that reaches the end of the last window the
+        store faulted whole, the store is offered the next ``readahead``
+        pages of the run, never past its end.  When it takes fewer than
+        were offered (a page was already resident, or its pool had no
+        frame to spare), the walk offers again after the next read.  The
+        run is fixed when the walk starts, so a scan suspended across a
+        mutation still reads the pages it planned.
         """
         pages = self._nonempty[first:stop]
         read = self.disk.read
@@ -560,11 +564,15 @@ class PageFile:
         get_page = store.get_page
         window = store.readahead
         last = len(pages)
+        # Offsets up to ``ahead`` were read or faulted by a whole window.
+        ahead = 0
         for offset, page_number in enumerate(pages, 1):
             read(page_number)
             page = get_page(page_number)
-            if window and offset < last:
-                store.prefetch(pages[offset : offset + window])
+            if window and ahead <= offset < last:
+                offered = pages[offset : offset + window]
+                if store.prefetch(offered) == len(offered):
+                    ahead = offset + len(offered)
             yield page
 
     def scan_range(self, lo_key: Any, hi_key: Any) -> Iterator[Record]:
@@ -581,7 +589,14 @@ class PageFile:
     def _range_slices(self, lo_key: Any, hi_key: Any) -> Iterator[List[Record]]:
         stop = bisect.bisect_right(self._mins, hi_key)
         for page in self._walk(self._directory_index(lo_key), stop):
-            yield page.records_between(lo_key, hi_key)
+            # An interior page lies wholly inside the range: take its
+            # whole columns.  The test reads the page's current keys, so
+            # a scan suspended across a SHIFT still stays in bounds.
+            keys = page._keys
+            if keys and keys[0] >= lo_key and keys[-1] <= hi_key:
+                yield page.records()
+            else:
+                yield page.records_between(lo_key, hi_key)
 
     def scan_count(self, start_key: Any, count: int) -> List[Record]:
         """Return up to ``count`` records with key >= ``start_key``.

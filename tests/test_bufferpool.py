@@ -1,8 +1,12 @@
 """Tests for the LRU buffer-pool simulator."""
 
-import pytest
+from dataclasses import asdict
 
-from repro.storage.bufferpool import BufferPool, miss_curve, replay
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.storage.bufferpool import BufferPool, PoolStats, miss_curve, replay
 from repro.storage.tracing import AccessEvent, READ, WRITE
 
 
@@ -64,6 +68,133 @@ class TestBufferPool:
         for page in (1, 2, 3, 1):
             pool.access(READ, page)
         assert pool.stats.physical_reads == pool.stats.misses
+
+
+class ReferenceLRU:
+    """A plain list-and-dict write-back LRU, the spec for :class:`BufferPool`.
+
+    ``fired`` names the rarer rules a sequence exercised, so the tests
+    can show that their sequences reach them.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.order = []  # least recently used first
+        self.dirty = {}
+        self.unread = set()  # prefetched, not yet accessed
+        self.stats = asdict(PoolStats(capacity=capacity))
+        self.faults = []
+        self.writebacks = []
+        self.fired = set()
+
+    def _write_back(self, page):
+        self.stats["physical_writes"] += 1
+        self.writebacks.append(page)
+
+    def _bring_in(self, page, dirty):
+        """Evict the LRU page of a full pool, then read ``page`` in."""
+        evicted_dirty = False
+        if len(self.order) == self.capacity:
+            victim = self.order.pop(0)
+            self.unread.discard(victim)
+            self.stats["evictions"] += 1
+            evicted_dirty = self.dirty.pop(victim)
+            if evicted_dirty:
+                self._write_back(victim)
+        self.stats["physical_reads"] += 1
+        self.faults.append(page)
+        self.order.append(page)
+        self.dirty[page] = dirty
+        return evicted_dirty
+
+    def access(self, write, page):
+        if page in self.dirty:
+            self.stats["hits"] += 1
+            if page in self.unread:
+                self.unread.remove(page)
+                self.stats["prefetch_hits"] += 1
+            self.order.remove(page)
+            self.order.append(page)
+            self.dirty[page] = self.dirty[page] or write
+            return True
+        self.stats["misses"] += 1
+        self._bring_in(page, write)
+        return False
+
+    def prefetch(self, page):
+        if page in self.dirty:
+            return False
+        if len(self.order) == self.capacity and self.order[0] in self.unread:
+            self.fired.add("decline")
+            return False
+        self.stats["prefetches"] += 1
+        if self._bring_in(page, False):
+            self.fired.add("prefetch-writeback")
+        self.unread.add(page)
+        return True
+
+    def flush(self):
+        written = [page for page in self.order if self.dirty[page]]
+        for page in written:
+            self._write_back(page)
+            self.dirty[page] = False
+        return len(written)
+
+
+OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["read", "write", "prefetch"]),
+            st.integers(1, 8),
+        ),
+        st.just(("flush", 0)),
+    ),
+    max_size=60,
+)
+
+#: Pinned sequences: a prefetch declined because the LRU frame is an
+#: unread prefetched page, and a prefetch whose LRU victim is dirty.
+DECLINE = (2, [("prefetch", 1), ("prefetch", 2), ("prefetch", 3)])
+PREFETCH_WRITEBACK = (2, [("write", 1), ("read", 2), ("prefetch", 3)])
+
+
+def _drive(capacity, operations):
+    """Run ``operations`` on a pool and the reference; compare each step."""
+    faults, writebacks = [], []
+    pool = BufferPool(
+        capacity, on_fault=faults.append, on_writeback=writebacks.append
+    )
+    reference = ReferenceLRU(capacity)
+    for kind, page in operations:
+        if kind == "flush":
+            assert pool.flush() == reference.flush()
+        elif kind == "prefetch":
+            assert pool.prefetch(page) == reference.prefetch(page)
+        else:
+            write = kind == "write"
+            got = pool.access(WRITE if write else READ, page)
+            assert got == reference.access(write, page)
+        assert asdict(pool.stats) == reference.stats
+        assert list(pool.frames.items()) == [
+            (frame, reference.dirty[frame]) for frame in reference.order
+        ]
+        assert pool._prefetched == reference.unread
+        assert faults == reference.faults
+        assert writebacks == reference.writebacks
+    return reference.fired
+
+
+class TestAgainstReferenceLRU:
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.integers(1, 6), operations=OPERATIONS)
+    @example(*DECLINE)
+    @example(*PREFETCH_WRITEBACK)
+    def test_every_step_matches_the_reference(self, capacity, operations):
+        _drive(capacity, operations)
+
+    def test_pinned_sequences_reach_the_rare_rules(self):
+        assert "decline" in _drive(*DECLINE)
+        assert "prefetch-writeback" in _drive(*PREFETCH_WRITEBACK)
 
 
 class TestReplay:

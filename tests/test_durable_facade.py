@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro import DenseSequentialFile, JournaledDenseFile, PersistentDenseFile
-from repro.core.errors import ReadOnlyError
+from repro.core.errors import ReadOnlyError, ReproError, UsageError
 from repro.records import Record
 from repro.storage.ondisk import DiskPagedStore
 
@@ -172,3 +172,22 @@ class TestNoMutatorBypassesTheGuard:
             assert journaled.durable_sequence == before + 1
             assert not journaled._dirty
             journaled.validate()
+
+
+class TestFromRecordsIsRefused:
+    """``from_records`` has no path argument, so a durable file refuses it."""
+
+    @pytest.mark.parametrize("cls", [PersistentDenseFile, JournaledDenseFile])
+    def test_raises_typed_usage_error_naming_create(self, cls):
+        named = r"create\(path, M, d, D\)"
+        with pytest.raises(UsageError, match=named) as info:
+            cls.from_records([(1, "a")], 8, 2, 12)
+        assert isinstance(info.value, ReproError)
+        assert "bulk_load" in str(info.value)
+        assert cls.__name__ in str(info.value)
+
+    @pytest.mark.parametrize("cls", [PersistentDenseFile, JournaledDenseFile])
+    def test_create_then_bulk_load_is_the_named_route(self, path, cls):
+        with cls.create(path, **GEOMETRY) as durable:
+            durable.bulk_load([Record(key, f"v{key}") for key in KEYS])
+            assert list(durable.items()) == list(_reference(KEYS).items())

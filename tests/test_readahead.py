@@ -8,6 +8,7 @@ a single access, and ``replay()`` semantics are untouched because
 prefetched frames enter the pool clean.
 """
 
+import math
 import random
 
 import pytest
@@ -143,6 +144,101 @@ class TestWindowStopsAtLastPage:
         after = dense.store_stats()
         assert after["prefetches"] == after["prefetch_hits"]
         assert after["misses"] - before["misses"] <= 1
+        dense.close()
+
+
+def _counting_store_prefetch(dense):
+    """Wrap the store's ``prefetch``; log the pages of every offer."""
+    store = dense.engine.pagefile.store
+    offers = []
+    original = store.prefetch
+
+    def prefetch(pages):
+        offers.append(list(pages))
+        return original(pages)
+
+    store.prefetch = prefetch
+    return offers
+
+
+class TestOncePerWindow:
+    """The walk offers a window only after reading the last one through."""
+
+    @pytest.mark.parametrize("entry", ["range", "scan", "iter"])
+    @pytest.mark.parametrize("window", [1, 3, 8])
+    def test_undisturbed_scan_offers_each_window_once(self, entry, window):
+        dense = DenseSequentialFile(
+            num_pages=128, d=8, D=40, backend="buffered",
+            cache_pages=32, readahead=window,
+        )
+        dense.bulk_load(range(1000))
+        dense.flush()
+        # Bulk loading leaves the highest pages resident; the scan
+        # starts low, so none of its pages is cached when it begins.
+        offers = _counting_store_prefetch(dense)
+        before = dense.store_stats()
+        dense.stats.checkpoint("scan")
+        assert _scan(dense, entry, 0, 160)
+        pages = dense.stats.delta("scan").page_accesses
+        after = dense.store_stats()
+        assert pages > 2 * window
+        assert len(offers) <= math.ceil((pages - 1) / window)
+        assert all(len(offer) <= window for offer in offers)
+        prefetches = after["prefetches"] - before["prefetches"]
+        assert prefetches == pages - 1
+        assert after["prefetch_hits"] - before["prefetch_hits"] == prefetches
+        assert after["misses"] - before["misses"] == 1
+        dense.close()
+
+    def test_resident_page_in_window_falls_back_to_per_page_offers(self):
+        dense = _loaded(4, cache_pages=32)
+        pagefile = dense.engine.pagefile
+        run = pagefile.nonempty_in_range(0, 100)
+        dense.search(pagefile.page(run[2]).min_key)  # one page is cached
+        offers = _counting_store_prefetch(dense)
+        list(dense.range(0, 100))
+        # The first window held the resident page: it is offered again,
+        # slid by one, after the next read.
+        assert offers[0] == run[1:5]
+        assert offers[1] == run[2:6]
+        stats = dense.store_stats()
+        assert stats["prefetches"] == stats["prefetch_hits"]
+        dense.close()
+
+
+class TestSuspendedRangeScan:
+    def test_keys_stay_in_bounds_across_shift_moves(self):
+        """Pages the scan planned may fill with foreign keys meanwhile."""
+        lo, hi = 1000, 2000
+        dense = DenseSequentialFile(
+            num_pages=64, d=8, D=40, backend="buffered",
+            cache_pages=8, readahead=4,
+        )
+        dense.bulk_load(range(0, 3000, 10))
+        pagefile = dense.engine.pagefile
+        planned = pagefile.nonempty_in_range(lo, hi)
+        scan = dense.range(lo, hi)
+        assert next(scan).key == lo  # the first page is read
+        moved = dense.engine.records_moved_total
+        for key in range(lo + 10, hi + 1, 20):
+            dense.delete(key)
+        rng = random.Random(5)
+        above = [key for key in range(hi + 1, hi + 3000) if key % 10]
+        for key in rng.sample(above, 250):
+            dense.insert(key)
+        dense.validate()
+        assert dense.engine.records_moved_total > moved
+        # SHIFT moved keys above ``hi`` into pages strictly inside the
+        # planned run, so only the per-page bounds check keeps them out.
+        assert any(
+            key > hi
+            for page in planned[1:-1]
+            for key in pagefile.page(page)._keys
+        )
+        rest = [record.key for record in scan]
+        assert rest
+        assert all(lo <= key <= hi for key in rest)
+        assert rest == sorted(rest)
         dense.close()
 
 

@@ -26,14 +26,17 @@ Four named scenarios run over interchangeable backends:
 
 Each (scenario, backend) cell reports ops/sec, **logical** page
 accesses (the paper's metered quantity, identical on every backend),
-p50/p99 per-operation latency, and the flattened physical counters of
+p50/p99 per-operation latency, the worst single command's page accesses
+(``max_accesses_per_command``, on the per-operation ``mixed`` cells
+only), and the flattened physical counters of
 the backend stack (cache hits, prefetches, journal fsyncs ... via
 :func:`repro.analysis.stats.flatten_counters`).
 
 :func:`compare_reports` implements the regression gate: given a
 baseline report it flags cells whose throughput dropped by more than a
 threshold (wall clock is noisy — CI treats this as informational; the
-deterministic logical counters are compared with a tight threshold).
+deterministic logical counters are compared with a tight threshold, and
+the worst command with none).
 """
 
 from __future__ import annotations
@@ -164,6 +167,7 @@ def _result(
     extra: Optional[dict] = None,
     latency_source: str = "per_op",
     seed: int = 0,
+    max_accesses: Optional[int] = None,
 ) -> dict:
     # ``latency_source`` records what one latency sample *is* so the
     # percentiles can be read honestly: "per_op" samples time a single
@@ -173,7 +177,7 @@ def _result(
     # schema extension — older reports simply lack the two fields.
     sample = _reservoir(latencies, seed)
     ordered = sorted(sample)
-    return {
+    cell = {
         "scenario": scenario,
         "backend": backend,
         "ops": ops,
@@ -187,6 +191,11 @@ def _result(
         "counters": counters,
         "extra": extra or {},
     }
+    if max_accesses is not None:
+        # The worst single command's page accesses; only the per-op
+        # ``mixed`` cells time (and so meter) one command at a time.
+        cell["max_accesses_per_command"] = max_accesses
+    return cell
 
 
 def _run_scenario(
@@ -205,6 +214,7 @@ def _run_scenario(
     clock = time.perf_counter
     latencies: List[float] = []
     executed = 0
+    worst: Optional[int] = None
     try:
         if scenario == "bulk_load":
             keys = list(range(0, 2 * ops, 2))
@@ -247,18 +257,27 @@ def _run_scenario(
                 )
             ]
             append = latencies.append
-            before = dense.stats.page_accesses
+            stats = dense.stats
+            before = a0 = stats.page_accesses
+            worst = 0
             # Chained timestamps: one clock read per operation (the end
             # of op N is the start of op N+1), so the per-op meter costs
             # half of the naive two-reads-per-op pattern.  The loop's
             # own unpack/append overhead (~50ns) rides inside each
-            # sample; the timer read it replaces cost more.
+            # sample; the timer read it replaces cost more.  The access
+            # meter is chained the same way: one read per operation
+            # gives the worst single command, the quantity Theorem 5.5
+            # bounds.
             start = t0 = clock()
             for call, args in calls:
                 call(*args)
                 t1 = clock()
+                a1 = stats.page_accesses
                 append(t1 - t0)
+                if a1 - a0 > worst:
+                    worst = a1 - a0
                 t0 = t1
+                a0 = a1
             elapsed = t0 - start
             executed = len(calls)
         elif scenario == "stream_scan":
@@ -288,6 +307,7 @@ def _run_scenario(
             scenario, backend, executed, elapsed, latencies, accesses,
             counters, extra,
             latency_source=_LATENCY_SOURCES[scenario], seed=seed,
+            max_accesses=worst,
         )
     finally:
         dense.close()
@@ -333,6 +353,7 @@ def _run_cluster_scenario(scenario: str, ops: int, seed: int) -> dict:
     clock = time.perf_counter
     latencies: List[float] = []
     executed = 0
+    worst: Optional[int] = None
 
     def accesses_now() -> int:
         return sum(shard.stats.page_accesses for shard in store.shards)
@@ -380,7 +401,8 @@ def _run_cluster_scenario(scenario: str, ops: int, seed: int) -> dict:
                         preloaded=preload,
                     )
                 )
-                before = accesses_now()
+                before = a0 = accesses_now()
+                worst = 0
                 start = clock()
                 for operation in operations:
                     t0 = clock()
@@ -389,6 +411,10 @@ def _run_cluster_scenario(scenario: str, ops: int, seed: int) -> dict:
                     elif operation.kind == DELETE:
                         client.delete(operation.key)
                     latencies.append(clock() - t0)
+                    a1 = accesses_now()
+                    if a1 - a0 > worst:
+                        worst = a1 - a0
+                    a0 = a1
                     executed += 1
                 elapsed = clock() - start
             elif scenario == "stream_scan":
@@ -426,6 +452,7 @@ def _run_cluster_scenario(scenario: str, ops: int, seed: int) -> dict:
     return _result(
         scenario, "cluster", executed, elapsed, latencies, accesses, counters,
         latency_source=cluster_sources[scenario], seed=seed,
+        max_accesses=worst,
     )
 
 
@@ -525,6 +552,7 @@ def validate_report(report: dict) -> List[str]:
         for numeric in (
             "ops", "elapsed_s", "ops_per_sec", "page_accesses",
             "latency_p50_us", "latency_p99_us", "latency_samples",
+            "max_accesses_per_command",
         ):
             value = cell.get(numeric)
             if value is not None and not isinstance(value, (int, float)):
@@ -552,9 +580,11 @@ def compare_reports(
     Throughput (``ops_per_sec``) may drop up to ``max_regression``
     percent before it is flagged — wall clock is noisy.  Logical
     ``page_accesses`` are deterministic, so any growth beyond
-    ``access_regression`` percent is flagged.  Cells present in only
-    one report are ignored.  Returns human-readable regression lines
-    (empty == no regression).
+    ``access_regression`` percent is flagged, and so is any growth at
+    all of ``max_accesses_per_command`` (the worst single command, the
+    quantity Theorem 5.5 bounds) when both cells carry it.  Cells
+    present in only one report are ignored.  Returns human-readable
+    regression lines (empty == no regression).
     """
     regressions: List[str] = []
     current_cells = {
@@ -584,6 +614,15 @@ def compare_reports(
                 f"{growth:.1f}% over baseline {base_acc} "
                 f"(limit {access_regression:.0f}%)"
             )
+        base_worst = cell.get("max_accesses_per_command")
+        now_worst = now.get("max_accesses_per_command")
+        if base_worst is not None and now_worst is not None and (
+            now_worst > base_worst
+        ):
+            regressions.append(
+                f"{key[0]}/{key[1]}: worst command {now_worst} page accesses "
+                f"exceeds baseline {base_worst} (deterministic; no tolerance)"
+            )
     return regressions
 
 
@@ -601,6 +640,8 @@ def render_report(report: dict) -> str:
             f"p50 {cell['latency_p50_us']:>8.1f}us  "
             f"p99 {cell['latency_p99_us']:>8.1f}us"
         )
+        if "max_accesses_per_command" in cell:
+            line += f"  worst {cell['max_accesses_per_command']}"
         baseline = (cell.get("extra") or {}).get("baseline")
         if baseline:
             line += (

@@ -230,6 +230,13 @@ class Control2Engine(BaseEngine):
         paper's SHIFT: recompute SOURCE, move the maximal batch of
         records allowed by the ``p(x) >= g(x, 0)`` guards, then advance
         DEST past the least-depth saturated guard node.
+
+        The source page's length is its leaf's rank counter: a leaf
+        spans one page, and the counter equals the page's record count
+        whenever SHIFT runs, because every command mutates its page
+        before bumping the path and :meth:`CalibratorTree.transfer`
+        follows every move (``validate()`` checks the two agree).  So
+        SHIFT asks the store for no page length.
         """
         self.shift_calls += 1
         tree = self.calibrator
@@ -263,7 +270,7 @@ class Control2Engine(BaseEngine):
             room = limits[guard] - count[guard]
             if headroom is None or room < headroom:
                 headroom = room
-        movable = min(self.pagefile.page_len(source), max(0, headroom))
+        movable = min(count[tree.leaf_of_page[source]], max(0, headroom))
         changed: List[int] = []
         if movable > 0:
             moved = self.pagefile.move_records(source, dest, movable)

@@ -126,10 +126,10 @@ class PageStore:
 
         The store-side twin of ``SimulatedDisk.read2``: every one-page
         update command touches its page twice (step-1 verification,
-        then mutation).  The default delegates so stateful backends
-        (cache hit/miss counters, LRU order) observe both touches
-        exactly as before; simple backends may override with one
-        counter bump.
+        then mutation).  The default delegates so decorators observe
+        both touches exactly as before.  :class:`MemoryStore` overrides
+        it with one counter bump, and :class:`BufferedStore` with one
+        pool call that counts the second touch as the hit it always is.
         """
         self.get_page(page_number)
         return self.get_page(page_number)
@@ -477,7 +477,12 @@ class BufferedStore(PageStore):
     This is the :class:`~repro.storage.bufferpool.BufferPool` promoted
     from trace-replay simulator to the hot path: the same class keeps
     the frame bookkeeping, so live counters and replayed counters agree
-    exactly on identical access sequences.
+    exactly on identical access sequences.  The fused touches stay
+    exact too: :meth:`get_page2` is one ``access`` call with
+    ``touches=2`` (the second touch finds the page most recent and no
+    longer prefetched, so it is a plain hit), and :meth:`move_records`
+    issues the read of the source and the writes of dest and source
+    as three ``access`` calls, the order the logical meter charges.
     """
 
     name = "buffered"
@@ -521,6 +526,11 @@ class BufferedStore(PageStore):
 
     def get_page(self, page_number: int) -> Page:
         self.pool.access(READ, page_number)
+        return self.inner.peek(page_number)
+
+    def get_page2(self, page_number: int) -> Page:
+        # One pool call for both touches: the second always hits.
+        self.pool.access(READ, page_number, 2)
         return self.inner.peek(page_number)
 
     def put_page(self, page_number: int) -> None:

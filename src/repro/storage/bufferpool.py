@@ -35,6 +35,13 @@ before it is read.
 A demand miss and a prefetch enter the pool through one helper,
 ``_admit``: it evicts the LRU frame when the pool is full (writing it
 back if dirty), counts the physical read and faults the page in.
+
+``access(kind, page, touches)`` applies several consecutive touches of
+one page in one call.  Only the first can miss or consume a prefetch;
+each later one finds the page most recent and counts a plain hit, so
+the counters, frame order and dirty bits end as after ``touches``
+separate calls.  The live store's fused double read of an update
+command (``BufferedStore.get_page2``) is its one caller.
 """
 
 from __future__ import annotations
@@ -117,11 +124,18 @@ class BufferPool:
         self.on_fault = on_fault
         self.on_writeback = on_writeback
 
-    def access(self, kind: str, page: int) -> bool:
-        """Apply one logical access; returns True on a cache hit."""
+    def access(self, kind: str, page: int, touches: int = 1) -> bool:
+        """Apply ``touches`` consecutive logical accesses of one kind to
+        ``page``; returns True when the first one is a cache hit.
+
+        Every touch after the first finds the page resident, most recent
+        and no longer prefetched, so it counts one plain hit: the
+        counters, frame order and dirty bits end exactly as after
+        ``touches`` separate calls.
+        """
         frames = self._frames
         if page in frames:
-            self.stats.hits += 1
+            self.stats.hits += touches
             if page in self._prefetched:
                 self.stats.prefetch_hits += 1
                 self._prefetched.discard(page)
@@ -130,6 +144,7 @@ class BufferPool:
                 frames[page] = True
             return True
         self.stats.misses += 1
+        self.stats.hits += touches - 1
         # Both read and write misses fault the page in first.
         self._admit(page, kind == WRITE)
         return False

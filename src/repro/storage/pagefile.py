@@ -473,20 +473,78 @@ class PageFile:
         ``dest < source`` the lowest-keyed records of the source move and
         are appended above the destination's keys; when ``dest > source``
         the highest-keyed records move below the destination's keys.
-        Requires that no records sit on pages strictly between the two
-        (otherwise sequential order would break); the caller (SHIFT)
-        guarantees this.  Returns the number of records actually moved.
+        Requires that no non-empty page lies strictly between the two,
+        since otherwise key order would break; a call that violates this
+        raises :class:`UsageError` before any charge or store touch.
+        Returns the number of records actually moved.
 
         Charges one read of the source and one write of each page.
+
+        The precondition makes the directory update local: dest's entry,
+        if it has one, is the source's neighbour, so one bisect for the
+        source finds both.  A leftward move changes only the source's
+        minimum (or drops the source), and dest enters only if it was
+        empty, with the source's old minimum.  A rightward move changes
+        only dest's minimum, and the source leaves only if it was
+        emptied.
         """
         if source == dest:
             raise UsageError("source and dest must differ")
         if count <= 0:
             return 0
+        nonempty = self._nonempty
+        mins = self._mins
+        index = bisect.bisect_left(nonempty, source)
+        # The non-empty page next to the source on dest's side, by
+        # directory index; 0 is a sentinel no page number equals.
+        leftward = dest < source
+        if leftward:
+            beside = index - 1
+            neighbour = nonempty[beside] if index else 0
+            blocked = neighbour > dest
+        else:
+            beside = index + (index < len(nonempty) and nonempty[index] == source)
+            neighbour = nonempty[beside] if beside < len(nonempty) else 0
+            blocked = 0 < neighbour < dest
+        if blocked:
+            raise UsageError(
+                f"cannot move records from page {source} to page {dest}: "
+                f"page {neighbour} between them is not empty"
+            )
         self.disk.move_charge(source, dest)
         moved = self.store.move_records(source, dest, count)
-        self._directory_update(source)
-        self._directory_update(dest)
+        if not moved:
+            return 0
+        dest_present = neighbour == dest
+        if leftward:
+            keys = self.store.peek(source)._keys
+            if keys:
+                old_min = mins[index]
+                mins[index] = keys[0]
+                if not dest_present:
+                    nonempty.insert(index, dest)
+                    mins.insert(index, old_min)
+            elif dest_present:
+                del nonempty[index]
+                del mins[index]
+            else:
+                # dest takes over the source's entry and its minimum.
+                nonempty[index] = dest
+        else:
+            dest_min = self.store.peek(dest)._keys[0]
+            # Keys are unique, so dest holds the source's old minimum
+            # exactly when every source record moved.
+            emptied = dest_min == mins[index]
+            if dest_present:
+                mins[beside] = dest_min
+                if emptied:
+                    del nonempty[index]
+                    del mins[index]
+            elif emptied:
+                nonempty[index] = dest
+            else:
+                nonempty.insert(beside, dest)
+                mins.insert(beside, dest_min)
         return moved
 
     def redistribute(self, lo_page: int, hi_page: int) -> int:

@@ -78,6 +78,36 @@ class TestReportSchema:
         for cell in scans:
             assert "baseline" in cell["extra"]
 
+    def test_mixed_cells_report_the_worst_command(self, quick_report):
+        worst = set()
+        for cell in quick_report["results"]:
+            if cell["scenario"] != "mixed":
+                assert "max_accesses_per_command" not in cell
+                continue
+            value = cell["max_accesses_per_command"]
+            assert isinstance(value, int)
+            # A command costs at least its locate and its write, never
+            # more than the whole cell.
+            assert 3 <= value <= cell["page_accesses"]
+            worst.add(value)
+        # Deterministic, so every backend meters the same worst command.
+        assert len(worst) == 1
+
+    def test_worst_command_is_optional_but_numeric(self, quick_report):
+        absent = copy.deepcopy(quick_report)
+        for cell in absent["results"]:
+            cell.pop("max_accesses_per_command", None)
+        assert benchmark.validate_report(absent) == []
+        wrong = copy.deepcopy(quick_report)
+        mixed = next(
+            cell for cell in wrong["results"] if cell["scenario"] == "mixed"
+        )
+        mixed["max_accesses_per_command"] = "many"
+        assert any(
+            "max_accesses_per_command" in problem
+            for problem in benchmark.validate_report(wrong)
+        )
+
     def test_validator_rejects_broken_reports(self, quick_report):
         assert benchmark.validate_report({}) != []
         missing = copy.deepcopy(quick_report)
@@ -105,6 +135,23 @@ class TestRegressionGate:
         )
         regressions = benchmark.compare_reports(doctored, quick_report)
         assert any("page accesses" in line for line in regressions)
+
+    def test_worst_command_growth_flagged_exactly(self, quick_report):
+        grown = copy.deepcopy(quick_report)
+        mixed = next(
+            cell for cell in grown["results"] if cell["scenario"] == "mixed"
+        )
+        mixed["max_accesses_per_command"] += 1
+        regressions = benchmark.compare_reports(quick_report, grown)
+        assert len(regressions) == 1
+        assert "worst command" in regressions[0]
+        # A smaller worst command, or a baseline without the field, is
+        # not a regression.
+        assert benchmark.compare_reports(grown, quick_report) == []
+        legacy = copy.deepcopy(quick_report)
+        for cell in legacy["results"]:
+            cell.pop("max_accesses_per_command", None)
+        assert benchmark.compare_reports(legacy, grown) == []
 
     def test_threshold_is_respected(self, quick_report):
         mild = _inflate(quick_report, factor=1.05)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.errors import UsageError
 from repro.records import Record
 from repro.storage.pagefile import PageFile
 
@@ -125,6 +126,42 @@ class TestMoveRecords:
         load(pf, {3: [10, 20]})
         assert pf.move_records(3, 1, 99) == 2
         assert pf.is_empty_page(3)
+
+    @pytest.mark.parametrize("source,dest", [(3, 1), (1, 3)])
+    def test_move_across_a_nonempty_page_rejected(self, source, dest):
+        pf = PageFile(4)
+        load(pf, {1: [1], 2: [5], 3: [9]})
+        pf.disk.stats.reset()
+        gets = pf.store.stats()["gets"]
+        with pytest.raises(UsageError, match="page 2 between them"):
+            pf.move_records(source, dest, 1)
+        assert pf.disk.stats.page_accesses == 0
+        assert pf.store.stats()["gets"] == gets
+        assert pf.snapshot() == [
+            (1, [Record(1)]), (2, [Record(5)]), (3, [Record(9)])
+        ]
+
+    @pytest.mark.parametrize(
+        "layout,source,dest,count",
+        [
+            ({3: [10, 20]}, 3, 1, 1),  # leftward, dest enters
+            ({3: [10, 20]}, 3, 1, 2),  # leftward, dest takes source's entry
+            ({1: [1], 3: [10, 20]}, 3, 1, 1),  # leftward, source min moves
+            ({1: [1], 3: [10, 20]}, 3, 1, 2),  # leftward, source leaves
+            ({1: [10, 20]}, 1, 4, 1),  # rightward, dest enters
+            ({1: [10, 20]}, 1, 4, 2),  # rightward, dest takes source's entry
+            ({1: [10, 20], 4: [30]}, 1, 4, 1),  # rightward, dest min moves
+            ({1: [10, 20], 4: [30]}, 1, 4, 2),  # rightward, source leaves
+            ({1: [1], 4: [30]}, 3, 2, 1),  # empty source: nothing moves
+        ],
+    )
+    def test_directory_matches_a_rebuild(self, layout, source, dest, count):
+        pf = PageFile(4)
+        load(pf, layout)
+        pf.move_records(source, dest, count)
+        nonempty, mins = pf.nonempty_pages(), list(pf._mins)
+        pf.rebuild_directory()
+        assert (nonempty, mins) == (pf.nonempty_pages(), pf._mins)
 
 
 class TestRedistribute:

@@ -42,6 +42,8 @@ the worst command with none).
 from __future__ import annotations
 
 import random
+import sys
+import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -355,8 +357,13 @@ def _run_cluster_scenario(scenario: str, ops: int, seed: int) -> dict:
     executed = 0
     worst: Optional[int] = None
 
+    # The wrapped files' meters, read without the shard locks: this
+    # loop is the only client, and a locked read would charge a lock
+    # round trip per shard to every timed command.
+    meters = [shard.inner.stats for shard in store.shards]
+
     def accesses_now() -> int:
-        return sum(shard.stats.page_accesses for shard in store.shards)
+        return sum(meter.page_accesses for meter in meters)
 
     try:
         with ClusterClient.connect(host, port) as client:
@@ -403,20 +410,24 @@ def _run_cluster_scenario(scenario: str, ops: int, seed: int) -> dict:
                 )
                 before = a0 = accesses_now()
                 worst = 0
-                start = clock()
+                # Chained clock and meter, as in the local loop: one
+                # clock read per command, so ops_per_sec and the
+                # latencies time the same window.
+                start = t0 = clock()
                 for operation in operations:
-                    t0 = clock()
                     if operation.kind == INSERT:
                         client.insert(operation.key, operation.value)
                     elif operation.kind == DELETE:
                         client.delete(operation.key)
-                    latencies.append(clock() - t0)
+                    t1 = clock()
                     a1 = accesses_now()
+                    latencies.append(t1 - t0)
                     if a1 - a0 > worst:
                         worst = a1 - a0
+                    t0 = t1
                     a0 = a1
                     executed += 1
-                elapsed = clock() - start
+                elapsed = t0 - start
             elif scenario == "stream_scan":
                 keys = list(range(ops))
                 for key in keys:
@@ -499,22 +510,44 @@ def run_bench_profiled(profile_top: int = 25, **kwargs) -> "Tuple[dict, str]":
     """:func:`run_bench` under cProfile; returns ``(report, table)``.
 
     ``table`` is the ``pstats`` rendering of the ``profile_top`` hottest
-    functions by cumulative time.  The report's wall-clock figures
-    include profiler overhead — use a profiled run to find hot spots,
-    never to record a baseline.
+    functions by cumulative time, merged over the calling thread and
+    every thread started during the run (a cluster cell's server
+    threads, whose work the client only sees as socket waits).  The
+    report's wall-clock figures include profiler overhead — use a
+    profiled run to find hot spots, never to record a baseline.
     """
     import cProfile
     import io
     import pstats
 
-    profiler = cProfile.Profile()
-    profiler.enable()
+    profilers = [cProfile.Profile()]
+    # From 3.12 cProfile sits on sys.monitoring, which sees every
+    # thread; before that a profiler sees only the thread enabling it,
+    # so each new thread gets its own.
+    per_thread = sys.version_info < (3, 12)
+
+    def profile_new_thread(*_event: object) -> None:
+        # Runs once, as the first profile event of a new thread:
+        # enabling the thread's own profiler replaces this hook.
+        profiler = cProfile.Profile()
+        profilers.append(profiler)
+        profiler.enable()
+
+    if per_thread:
+        threading.setprofile(profile_new_thread)
+    profilers[0].enable()
     try:
         report = run_bench(**kwargs)
     finally:
-        profiler.disable()
+        profilers[0].disable()
+        if per_thread:
+            threading.setprofile(None)
     table = io.StringIO()
-    stats = pstats.Stats(profiler, stream=table)
+    stats = pstats.Stats(profilers[0], stream=table)
+    for profiler in profilers[1:]:
+        profiler.create_stats()
+        if profiler.stats:
+            stats.add(profiler)
     stats.sort_stats("cumulative").print_stats(max(1, profile_top))
     return report, table.getvalue()
 

@@ -86,6 +86,10 @@ class CircuitBreaker:
         state.  Callers must report exactly one outcome per admitted
         call.
         """
+        if self._state == CLOSED:
+            # The common case needs no mutex: a call admitted just
+            # before a concurrent trip is ordered before that trip.
+            return
         with self._mutex:
             if self._state == CLOSED:
                 return
@@ -118,6 +122,10 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         """The admitted call succeeded; close from half-open."""
+        if self._state == CLOSED and not self._consecutive_failures:
+            # Nothing to reset or close: skip the mutex.  A failure
+            # recorded concurrently is ordered after this success.
+            return
         with self._mutex:
             self._consecutive_failures = 0
             if self._state != CLOSED:

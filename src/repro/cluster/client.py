@@ -184,8 +184,9 @@ class ClusterClient:
     @property
     def shard_map(self) -> ShardMap:
         """The routing table (fetched via ``hello`` on first use)."""
-        with self._mutex:
-            cached = self._shard_map
+        # Set once by prime() and only ever replaced whole, so a
+        # primed map is read without the mutex.
+        cached = self._shard_map
         if cached is not None:
             return cached
         return self.hello()
@@ -239,7 +240,9 @@ class ClusterClient:
 
     # -- the call path ---------------------------------------------------
 
-    def _exchange(self, frame: bytes, request_id: str, budget: Deadline) -> Any:
+    def _exchange(
+        self, frame: bytes, request_id: str, timeout: Optional[float]
+    ) -> Any:
         """One attempt: send, decode, correlate, raise-or-return.
 
         The caller checks the budget *before* breaker admission; by the
@@ -247,7 +250,7 @@ class ClusterClient:
         server's answer, so the breaker accounting in ``_call`` may
         treat it as a shard failure.
         """
-        raw = self.channel.request(frame, timeout=budget.wait_budget())
+        raw = self.channel.request(frame, timeout=timeout)
         response = decode_bytes(raw)
         check_correlation(response, request_id)
         if response.get("ok"):
@@ -271,33 +274,24 @@ class ClusterClient:
         budget = Deadline.resolve(
             timeout, deadline, self.default_timeout, clock=self._clock
         )
-        breaker = None
-        if shard_id is not None:
-            with self._mutex:
-                breaker = self._breakers.get(shard_id)
+        # prime() only adds breakers, so the lookup needs no mutex.
+        breaker = None if shard_id is None else self._breakers.get(shard_id)
 
         def attempt() -> Any:
             # A spent client-side budget is not a shard failure: raise
             # before asking the breaker for admission, so a too-small
             # budget can never trip the breaker of a shard that was
             # never contacted.  Past this point an OperationTimeout is
-            # the server's answer.
-            budget.check(f"cluster {op}")
+            # the server's answer.  The one clock reading also gives
+            # the request's budget field and the socket timeout.
+            remaining = budget.left(f"cluster {op}")
             # Encode before admission too: an argument the wire cannot
             # carry raises the non-retryable CodecError here, without
             # touching the breaker or the network.
             request_id = self._next_request_id()
             frame = encode_frame(
-                request(
-                    op,
-                    request_id,
-                    args=args,
-                    token=token,
-                    budget=(
-                        None if budget.expires_at is None
-                        else budget.remaining()
-                    ),
-                )
+                request(op, request_id, args=args, token=token,
+                        budget=remaining)
             )
             if breaker is not None:
                 breaker.allow()
@@ -306,7 +300,7 @@ class ClusterClient:
             # release — on every path out, or a half-open probe slot
             # leaks and the breaker wedges shut forever.
             try:
-                result = self._exchange(frame, request_id, budget)
+                result = self._exchange(frame, request_id, remaining)
             except (ShardUnavailableError, OperationTimeout):
                 # A definite "this shard cannot serve" answer: feed the
                 # breaker so later calls fail fast.

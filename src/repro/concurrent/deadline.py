@@ -110,11 +110,29 @@ class Deadline:
 
     def check(self, what: str = "operation") -> None:
         """Raise :class:`~repro.core.errors.OperationTimeout` if expired."""
-        if self.expired:
-            raise OperationTimeout(
-                f"{what}: deadline expired "
-                f"(budget exhausted on the monotonic clock)"
-            )
+        if self.expires_at is not None and self._clock() >= self.expires_at:
+            raise self._spent(what)
+
+    def left(self, what: str = "operation") -> Optional[float]:
+        """:meth:`check` and :meth:`wait_budget` from one clock reading.
+
+        Raises :class:`~repro.core.errors.OperationTimeout` exactly when
+        :meth:`check` would; otherwise returns the seconds left (always
+        positive), or ``None`` for an unbounded budget.
+        """
+        if self.expires_at is None:
+            return None
+        remaining = self.expires_at - self._clock()
+        if remaining <= 0.0:
+            raise self._spent(what)
+        return remaining
+
+    @staticmethod
+    def _spent(what: str) -> OperationTimeout:
+        return OperationTimeout(
+            f"{what}: deadline expired "
+            f"(budget exhausted on the monotonic clock)"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.expires_at is None:

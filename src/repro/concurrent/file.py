@@ -38,8 +38,7 @@ a reader.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from ..records import Record
 from ..storage.backend import MemoryStore
@@ -80,6 +79,69 @@ def reads_are_shareable(store: Any) -> bool:
             continue
         return False
     return False
+
+
+class _Guard:
+    """One guarded call through a :class:`ThreadSafeDenseFile`.
+
+    ``__enter__`` runs the pipeline in order: admission, the
+    reader-writer lock, the budget check, then the hand-off of the
+    budget to every :class:`RetryingStore`.  ``__exit__`` undoes the
+    steps that ran, in reverse, on every path — a step that raises in
+    ``__enter__`` unwinds the ones before it.  The lock is reached
+    through the instance's ``acquire_*``/``release_*`` methods, so a
+    subclass (the sanitizer's) or a per-instance patch sees every
+    acquisition.
+    """
+
+    __slots__ = ("_front", "_kind", "_exclusive", "_budget", "_admission",
+                 "_locked", "_handed_off")
+
+    def __init__(self, front: ThreadSafeDenseFile, kind: str,
+                 budget: Deadline):
+        self._front = front
+        self._kind = kind
+        self._exclusive = kind == WRITE or not front._shared_reads
+        self._budget = budget
+        self._admission: Any = None
+        self._locked = False
+        self._handed_off = False
+
+    def __enter__(self) -> None:
+        front = self._front
+        budget = self._budget
+        try:
+            if not front._bypass_lock:
+                if front._gate is not None:
+                    self._admission = front._gate.enter(self._kind, budget)
+                if self._exclusive:
+                    front._lock.acquire_write(budget)
+                else:
+                    front._lock.acquire_read(budget)
+                self._locked = True
+                budget.check("operation admitted and locked, but")
+            if front._retrying and budget.expires_at is not None:
+                self._handed_off = True
+                for layer in front._retrying:
+                    layer.set_deadline(budget)
+        except BaseException:
+            self.__exit__(None, None, None)
+            raise
+
+    def __exit__(self, *exc: object) -> None:
+        front = self._front
+        try:
+            if self._handed_off:
+                for layer in front._retrying:
+                    layer.set_deadline(None)
+            if self._locked:
+                if self._exclusive:
+                    front._lock.release_write()
+                else:
+                    front._lock.release_read()
+        finally:
+            if self._admission is not None:
+                self._admission.__exit__(None, None, None)
 
 
 class ThreadSafeDenseFile:
@@ -156,61 +218,17 @@ class ThreadSafeDenseFile:
     # the pipeline
     # ------------------------------------------------------------------
 
-    def _budget(
-        self,
-        timeout: Optional[float],
-        deadline: Optional[Deadline],
-    ) -> Deadline:
-        return Deadline.resolve(
-            timeout, deadline, self.default_timeout, self._clock
-        )
-
-    @contextmanager
-    def _store_deadline(self, budget: Deadline) -> Iterator[None]:
-        """Hand the remaining budget to deadline-aware retry layers."""
-        if not self._retrying or budget.expires_at is None:
-            yield
-            return
-        for layer in self._retrying:
-            layer.set_deadline(budget)
-        try:
-            yield
-        finally:
-            for layer in self._retrying:
-                layer.set_deadline(None)
-
-    @contextmanager
     def _guarded(
         self,
         kind: str,
         timeout: Optional[float],
         deadline: Optional[Deadline],
-    ) -> Iterator[None]:
+    ) -> _Guard:
         """Admission -> lock -> storage-deadline, all budget-aware."""
-        budget = self._budget(timeout, deadline)
-        if self._bypass_lock:
-            with self._store_deadline(budget):
-                yield
-            return
-        admission = (
-            self._gate.enter(kind, budget)
-            if self._gate is not None
-            else None
+        budget = Deadline.resolve(
+            timeout, deadline, self.default_timeout, self._clock
         )
-        try:
-            exclusive = kind == WRITE or not self._shared_reads
-            handle = (
-                self._lock.write_locked(budget)
-                if exclusive
-                else self._lock.read_locked(budget)
-            )
-            with handle:
-                budget.check("operation admitted and locked, but")
-                with self._store_deadline(budget):
-                    yield
-        finally:
-            if admission is not None:
-                admission.__exit__(None, None, None)
+        return _Guard(self, kind, budget)
 
     # ------------------------------------------------------------------
     # updates (single-writer)
@@ -508,3 +526,4 @@ class ThreadSafeDenseFile:
                 layer.counters() for layer in self._retrying
             ]
         return report
+

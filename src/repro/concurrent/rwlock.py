@@ -21,6 +21,13 @@ expires leaves the queue and raises
 forever.  Lock acquisition, not just the work under the lock, respects
 the operation's time budget.
 
+**Uncontended cost.**  Almost every acquisition meets an empty queue
+and a lock it can take; that path enters at once under the internal
+mutex, with no ticket, and a release wakes the condition only when a
+waiter is queued.  Anything else — a waiter queued ahead, or a holder
+the request conflicts with — takes a FIFO ticket, so the fairness rule
+above is unchanged.
+
 The lock is deliberately **not reentrant**: a thread that already
 holds the write side and tries to take either side again will wait on
 itself (and time out, if it has a deadline).  The front-end never
@@ -71,7 +78,8 @@ class FairRWLock:
     """FIFO-fair shared/exclusive lock with per-acquisition deadlines."""
 
     def __init__(self, clock: Callable[[], float] = time.monotonic):
-        self._cond = threading.Condition()
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         self._queue: deque = deque()
         self._active_readers = 0
         self._writer_active = False
@@ -102,9 +110,22 @@ class FairRWLock:
         raise AssertionError("waiter vanished from the queue")
 
     def _acquire(self, wants_write: bool, deadline: Optional[Deadline]) -> None:
-        budget = deadline if deadline is not None else Deadline.unbounded()
-        waiter = _Waiter(wants_write)
-        with self._cond:
+        with self._mutex:
+            if (
+                not self._queue
+                and not self._writer_active
+                and not (wants_write and self._active_readers)
+            ):
+                # Uncontended: a ticket would stand alone at the head
+                # of the queue and pass _may_enter at once, so enter
+                # without one.  A queued waiter of either kind sends
+                # every arrival down the ticket path, which keeps FIFO.
+                self._enter(wants_write)
+                if not self.max_queue_depth:
+                    self.max_queue_depth = 1
+                return
+            budget = deadline if deadline is not None else Deadline.unbounded()
+            waiter = _Waiter(wants_write)
             self._queue.append(waiter)
             self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
             try:
@@ -123,14 +144,19 @@ class FairRWLock:
                 self._cond.notify_all()
                 raise
             self._queue.remove(waiter)
-            if wants_write:
-                self._writer_active = True
-                self.writers_served += 1
-            else:
-                self._active_readers += 1
-                self.readers_served += 1
+            self._enter(wants_write)
+            if not wants_write and self._queue:
                 # A contiguous run of readers enters together.
                 self._cond.notify_all()
+
+    def _enter(self, wants_write: bool) -> None:
+        """Take the lock (caller holds the mutex and passed the rule)."""
+        if wants_write:
+            self._writer_active = True
+            self.writers_served += 1
+        else:
+            self._active_readers += 1
+            self.readers_served += 1
 
     # -- public API -----------------------------------------------------
 
@@ -144,20 +170,21 @@ class FairRWLock:
 
     def release_read(self) -> None:
         """Leave the readers; wakes the queue when the last one leaves."""
-        with self._cond:
+        with self._mutex:
             if self._active_readers <= 0:
                 raise LockProtocolError("release_read without a matching acquire")
             self._active_readers -= 1
-            if self._active_readers == 0:
+            if self._active_readers == 0 and self._queue:
                 self._cond.notify_all()
 
     def release_write(self) -> None:
         """Release exclusivity and wake the queue."""
-        with self._cond:
+        with self._mutex:
             if not self._writer_active:
                 raise LockProtocolError("release_write without a matching acquire")
             self._writer_active = False
-            self._cond.notify_all()
+            if self._queue:
+                self._cond.notify_all()
 
     def read_locked(self, deadline: Optional[Deadline] = None) -> _LockHandle:
         """``with lock.read_locked(deadline):`` acquire/release helper."""
@@ -174,12 +201,12 @@ class FairRWLock:
     @property
     def queue_depth(self) -> int:
         """Waiters currently queued (a point-in-time snapshot)."""
-        with self._cond:
+        with self._mutex:
             return len(self._queue)
 
     def stats(self) -> dict:
         """Service and contention counters as a printable dictionary."""
-        with self._cond:
+        with self._mutex:
             return {
                 "readers_served": self.readers_served,
                 "writers_served": self.writers_served,

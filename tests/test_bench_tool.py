@@ -118,6 +118,42 @@ class TestReportSchema:
         assert benchmark.validate_report(wrong_schema) != []
 
 
+
+class TestClusterCell:
+    def test_mixed_cell_reads_the_meter_without_shard_locks(
+        self, monkeypatch
+    ):
+        from repro.concurrent.file import ThreadSafeDenseFile
+
+        locked_reads = []
+        wrapped = ThreadSafeDenseFile.stats
+
+        def counting(front):
+            locked_reads.append(1)
+            return wrapped.fget(front)
+
+        monkeypatch.setattr(ThreadSafeDenseFile, "stats", property(counting))
+        report = benchmark.run_bench(
+            scenarios=("mixed",), backends=("cluster",), ops=200
+        )
+        cell = report["results"][0]
+        assert locked_reads == []
+        # 100 commands, each metered, three pages at worst.
+        assert cell["ops"] == 100
+        assert cell["page_accesses"] == 297
+        assert cell["max_accesses_per_command"] == 3
+        assert cell["latency_samples"] == 100
+
+    def test_profile_covers_the_server_thread(self):
+        report, table = benchmark.run_bench_profiled(
+            profile_top=1000, scenarios=("mixed",), backends=("cluster",),
+            ops=200,
+        )
+        assert report["results"][0]["page_accesses"] == 297
+        assert "(handle_frame)" in table
+        assert "(_serve_connection)" in table
+
+
 class TestRegressionGate:
     def test_self_comparison_is_clean(self, quick_report):
         assert benchmark.compare_reports(quick_report, quick_report) == []

@@ -363,6 +363,53 @@ class TestCircuitBreaker:
         assert stats["releases"] == 1
 
 
+class CountingLock:
+    """A mutex that counts its acquisitions."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquisitions = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.acquisitions += 1
+        return self
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+class TestBreakerFastPath:
+    def test_closed_admission_and_clean_success_skip_the_mutex(self):
+        breaker = CircuitBreaker(failure_threshold=3, clock=FakeClock())
+        breaker._mutex = mutex = CountingLock()
+        for _ in range(5):
+            breaker.allow()
+            breaker.record_success()
+        assert mutex.acquisitions == 0
+        assert breaker.stats()["closes"] == 0
+
+    def test_every_state_change_takes_the_mutex(self):
+        clock = FakeClock()
+        breaker = CircuitBreaker(failure_threshold=2, reset_timeout=1.0,
+                                 clock=clock)
+        breaker._mutex = mutex = CountingLock()
+        breaker.record_failure()  # count a failure
+        breaker.allow()  # still closed: no mutex
+        breaker.record_success()  # a failure to reset
+        assert mutex.acquisitions == 2
+        assert breaker.stats()["consecutive_failures"] == 0
+        breaker.record_failure()
+        breaker.record_failure()  # trips
+        assert breaker.state == OPEN
+        clock.advance(1.5)
+        before = mutex.acquisitions
+        breaker.allow()  # open -> half-open probe
+        breaker.record_success()  # half-open -> closed
+        assert mutex.acquisitions - before == 2
+        assert breaker.stats()["closes"] == 1
+
+
 # ----------------------------------------------------------------------
 # the sharded store: routing + partial-failure degradation
 # ----------------------------------------------------------------------
@@ -594,6 +641,59 @@ class TestClientServer:
         window = client.range(100, 200)
         assert [record.key for record in window] == [100, 120, 140, 160, 180, 200]
         assert client.count_range(0, 299) == 14
+
+    def test_one_clock_reading_per_attempt(self, cluster):
+        sharded, server, _ = cluster
+        clock = FakeClock()
+        reads = []
+
+        def counting_clock():
+            reads.append(1)
+            return clock()
+
+        class Recorder:
+            def __init__(self, inner, failures=0):
+                self.inner = inner
+                self.failures = failures
+                self.sent = []
+
+            def request(self, frame, timeout=None):
+                self.sent.append((wire.decode_bytes(frame), timeout))
+                if self.failures:
+                    self.failures -= 1
+                    raise TransientNetworkError("blip")
+                return self.inner.request(frame, timeout)
+
+            def close(self):
+                pass
+
+        channel = Recorder(LocalChannel(server.handle_frame))
+        client = ClusterClient(channel, default_timeout=5.0,
+                               clock=counting_clock)
+        client.prime(sharded.shard_map)
+        reads.clear()
+        client.insert(7, "x")
+        # One reading builds the budget, one serves the attempt.
+        assert len(reads) == 2
+        body, timeout = channel.sent[-1]
+        assert body["budget"] == timeout == 5.0
+        channel.failures = 1
+        reads.clear()
+        clock.advance(1.0)
+        assert client.search(7).value == "x"
+        # The budget, one per attempt, and the retry loop's own check
+        # of the budget before it retries.
+        assert len(reads) == 4
+        assert [sent[0]["budget"] for sent in channel.sent[-2:]] == [5.0, 5.0]
+
+    def test_primed_shard_map_is_read_without_the_mutex(self, cluster):
+        sharded, _, client = cluster
+        client.prime(sharded.shard_map)
+        client._mutex = mutex = CountingLock()
+        client.insert(5, "v")
+        assert client.search(5).value == "v"
+        assert client.shard_map is sharded.shard_map
+        assert mutex.acquisitions == 0
 
     def test_hello_primes_the_shard_map(self, cluster):
         sharded, _, client = cluster

@@ -19,6 +19,13 @@ from repro.cluster import (
     ShardMap,
     ShardedDenseFile,
 )
+from repro.cluster.wire import (
+    decode_bytes,
+    encode_frame,
+    error_response,
+    ok_response,
+    request,
+)
 from repro.concurrent.file import ThreadSafeDenseFile
 
 KEY_FAMILIES = {
@@ -115,3 +122,51 @@ def test_keys_and_values_survive_the_wire(family, connect):
             removed = client.delete(key)
             assert same(removed.key, key) and same(removed.value, value)
         assert len(store) == 0
+
+
+#: Frames whose bytes are pinned: a request with token and budget, a
+#: bare request, a replayed result and a typed error with detail.  The
+#: hex strings were produced by the wire module before its encode path
+#: was reworked; any change to a single byte is a protocol change.
+GOLDEN_FRAMES = {
+    "insert_token_budget": (
+        request("insert", "c7:r12", args={"key": 1234567, "value": b"v\x00"},
+                token="c7:t11", budget=2.5),
+        "44420000003c89e6a3df0103000000000000044006000600060002696e73657274"
+        "63373a72313263373a743131036b6579030300000087d6120576616c7565060200"
+        "00007600",
+    ),
+    "search": (
+        request("search", "c7:r13", args={"key": (2, "b")}),
+        "44420000003257d5e22e010000000000000000000600060000000173656172636863"
+        "373a723133036b65790802000000030100000002050100000062",
+    ),
+    "delete_result": (
+        dict(ok_response("c7:r14", [Fraction(7, 4), "gone"]), replayed=True),
+        "444200000025169cf0850203060063373a7231340902000000070301000000070301"
+        "000000040504000000676f6e65",
+    ),
+    "typed_error": (
+        error_response(
+            "c7:r15", "ShardUnavailableError", "write refused",
+            detail={"shard_ids": [2], "key_ranges": [[100, 199]],
+                    "mode": "down"},
+        ),
+        "44420000008c7cb15a390204060063373a72313505150000005368617264556e61"
+        "7661696c61626c654572726f72050d000000777269746520726566757365640a03"
+        "000000050900000073686172645f6964730901000000030100000002050a000000"
+        "6b65795f72616e676573090100000009020000000301000000640302000000c700"
+        "05040000006d6f64650504000000646f776e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FRAMES))
+def test_golden_frame_bytes(name):
+    body, golden = GOLDEN_FRAMES[name]
+    frame = encode_frame(body)
+    assert frame.hex() == golden
+    # Encoding twice gives the same bytes (no state leaks between
+    # calls), and the frame decodes back to the body, types included.
+    assert encode_frame(body) == frame
+    assert same(decode_bytes(bytes.fromhex(golden)), body)

@@ -9,7 +9,14 @@ import pytest
 
 from repro import DenseSequentialFile
 from repro.concurrent import Deadline, ThreadSafeDenseFile
-from repro.core.errors import OperationTimeout, OverloadError
+from repro.concurrent.admission import READ
+from repro.concurrent.file import find_retrying_stores
+from repro.core.errors import (
+    OperationTimeout,
+    OverloadError,
+    RecordNotFoundError,
+)
+from repro.sanitizer import SanitizedRWLock, SanitizerRuntime
 from repro.storage import (
     FaultPlan,
     MemoryStore,
@@ -358,6 +365,151 @@ class TestDeadlineAwareRetries:
         assert stack.giveups == 0
         assert stack.deadline_giveups == 0
         assert stack.retries == plan.transients_injected > 0
+
+
+
+class FakeClock:
+    """A manually advanced monotonic clock."""
+
+    def __init__(self):
+        self.now = 50.0
+
+    def __call__(self):
+        return self.now
+
+
+def guarded_front(clock=time.monotonic, lock=None):
+    """A gated front over a retrying fault stack (no faults injected)."""
+    stack = fault_tolerant_stack(
+        MemoryStore(64), FaultPlan(seed=0), RetryPolicy(max_attempts=3)
+    )
+    inner = DenseSequentialFile(num_pages=64, d=8, D=40, store=stack)
+    front = ThreadSafeDenseFile(
+        inner, max_in_flight=1, max_queued=0, clock=clock, lock=lock
+    )
+    front.insert_many(range(0, 40, 2))
+    return front
+
+
+def assert_idle(front):
+    """Lock free, gate empty, no retry layer left holding a budget."""
+    stats = front.lock.stats()
+    assert stats["active_readers"] == 0
+    assert not stats["writer_active"]
+    assert stats["queued"] == 0
+    assert front.gate.in_flight == 0 and front.gate.queue_depth == 0
+    layers = find_retrying_stores(front.inner.store)
+    assert layers
+    assert all(layer.deadline is None for layer in layers)
+
+
+class TestGuard:
+    """Every path out of a guarded call undoes what it set up."""
+
+    def test_budget_reaches_the_retry_layers_for_the_call_only(self):
+        front = guarded_front()
+        layers = find_retrying_stores(front.inner.store)
+        seen = []
+        search = front.inner.search
+        front.inner.search = lambda key: (
+            seen.extend(layer.deadline for layer in layers), search(key)
+        )[1]
+        budget = Deadline.after(5.0)
+        assert front.search(4, deadline=budget).key == 4
+        assert seen and all(deadline is budget for deadline in seen)
+        assert_idle(front)
+        # An unbounded call hands nothing to the retry layers.
+        seen.clear()
+        front.search(4)
+        assert seen and all(deadline is None for deadline in seen)
+
+    def test_admission_refused(self):
+        front = guarded_front()
+        slot = front.gate.enter(READ)
+        try:
+            with pytest.raises(OverloadError):
+                front.insert(1, timeout=5.0)
+        finally:
+            slot.__exit__(None, None, None)
+        assert_idle(front)
+        assert front.lock.stats()["writers_served"] == 1  # the preload
+
+    def test_lock_acquire_timeout(self):
+        front = guarded_front()
+        front.lock.acquire_write()
+        try:
+            with pytest.raises(OperationTimeout):
+                front.search(4, timeout=0.02)
+        finally:
+            front.lock.release_write()
+        assert_idle(front)
+        assert front.lock.stats()["timeouts"] == 1
+
+    def test_deadline_spent_after_locking(self):
+        clock = FakeClock()
+        front = guarded_front(clock=clock)
+        acquire_write = front.lock.acquire_write
+
+        def slow_acquire(deadline=None):
+            acquire_write(deadline)
+            clock.now += 10.0  # the budget runs out while locking
+
+        front.lock.acquire_write = slow_acquire
+        with pytest.raises(OperationTimeout, match="admitted and locked"):
+            front.insert(1, timeout=1.0)
+        assert_idle(front)
+        assert 1 not in front.inner
+
+    def test_inner_operation_raises(self):
+        front = guarded_front()
+        with pytest.raises(RecordNotFoundError):
+            front.delete(3, timeout=5.0)
+        assert_idle(front)
+        front.delete(4, timeout=5.0)  # the file keeps serving
+        assert_idle(front)
+
+    def test_sanitized_lock_sees_one_pair_per_operation(self):
+        runtime = SanitizerRuntime()
+        events = []
+        for name in ("on_acquired", "on_release"):
+            original = getattr(runtime, name)
+
+            def record(label, mode, _name=name, _original=original):
+                events.append((_name, mode))
+                _original(label, mode)
+
+            setattr(runtime, name, record)
+        front = guarded_front(lock=SanitizedRWLock(runtime))
+        operations = {
+            "insert": lambda: front.insert(101, timeout=5.0),
+            "search": lambda: front.search(101),
+            "update": lambda: front.update(101, "v"),
+            "delete": lambda: front.delete(101),
+            "range": lambda: front.range(0, 10),
+            "scan": lambda: front.scan(0, 3),
+            "rank": lambda: front.rank(10),
+            "count_range": lambda: front.count_range(0, 10),
+            "select": lambda: front.select(0),
+            "min": lambda: front.min(),
+            "max": lambda: front.max(),
+            "successor": lambda: front.successor(4),
+            "predecessor": lambda: front.predecessor(4),
+            "contains": lambda: 4 in front,
+            "len": lambda: len(front),
+            "stats": lambda: front.stats,
+            "missing delete": lambda: front.delete(999),
+        }
+        for name, operation in operations.items():
+            events.clear()
+            try:
+                operation()
+            except RecordNotFoundError:
+                assert name == "missing delete"
+            assert [event for event, _ in events] == [
+                "on_acquired", "on_release"
+            ], name
+            assert events[0][1] == events[1][1], name
+        assert_idle(front)
 
 
 class TestThreadsafeOpenFlag:

@@ -1,5 +1,6 @@
 """Units for the concurrency primitives: Deadline, FairRWLock, AdmissionGate."""
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -50,6 +51,19 @@ class TestDeadline:
         clock.advance(2.0)
         with pytest.raises(OperationTimeout):
             budget.check("unit test")
+
+    def test_left_is_check_and_wait_budget_in_one_reading(self):
+        clock = FakeClock()
+        assert Deadline.unbounded().left() is None
+        budget = Deadline.after(2.0, clock)
+        assert budget.left() == pytest.approx(2.0)
+        clock.advance(1.5)
+        assert budget.left() == pytest.approx(0.5)
+        clock.advance(0.5)  # exactly at the deadline: spent, as check says
+        with pytest.raises(OperationTimeout):
+            budget.check("unit test")
+        with pytest.raises(OperationTimeout, match="unit test"):
+            budget.left("unit test")
 
     def test_negative_timeout_rejected(self):
         with pytest.raises(ValueError):
@@ -166,6 +180,208 @@ class TestFairRWLock:
                 pool.submit(bump)
         assert counter["n"] == 800
         assert lock.stats()["writers_served"] == 800
+
+
+
+def _queue_behind(lock, acquire):
+    """Start a thread that queues on ``lock``; return (thread, entered)."""
+    entered = threading.Event()
+    depth = lock.queue_depth
+
+    def run():
+        acquire(Deadline.after(10.0))
+        entered.set()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    give_up = time.monotonic() + 5.0
+    while lock.queue_depth <= depth:
+        assert time.monotonic() < give_up, "the thread never queued"
+        time.sleep(0.001)
+    return thread, entered
+
+
+class TestUncontendedPath:
+    """The ticket-free entry must admit exactly what the ticket path would."""
+
+    def test_reader_does_not_overtake_a_queued_writer(self):
+        lock = FairRWLock()
+        lock.acquire_read()
+        writer, writer_in = _queue_behind(lock, lock.acquire_write)
+        # No writer is active and readers are compatible with the
+        # holder, but the queued writer sends this reader to a ticket:
+        # with a spent budget it times out instead of entering.
+        with pytest.raises(OperationTimeout):
+            lock.acquire_read(Deadline.after(0.0))
+        stats = lock.stats()
+        assert stats["active_readers"] == 1 and stats["queued"] == 1
+        lock.release_read()
+        writer.join(5.0)
+        assert writer_in.is_set()
+        lock.release_write()
+        assert lock.stats()["writers_served"] == 1
+
+    def test_writer_never_enters_while_readers_are_active(self):
+        lock = FairRWLock()
+        lock.acquire_read()
+        lock.acquire_read()
+        with pytest.raises(OperationTimeout):
+            lock.acquire_write(Deadline.after(0.0))
+        lock.release_read()
+        with pytest.raises(OperationTimeout):
+            lock.acquire_write(Deadline.after(0.0))
+        lock.release_read()
+        stats = lock.stats()
+        assert stats["writers_served"] == 0 and stats["timeouts"] == 2
+        assert stats["queued"] == 0
+        lock.acquire_write(Deadline.after(0.0))  # idle again: enters
+        assert lock.stats()["writer_active"]
+
+    def test_nobody_enters_beside_an_active_writer(self):
+        lock = FairRWLock()
+        lock.acquire_write()
+        for acquire in (lock.acquire_read, lock.acquire_write):
+            with pytest.raises(OperationTimeout):
+                acquire(Deadline.after(0.0))
+        lock.release_write()
+        assert lock.stats()["queued"] == 0
+
+    def test_readers_behind_a_queued_writer_enter_after_it(self):
+        lock = FairRWLock()
+        lock.acquire_read()
+        order = []
+        writer, _ = _queue_behind(
+            lock, lambda d: (lock.acquire_write(d), order.append("w"),
+                             lock.release_write())
+        )
+        reader, _ = _queue_behind(
+            lock, lambda d: (lock.acquire_read(d), order.append("r"),
+                             lock.release_read())
+        )
+        lock.release_read()
+        writer.join(5.0)
+        reader.join(5.0)
+        assert order == ["w", "r"]
+
+    def test_counters_match_the_ticket_path(self):
+        # Both locks serve two readers and two writers.  On ``fast``
+        # every acquisition is uncontended; on ``ticketed`` one writer
+        # and one reader queue behind a holder and enter by ticket.
+        # The counters must not tell the two paths apart.
+        fast = FairRWLock()
+        for acquire, release in (
+            (fast.acquire_read, fast.release_read),
+            (fast.acquire_write, fast.release_write),
+            (fast.acquire_write, fast.release_write),
+            (fast.acquire_read, fast.release_read),
+        ):
+            acquire()
+            release()
+
+        ticketed = FairRWLock()
+        ticketed.acquire_read()
+        writer, _ = _queue_behind(
+            ticketed, lambda d: (ticketed.acquire_write(d),
+                                 ticketed.release_write())
+        )
+        ticketed.release_read()
+        writer.join(5.0)
+        ticketed.acquire_write()
+        reader, _ = _queue_behind(
+            ticketed, lambda d: (ticketed.acquire_read(d),
+                                 ticketed.release_read())
+        )
+        ticketed.release_write()
+        reader.join(5.0)
+
+        assert fast.stats() == ticketed.stats() == {
+            "readers_served": 2,
+            "writers_served": 2,
+            "timeouts": 0,
+            "max_queue_depth": 1,
+            "active_readers": 0,
+            "writer_active": False,
+            "queued": 0,
+        }
+        assert FairRWLock().stats()["max_queue_depth"] == 0
+
+    def test_mixed_stress_keeps_exclusion(self):
+        # More threads than cores, a tiny switch interval: readers and
+        # writers race through both entry paths.  A writer must be
+        # alone; a lost update of the guarded counter or a reader that
+        # sees a writer inside would break the asserts.
+        lock = FairRWLock()
+        inside = {"readers": 0, "writers": 0, "count": 0}
+        violations = []
+
+        def writer():
+            for _ in range(300):
+                lock.acquire_write(Deadline.after(30.0))
+                inside["writers"] += 1
+                if inside["writers"] != 1 or inside["readers"]:
+                    violations.append("writer not alone")
+                value = inside["count"]
+                time.sleep(0)
+                inside["count"] = value + 1
+                if inside["writers"] != 1 or inside["readers"]:
+                    violations.append("writer not alone")
+                inside["writers"] -= 1
+                lock.release_write()
+                # Pause so the queue drains and the next acquisition
+                # often meets readers inside and nobody queued.
+                time.sleep(0.0005)
+
+        def reader():
+            for _ in range(300):
+                lock.acquire_read(Deadline.after(30.0))
+                with guard:
+                    inside["readers"] += 1
+                if inside["writers"]:
+                    violations.append("reader beside a writer")
+                time.sleep(0.0001)
+                if inside["writers"]:
+                    violations.append("reader beside a writer")
+                with guard:
+                    inside["readers"] -= 1
+                lock.release_read()
+
+        guard = threading.Lock()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer) for _ in range(2)]
+            threads += [threading.Thread(target=reader) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert violations == []
+        assert inside["count"] == 600
+        stats = lock.stats()
+        assert stats["writers_served"] == 600
+        assert stats["readers_served"] == 1800
+        assert not stats["writer_active"] and stats["active_readers"] == 0
+        assert stats["queued"] == 0
+
+    def test_release_wakes_the_condition_only_when_someone_waits(self):
+        lock = FairRWLock()
+        wakes = []
+        notify_all = lock._cond.notify_all
+        lock._cond.notify_all = lambda: (wakes.append(1), notify_all())
+        lock.acquire_read()
+        lock.release_read()
+        lock.acquire_write()
+        lock.release_write()
+        assert wakes == []
+        lock.acquire_write()
+        writer, writer_in = _queue_behind(lock, lock.acquire_write)
+        lock.release_write()
+        writer.join(5.0)
+        assert writer_in.is_set() and wakes
+        lock.release_write()
 
 
 class TestAdmissionGate:

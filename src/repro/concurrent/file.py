@@ -68,6 +68,14 @@ def reads_are_shareable(store: Any) -> bool:
     Disk stacks share a seekable file handle and buffered stacks
     reorder an LRU list on every read, so their reads must be
     serialized.
+
+    A shared read still writes one thing: the first scan of a page
+    after a mutation stores the page's row tuple
+    (:meth:`~repro.storage.page.Page.rows`), and two readers may build
+    it at once.  That is safe because the fill is idempotent (both
+    store equal tuples), because it is computed only from the page's
+    columns, which change only under the exclusive lock, and because it
+    is one attribute store, so a reader sees no tuple or a whole one.
     """
     while store is not None:
         if isinstance(store, MemoryStore):

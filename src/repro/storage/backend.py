@@ -541,29 +541,27 @@ class BufferedStore(PageStore):
 
         A scan offers the next window of its run (never past the run's
         last page) once per window: after its first read, then after the
-        read that ends the last window this method faulted whole.  Pages
-        already resident are skipped by a lookup in the pool's frame
-        table, with no pool call; each other page is brought in as a
-        clean, not-yet-used frame (one physical read) so the demand read
-        that follows is a hit.  The first page the pool declines — every
-        frame is held by a prefetched page still waiting to be read —
-        ends the offer.  A return below the number offered (a page was
-        resident or declined) makes the scan offer again after its next
-        read.  Capped by the configured window; 0 disables the whole
-        path.  Returns the number of pages faulted in.
+        read that ends the last window this method faulted whole.  The
+        window, cut to :attr:`readahead` pages and stripped of page
+        numbers outside the file, goes to the pool in one
+        :meth:`~repro.storage.bufferpool.BufferPool.prefetch` call.  The
+        pool skips pages already resident and brings each other page in
+        as a clean, not-yet-used frame (one physical read) so the demand
+        read that follows is a hit.  The first page the pool declines —
+        every frame is held by a prefetched page still waiting to be
+        read — ends the offer.  A return below the number offered (a
+        page was resident or declined) makes the scan offer again after
+        its next read.  0 disables the whole path.  Returns the number
+        of pages faulted in.
         """
         if not self.readahead:
             return 0
-        pool = self.pool
-        resident = pool.frames
-        faulted = 0
-        for page_number in islice(page_numbers, self.readahead):
-            if page_number in resident or not 1 <= page_number <= self.num_pages:
-                continue
-            if not pool.prefetch(page_number):
-                break
-            faulted += 1
-        return faulted
+        num_pages = self.num_pages
+        return self.pool.prefetch([
+            page_number
+            for page_number in islice(page_numbers, self.readahead)
+            if 1 <= page_number <= num_pages
+        ])
 
     def move_records(self, source: int, dest: int, count: int) -> int:
         # Same touch sequence the logical meter records (read source,

@@ -21,16 +21,17 @@ agree exactly on identical access sequences (benchmark EXP-A7 asserts
 it).
 
 For stream retrievals the pool additionally supports **readahead**:
-:meth:`BufferPool.prefetch` faults a page in speculatively, charged to
-separate ``prefetches`` / ``prefetch_hits`` counters so demand hit/miss
-ratios stay honest.  :class:`~repro.storage.backend.BufferedStore`
-drives it from the page file's scan walk, which offers the next window
-of its run once per window: after the page that ends the last window
-the pool took whole (a window with a page already resident or declined
-is offered again, slid by one page, after the next read).  A scan
-never offers past its own last page, so on scans ``prefetch_hits``
-equals ``prefetches`` unless a demand miss evicts a prefetched frame
-before it is read.
+:meth:`BufferPool.prefetch` faults a window of pages in speculatively,
+charged to separate ``prefetches`` / ``prefetch_hits`` counters so
+demand hit/miss ratios stay honest.
+:class:`~repro.storage.backend.BufferedStore` drives it from the page
+file's scan walk, which offers the next window of its run once per
+window, in one call: after the page that ends the last window the pool
+took whole (a window with a page already resident or declined is
+offered again, slid by one page, after the next read).  A scan never
+offers past its own last page, so on scans ``prefetch_hits`` equals
+``prefetches`` unless a demand miss evicts a prefetched frame before it
+is read.
 
 A demand miss and a prefetch enter the pool through one helper,
 ``_admit``: it evicts the LRU frame when the pool is full (writing it
@@ -149,35 +150,39 @@ class BufferPool:
         self._admit(page, kind == WRITE)
         return False
 
-    def prefetch(self, page: int) -> bool:
-        """Speculatively fault ``page`` in without counting a hit or miss.
+    def prefetch(self, pages: Iterable[int]) -> int:
+        """Speculatively fault a window of ``pages`` in, in order, without
+        counting a hit or miss; returns the number faulted in.
 
-        Readahead support: the frame is brought in clean and counted
-        under ``prefetches`` (one physical read, possibly one write-back
-        of a dirty victim) instead of ``misses``, so hit/miss ratios
-        keep measuring only the demand accesses the caller issued.  A
-        later demand access to the frame counts a normal hit plus one
-        ``prefetch_hits``.  Returns True when the page was actually
-        faulted in (False if already resident).
+        Readahead support: each page not already resident is brought in
+        clean and counted under ``prefetches`` (one physical read,
+        possibly one write-back of a dirty victim) instead of
+        ``misses``, so hit/miss ratios keep measuring only the demand
+        accesses the caller issued.  A later demand access to the frame
+        counts a normal hit plus one ``prefetch_hits``.  Resident pages
+        are skipped.
 
-        A prefetch that would evict a frame still waiting to be read
-        (prefetched but not yet accessed) is declined instead: that
-        victim is exactly what the scan cursor needs next, and evicting
-        it to make room for a further-ahead page turns readahead into
-        thrash whenever the window approaches the pool capacity.
+        A page that would evict a frame still waiting to be read
+        (prefetched but not yet accessed) is declined, and the decline
+        ends the window: that victim is exactly what the scan cursor
+        needs next, and evicting it to make room for a further-ahead
+        page turns readahead into thrash whenever the window approaches
+        the pool capacity.
         """
         frames = self._frames
-        if page in frames:
-            return False
-        if (
-            len(frames) >= self.capacity
-            and next(iter(frames)) in self._prefetched
-        ):
-            return False
-        self.stats.prefetches += 1
-        self._admit(page, False)
-        self._prefetched.add(page)
-        return True
+        prefetched = self._prefetched
+        capacity = self.capacity
+        faulted = 0
+        for page in pages:
+            if page in frames:
+                continue
+            if len(frames) >= capacity and next(iter(frames)) in prefetched:
+                break
+            self.stats.prefetches += 1
+            self._admit(page, False)
+            prefetched.add(page)
+            faulted += 1
+        return faulted
 
     def _admit(self, page: int, dirty: bool) -> None:
         """Fault ``page`` in as the most recent frame: the one eviction rule.

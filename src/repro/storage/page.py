@@ -6,10 +6,19 @@ when a caller actually asks for them (scans, deletes returning the
 victim, snapshots).  Every mutation is a ``bisect`` plus C-level list
 surgery with no per-record object allocation, and batch moves between
 two pages (``take_*_into``) are single slice operations.  Queries that
-look inside a page (a scan's bounds, a rank, a successor) bisect the key
-column and build records only for the slice they return, in one C-level
-pass.  Any mutually comparable key type works — heterogeneous keys
-(Fractions, tuples) live in the columns just fine.
+look inside a page (a rank, a successor) bisect the key column and
+build records only for the slice they return, in one C-level pass.  Any
+mutually comparable key type works — heterogeneous keys (Fractions,
+tuples) live in the columns just fine.
+
+A page read by a scan keeps its records as a third slot: an immutable
+tuple that :meth:`Page.rows` builds once and every column mutation
+drops.  A stream retrieval reads each page many times between two
+updates of it, so the rows are built once per mutation instead of once
+per read.  Only scans fill the slot; :meth:`Page.records` copies it when
+present and otherwise builds a fresh list without keeping it, so a file
+iterated once (a snapshot, a final check) holds no second copy of its
+records.
 
 The capacity ``D`` of the paper is enforced *softly*: the structures above
 may let a page transiently exceed ``D`` records within a command, because
@@ -22,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import repeat
-from typing import Any, Iterable, Iterator, List, Optional
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.errors import DuplicateKeyError, RecordNotFoundError, UsageError
 from ..records import Record
@@ -45,11 +54,14 @@ def _records(keys: Iterable[Any], values: Iterable[Any]) -> Iterator[Record]:
 class Page:
     """A sorted, soft-capacity container of records, stored as columns."""
 
-    __slots__ = ("_keys", "_values")
+    __slots__ = ("_keys", "_values", "_rows")
 
     def __init__(self, records: Optional[Iterable[Record]] = None):
         self._keys: List[Any] = []
         self._values: List[Any] = []
+        #: The records as built by :meth:`rows`; ``None`` once a
+        #: mutation changed the columns.
+        self._rows: Optional[Tuple[Record, ...]] = None
         if records:
             for record in records:
                 self.insert(record)
@@ -77,8 +89,30 @@ class Page:
         """Largest key on the page (raises on an empty page)."""
         return self._keys[-1]
 
+    def rows(self) -> Tuple[Record, ...]:
+        """The records in key order, kept until the next mutation.
+
+        The scans' read: the first call after a mutation builds the
+        tuple from the columns and stores it, later calls return the
+        same tuple.  Two readers that build it at once (the memory
+        stacks admit readers together) store equal tuples, so the one
+        attribute store needs no lock of its own: the columns change
+        only under the writer's exclusive lock.
+        """
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = tuple(_records(self._keys, self._values))
+        return rows
+
     def records(self) -> List[Record]:
-        """Materialize the records in key order (a fresh list)."""
+        """The records in key order (a fresh list).
+
+        Copies the rows a scan has cached; otherwise builds the list
+        from the columns and leaves the cache empty.
+        """
+        rows = self._rows
+        if rows is not None:
+            return list(rows)
         return list(_records(self._keys, self._values))
 
     def records_slice(self, start: int, stop: int) -> List[Record]:
@@ -155,6 +189,7 @@ class Page:
         index = bisect_left(keys, key)
         if index < len(keys) and keys[index] == key:
             raise DuplicateKeyError(key)
+        self._rows = None
         keys.insert(index, key)
         self._values.insert(index, value)
         return index
@@ -171,6 +206,7 @@ class Page:
         index = bisect_left(keys, key)
         if index >= len(keys) or keys[index] != key:
             raise RecordNotFoundError(key)
+        self._rows = None
         del keys[index]
         return Record(key, self._values.pop(index))
 
@@ -182,6 +218,7 @@ class Page:
             raise RecordNotFoundError(record.key)
         values = self._values
         old = Record(keys[index], values[index])
+        self._rows = None
         values[index] = record.value
         return old
 
@@ -191,12 +228,14 @@ class Page:
             return
         if self._keys and records[0].key <= self._keys[-1]:
             raise UsageError("extend_high would break key order")
+        self._rows = None
         self._keys.extend(record.key for record in records)
         self._values.extend(record.value for record in records)
 
     def clear(self) -> List[Record]:
         """Remove and return every record on the page."""
         taken = self.records()
+        self._rows = None
         self._keys = []
         self._values = []
         return taken
@@ -217,6 +256,7 @@ class Page:
         keys = self._keys[:count]
         if dest._keys and keys[0] <= dest._keys[-1]:
             raise UsageError("take_lowest_into would break key order")
+        self._rows = dest._rows = None
         dest._keys += keys
         dest._values += self._values[:count]
         del self._keys[:count]
@@ -231,6 +271,7 @@ class Page:
         keys = self._keys[-count:]
         if dest._keys and keys[-1] >= dest._keys[0]:
             raise UsageError("take_highest_into would break key order")
+        self._rows = dest._rows = None
         dest._keys[:0] = keys
         dest._values[:0] = self._values[-count:]
         del self._keys[-count:]

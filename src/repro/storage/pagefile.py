@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import bisect
 from itertools import chain
-from typing import Any, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import ConfigurationError, RecordNotFoundError, UsageError
 from ..records import Record
@@ -598,9 +598,12 @@ class PageFile:
     # count.  So the readahead window never reaches past the last page
     # the scan will read, and a scan read to its end leaves no
     # prefetched frame unread.
-    # Records are built per page, only for the slice of keys the scan
-    # returns; a range scan's interior pages are built from their whole
-    # columns, with no bisect and no slice.
+    # A range or counted scan reads each page's records through
+    # ``Page.rows``: built on the first read after a mutation, then
+    # shared by every later scan of the page until the next mutation.
+    # An interior page yields that tuple whole; a boundary page yields
+    # the slice between its ``bisect`` bounds.  Full iteration copies
+    # the rows a scan left cached but builds none of its own.
 
     def _walk(self, first: int, stop: Optional[int] = None) -> Iterator[Page]:
         """Charge and yield the pages of directory entries ``first .. stop-1``.
@@ -644,17 +647,21 @@ class PageFile:
         """
         return chain.from_iterable(self._range_slices(lo_key, hi_key))
 
-    def _range_slices(self, lo_key: Any, hi_key: Any) -> Iterator[List[Record]]:
+    def _range_slices(
+        self, lo_key: Any, hi_key: Any
+    ) -> Iterator[Sequence[Record]]:
         stop = bisect.bisect_right(self._mins, hi_key)
         for page in self._walk(self._directory_index(lo_key), stop):
             # An interior page lies wholly inside the range: take its
-            # whole columns.  The test reads the page's current keys, so
-            # a scan suspended across a SHIFT still stays in bounds.
+            # whole row tuple.  The test reads the page's current keys,
+            # so a scan suspended across a SHIFT still stays in bounds.
+            rows = page.rows()
             keys = page._keys
             if keys and keys[0] >= lo_key and keys[-1] <= hi_key:
-                yield page.records()
+                yield rows
             else:
-                yield page.records_between(lo_key, hi_key)
+                start = bisect.bisect_left(keys, lo_key)
+                yield rows[start : bisect.bisect_right(keys, hi_key)]
 
     def scan_count(self, start_key: Any, count: int) -> List[Record]:
         """Return up to ``count`` records with key >= ``start_key``.
@@ -676,7 +683,7 @@ class PageFile:
             stop += 1
         result: List[Record] = []
         for page in self._walk(first, stop):
-            result += page.records_slice(skip, skip + count - len(result))
+            result += page.rows()[skip : skip + count - len(result)]
             skip = 0
         return result
 

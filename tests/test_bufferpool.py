@@ -121,17 +121,24 @@ class ReferenceLRU:
         self._bring_in(page, write)
         return False
 
-    def prefetch(self, page):
-        if page in self.dirty:
-            return False
-        if len(self.order) == self.capacity and self.order[0] in self.unread:
-            self.fired.add("decline")
-            return False
-        self.stats["prefetches"] += 1
-        if self._bring_in(page, False):
-            self.fired.add("prefetch-writeback")
-        self.unread.add(page)
-        return True
+    def prefetch(self, pages):
+        """Admit each page of the window not yet resident, in order,
+        until the first decline; return how many were admitted."""
+        admitted = 0
+        for page in pages:
+            if page in self.dirty:
+                continue
+            if len(self.order) == self.capacity and self.order[0] in self.unread:
+                self.fired.add("decline-partway" if admitted else "decline")
+                break
+            self.stats["prefetches"] += 1
+            if self._bring_in(page, False):
+                self.fired.add(
+                    "writeback-partway" if admitted else "prefetch-writeback"
+                )
+            self.unread.add(page)
+            admitted += 1
+        return admitted
 
     def flush(self):
         written = [page for page in self.order if self.dirty[page]]
@@ -143,19 +150,25 @@ class ReferenceLRU:
 
 OPERATIONS = st.lists(
     st.one_of(
+        st.tuples(st.sampled_from(["read", "write"]), st.integers(1, 8)),
         st.tuples(
-            st.sampled_from(["read", "write", "prefetch"]),
-            st.integers(1, 8),
+            st.just("prefetch"), st.lists(st.integers(1, 8), max_size=5)
         ),
         st.just(("flush", 0)),
     ),
     max_size=60,
 )
 
-#: Pinned sequences: a prefetch declined because the LRU frame is an
-#: unread prefetched page, and a prefetch whose LRU victim is dirty.
-DECLINE = (2, [("prefetch", 1), ("prefetch", 2), ("prefetch", 3)])
-PREFETCH_WRITEBACK = (2, [("write", 1), ("read", 2), ("prefetch", 3)])
+#: Pinned sequences: a one-page window declined because the LRU frame
+#: is an unread prefetched page, and a one-page window whose LRU victim
+#: is dirty.
+DECLINE = (2, [("prefetch", [1]), ("prefetch", [2]), ("prefetch", [3])])
+PREFETCH_WRITEBACK = (2, [("write", 1), ("read", 2), ("prefetch", [3])])
+#: Pinned windows: one that skips a resident page, admits two and is
+#: declined at its fourth page; one whose second page evicts a dirty
+#: frame.
+DECLINE_PARTWAY = (2, [("read", 1), ("prefetch", [1, 2, 3, 4])])
+WRITEBACK_PARTWAY = (2, [("read", 1), ("write", 2), ("prefetch", [3, 4])])
 
 
 def _drive(capacity, operations):
@@ -169,6 +182,7 @@ def _drive(capacity, operations):
         if kind == "flush":
             assert pool.flush() == reference.flush()
         elif kind == "prefetch":
+            # ``page`` is the window here: a list of page numbers.
             assert pool.prefetch(page) == reference.prefetch(page)
         else:
             write = kind == "write"
@@ -189,12 +203,35 @@ class TestAgainstReferenceLRU:
     @given(capacity=st.integers(1, 6), operations=OPERATIONS)
     @example(*DECLINE)
     @example(*PREFETCH_WRITEBACK)
+    @example(*DECLINE_PARTWAY)
+    @example(*WRITEBACK_PARTWAY)
     def test_every_step_matches_the_reference(self, capacity, operations):
         _drive(capacity, operations)
 
     def test_pinned_sequences_reach_the_rare_rules(self):
         assert "decline" in _drive(*DECLINE)
         assert "prefetch-writeback" in _drive(*PREFETCH_WRITEBACK)
+        assert "decline-partway" in _drive(*DECLINE_PARTWAY)
+        assert "writeback-partway" in _drive(*WRITEBACK_PARTWAY)
+
+    def test_pinned_windows_end_where_the_rules_say(self):
+        faults, writebacks = [], []
+        pool = BufferPool(2, on_fault=faults.append,
+                          on_writeback=writebacks.append)
+        pool.access(READ, 1)
+        # 1 is resident, 2 fills the pool, 3 evicts 1, and 4 would
+        # evict the unread 2: the window stops there.
+        assert pool.prefetch([1, 2, 3, 4]) == 2
+        assert pool.resident_pages() == [2, 3]
+        assert faults == [1, 2, 3]
+        pool = BufferPool(2, on_fault=faults.append,
+                          on_writeback=writebacks.append)
+        pool.access(READ, 1)
+        pool.access(WRITE, 2)
+        # 3 evicts the clean 1; 4 evicts the dirty 2 and writes it back.
+        assert pool.prefetch([3, 4]) == 2
+        assert writebacks == [2]
+        assert pool.stats.prefetches == 2 and pool.stats.evictions == 2
 
 
 class TestReplay:

@@ -55,14 +55,21 @@ FUSED_READ_OF_PREFETCHED = (
     3,
     [("prefetch", [4, 5]), ("get_page2", 5), ("get_page2", 4)],
 )
+#: A window the pool declines at its third page (the LRU frame is the
+#: unread first one), and a window whose second page evicts a dirty frame.
+WINDOW_DECLINED_PARTWAY = (2, [("prefetch", [2, 3, 4])])
+WINDOW_EVICTS_DIRTY_PARTWAY = (
+    2,
+    [("get_page", 1), ("put_page", 2), ("prefetch", [3, 4])],
+)
 
 
 def _reference_prefetch(pool, pages):
-    """``BufferedStore.prefetch`` spelled as plain pool calls."""
+    """``BufferedStore.prefetch`` spelled as one-page pool windows."""
     for page in islice(pages, READAHEAD):
         if page in pool.frames or not 1 <= page <= PAGES:
             continue
-        if not pool.prefetch(page):
+        if not pool.prefetch([page]):
             break
 
 
@@ -70,7 +77,22 @@ def _drive_store(capacity, operations):
     """Run ``operations`` on a store and on a pool fed plain accesses."""
     store = BufferedStore(MemoryStore(PAGES), capacity=capacity,
                           readahead=READAHEAD)
-    reference = BufferPool(capacity)
+    faults, writebacks = [], []
+    pool = store.pool
+    fault, writeback = pool.on_fault, pool.on_writeback
+
+    def logged_fault(page):
+        faults.append(page)
+        fault(page)
+
+    def logged_writeback(page):
+        writebacks.append(page)
+        writeback(page)
+
+    pool.on_fault, pool.on_writeback = logged_fault, logged_writeback
+    reference_faults, reference_writebacks = [], []
+    reference = BufferPool(capacity, on_fault=reference_faults.append,
+                           on_writeback=reference_writebacks.append)
     for operation in operations:
         name = operation[0]
         if name == "get_page":
@@ -92,10 +114,11 @@ def _drive_store(capacity, operations):
         else:
             store.prefetch(operation[1])
             _reference_prefetch(reference, operation[1])
-        pool = store.pool
         assert asdict(pool.stats) == asdict(reference.stats), operation
         assert list(pool.frames.items()) == list(reference.frames.items())
         assert pool._prefetched == reference._prefetched
+        assert faults == reference_faults
+        assert writebacks == reference_writebacks
     inner = store.inner.stats()
     assert inner["gets"] == store.pool.stats.physical_reads
     assert inner["puts"] == store.pool.stats.physical_writes
@@ -107,6 +130,8 @@ class TestPoolTwinsReference:
     @given(capacity=st.integers(1, 6), operations=STORE_OPERATIONS)
     @example(*MOVE_EVICTS_SOURCE)
     @example(*FUSED_READ_OF_PREFETCHED)
+    @example(*WINDOW_DECLINED_PARTWAY)
+    @example(*WINDOW_EVICTS_DIRTY_PARTWAY)
     def test_every_step_matches_plain_accesses(self, capacity, operations):
         _drive_store(capacity, operations)
 
@@ -120,6 +145,11 @@ class TestPoolTwinsReference:
         assert prefetched.prefetches == 2
         assert prefetched.prefetch_hits == 2
         assert (prefetched.hits, prefetched.misses) == (4, 0)
+        declined = _drive_store(*WINDOW_DECLINED_PARTWAY)
+        assert (declined.prefetches, declined.evictions) == (2, 0)
+        dirty = _drive_store(*WINDOW_EVICTS_DIRTY_PARTWAY)
+        assert (dirty.prefetches, dirty.evictions) == (2, 2)
+        assert dirty.physical_writes == 1
 
 
 # ----------------------------------------------------------------------

@@ -7,14 +7,19 @@ measures what they buy in *wall-clock* terms, so every PR inherits a
 performance trajectory (``BENCH_PR4.json`` and successors) instead of
 hoping nothing got slower.
 
-Four named scenarios run over interchangeable backends:
+Four named scenarios run over interchangeable backends, one scenario
+loop for all of them: ``memory``, ``buffered`` and ``disk`` files, and
+``cluster``, a 4-shard store behind a loopback server that the loop
+drives through the client's own dense-file verbs (so every timed
+command is a TCP round trip).
 
 ``bulk_load``
     Uniformly load ``ops`` sorted records into an empty file (the
-    Theorem 5.5 initial state), timed in chunks.
+    Theorem 5.5 initial state): one ``bulk_load`` call on a local file,
+    chunks of client inserts on the cluster.
 ``insert_burst``
-    Preload half, then drive a sorted insertion burst through the
-    batched ``insert_many`` fast path in chunks.
+    Preload half (untimed; server-side on the cluster), then drive a
+    sorted insertion burst through ``insert_many`` in chunks.
 ``mixed``
     Preload half, then a seeded 50/50 insert/delete mix timed per
     operation (the steady-state update workload).
@@ -24,7 +29,7 @@ Four named scenarios run over interchangeable backends:
     every scan and ``page_accesses`` those of one — plus the same
     retrieval on the :class:`~repro.baselines.btree.BPlusTree` baseline
     for the paper's dense-file-vs-B-tree contrast (reported under
-    ``extra.baseline``).
+    ``extra.baseline`` on the local backends).
 
 Each (scenario, backend) cell reports ops/sec, **logical** page
 accesses (the paper's metered quantity, identical on every backend),
@@ -43,24 +48,22 @@ the worst command with none).
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .analysis.stats import flatten_counters, percentile
 from .baselines.btree import BPlusTree
 from .core.dense_file import DenseSequentialFile
 from .core.errors import ConfigurationError
-from .workloads.generators import DELETE, INSERT, mixed_workload
+from .workloads.generators import INSERT, mixed_workload
 
 SCHEMA = "repro-bench/1"
 
 SCENARIOS = ("bulk_load", "insert_burst", "mixed", "stream_scan")
-#: ``cluster`` runs the workload through a real TCP round trip per
-#: operation against a loopback :class:`~repro.cluster.server.ClusterServer`
-#: over a 4-shard store — the networked cost of the same algorithms.
 BACKENDS = ("memory", "buffered", "disk", "cluster")
 
 #: Default knobs; ``quick`` mode shrinks ops for CI smoke jobs.
@@ -105,18 +108,6 @@ def _reservoir(latencies: List[float], seed: int) -> List[float]:
     return sample
 
 
-#: What one latency observation means, per scenario, for the local
-#: backends (the cluster runner labels its cells separately because its
-#: bulk_load is chunked).  A stream_scan sample is one scan's mean time
-#: per record.
-_LATENCY_SOURCES = {
-    "bulk_load": "aggregate",
-    "insert_burst": "per_chunk_mean",
-    "mixed": "per_op",
-    "stream_scan": "per_chunk_mean",
-}
-
-
 def _geometry(ops: int) -> Dict[str, int]:
     """Pick a (M, d, D) with room for ~2*ops records at average density.
 
@@ -132,37 +123,115 @@ def _geometry(ops: int) -> Dict[str, int]:
 
 def _make_file(
     backend: str,
-    geometry: Dict[str, int],
+    ops: int,
     tmpdir: Optional[str],
     cache_pages: int,
     readahead: int,
-) -> DenseSequentialFile:
-    if backend == "memory":
-        return DenseSequentialFile(**geometry)
+) -> "Union[DenseSequentialFile, _ClusterFile]":
+    """The file one cell drives: a local file or the loopback cluster."""
+    if backend == "cluster":
+        return _ClusterFile(ops)
+    options: Dict[str, object] = {}
     if backend == "buffered":
-        return DenseSequentialFile(
-            **geometry,
-            backend="buffered",
-            cache_pages=cache_pages,
-            readahead=readahead,
-        )
-    if backend == "disk":
-        import os
-
+        options = dict(backend=backend, cache_pages=cache_pages, readahead=readahead)
+    elif backend == "disk":
         if tmpdir is None:
             raise ConfigurationError("disk backend needs a tmpdir")
         path = os.path.join(tmpdir, f"bench-{backend}.dsf")
-        return DenseSequentialFile(
-            **geometry,
-            backend="disk",
-            path=path,
-            overwrite=True,
+        options = dict(backend=backend, path=path, overwrite=True)
+    elif backend != "memory":
+        raise ConfigurationError(f"unknown backend {backend!r}; pick one of {BACKENDS}")
+    return DenseSequentialFile(**_geometry(ops), **options)
+
+
+class _ShardMeters:
+    """The shards' access meters, summed without taking the shard locks:
+    the scenario loop is the only client, and a locked read would charge
+    a lock round trip per shard to every timed command."""
+
+    __slots__ = ("_meters",)
+
+    def __init__(self, meters: list) -> None:
+        self._meters = meters
+
+    @property
+    def page_accesses(self) -> int:
+        return sum(meter.page_accesses for meter in self._meters)
+
+
+class _ClusterFile:
+    """A 4-shard store behind a loopback server, driven like a local file.
+
+    ``insert``, ``delete`` and ``range`` are the client's own verbs, so
+    every timed command is a full round trip (framing, CRC, socket
+    write, server dispatch, shard update, response): these cells price
+    the network layer the local backends omit.  ``bulk_load`` is an
+    untimed server-side preload; ``insert_many`` is one client insert
+    per key.  The summed shard meters stay deterministic because
+    loopback TCP injects no faults and therefore no retries.
+    """
+
+    def __init__(self, ops: int) -> None:
+        from .cluster import ClusterClient, ClusterServer, ShardedDenseFile
+
+        store = self._store = ShardedDenseFile.build(
+            num_shards=4, key_space=4 * ops, capacity_hint=ops
         )
-    raise ConfigurationError(f"unknown backend {backend!r}; pick one of {BACKENDS}")
+        server = self._server = ClusterServer(store)
+        try:
+            client = self._client = ClusterClient.connect(*server.start())
+        except BaseException:
+            server.stop()
+            store.close()
+            raise
+        self.insert, self.delete = client.insert, client.delete
+        self.range = client.range
+        self.stats = _ShardMeters([shard.inner.stats for shard in store.shards])
+
+    def bulk_load(self, keys: Sequence[int]) -> None:
+        for key in keys:
+            self._store.insert(key)
+
+    def insert_many(self, keys: Sequence[int]) -> None:
+        insert = self._client.insert
+        for key in keys:
+            insert(key)
+
+    def store_stats(self) -> Dict[str, float]:
+        server = self._server
+        return {
+            "num_shards": float(self._store.shard_map.num_shards),
+            "requests": float(server.requests),
+            "errors": float(server.errors),
+            "dedup_replays": float(server.dedup_replays),
+            "client_retries": float(self._client.client_stats()["retries"]),
+        }
+
+    def close(self) -> None:
+        try:
+            self._client.close()
+        finally:
+            self._server.stop()
+            self._store.close()
 
 
-def _chunks(values: Sequence, size: int) -> List[Sequence]:
-    return [values[i : i + size] for i in range(0, len(values), size)]
+def _time_chunks(
+    step: Callable[[Sequence[int]], object],
+    keys: Sequence[int],
+    size: int,
+    latencies: List[float],
+) -> float:
+    """Feed ``keys`` to ``step`` ``size`` at a time; returns the elapsed
+    time and appends each chunk's mean time per key to ``latencies``."""
+    chunks = [keys[i : i + size] for i in range(0, len(keys), size)]
+    clock = time.perf_counter
+    start = t0 = clock()
+    for chunk in chunks:
+        step(chunk)
+        t1 = clock()  # chained: the end of one chunk starts the next
+        latencies.append((t1 - t0) / len(chunk))
+        t0 = t1
+    return t0 - start
 
 
 def _result(
@@ -216,43 +285,38 @@ def _run_scenario(
     cache_pages: int,
     readahead: int,
 ) -> dict:
-    if backend == "cluster":
-        return _run_cluster_scenario(scenario, ops, seed)
-    geometry = _geometry(ops)
-    dense = _make_file(backend, geometry, tmpdir, cache_pages, readahead)
+    dense = _make_file(backend, ops, tmpdir, cache_pages, readahead)
+    meter = dense.stats
     clock = time.perf_counter
     latencies: List[float] = []
-    executed = 0
+    source = "per_chunk_mean"
     worst: Optional[int] = None
+    extra = None
     try:
         if scenario == "bulk_load":
             keys = list(range(0, 2 * ops, 2))
-            before = dense.stats.page_accesses
-            start = clock()
-            dense.bulk_load(keys)
-            elapsed = clock() - start
+            # A local file loads in one call; the cluster's bulk_load is
+            # server-side, so its timed load is client inserts.
+            if backend == "cluster":
+                step, size = dense.insert_many, _CHUNK
+            else:
+                step, size, source = dense.bulk_load, len(keys), "aggregate"
+            before = meter.page_accesses
+            elapsed = _time_chunks(step, keys, size, latencies)
             executed = len(keys)
-            latencies.append(elapsed / executed)
         elif scenario == "insert_burst":
-            dense.bulk_load(list(range(0, 2 * ops, 4)))
-            burst = [key for key in range(0, 2 * ops, 4)]
-            burst = [key + 1 for key in burst][: ops - len(dense)]
-            before = dense.stats.page_accesses
-            start = clock()
-            for chunk in _chunks(burst, _CHUNK):
-                t0 = clock()
-                dense.insert_many(chunk)
-                latencies.append((clock() - t0) / len(chunk))
-                executed += len(chunk)
-            elapsed = clock() - start
+            preload = list(range(0, 2 * ops, 4))
+            dense.bulk_load(preload)
+            burst = [key + 1 for key in preload][: ops - len(preload)]
+            before = meter.page_accesses
+            elapsed = _time_chunks(dense.insert_many, burst, _CHUNK, latencies)
+            executed = len(burst)
         elif scenario == "mixed":
             preload = list(range(0, ops, 2))
             dense.bulk_load(preload)
             # Materialize and pre-dispatch the stream before timing:
             # the workload generator (and the kind test per operation)
-            # is harness, not the measured structure, and consuming it
-            # inside the loop used to charge its cost to every
-            # operation.
+            # is harness, not the measured structure.
             calls = [
                 (dense.insert, (operation.key, operation.value))
                 if operation.kind == INSERT
@@ -266,14 +330,12 @@ def _run_scenario(
                 )
             ]
             append = latencies.append
-            stats = dense.stats
-            before = a0 = stats.page_accesses
+            source = "per_op"
+            before = a0 = meter.page_accesses
             worst = 0
             # Chained timestamps: one clock read per operation (the end
             # of op N is the start of op N+1), so the per-op meter costs
-            # half of the naive two-reads-per-op pattern.  The loop's
-            # own unpack/append overhead (~50ns) rides inside each
-            # sample; the timer read it replaces cost more.  The access
+            # half of the naive two-reads-per-op pattern.  The access
             # meter is chained the same way: one read per operation
             # gives the worst single command, the quantity Theorem 5.5
             # bounds.
@@ -281,7 +343,7 @@ def _run_scenario(
             for call, args in calls:
                 call(*args)
                 t1 = clock()
-                a1 = stats.page_accesses
+                a1 = meter.page_accesses
                 append(t1 - t0)
                 if a1 - a0 > worst:
                     worst = a1 - a0
@@ -289,10 +351,11 @@ def _run_scenario(
                 a0 = a1
             elapsed = t0 - start
             executed = len(calls)
-        elif scenario == "stream_scan":
+        else:  # stream_scan; run_bench rejects unknown scenarios
             keys = list(range(ops))
             dense.bulk_load(keys)
-            before = dense.stats.page_accesses
+            executed = 0
+            before = meter.page_accesses
             start = t0 = clock()
             for _ in range(SCAN_REPEATS):
                 scanned = len(list(dense.range(keys[0], keys[-1])))
@@ -302,26 +365,20 @@ def _run_scenario(
                 t0 = t1
             elapsed = t0 - start
             # Every scan reads the same pages: report one scan's charge.
-            before += (dense.stats.page_accesses - before) * (
+            before += (meter.page_accesses - before) * (
                 SCAN_REPEATS - 1
             ) // SCAN_REPEATS
-        else:
-            raise ConfigurationError(
-                f"unknown scenario {scenario!r}; pick one of {SCENARIOS}"
-            )
-        accesses = dense.stats.page_accesses - before
+            if backend != "cluster":
+                extra = {"baseline": _btree_scan(_geometry(ops), ops)}
+        accesses = meter.page_accesses - before
         counters = flatten_counters(dense.store_stats())
-        extra = None
-        if scenario == "stream_scan":
-            extra = {"baseline": _btree_scan(geometry, ops)}
-        return _result(
-            scenario, backend, executed, elapsed, latencies, accesses,
-            counters, extra,
-            latency_source=_LATENCY_SOURCES[scenario], seed=seed,
-            max_accesses=worst,
-        )
     finally:
         dense.close()
+    return _result(
+        scenario, backend, executed, elapsed, latencies, accesses,
+        counters, extra, latency_source=source, seed=seed,
+        max_accesses=worst,
+    )
 
 
 def _btree_scan(geometry: Dict[str, int], ops: int) -> dict:
@@ -341,146 +398,6 @@ def _btree_scan(geometry: Dict[str, int], ops: int) -> dict:
         "ops_per_sec": (scanned / elapsed) if elapsed > 0 else 0.0,
         "page_accesses": tree.stats.page_accesses - before,
     }
-
-
-def _run_cluster_scenario(scenario: str, ops: int, seed: int) -> dict:
-    """One scenario through the sharded cluster over loopback TCP.
-
-    Every timed operation is a full client round trip — framing, CRC,
-    socket write, server dispatch, shard update, response — so this
-    cell prices the *network* layer the other backends omit.  Preloads
-    happen server-side (untimed); page accesses are summed across the
-    shards' logical counters, which stay deterministic because loopback
-    TCP injects no faults and therefore no retries.
-    """
-    from .cluster import ClusterClient, ClusterServer, ShardedDenseFile
-
-    key_space = 4 * ops
-    store = ShardedDenseFile.build(
-        num_shards=4, key_space=key_space, capacity_hint=ops
-    )
-    server = ClusterServer(store)
-    host, port = server.start()
-    clock = time.perf_counter
-    latencies: List[float] = []
-    executed = 0
-    worst: Optional[int] = None
-
-    # The wrapped files' meters, read without the shard locks: this
-    # loop is the only client, and a locked read would charge a lock
-    # round trip per shard to every timed command.
-    meters = [shard.inner.stats for shard in store.shards]
-
-    def accesses_now() -> int:
-        return sum(meter.page_accesses for meter in meters)
-
-    try:
-        with ClusterClient.connect(host, port) as client:
-            if scenario == "bulk_load":
-                keys = list(range(0, 2 * ops, 2))
-                before = accesses_now()
-                start = clock()
-                for chunk in _chunks(keys, _CHUNK):
-                    t0 = clock()
-                    for key in chunk:
-                        client.insert(key)
-                    latencies.append((clock() - t0) / len(chunk))
-                    executed += len(chunk)
-                elapsed = clock() - start
-            elif scenario == "insert_burst":
-                for key in range(0, 2 * ops, 4):
-                    store.insert(key)
-                burst = [key + 1 for key in range(0, 2 * ops, 4)]
-                burst = burst[: ops - len(store)]
-                before = accesses_now()
-                start = clock()
-                for chunk in _chunks(burst, _CHUNK):
-                    t0 = clock()
-                    for key in chunk:
-                        client.insert(key)
-                    latencies.append((clock() - t0) / len(chunk))
-                    executed += len(chunk)
-                elapsed = clock() - start
-            elif scenario == "mixed":
-                preload = list(range(0, ops, 2))
-                for key in preload:
-                    store.insert(key)
-                # Same fix as the local runner: generate the stream
-                # before timing so generator cost is not billed to the
-                # per-operation round trips.
-                operations = list(
-                    mixed_workload(
-                        ops // 2,
-                        insert_ratio=0.5,
-                        key_space=key_space,
-                        seed=seed,
-                        preloaded=preload,
-                    )
-                )
-                before = a0 = accesses_now()
-                worst = 0
-                # Chained clock and meter, as in the local loop: one
-                # clock read per command, so ops_per_sec and the
-                # latencies time the same window.
-                start = t0 = clock()
-                for operation in operations:
-                    if operation.kind == INSERT:
-                        client.insert(operation.key, operation.value)
-                    elif operation.kind == DELETE:
-                        client.delete(operation.key)
-                    t1 = clock()
-                    a1 = accesses_now()
-                    latencies.append(t1 - t0)
-                    if a1 - a0 > worst:
-                        worst = a1 - a0
-                    t0 = t1
-                    a0 = a1
-                    executed += 1
-                elapsed = t0 - start
-            elif scenario == "stream_scan":
-                keys = list(range(ops))
-                for key in keys:
-                    store.insert(key)
-                before = accesses_now()
-                start = t0 = clock()
-                for _ in range(SCAN_REPEATS):
-                    scanned = len(client.range(keys[0], keys[-1]))
-                    t1 = clock()
-                    latencies.append((t1 - t0) / max(1, scanned))
-                    executed += scanned
-                    t0 = t1
-                elapsed = t0 - start
-                # Every scan reads the same pages: report one scan's.
-                before += (accesses_now() - before) * (
-                    SCAN_REPEATS - 1
-                ) // SCAN_REPEATS
-            else:
-                raise ConfigurationError(
-                    f"unknown scenario {scenario!r}; pick one of {SCENARIOS}"
-                )
-            accesses = accesses_now() - before
-            retries = client.client_stats()["retries"]
-    finally:
-        server.stop()
-        store.close()
-    counters: Dict[str, float] = {
-        "num_shards": float(store.shard_map.num_shards),
-        "requests": float(server.requests),
-        "errors": float(server.errors),
-        "dedup_replays": float(server.dedup_replays),
-        "client_retries": float(retries),
-    }
-    cluster_sources = {
-        "bulk_load": "per_chunk_mean",
-        "insert_burst": "per_chunk_mean",
-        "mixed": "per_op",
-        "stream_scan": "per_chunk_mean",
-    }
-    return _result(
-        scenario, "cluster", executed, elapsed, latencies, accesses, counters,
-        latency_source=cluster_sources[scenario], seed=seed,
-        max_accesses=worst,
-    )
 
 
 def run_bench(

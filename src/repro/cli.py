@@ -72,6 +72,7 @@ import tempfile
 import time
 from typing import Any, Callable, List, NoReturn, Optional, Tuple
 
+from . import benchmark
 from .analysis.heatmap import fill_summary, occupancy_bar, occupancy_legend
 from .analysis.stats import flatten_counters
 from .core.errors import ReproError
@@ -359,12 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--scenario", action="append", dest="scenarios", default=None,
-        choices=["bulk_load", "insert_burst", "mixed", "stream_scan"],
+        choices=benchmark.SCENARIOS,
         help="run only this scenario (repeatable; default: all four)",
     )
     bench.add_argument(
         "--bench-backend", action="append", dest="bench_backends",
-        default=None, choices=["memory", "buffered", "disk"],
+        default=None, choices=benchmark.BACKENDS,
         help="benchmark this backend (repeatable; default: memory+buffered)",
     )
     bench.add_argument(
@@ -747,8 +748,6 @@ def _write_json(path: str, payload: Any) -> str:
 
 def _load_report(path: str) -> dict:
     """A bench report from disk; an invalid one is a :class:`ReproError`."""
-    from . import benchmark
-
     with open(path) as handle:
         try:
             report = json.load(handle)
@@ -765,8 +764,6 @@ def _load_report(path: str) -> dict:
 
 def _gate(baseline_path: str, current: dict, args, out) -> int:
     """Compare ``current`` against the report at ``baseline_path``."""
-    from . import benchmark
-
     kwargs = {}
     if args.max_regression is not None:
         kwargs["max_regression"] = args.max_regression
@@ -785,8 +782,6 @@ def _gate(baseline_path: str, current: dict, args, out) -> int:
 def _bench(args, out) -> int:
     """Run the benchmark matrix, write the JSON report, gate on baseline;
     or, with ``--validate``/``--compare``, judge existing reports."""
-    from . import benchmark
-
     if args.validate:
         _load_report(args.validate)
         print(f"{args.validate}: valid {benchmark.SCHEMA} report", file=out)

@@ -500,24 +500,24 @@ class BufferedStore(PageStore):
         self.inner = inner
         self.num_pages = inner.num_pages
         self.readahead = readahead
-        self.physical = (
+        physical = self.physical = (
             physical_disk
             if physical_disk is not None
             else SimulatedDisk(inner.num_pages, model)
         )
-        self.pool = BufferPool(
-            capacity, on_fault=self._fault, on_writeback=self._writeback
-        )
 
-    # -- pool plumbing --------------------------------------------------
+        # The pool's hooks close over the two stores, not over ``self``:
+        # bound methods would make store -> pool -> hook -> store a
+        # cycle that keeps a closed store alive until a full collection.
+        def fault(page_number: int) -> None:
+            inner.get_page(page_number)
+            physical.read(page_number)
 
-    def _fault(self, page_number: int) -> None:
-        self.inner.get_page(page_number)
-        self.physical.read(page_number)
+        def writeback(page_number: int) -> None:
+            inner.put_page(page_number)
+            physical.write(page_number)
 
-    def _writeback(self, page_number: int) -> None:
-        self.inner.put_page(page_number)
-        self.physical.write(page_number)
+        self.pool = BufferPool(capacity, on_fault=fault, on_writeback=writeback)
 
     # -- the protocol ---------------------------------------------------
 

@@ -115,19 +115,6 @@ class Page:
             return list(rows)
         return list(_records(self._keys, self._values))
 
-    def records_slice(self, start: int, stop: int) -> List[Record]:
-        """The records at positions ``start .. stop - 1`` (a fresh list)."""
-        return list(
-            _records(self._keys[start:stop], self._values[start:stop])
-        )
-
-    def records_between(self, lo_key: Any, hi_key: Any) -> List[Record]:
-        """The records with ``lo_key <= key <= hi_key`` (a fresh list)."""
-        keys = self._keys
-        start = bisect_left(keys, lo_key)
-        stop = bisect_right(keys, hi_key)
-        return list(_records(keys[start:stop], self._values[start:stop]))
-
     def rank(self, key: Any) -> int:
         """Number of records on the page with key strictly below ``key``."""
         return bisect_left(self._keys, key)

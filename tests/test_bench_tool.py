@@ -119,9 +119,21 @@ class TestReportSchema:
 
 
 
+#: Each cluster cell at ops=600, seed 0:
+#: (ops, page_accesses, max_accesses_per_command, latency_source,
+#: latency_samples).  Loopback TCP has no retries, so all are exact.
+CLUSTER_CELLS = {
+    "bulk_load": (600, 2236, None, "per_chunk_mean", 10),
+    "insert_burst": (300, 1236, None, "per_chunk_mean", 5),
+    "mixed": (300, 897, 3, "per_op", 300),
+    "stream_scan": (12000, 26, None, "per_chunk_mean", 20),
+}
+
+
 class TestClusterCell:
-    def test_mixed_cell_reads_the_meter_without_shard_locks(
-        self, monkeypatch
+    @pytest.mark.parametrize("scenario", sorted(CLUSTER_CELLS))
+    def test_cell_reads_the_meter_without_shard_locks(
+        self, monkeypatch, scenario
     ):
         from repro.concurrent.file import ThreadSafeDenseFile
 
@@ -134,15 +146,23 @@ class TestClusterCell:
 
         monkeypatch.setattr(ThreadSafeDenseFile, "stats", property(counting))
         report = benchmark.run_bench(
-            scenarios=("mixed",), backends=("cluster",), ops=200
+            scenarios=(scenario,), backends=("cluster",), ops=600
         )
         cell = report["results"][0]
         assert locked_reads == []
-        # 100 commands, each metered, three pages at worst.
-        assert cell["ops"] == 100
-        assert cell["page_accesses"] == 297
-        assert cell["max_accesses_per_command"] == 3
-        assert cell["latency_samples"] == 100
+        assert (
+            cell["ops"],
+            cell["page_accesses"],
+            cell.get("max_accesses_per_command"),
+            cell["latency_source"],
+            cell["latency_samples"],
+        ) == CLUSTER_CELLS[scenario]
+        assert sorted(cell["counters"]) == [
+            "client_retries", "dedup_replays", "errors", "num_shards",
+            "requests",
+        ]
+        assert cell["counters"]["client_retries"] == 0
+        assert cell["extra"] == {}
 
     def test_profile_covers_the_server_thread(self):
         report, table = benchmark.run_bench_profiled(

@@ -278,3 +278,29 @@ class TestEngineLocality:
         dense_stats = replay(list(dense.disk.trace), capacity=8)
         tree_stats = replay(list(tree.disk.trace), capacity=8)
         assert dense_stats.hit_rate > tree_stats.hit_rate
+
+
+class TestClosedStoreLifetime:
+    @pytest.mark.parametrize("backend", ["memory", "buffered"])
+    def test_closed_store_dies_without_a_collection(self, backend):
+        """The pool's hooks hold no reference back to the store, so a
+        closed file's store is freed by reference counting alone."""
+        import gc
+        import weakref
+
+        from repro import DenseSequentialFile
+
+        dense = DenseSequentialFile(128, 8, 48, backend=backend)
+        dense.insert_many(range(0, 600, 3))
+        store = dense.store
+        before = store.stats()
+        dense.close()
+        # The counters stay readable after close.
+        assert store.stats().keys() == before.keys()
+        ref = weakref.ref(store)
+        gc.disable()
+        try:
+            del dense, store
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -520,3 +520,15 @@ class TestClusterCli:
         code, output = run("chaos", "--ops", "10", "--profile", "nonsense")
         assert code == 1
         assert "unknown chaos profile" in output
+
+    def test_bench_runs_the_cluster_cell(self):
+        code, output = run(
+            "bench", "--quick", "--bench-backend", "cluster",
+            "--scenario", "mixed", "--out", "-",
+        )
+        assert code == 0
+        cells = [line.split() for line in output.splitlines()[1:]]
+        assert [cell[:2] for cell in cells] == [["mixed", "cluster"]]
+        # ops=600: 897 logical page accesses, three at worst.
+        assert "897 accesses" in output
+        assert output.rstrip().endswith("worst 3")

@@ -5,9 +5,9 @@ scan has read it (``Page.rows``), and every column mutation drops it.
 These tests check that the cache never outlives a change:
 
 * **page level** — Hypothesis streams run every ``Page`` mutator on
-  two pages against a sorted-list model, interleaved with every read
-  (``rows``, ``records``, ``records_between``, ``records_slice``); after
-  each step a cached tuple must equal a fresh build from the columns;
+  two pages against a sorted-list model, interleaved with both reads
+  (``rows``, ``records``); after each step a cached tuple must equal a
+  fresh build from the columns;
 * **file level** — engine commands (inserts and deletes with their
   SHIFT steps, batched writes, updates) interleaved with range and
   counted scans on the memory and buffered stacks;
@@ -66,8 +66,6 @@ PAGE_STEPS = st.one_of(
     st.tuples(st.sampled_from(["extend_high", "take_lowest_into",
                                "take_highest_into"]), SIDE, st.integers(0, 4)),
     st.tuples(st.sampled_from(["clear", "rows", "records"]), SIDE),
-    st.tuples(st.sampled_from(["records_between", "records_slice"]), SIDE,
-              KEYS, KEYS),
 )
 
 
@@ -88,11 +86,7 @@ def _on_page(pages, step):
         )
     if name.startswith("take_"):
         return getattr(page, name)(other, step[2])
-    if name in ("clear", "rows", "records"):
-        return getattr(page, name)()
-    if name == "records_slice":
-        return page.records_slice(*sorted(step[2:]))
-    return page.records_between(*step[2:])
+    return getattr(page, name)()  # clear, rows, records
 
 
 def _on_model(models, step):
@@ -143,13 +137,7 @@ def _on_model(models, step):
         return taken
     if name == "rows":
         return tuple(records(model))
-    if name == "records":
-        return records(model)
-    if name == "records_slice":
-        start, stop = sorted(step[2:])
-        return records(model[start:stop])
-    lo, hi = step[2:]
-    return records(pair for pair in model if lo <= pair[0] <= hi)
+    return records(model)  # records
 
 
 @settings(max_examples=300, deadline=None)

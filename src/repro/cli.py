@@ -21,7 +21,8 @@ Usage (also via ``python -m repro``):
     repro stress  --iterations 5    # five random seeds, replay line on failure
     repro stress  --replica-reads   # readers on a WAL-shipped replica
     repro soak    --seconds 20 --seed 7   # primary+replica SLO soak
-    repro bench   --quick --baseline BENCH_PR9.json  # perf matrix + gate
+    repro bench   --quick --out bench.json      # perf matrix -> report
+    repro bench   --quick --baseline BENCH_PR9.json  # run + gate (no file)
     repro bench   --validate BENCH_PR9.json          # schema-check a report
     repro bench   --compare OLD.json NEW.json        # gate two reports
     repro serve   --shards 4 --port 7421   # sharded cluster over TCP
@@ -355,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="records per scenario (default 4000)")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument(
-        "--out", default="BENCH_PR9.json",
-        help="write the JSON report here ('-' to skip writing)",
+        "--out", default=None,
+        help="write the JSON report here (default and '-': write none)",
     )
     bench.add_argument(
         "--scenario", action="append", dest="scenarios", default=None,

@@ -79,7 +79,6 @@ def build_engine(
             path=path,
             cache_pages=cache_pages,
             overwrite=overwrite,
-            model=model,
             readahead=readahead,
         )
     elif store.num_pages != engine_params.num_pages:

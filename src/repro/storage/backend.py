@@ -18,10 +18,11 @@ are:
 :class:`BufferedStore`
     A live write-back LRU cache *decorating* any other backend: page
     gets and puts flow through a :class:`~repro.storage.bufferpool.BufferPool`
-    whose faults and write-backs are forwarded to the wrapped store and
-    metered through a :class:`~repro.storage.disk.SimulatedDisk`, so
+    whose faults and write-backs go straight to the wrapped store, so
     hit rates and effective physical I/O are measured in the hot path
-    rather than replayed from a trace after the fact.
+    rather than replayed from a trace after the fact.  Each physical
+    event is counted once by the pool and once, as a touch, by the
+    wrapped store; nothing else meters it.
 
 The contract is intentionally small — ``get_page`` / ``put_page`` /
 ``move_records`` / ``flush`` / ``stats`` plus the uncharged ``peek`` for
@@ -50,8 +51,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from ..core.errors import ConfigurationError
 from .bufferpool import BufferPool, PoolStats
-from .cost import CostModel, PAGE_ACCESS_MODEL
-from .disk import SimulatedDisk
 from .page import Page
 from .tracing import READ, WRITE
 
@@ -470,9 +469,11 @@ class BufferedStore(PageStore):
     :class:`~repro.storage.bufferpool.BufferPool`: hits cost nothing
     physical; a miss faults the page in (one physical read, possibly one
     write-back of a dirty victim); ``flush`` pushes every dirty frame
-    down to the wrapped store.  Physical traffic is additionally charged
-    to a :class:`~repro.storage.disk.SimulatedDisk` so the arm-aware
-    cost model prices the cache's residual I/O.
+    down to the wrapped store.  The pool's ``on_fault``/``on_writeback``
+    hooks are the wrapped store's ``get_page``/``put_page``, so every
+    fault is one inner ``get_page`` and every write-back one inner
+    ``put_page``: the pool's ``physical_reads``/``physical_writes`` and
+    the inner store's counters meter the same events.
 
     This is the :class:`~repro.storage.bufferpool.BufferPool` promoted
     from trace-replay simulator to the hot path: the same class keeps
@@ -491,8 +492,6 @@ class BufferedStore(PageStore):
         self,
         inner: PageStore,
         capacity: int = DEFAULT_CACHE_PAGES,
-        model: CostModel = PAGE_ACCESS_MODEL,
-        physical_disk: Optional[SimulatedDisk] = None,
         readahead: int = 0,
     ):
         if readahead < 0:
@@ -500,24 +499,12 @@ class BufferedStore(PageStore):
         self.inner = inner
         self.num_pages = inner.num_pages
         self.readahead = readahead
-        physical = self.physical = (
-            physical_disk
-            if physical_disk is not None
-            else SimulatedDisk(inner.num_pages, model)
+        # The pool's hooks are the inner store's own bound methods, not
+        # this store's: store -> pool -> hook -> store would be a cycle
+        # that keeps a closed store alive until a full collection.
+        self.pool = BufferPool(
+            capacity, on_fault=inner.get_page, on_writeback=inner.put_page
         )
-
-        # The pool's hooks close over the two stores, not over ``self``:
-        # bound methods would make store -> pool -> hook -> store a
-        # cycle that keeps a closed store alive until a full collection.
-        def fault(page_number: int) -> None:
-            inner.get_page(page_number)
-            physical.read(page_number)
-
-        def writeback(page_number: int) -> None:
-            inner.put_page(page_number)
-            physical.write(page_number)
-
-        self.pool = BufferPool(capacity, on_fault=fault, on_writeback=writeback)
 
     # -- the protocol ---------------------------------------------------
 
@@ -581,8 +568,10 @@ class BufferedStore(PageStore):
         return written
 
     def close(self) -> None:
+        # Write the dirty frames down, then let the inner store's own
+        # close flush and release it: one fsync, not a flush per layer.
         if not self.closed:
-            self.flush()
+            self.pool.flush()
             self.inner.close()
 
     @property
@@ -608,7 +597,6 @@ class BufferedStore(PageStore):
             "prefetch_hits": pool.prefetch_hits,
             "physical_reads": pool.physical_reads,
             "physical_writes": pool.physical_writes,
-            "physical_cost": self.physical.stats.cost,
             "inner": self.inner.stats(),
         }
 
@@ -623,7 +611,6 @@ def make_store(
     cache_pages: Optional[int] = None,
     slot_capacity: int = 0,
     overwrite: bool = False,
-    model: CostModel = PAGE_ACCESS_MODEL,
     readahead: int = 0,
 ) -> PageStore:
     """Build a backend from a ``"memory" | "disk" | "buffered"`` spec.
@@ -662,6 +649,5 @@ def make_store(
     return BufferedStore(
         inner,
         capacity=cache_pages or DEFAULT_CACHE_PAGES,
-        model=model,
         readahead=readahead,
     )

@@ -113,8 +113,8 @@ class BufferPool:
     def __init__(
         self,
         capacity: int,
-        on_fault: Optional[Callable[[int], None]] = None,
-        on_writeback: Optional[Callable[[int], None]] = None,
+        on_fault: Optional[Callable[[int], object]] = None,
+        on_writeback: Optional[Callable[[int], object]] = None,
     ):
         if capacity < 1:
             raise ConfigurationError("a buffer pool needs at least one frame")

@@ -304,3 +304,93 @@ class TestClosedStoreLifetime:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestPhysicalEventsReachTheInnerStoreOnce:
+    """A buffered-over-disk file meters each fault and write-back once:
+    in the pool's counters, and as one touch of the inner store."""
+
+    @staticmethod
+    def _drive(path):
+        import random
+
+        from repro import DenseSequentialFile
+
+        rng = random.Random(24)
+        dense = DenseSequentialFile(
+            32, 8, 48, backend="buffered", path=path, cache_pages=4,
+            readahead=2,
+        )
+        present = set(range(0, 4000, 20))
+        dense.insert_many((key, key) for key in sorted(present))
+        for _ in range(300):
+            roll = rng.random()
+            key = rng.randrange(4000)
+            if roll < 0.5:
+                list(dense.range(key, key + 800))
+            elif roll < 0.8:
+                if key not in present:
+                    dense.insert(key, key)
+                    present.add(key)
+            else:
+                victim = rng.choice(sorted(present))
+                dense.delete(victim)
+                present.discard(victim)
+        dense.validate()
+        return dense
+
+    def test_pool_counters_match_the_golden_values(self, tmp_path):
+        dense = self._drive(str(tmp_path / "scan.dsf"))
+        try:
+            assert asdict(dense.store.pool.stats) == {
+                "capacity": 4,
+                "hits": 693,
+                "misses": 127,
+                "evictions": 199,
+                "prefetches": 76,
+                "prefetch_hits": 76,
+                "physical_reads": 203,
+                "physical_writes": 115,
+            }
+        finally:
+            dense.close()
+
+    def test_every_physical_event_reaches_the_inner_store_once(self, tmp_path):
+        dense = self._drive(str(tmp_path / "scan.dsf"))
+        try:
+            pool = dense.store.pool.stats
+            inner = dense.store.inner.stats()
+            assert inner["gets"] == pool.physical_reads
+            assert inner["puts"] == inner["physical_writes"]
+            assert inner["physical_writes"] == pool.physical_writes
+        finally:
+            dense.close()
+
+    def test_stats_carry_no_second_physical_meter(self, tmp_path):
+        dense = self._drive(str(tmp_path / "scan.dsf"))
+        try:
+            stats = dense.store.stats()
+            assert "physical_cost" not in stats
+            assert sorted(stats) == [
+                "backend", "capacity", "evictions", "hit_rate", "hits",
+                "inner", "misses", "physical_reads", "physical_writes",
+                "prefetch_hits", "prefetches", "readahead",
+            ]
+        finally:
+            dense.close()
+
+    def test_close_fsyncs_once(self, tmp_path):
+        import os
+        from unittest import mock
+
+        dense = self._drive(str(tmp_path / "scan.dsf"))
+        dirty = sum(dense.store.pool.frames.values())
+        assert dirty, "the stream should leave dirty frames to write back"
+        writes = dense.store.pool.stats.physical_writes
+        with mock.patch("os.fsync", wraps=os.fsync) as fsync:
+            dense.close()
+        assert fsync.call_count == 1
+        assert dense.closed
+        # Every dirty frame still went down before the one fsync.
+        assert dense.store.pool.stats.physical_writes == writes + dirty
+        assert dense.store.inner.stats()["physical_writes"] == writes + dirty

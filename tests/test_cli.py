@@ -482,6 +482,13 @@ class TestHarnessVerdicts:
         (tmp_path / "garbage.json").write_text("{")
         assert run("bench", "--validate", str(tmp_path / "garbage.json"))[0] == 1
 
+    def test_bench_writes_no_report_by_default(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, output = run("bench", "--quick", "--scenario", "mixed")
+        assert code == 0
+        assert "report written" not in output
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestClusterCli:
     def test_serve_binds_and_shuts_down(self):

@@ -67,11 +67,8 @@ def test_initial_distribution_matters(benchmark):
         packed_series, packed_peak = violation_series(packed_left_engine())
         uniform_series, uniform_peak = violation_series(uniform_engine())
         repaired = packed_left_engine()
-        repaired.pagefile.redistribute(1, NUM_PAGES)
-        from repro.core.control1 import Control1Engine
-
-        # Reuse CONTROL 1's counter-rebuild helper for the full range.
-        Control1Engine._recount_range(repaired, 1, NUM_PAGES)
+        # One redistribution of the whole file, counters rebuilt.
+        repaired.compact()
         repaired_series, repaired_peak = violation_series(repaired)
         return (
             packed_series, packed_peak,

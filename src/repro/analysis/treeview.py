@@ -70,7 +70,5 @@ def render_figure_1b(occupancies, num_pages: Optional[int] = None) -> str:
 
     total = num_pages if num_pages is not None else len(occupancies)
     tree = CalibratorTree(total)
-    for page, count in enumerate(occupancies, start=1):
-        if count:
-            tree.add(page, count)
+    tree.recount(tree.root, list(occupancies) + [0] * (total - len(occupancies)))
     return render_calibrator(tree)

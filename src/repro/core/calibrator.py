@@ -20,7 +20,7 @@ negligible next to the data-page accesses it meters.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError, UsageError
 
@@ -32,53 +32,58 @@ class CalibratorTree:
         if num_pages < 1:
             raise ConfigurationError("num_pages must be >= 1")
         self.num_pages = num_pages
-        self.lo: List[int] = []
-        self.hi: List[int] = []
-        self.depth: List[int] = []
-        self.parent: List[int] = []
-        self.left: List[int] = []
-        self.right: List[int] = []
-        self.count: List[int] = []
-        self.flag: List[bool] = []
-        self.flags_below: List[int] = []  # flagged nodes in subtree, incl. self
+        # Every internal node has two sons, so M leaves make 2M - 1 nodes.
+        nodes = 2 * num_pages - 1
+        self.lo: List[int] = [1] * nodes
+        self.hi: List[int] = [num_pages] * nodes
+        self.depth: List[int] = [0] * nodes
+        self.parent: List[int] = [-1] * nodes
+        self.left: List[int] = [-1] * nodes
+        self.right: List[int] = [-1] * nodes
+        self.count: List[int] = [0] * nodes
+        self.flag: List[bool] = [False] * nodes
+        #: Flagged nodes in each node's subtree, the node included.
+        self.flags_below: List[int] = [0] * nodes
         #: The currently flagged node ids as a set.  CONTROL 2 keeps at
         #: most a handful of warnings alive at a time, so SELECT-style
         #: queries scan this set instead of walking the tree.
         self.flagged_set: set = set()
         self.leaf_of_page: List[int] = [-1] * (num_pages + 1)
-        self._build(1, num_pages, parent=-1, depth=0)
         #: Leaf-to-root path per page, leaf first, as immutable tuples.
         #: The tree's shape never changes after construction, so the
         #: paths are precomputed once; ``path_from_leaf`` and ``add``
         #: (both on the per-command hot path) read them instead of
         #: chasing ``parent`` pointers on every call.
         self.paths: List[Tuple[int, ...]] = [()] * (num_pages + 1)
-        for page in range(1, num_pages + 1):
-            node = self.leaf_of_page[page]
-            path = []
-            while node >= 0:
-                path.append(node)
-                node = self.parent[node]
-            self.paths[page] = tuple(path)
+        self._build()
 
-    def _build(self, lo: int, hi: int, parent: int, depth: int) -> int:
-        node = len(self.lo)
-        self.lo.append(lo)
-        self.hi.append(hi)
-        self.depth.append(depth)
-        self.parent.append(parent)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.count.append(0)
-        self.flag.append(False)
-        self.flags_below.append(0)
-        if lo == hi:
-            self.leaf_of_page[lo] = node
-            return node
-        mid = (lo + hi) // 2
-        self.left[node] = self._build(lo, mid, node, depth + 1)
-        self.right[node] = self._build(mid + 1, hi, node, depth + 1)
-        return node
+    def _build(self) -> None:
+        """Number the nodes in preorder, in one loop over the ids.
+
+        A subtree over ``n`` pages has ``2n - 1`` nodes, so a right son
+        comes ``2 * (left son's pages)`` ids after its father.  Fathers
+        precede sons, so each node's range, depth and path (its id, then
+        its father's path) are set before the loop reaches it.
+        """
+        lo, hi, depth, parent = self.lo, self.hi, self.depth, self.parent
+        left, right = self.left, self.right
+        upward: List[Tuple[int, ...]] = [(0,)] * len(lo)  # path per node
+        for node in range(len(lo)):
+            node_lo, node_hi, path = lo[node], hi[node], upward[node]
+            if node_lo == node_hi:
+                self.leaf_of_page[node_lo] = node
+                self.paths[node_lo] = path
+                continue
+            mid = (node_lo + node_hi) // 2
+            left_son = node + 1
+            right_son = node + 2 * (mid - node_lo + 1)
+            left[node], right[node] = left_son, right_son
+            lo[left_son], hi[left_son] = node_lo, mid
+            lo[right_son], hi[right_son] = mid + 1, node_hi
+            parent[left_son] = parent[right_son] = node
+            depth[left_son] = depth[right_son] = depth[node] + 1
+            upward[left_son] = (left_son,) + path
+            upward[right_son] = (right_son,) + path
 
     # ------------------------------------------------------------------
     # structure queries
@@ -162,6 +167,27 @@ class CalibratorTree:
             if updated < 0:
                 raise UsageError(f"negative rank counter at node {node}")
             count[node] = updated
+
+    def recount(self, node: int, occupancies: Sequence[int]) -> None:
+        """Set the counters of ``node``'s subtree in one bottom-up pass.
+
+        ``occupancies[i]`` is the record count of page ``lo[node] + i``.
+        The subtree holds the ids ``node .. node + 2*M_v - 2``: each leaf
+        takes its page's count, then each internal node, in reverse id
+        order (sons first), the sum of its sons.
+        """
+        first = self.lo[node]
+        pages = self.hi[node] - first + 1
+        if len(occupancies) != pages:
+            raise UsageError(f"need one occupancy per page of node {node}")
+        count = self.count
+        for page, occupancy in enumerate(occupancies, first):
+            count[self.leaf_of_page[page]] = occupancy
+        left, right = self.left, self.right
+        for inner in range(node + 2 * pages - 2, node - 1, -1):
+            son = left[inner]
+            if son >= 0:
+                count[inner] = count[son] + count[right[inner]]
 
     def transfer(
         self,

@@ -46,30 +46,6 @@ class Control1Engine(BaseEngine):
                 return node
         return None
 
-    def _recount_range(self, lo_page: int, hi_page: int) -> None:
-        """Rebuild leaf counters for a page range after a redistribution.
-
-        The redistribution keeps all records inside the range, so every
-        ancestor counter is unchanged; only the counters of nodes fully
-        inside the range need recomputing.  We reset the affected leaf
-        counters from the page file and rebuild internal counts bottom-up
-        for the nodes whose range lies within ``[lo_page, hi_page]``.
-        """
-        tree = self.calibrator
-        touched = set()
-        for page in range(lo_page, hi_page + 1):
-            leaf = tree.leaf_of_page[page]
-            tree.count[leaf] = self.pagefile.page_len(page)
-            node = tree.parent[leaf]
-            while node >= 0 and lo_page <= tree.lo[node] and tree.hi[node] <= hi_page:
-                touched.add(node)
-                node = tree.parent[node]
-        # Rebuild deepest-first so children are final before parents.
-        for node in sorted(touched, key=lambda n: -tree.depth[n]):
-            tree.count[node] = (
-                tree.count[tree.left[node]] + tree.count[tree.right[node]]
-            )
-
     def _rebalance(self, violator: int) -> None:
         tree = self.calibrator
         father = tree.parent[violator]
@@ -88,7 +64,9 @@ class Control1Engine(BaseEngine):
             abs(after[index] - before[index]) for index in range(len(after))
         ) // 2
         self.records_moved_total += moved
-        self._recount_range(lo_page, hi_page)
+        # The records stayed inside RANGE(father): only its subtree's
+        # counters change.
+        tree.recount(father, after)
         self.rebalances += 1
         self.largest_rebalance = max(self.largest_rebalance, span)
 

@@ -19,6 +19,7 @@ Orientation conventions (matching the paper):
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..storage.cost import CostModel, PAGE_ACCESS_MODEL
@@ -60,10 +61,11 @@ class Control2Engine(BaseEngine):
     def _precompute_thresholds(self) -> None:
         """Reduce every ``g(v, r)`` comparison to one integer compare.
 
-        The calibrator's shape (depth and page span per node id) is
-        fixed at construction, so for each node and each ``thirds`` in
-        {0..3} the exact tests of :class:`DensityParams` collapse to a
-        precomputed per-node record-count threshold:
+        A threshold sees a node only as its shape ``(Depth(v), M_v)``,
+        and the midpoint split leaves at most two spans per depth.  So
+        for each of the ``<= 2 * (ceil(log2 M) + 1)`` shapes and each
+        ``thirds`` in {0..3} the exact tests of :class:`DensityParams`
+        collapse to one record-count threshold, then spread per node:
 
         * ``p(v) >= g(v, thirds/3)``  iff  ``N_v >= ceil(rhs / 3L)``
         * ``p(v) <= g(v, thirds/3)``  iff  ``N_v <= floor(rhs / 3L)``
@@ -75,33 +77,35 @@ class Control2Engine(BaseEngine):
         tree = self.calibrator
         params = self.params
         denominator = 3 * params.log_m
-        nodes = len(tree.lo)
+        # (depth, M_v - 1) per node id; the set of them is tiny.
+        shapes = list(zip(tree.depth, map(sub, tree.hi, tree.lo)))
+        distinct = set(shapes)
         self._ge_thresholds: List[List[int]] = []
         self._le_thresholds: List[List[int]] = []
         for thirds in range(4):
-            at_least = [0] * nodes
-            at_most = [0] * nodes
-            for node in range(nodes):
-                rhs = params._coefficient(tree.depth[node], thirds) * (
-                    tree.hi[node] - tree.lo[node] + 1
-                )
-                at_least[node] = -(-rhs // denominator)
-                at_most[node] = rhs // denominator
-            self._ge_thresholds.append(at_least)
-            self._le_thresholds.append(at_most)
-        #: ``params.threshold_count(M_v, depth, 0)`` per node — the SHIFT
-        #: step-2 guard capacity (clamped at zero, like the original).
-        self._guard_limits = [max(0, limit) for limit in self._ge_thresholds[0]]
+            at_least = {}
+            at_most = {}
+            for shape in distinct:
+                depth, span = shape
+                rhs = params._coefficient(depth, thirds) * (span + 1)
+                at_least[shape] = -(-rhs // denominator)
+                at_most[shape] = rhs // denominator
+            self._ge_thresholds.append(list(map(at_least.__getitem__, shapes)))
+            self._le_thresholds.append(list(map(at_most.__getitem__, shapes)))
         self._shift_budget = params.shift_budget
         #: Per page, the step-3 scan pre-resolved: ``(node, g(v, 2/3))``
         #: for every non-root node on the page's leaf-to-root path (the
         #: root is the last entry of each path and is never activated).
         #: Step 3 then needs one count lookup per node and nothing else.
+        #: ``chain[v]`` is ``v``'s pair before its father's chain, so each
+        #: node's pair is one tuple shared by every page below it.
         warn_at = self._ge_thresholds[2]
-        self._step3_pairs: List[Tuple[Tuple[int, int], ...]] = [
-            tuple((node, warn_at[node]) for node in path[:-1])
-            for path in tree.paths
-        ]
+        parent = tree.parent
+        chain: List[Tuple[Tuple[int, int], ...]] = [()]
+        for node in range(1, len(shapes)):
+            chain.append(((node, warn_at[node]),) + chain[parent[node]])
+        self._step3_pairs: List[Tuple[Tuple[int, int], ...]] = [()]
+        self._step3_pairs += map(chain.__getitem__, tree.leaf_of_page[1:])
 
     # ------------------------------------------------------------------
     # moments
@@ -263,11 +267,13 @@ class Control2Engine(BaseEngine):
 
         # --- step 2: bounded record movement ------------------------------
         guards = tree.nodes_separating(dest, source)  # the paper's UP(v)
-        limits = self._guard_limits
+        # g(x, 0) as a record count: a guard's capacity.  UP(v) never
+        # holds the root, so every capacity is positive.
+        full_at = self._ge_thresholds[0]
         count = tree.count
         headroom = None
         for guard in guards:
-            room = limits[guard] - count[guard]
+            room = full_at[guard] - count[guard]
             if headroom is None or room < headroom:
                 headroom = room
         movable = min(count[tree.leaf_of_page[source]], max(0, headroom))
@@ -281,7 +287,6 @@ class Control2Engine(BaseEngine):
 
         # --- step 3: advance DEST past the saturated guard ----------------
         saturated = None
-        full_at = self._ge_thresholds[0]
         for guard in reversed(guards):  # shallowest first
             if count[guard] >= full_at[guard]:  # p(x) >= g(x, 0)
                 saturated = guard

@@ -10,15 +10,17 @@ subclasses implement in :meth:`BaseEngine._after_insert` and
 
 from __future__ import annotations
 
+from itertools import accumulate, compress, islice, repeat
+from operator import eq, itemgetter, sub
 from typing import Iterable, Iterator, List, Optional
 
-from ..records import Record, ensure_record
+from ..records import Record, sorted_records
 from ..storage.backend import PageStore
 from ..storage.cost import CostModel, PAGE_ACCESS_MODEL
 from ..storage.disk import SimulatedDisk
 from ..storage.pagefile import PageFile
 from .calibrator import CalibratorTree
-from .errors import FileFullError, RecordNotFoundError, UsageError
+from .errors import DuplicateKeyError, FileFullError, RecordNotFoundError, UsageError
 from .params import DensityParams
 from .trace import OperationLog
 
@@ -97,59 +99,58 @@ class BaseEngine:
 
         Records are sorted and spread so that page ``i`` receives
         ``floor(i*n/M) - floor((i-1)*n/M)`` records: as even a spread as
-        integer counts allow.  Only valid on an empty file.
+        integer counts allow.  Only valid on an empty file, which a
+        repeated key leaves empty (:class:`DuplicateKeyError`).
         """
         if self.size:
             raise UsageError("bulk_load requires an empty file")
-        loaded = sorted(
-            (ensure_record(item) for item in records),
-            key=lambda record: record.key,
-        )
-        if len(loaded) > self.params.max_records:
-            raise FileFullError(
-                f"{len(loaded)} records exceed the cap N = "
-                f"{self.params.max_records}"
-            )
-        total = len(loaded)
-        pages = self.params.num_pages
-        cursor = 0
-        for page in range(1, pages + 1):
-            upto = (page * total) // pages
-            chunk = loaded[cursor:upto]
-            cursor = upto
-            if chunk:
-                self.pagefile.load_page(page, chunk)
-                self.calibrator.add(page, len(chunk))
-        self.size = total
+        loaded = sorted_records(records)
+        keys = list(map(itemgetter(0), loaded))
+        # Sorted, so a repeated key sits next to its twin.
+        for key in compress(keys, map(eq, keys, islice(keys, 1, None))):
+            raise DuplicateKeyError(key)
+        total, pages = len(keys), self.params.num_pages
+        bounds = [page * total // pages for page in range(pages + 1)]
+        occupancies = list(map(sub, bounds[1:], bounds))
+        self._load(keys, list(map(itemgetter(1), loaded)), occupancies)
 
     def load_occupancies(self, occupancies, key_start: int = 0, key_gap: int = 1):
         """Load synthetic integer-keyed records page by page.
 
         ``occupancies[i]`` records go to page ``i+1``, with keys ascending
         across the whole file starting at ``key_start`` and separated by
-        ``key_gap``.  Used to set up paper examples and tests.  Returns
-        the list of loaded records.
+        ``key_gap`` (at least 1, so the keys are distinct).  Used to set
+        up paper examples and tests.  Returns the list of loaded records.
         """
         if self.size:
             raise UsageError("load_occupancies requires an empty file")
-        if len(occupancies) != self.params.num_pages:
-            raise UsageError("need one occupancy per page")
-        records = []
-        key = key_start
-        for index, count in enumerate(occupancies):
-            page = index + 1
-            chunk = []
-            for _ in range(count):
-                chunk.append(Record(key))
-                key += key_gap
-            if chunk:
-                self.pagefile.load_page(page, chunk)
-                self.calibrator.add(page, len(chunk))
-                records.extend(chunk)
-        self.size = len(records)
-        if self.size > self.params.max_records:
-            raise FileFullError("occupancies exceed the cap N = d*M")
-        return records
+        if len(occupancies) != self.params.num_pages or min(occupancies) < 0:
+            raise UsageError("need one occupancy (at least 0) per page")
+        if key_gap < 1:
+            raise UsageError(f"key_gap must be at least 1, not {key_gap}")
+        ascending = accumulate(repeat(key_gap), initial=key_start)
+        keys = list(islice(ascending, sum(occupancies)))
+        self._load(keys, [None] * len(keys), occupancies)
+        return list(map(Record, keys))
+
+    def _load(self, keys: List, values: List, occupancies: List[int]) -> None:
+        """Put the next ``occupancies[i]`` of the key-ordered columns on
+        page ``i + 1``, one write per loaded page in ascending order, then
+        rebuild the rank counters in one pass."""
+        if len(keys) > self.params.max_records:
+            raise FileFullError(
+                f"{len(keys)} records exceed the cap N = {self.params.max_records}"
+            )
+        cursor = 0
+        for page, count in enumerate(occupancies, 1):
+            if count:
+                upto = cursor + count
+                self.pagefile.load_columns(
+                    page, keys[cursor:upto], values[cursor:upto]
+                )
+                cursor = upto
+        self.calibrator.recount(0, occupancies)
+        self.size = cursor
 
     def restore_from_store(self) -> int:
         """Adopt the backend's materialized pages as this engine's state.
@@ -163,11 +164,9 @@ class BaseEngine:
         """
         if self.size:
             raise UsageError("restore_from_store requires a fresh engine")
-        total = self.pagefile.rebuild_directory()
-        for page in self.pagefile.nonempty_pages():
-            self.calibrator.add(page, self.pagefile.page_len(page))
-        self.size = total
-        return total
+        self.size = self.pagefile.rebuild_directory()
+        self.calibrator.recount(0, self.pagefile.occupancies())
+        return self.size
 
     def adopt_pages(self, pages: Iterable[int]) -> None:
         """:meth:`restore_from_store` for just ``pages``, whose store
@@ -292,10 +291,7 @@ class BaseEngine:
         locate/read/write charges coalesce.  ``batch=False`` is the
         escape hatch that runs the plain per-record loop.
         """
-        records = sorted(
-            (ensure_record(item) for item in items),
-            key=lambda record: record.key,
-        )
+        records = sorted_records(items)
         if not batch:
             for record in records:
                 self.insert(record.key, record.value)
@@ -500,18 +496,9 @@ class BaseEngine:
         Returns the number of pages rewritten.
         """
         span = self.pagefile.redistribute(1, self.params.num_pages)
-        tree = self.calibrator
-        for page in range(1, self.params.num_pages + 1):
-            leaf = tree.leaf_of_page[page]
-            tree.count[leaf] = self.pagefile.page_len(page)
-        for node in sorted(tree.iter_nodes(), key=lambda n: -tree.depth[n]):
-            if not tree.is_leaf(node):
-                tree.count[node] = (
-                    tree.count[tree.left[node]] + tree.count[tree.right[node]]
-                )
+        self.calibrator.recount(0, self.pagefile.occupancies())
         if hasattr(self, "destinations"):
-            for node in list(tree.flagged_nodes()):
-                tree.set_flag(node, False)
+            self.calibrator.clear_flags()
             self.destinations.clear()
             self.sources.clear()
         return span

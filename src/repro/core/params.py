@@ -52,6 +52,9 @@ def recommended_j(num_pages: int, slack: int, coefficient: int = DEFAULT_J_COEFF
 class DensityParams:
     """Immutable ``(d, D)``-density configuration for an ``M``-page file.
 
+    Every predicate sees a node only as its shape ``(depth, pages)``, so
+    CONTROL 2 evaluates each threshold once per shape, not per node.
+
     Parameters
     ----------
     num_pages:
@@ -157,9 +160,9 @@ class DensityParams:
     def threshold_count(self, pages: int, depth: int, thirds: int) -> int:
         """Smallest integer ``N`` with ``N / pages >= g(depth, thirds/3)``.
 
-        Used by SHIFT to compute, without iterating record by record, how
-        many records may move into a node before ``p(x) >= g(x, 0)``
-        first becomes true.  Never negative.
+        At ``thirds=0`` this is SHIFT's guard capacity: how many records
+        a node holds when ``p(x) >= g(x, 0)`` first becomes true.  Never
+        negative.
         """
         numerator = self._coefficient(depth, thirds) * pages
         denominator = 3 * self.log_m

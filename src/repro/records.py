@@ -8,7 +8,8 @@ floats, strings, tuples, ...) and unique within a file.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from operator import itemgetter
+from typing import Any, Iterable, List, NamedTuple
 
 
 class Record(NamedTuple):
@@ -29,6 +30,11 @@ class Record(NamedTuple):
     value: Any = None
 
 
+#: Typed ``Any``: called as ``_tuple_new(Record, (key, value))`` it
+#: returns a ``Record``, which the checker cannot infer through ``map``.
+_tuple_new: Any = tuple.__new__
+
+
 def ensure_record(item: Any) -> Record:
     """Coerce ``item`` into a :class:`Record`.
 
@@ -38,5 +44,10 @@ def ensure_record(item: Any) -> Record:
     if isinstance(item, Record):
         return item
     if isinstance(item, tuple) and len(item) == 2:
-        return Record(item[0], item[1])
+        return _tuple_new(Record, item)  # Record(*item), built at C level
     return Record(item)
+
+
+def sorted_records(items: Iterable[Any]) -> List[Record]:
+    """``items`` coerced by :func:`ensure_record`, in ascending key order."""
+    return sorted(map(ensure_record, items), key=itemgetter(0))

@@ -38,6 +38,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from itertools import repeat
 from typing import Any, List
 
 from ..core.errors import ReproError
@@ -143,8 +144,10 @@ class DiskPagedStore:
         empty = encode_page([])
         if version >= 2:
             empty = bytes([0]) + empty  # object format byte 0
-        for _ in range(num_pages):
-            cls._write_slot_raw(file_object, empty, slot_capacity)
+        # Every slot starts as the same framed empty page: frame it once
+        # and write the whole slot region in one call.
+        slot = cls._frame(empty, slot_capacity).ljust(slot_capacity, b"\x00")
+        file_object.writelines(repeat(slot, num_pages))
         file_object.flush()
         return cls(
             path, file_object, num_pages, d, D, j, slot_capacity, version
@@ -198,14 +201,15 @@ class DiskPagedStore:
         return HEADER.size + (page_number - 1) * self.slot_capacity
 
     @staticmethod
-    def _write_slot_raw(file_object: Any, payload: bytes, slot_capacity: int) -> None:
+    def _frame(payload: bytes, slot_capacity: int) -> bytes:
+        """``payload`` behind its length and CRC-32, checked to fit a slot."""
         frame = SLOT_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         if len(frame) > slot_capacity:
             raise PageOverflowError(
                 f"page payload of {len(payload)} bytes exceeds the "
                 f"{slot_capacity}-byte slot"
             )
-        file_object.write(frame + b"\x00" * (slot_capacity - len(frame)))
+        return frame
 
     def _write_slot(self, page_number: int, payload: bytes) -> None:
         """Frame, (possibly) corrupt, and write one slot image.
@@ -221,18 +225,13 @@ class DiskPagedStore:
         hook = self.fault_injector
         if hook is not None:
             hook.check()
-        frame = SLOT_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-        if len(frame) > self.slot_capacity:
-            raise PageOverflowError(
-                f"page payload of {len(payload)} bytes exceeds the "
-                f"{self.slot_capacity}-byte slot"
-            )
+        frame = self._frame(payload, self.slot_capacity)
         if hook is not None:
             filter_frame = getattr(hook, "filter_frame", None)
             if filter_frame is not None:
                 frame = filter_frame(page_number, frame)
         self._file.seek(self._slot_offset(page_number))
-        self._file.write(frame + b"\x00" * (self.slot_capacity - len(frame)))
+        self._file.write(frame.ljust(self.slot_capacity, b"\x00"))
 
     def encode_page_image(self, page: Page) -> bytes:
         """Serialize one materialized page in this file's format version.

@@ -34,11 +34,7 @@ from itertools import repeat
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.errors import DuplicateKeyError, RecordNotFoundError, UsageError
-from ..records import Record
-
-#: Typed ``Any``: called as ``_tuple_new(Record, (key, value))`` it
-#: returns a ``Record``, which the checker cannot infer through ``map``.
-_tuple_new: Any = tuple.__new__
+from ..records import Record, _tuple_new
 
 
 def _records(keys: Iterable[Any], values: Iterable[Any]) -> Iterator[Record]:
@@ -218,6 +214,13 @@ class Page:
         self._rows = None
         self._keys.extend(record.key for record in records)
         self._values.extend(record.value for record in records)
+
+    def assign(self, keys: List[Any], values: List[Any]) -> None:
+        """Adopt (not copy) two parallel key-ordered columns as the page's
+        contents, building no record: loads' and redistributions' write."""
+        self._rows = None
+        self._keys = keys
+        self._values = values
 
     def clear(self) -> List[Record]:
         """Remove and return every record on the page."""

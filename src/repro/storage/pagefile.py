@@ -559,29 +559,31 @@ class PageFile:
         """
         if lo_page > hi_page:
             raise UsageError("empty page range")
-        gathered: List[Record] = []
+        keys: List[Any] = []
+        values: List[Any] = []
         for page_number in range(lo_page, hi_page + 1):
             self.disk.read(page_number)
-            gathered.extend(self.store.get_page(page_number).clear())
+            page = self.store.get_page(page_number)
+            keys += page._keys
+            values += page._values
         span = hi_page - lo_page + 1
-        base, surplus = divmod(len(gathered), span)
+        base, surplus = divmod(len(keys), span)
         cursor = 0
         for offset in range(span):
-            page_number = lo_page + offset
-            take = base + (1 if offset < surplus else 0)
-            chunk = gathered[cursor : cursor + take]
-            cursor += take
-            self.store.peek(page_number).extend_high(chunk)
-            self.disk.write(page_number)
-            self.store.put_page(page_number)
-            self._directory_update(page_number)
+            upto = cursor + base + (1 if offset < surplus else 0)
+            self.load_columns(lo_page + offset, keys[cursor:upto], values[cursor:upto])
+            cursor = upto
         return span
 
     def load_page(self, page_number: int, records: List[Record]) -> None:
         """Overwrite one page's contents (bulk loading; one write)."""
-        page = self.store.peek(page_number)
-        page.clear()
-        page.extend_high(sorted(records, key=lambda record: record.key))
+        ordered = sorted(records, key=lambda record: record.key)
+        keys = [record.key for record in ordered]
+        self.load_columns(page_number, keys, [record.value for record in ordered])
+
+    def load_columns(self, page_number: int, keys: List, values: List) -> None:
+        """:meth:`load_page` for key-ordered columns, which the page adopts."""
+        self.store.peek(page_number).assign(keys, values)
         self.disk.write(page_number)
         self.store.put_page(page_number)
         self._directory_update(page_number)

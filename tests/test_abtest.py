@@ -87,3 +87,52 @@ def test_export_writes_a_runnable_tree(abtest, tmp_path):
     tree = abtest.export("HEAD", str(tmp_path / "head"))
     assert os.path.isfile(os.path.join(tree, "bench", "run.py"))
     assert os.path.isfile(os.path.join(tree, "src", "repro", "__init__.py"))
+
+
+def claim_rows(abtest, base_ops, change_ops):
+    base = [result(ops, 90) for ops in base_ops]
+    change = [result(ops, 90) for ops in change_ops]
+    ops, _ = abtest.summarize(base, change, METRICS)
+    return ops
+
+
+def test_gain_needs_all_wins_but_one_and_a_margin_over_the_base_iqr(abtest):
+    base = [100, 102, 98, 101, 99, 100, 103, 97, 100, 100]
+    # Nine wins of ten, median 110 against 100 with a base IQR of 1.5.
+    change = [110, 111, 109, 112, 108, 110, 110, 111, 109, 99]
+    assert abtest.gain(claim_rows(abtest, base, change), 10, identical=True)
+    # The same figures with differing exact counts are no gain.
+    assert not abtest.gain(claim_rows(abtest, base, change), 10,
+                           identical=False)
+
+
+def test_two_losses_are_no_gain(abtest):
+    base = [100, 102, 98, 101, 99, 100, 103, 97, 100, 100]
+    change = [110, 111, 109, 112, 108, 110, 110, 111, 99, 99]
+    row = claim_rows(abtest, base, change)
+    assert row.wins == 8
+    assert not abtest.gain(row, 10, identical=True)
+
+
+def test_a_median_inside_the_base_iqr_is_no_gain(abtest):
+    base = [90, 110, 95, 105, 100, 92, 108, 96, 104, 100]
+    change = [value + 2 for value in base]  # wins every pair by 2
+    row = claim_rows(abtest, base, change)
+    assert row.wins == 10 and row.base_iqr > 2
+    assert not abtest.gain(row, 10, identical=True)
+
+
+def test_lower_is_better_metrics_gain_by_falling(abtest):
+    base = [result(100, p50) for p50 in (90, 91, 89, 90, 90)]
+    change = [result(100, p50) for p50 in (60, 61, 59, 60, 60)]
+    _, p50 = abtest.summarize(base, change, METRICS)
+    assert abtest.gain(p50, 5, identical=True)
+    _, worse = abtest.summarize(change, base, METRICS)
+    assert not abtest.gain(worse, 5, identical=True)
+
+
+def test_claim_must_name_an_end_to_end_metric(abtest, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        abtest.main(["HEAD", "--workload", "update_uniform", "--claim", "nope"])
+    assert exit_info.value.code == 2
+    assert "not an end-to-end metric" in capsys.readouterr().err

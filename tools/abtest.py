@@ -2,6 +2,7 @@
 
 Usage:
     python tools/abtest.py BASE [CHANGE] --workload W --pairs N [--seed S]
+                           [--claim METRIC]
 
 ``BASE`` is a git revision; it is exported with ``git archive`` into a
 temporary directory (no worktree, no network).  ``CHANGE`` is a git
@@ -16,8 +17,13 @@ percent and how many pairs the change won, then whether the exact
 counts (``accesses_per_cmd``, ``max_accesses_per_cmd``,
 ``write_bytes_per_cmd``) were identical across every run.
 
-Exit status: 0 when every run succeeded and the exact counts agree,
-1 when a run failed or the exact counts differ.
+``--claim METRIC`` adds a verdict line for one end-to-end metric:
+``gain`` when the change won every pair but at most one, its median
+beats the base median by more than the base interquartile range, and
+the exact counts are identical; ``no gain`` otherwise.
+
+Exit status: 0 when every run succeeded, the exact counts agree and a
+claimed gain held; 1 otherwise.
 """
 
 from __future__ import annotations
@@ -92,6 +98,15 @@ def exact_identical(results: List[Dict[str, Any]]) -> bool:
     return len({tuple(r["exact"][name] for name in EXACT) for r in results}) == 1
 
 
+def gain(row: Row, pairs: int, identical: bool) -> bool:
+    """Whether ``row`` shows a gain: the change wins all pairs but at
+    most one, and its median beats the base median by more than the
+    base IQR, with identical exact counts."""
+    sign = 1 if row.better == "higher" else -1
+    margin = sign * (row.change_median - row.base_median)
+    return identical and row.wins >= pairs - 1 and margin > row.base_iqr
+
+
 def render(rows: List[Row], pairs: int, identical: bool) -> str:
     lines = [
         f"{'metric':22} {'better':6} {'base median':>13} {'base IQR':>11} "
@@ -153,11 +168,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="print whether this end-to-end metric gained")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         metrics = json.load(handle)["end_to_end"]
+    if args.claim and args.claim not in [metric["name"] for metric in metrics]:
+        parser.error(f"--claim {args.claim} is not an end-to-end metric")
     with tempfile.TemporaryDirectory(prefix="abtest-") as scratch:
         trees = {"base": export(args.base, os.path.join(scratch, "base"))}
         trees["change"] = (
@@ -181,6 +200,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"abtest {args.workload}: {args.pairs} pairs, seed {args.seed}, "
           f"base {args.base} vs change {args.change}")
     print(render(rows, args.pairs, identical))
+    if args.claim:
+        row = next(row for row in rows if row.name == args.claim)
+        held = gain(row, args.pairs, identical)
+        print(f"claim {args.claim}: {'gain' if held else 'no gain'}")
+        return 0 if held else 1
     return 0 if identical else 1
 
 

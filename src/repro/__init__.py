@@ -24,7 +24,6 @@ from .concurrent import (
     ThreadSafeDenseFile,
 )
 from .core import (
-    AdaptiveControl2Engine,
     CalibratorTree,
     CircuitOpenError,
     ClusterError,
@@ -113,7 +112,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AccessStats",
-    "AdaptiveControl2Engine",
     "AccessTrace",
     "AdmissionGate",
     "BufferedStore",

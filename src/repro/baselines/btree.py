@@ -24,7 +24,7 @@ from ..core.errors import (
     RecordNotFoundError,
     UsageError,
 )
-from ..records import Record, sorted_records
+from ..records import Record, unique_sorted_records
 from ..storage.cost import CostModel, PAGE_ACCESS_MODEL
 from ..storage.disk import SimulatedDisk
 
@@ -363,7 +363,7 @@ class BPlusTree:
         """
         if self.size:
             raise UsageError("bulk_load requires an empty tree")
-        loaded = sorted_records(records)
+        loaded = unique_sorted_records(records)
         if not loaded:
             return
         per_leaf = max(1, min(self.leaf_capacity, int(self.leaf_capacity * fill_factor)))

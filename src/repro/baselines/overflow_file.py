@@ -22,7 +22,7 @@ from ..core.errors import (
     RecordNotFoundError,
     UsageError,
 )
-from ..records import Record, sorted_records
+from ..records import Record, unique_sorted_records
 from ..storage.cost import CostModel, PAGE_ACCESS_MODEL
 from ..storage.disk import SimulatedDisk
 from ..storage.page import Page
@@ -66,7 +66,7 @@ class OverflowChainFile:
         """Spread sorted records evenly over the primary area."""
         if self.size:
             raise UsageError("bulk_load requires an empty file")
-        loaded = sorted_records(records)
+        loaded = unique_sorted_records(records)
         total = len(loaded)
         pages = self.num_primary_pages
         cursor = 0

@@ -24,7 +24,7 @@ from ..core.errors import (
     RecordNotFoundError,
     UsageError,
 )
-from ..records import Record, sorted_records
+from ..records import Record, unique_sorted_records
 from ..storage.cost import CostModel, PAGE_ACCESS_MODEL
 from ..storage.pagefile import PageFile
 from ..core.params import ceil_log2
@@ -107,7 +107,7 @@ class PackedMemoryArray:
         """Spread sorted records evenly over the pages (empty PMA only)."""
         if self.size:
             raise UsageError("bulk_load requires an empty PMA")
-        loaded = sorted_records(records)
+        loaded = unique_sorted_records(records)
         if len(loaded) > int(self.tau_root * self.num_pages * self.capacity):
             raise FileFullError("records exceed the PMA's root threshold")
         total = len(loaded)

@@ -21,7 +21,7 @@ from ..core.errors import (
     RecordNotFoundError,
     UsageError,
 )
-from ..records import Record, sorted_records
+from ..records import Record, unique_sorted_records
 from ..storage.cost import CostModel, PAGE_ACCESS_MODEL
 from ..storage.pagefile import PageFile
 
@@ -63,7 +63,7 @@ class PackedSequentialFile:
         """Pack sorted records into a prefix of the pages."""
         if self.size:
             raise UsageError("bulk_load requires an empty file")
-        loaded = sorted_records(records)
+        loaded = unique_sorted_records(records)
         if len(loaded) > self.max_records:
             raise FileFullError("records exceed file capacity")
         for index in range(0, len(loaded), self.capacity):

@@ -35,8 +35,10 @@ Each (scenario, backend) cell reports ops/sec, **logical** page
 accesses (the paper's metered quantity, identical on every backend),
 p50/p99 per-operation latency, the worst single command's page accesses
 (``max_accesses_per_command``, on the per-operation ``mixed`` cells
-only), and the flattened physical counters of
-the backend stack (cache hits, prefetches, journal fsyncs ... via
+only; a local one also carries the Theorem 5.5 ceiling
+``worst_case_bound``, which :func:`validate_report` enforces), and the
+flattened physical counters of the backend stack (cache hits,
+prefetches, journal fsyncs ... via
 :func:`repro.analysis.stats.flatten_counters`).
 
 :func:`compare_reports` implements the regression gate: given a
@@ -291,6 +293,7 @@ def _run_scenario(
     latencies: List[float] = []
     source = "per_chunk_mean"
     worst: Optional[int] = None
+    bound: Optional[int] = None
     extra = None
     try:
         if scenario == "bulk_load":
@@ -333,6 +336,8 @@ def _run_scenario(
             source = "per_op"
             before = a0 = meter.page_accesses
             worst = 0
+            if backend != "cluster":
+                bound = dense.engine.params.worst_case_bound
             # Chained timestamps: one clock read per operation (the end
             # of op N is the start of op N+1), so the per-op meter costs
             # half of the naive two-reads-per-op pattern.  The access
@@ -374,11 +379,14 @@ def _run_scenario(
         counters = flatten_counters(dense.store_stats())
     finally:
         dense.close()
-    return _result(
+    cell = _result(
         scenario, backend, executed, elapsed, latencies, accesses,
         counters, extra, latency_source=source, seed=seed,
         max_accesses=worst,
     )
+    if bound is not None:
+        cell["worst_case_bound"] = bound
+    return cell
 
 
 def _btree_scan(geometry: Dict[str, int], ops: int) -> dict:
@@ -518,13 +526,25 @@ def validate_report(report: dict) -> List[str]:
         for numeric in (
             "ops", "elapsed_s", "ops_per_sec", "page_accesses",
             "latency_p50_us", "latency_p99_us", "latency_samples",
-            "max_accesses_per_command",
+            "max_accesses_per_command", "worst_case_bound",
         ):
             value = cell.get(numeric)
             if value is not None and not isinstance(value, (int, float)):
                 problems.append(
                     f"results[{index}].{numeric} is not numeric"
                 )
+        # Theorem 5.5 at the cell's geometry: no command may cost more.
+        worst = cell.get("max_accesses_per_command")
+        bound = cell.get("worst_case_bound")
+        if (
+            isinstance(worst, (int, float))
+            and isinstance(bound, (int, float))
+            and worst > bound
+        ):
+            problems.append(
+                f"results[{index}]: worst command {worst} page accesses "
+                f"exceeds the Theorem 5.5 bound {bound}"
+            )
         # Optional fields (added after the first reports were recorded;
         # absent in e.g. BENCH_PR4.json, so absence is not a problem).
         source = cell.get("latency_source")

@@ -1,6 +1,5 @@
 """Core algorithms: the calibrator, CONTROL 1, CONTROL 2 and the facade."""
 
-from .adaptive import AdaptiveControl2Engine
 from .calibrator import CalibratorTree
 from .control1 import Control1Engine
 from .control2 import Control2Engine
@@ -35,7 +34,6 @@ from .params import DensityParams, ceil_log2, recommended_j
 from .trace import Moment, MomentRecorder, OperationLog
 
 __all__ = [
-    "AdaptiveControl2Engine",
     "CalibratorTree",
     "CircuitOpenError",
     "ClusterError",

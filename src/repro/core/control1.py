@@ -70,12 +70,13 @@ class Control1Engine(BaseEngine):
         self.rebalances += 1
         self.largest_rebalance = max(self.largest_rebalance, span)
 
-    def _after_insert(self, page: int) -> None:
+    def _apply_insert(self, page: int) -> None:
+        self.calibrator.add(page, 1)
         violator = self._highest_violator(page)
         if violator is not None:
             self._rebalance(violator)
 
-    def _after_delete(self, page: int) -> None:
+    def _apply_delete(self, page: int) -> None:
+        self.calibrator.add(page, -1)
         # Deletions only lower densities; BALANCE(d, D) has no lower
         # bound, so there is nothing to repair.
-        return

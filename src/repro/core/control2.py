@@ -108,14 +108,6 @@ class Control2Engine(BaseEngine):
         self._step3_pairs += map(chain.__getitem__, tree.leaf_of_page[1:])
 
     # ------------------------------------------------------------------
-    # moments
-    # ------------------------------------------------------------------
-
-    def _notify(self, moment_type: str) -> None:
-        if self.moment_listener is not None:
-            self.moment_listener(moment_type, self)
-
-    # ------------------------------------------------------------------
     # warning-state helpers
     # ------------------------------------------------------------------
 
@@ -305,9 +297,8 @@ class Control2Engine(BaseEngine):
     def _run_steps_2_to_4(self, page: int) -> None:
         # This is the per-command maintenance loop — the single hottest
         # code path in the repository — so it trades a little repetition
-        # for flatness: the moment listener is guarded inline instead of
-        # through _notify, and the density tests read the precomputed
-        # per-node thresholds directly.
+        # for flatness: the moment listener is guarded inline, and the
+        # density tests read the precomputed per-node thresholds directly.
         tree = self.calibrator
         path = tree.paths[page]
         listener = self.moment_listener
@@ -357,13 +348,6 @@ class Control2Engine(BaseEngine):
             self._lower_flags_if_sparse(changed)
             if listener is not None:
                 listener(STEP_4C, self)
-
-    # Both after-hooks *are* the Figure 2 mainline; aliasing (rather
-    # than delegating) saves a stack frame on every command.  A subclass
-    # that overrides _run_steps_2_to_4 must restate these two aliases
-    # and the fused _apply_insert/_apply_delete pair below.
-    _after_insert = _run_steps_2_to_4
-    _after_delete = _run_steps_2_to_4
 
     # -- fused counter bump + maintenance ------------------------------
     #

@@ -4,23 +4,23 @@ Both algorithms share step 1 of the paper's Figure 2 verbatim: binary
 search for the affected page, apply the insertion or deletion, and
 adjust the calibrator's rank counters.  They differ only in how they
 react afterwards (amortized rebalance vs bounded shifting), which the
-subclasses implement in :meth:`BaseEngine._after_insert` and
-:meth:`BaseEngine._after_delete`.
+subclasses implement, together with the counter update, in
+:meth:`BaseEngine._apply_insert` and :meth:`BaseEngine._apply_delete`.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, islice, repeat
-from operator import eq, itemgetter, sub
+from itertools import accumulate, islice, repeat
+from operator import itemgetter, sub
 from typing import Iterable, Iterator, List, Optional
 
-from ..records import Record, sorted_records
+from ..records import Record, sorted_records, unique_sorted_records
 from ..storage.backend import PageStore
 from ..storage.cost import CostModel, PAGE_ACCESS_MODEL
 from ..storage.disk import SimulatedDisk
 from ..storage.pagefile import PageFile
 from .calibrator import CalibratorTree
-from .errors import DuplicateKeyError, FileFullError, RecordNotFoundError, UsageError
+from .errors import FileFullError, RecordNotFoundError, UsageError
 from .params import DensityParams
 from .trace import OperationLog
 
@@ -71,24 +71,15 @@ class BaseEngine:
     # hooks implemented by the concrete algorithms
     # ------------------------------------------------------------------
 
-    def _after_insert(self, page: int) -> None:
-        raise NotImplementedError
-
-    def _after_delete(self, page: int) -> None:
-        raise NotImplementedError
-
-    # The rank-counter bump and the after-hook always run back to back,
-    # so they are routed through one overridable seam: CONTROL 2 fuses
-    # the two walks over the calibrator path into one (identical state
-    # transitions), everything else uses this default pair.
+    # One hook per command, run once the record is on (or off) ``page``:
+    # it bumps the rank counters on the page's path and then repairs.
+    # Keeping both in one hook lets CONTROL 2 fuse the two path walks.
 
     def _apply_insert(self, page: int) -> None:
-        self.calibrator.add(page, 1)
-        self._after_insert(page)
+        raise NotImplementedError
 
     def _apply_delete(self, page: int) -> None:
-        self.calibrator.add(page, -1)
-        self._after_delete(page)
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # loading
@@ -104,11 +95,8 @@ class BaseEngine:
         """
         if self.size:
             raise UsageError("bulk_load requires an empty file")
-        loaded = sorted_records(records)
+        loaded = unique_sorted_records(records)
         keys = list(map(itemgetter(0), loaded))
-        # Sorted, so a repeated key sits next to its twin.
-        for key in compress(keys, map(eq, keys, islice(keys, 1, None))):
-            raise DuplicateKeyError(key)
         total, pages = len(keys), self.params.num_pages
         bounds = [page * total // pages for page in range(pages + 1)]
         occupancies = list(map(sub, bounds[1:], bounds))

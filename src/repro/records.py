@@ -8,8 +8,11 @@ floats, strings, tuples, ...) and unique within a file.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import compress, islice
+from operator import eq, itemgetter
 from typing import Any, Iterable, List, NamedTuple
+
+from .core.errors import DuplicateKeyError
 
 
 class Record(NamedTuple):
@@ -51,3 +54,18 @@ def ensure_record(item: Any) -> Record:
 def sorted_records(items: Iterable[Any]) -> List[Record]:
     """``items`` coerced by :func:`ensure_record`, in ascending key order."""
     return sorted(map(ensure_record, items), key=itemgetter(0))
+
+
+def unique_sorted_records(items: Iterable[Any]) -> List[Record]:
+    """:func:`sorted_records`, refusing a repeated key.
+
+    Raises :class:`~repro.core.errors.DuplicateKeyError` naming the first
+    repeated key; every ``bulk_load`` checks its input here before it
+    touches the file, so a refused load leaves the file empty.
+    """
+    records = sorted_records(items)
+    keys = list(map(itemgetter(0), records))
+    # Sorted, so a repeated key sits next to its twin.
+    for key in compress(keys, map(eq, keys, islice(keys, 1, None))):
+        raise DuplicateKeyError(key)
+    return records

@@ -28,7 +28,6 @@ def test_api_reference_covers_the_headline_classes():
         "Control2Engine",
         "Control1Engine",
         "MacroBlockControl2Engine",
-        "AdaptiveControl2Engine",
         "PersistentDenseFile",
         "JournaledDenseFile",
         "ThreadSafeDenseFile",

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from repro import benchmark
+from repro import DensityParams, benchmark
 from repro.cli import main
 
 TOOL = os.path.join(os.path.dirname(__file__), "..", "tools", "bench.py")
@@ -107,6 +107,27 @@ class TestReportSchema:
             "max_accesses_per_command" in problem
             for problem in benchmark.validate_report(wrong)
         )
+
+    def test_local_mixed_cells_carry_the_theorem_bound(self, quick_report):
+        for cell in quick_report["results"]:
+            if cell["scenario"] != "mixed":
+                assert "worst_case_bound" not in cell
+                continue
+            bound = DensityParams(**quick_report["geometry"]).worst_case_bound
+            assert cell["worst_case_bound"] == bound
+            assert cell["max_accesses_per_command"] <= bound
+
+    def test_validator_rejects_a_worst_command_above_the_bound(
+        self, quick_report
+    ):
+        doctored = copy.deepcopy(quick_report)
+        mixed = next(
+            cell for cell in doctored["results"] if cell["scenario"] == "mixed"
+        )
+        mixed["max_accesses_per_command"] = mixed["worst_case_bound"] + 1
+        problems = benchmark.validate_report(doctored)
+        assert len(problems) == 1
+        assert "exceeds the Theorem 5.5 bound" in problems[0]
 
     def test_validator_rejects_broken_reports(self, quick_report):
         assert benchmark.validate_report({}) != []

@@ -1,16 +1,15 @@
-"""Stateful property tests for the macro-block and adaptive engines.
+"""Stateful property tests for the macro-block engine.
 
 Same model-based approach as the CONTROL 1/2 machines in
-``test_properties.py``, applied to the two engine variants with their
-own quirks: macro-granular pages with scaled costs, and the two-level
-shift budget.
+``test_properties.py``, applied to the engine variant with its own
+quirk: macro-granular pages with scaled costs.
 """
 
 import pytest
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro import AdaptiveControl2Engine, DensityParams, MacroBlockControl2Engine
+from repro import MacroBlockControl2Engine
 from repro.core.errors import FileFullError
 
 
@@ -61,44 +60,3 @@ class MacroBlockMachine(RuleBasedStateMachine):
 
 
 TestMacroBlockMachine = MacroBlockMachine.TestCase
-
-
-class AdaptiveMachine(RuleBasedStateMachine):
-    def __init__(self):
-        super().__init__()
-        self.engine = AdaptiveControl2Engine(
-            DensityParams(num_pages=16, d=4, D=20), base_budget=1
-        )
-        self.model = set()
-
-    @rule(key=st.integers(0, 300))
-    def insert(self, key):
-        if key in self.model:
-            return
-        if len(self.model) >= self.engine.params.max_records:
-            return
-        self.engine.insert(key)
-        self.model.add(key)
-
-    @rule(key=st.integers(0, 300))
-    def delete_if_present(self, key):
-        if key not in self.model:
-            return
-        self.engine.delete(key)
-        self.model.remove(key)
-
-    @rule()
-    def compact(self):
-        self.engine.compact()
-
-    @invariant()
-    def matches_model(self):
-        stored = [record.key for record in self.engine.pagefile.iter_all()]
-        assert stored == sorted(self.model)
-
-    @invariant()
-    def structural_invariants_hold(self):
-        self.engine.validate()
-
-
-TestAdaptiveMachine = AdaptiveMachine.TestCase

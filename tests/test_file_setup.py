@@ -14,6 +14,12 @@ import os
 import pytest
 
 from repro import DenseSequentialFile, PersistentDenseFile
+from repro.baselines import (
+    BPlusTree,
+    OverflowChainFile,
+    PackedMemoryArray,
+    PackedSequentialFile,
+)
 from repro.benchmark import run_bench
 from repro.core.calibrator import CalibratorTree
 from repro.core.control2 import Control2Engine
@@ -385,6 +391,26 @@ class TestLoadingRefusals:
         dense.insert(3, "d")
         assert [key for key, _ in dense.items()] == [1, 2, 3]
         dense.validate()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DenseSequentialFile(8, 8, 48),
+            lambda: PackedSequentialFile(8, 8),
+            lambda: PackedMemoryArray(8, 8),
+            lambda: OverflowChainFile(8, 8),
+            BPlusTree,
+        ],
+        ids=["dense", "sequential", "pma", "overflow", "btree"],
+    )
+    def test_every_bulk_load_refuses_duplicate_keys(self, build):
+        structure = build()
+        with pytest.raises(DuplicateKeyError):
+            structure.bulk_load([(1, "a"), (1, "b"), (2, "c")])
+        assert len(structure) == 0
+        structure.bulk_load([(1, "a"), (2, "c")])
+        assert len(structure) == 2
+        assert structure.search(1).value == "a"
 
     def test_bulk_load_finds_a_duplicate_anywhere(self):
         dense = DenseSequentialFile(64, 8, 48)

@@ -52,21 +52,11 @@ def test_random_geometry_is_always_legal(fuzz):
 
 
 def test_engine_builder_covers_every_variant(fuzz):
-    from repro import (
-        AdaptiveControl2Engine,
-        Control1Engine,
-        Control2Engine,
-        MacroBlockControl2Engine,
-    )
+    from repro import Control1Engine, Control2Engine, MacroBlockControl2Engine
 
     rng = random.Random(7)
     seen = set()
     for _ in range(80):
         engine = fuzz.build_engine(rng, 64, 8, 40)
         seen.add(type(engine))
-    assert {
-        Control1Engine,
-        Control2Engine,
-        AdaptiveControl2Engine,
-        MacroBlockControl2Engine,
-    } <= seen
+    assert seen == {Control1Engine, Control2Engine, MacroBlockControl2Engine}

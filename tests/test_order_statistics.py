@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    AdaptiveControl2Engine,
     Control1Engine,
     Control2Engine,
     DenseSequentialFile,
@@ -22,9 +21,6 @@ from repro import (
 ENGINES = {
     "control1": lambda: Control1Engine(DensityParams(num_pages=32, d=4, D=24)),
     "control2": lambda: Control2Engine(DensityParams(num_pages=32, d=4, D=24)),
-    "adaptive": lambda: AdaptiveControl2Engine(
-        DensityParams(num_pages=32, d=4, D=24)
-    ),
     "macroblock": lambda: MacroBlockControl2Engine(32, 4, 12),
 }
 

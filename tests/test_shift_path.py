@@ -24,7 +24,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    AdaptiveControl2Engine,
     Control2Engine,
     DensityParams,
     MacroBlockControl2Engine,
@@ -173,9 +172,6 @@ ENGINES = {
     ),
     "macroblock-m20": lambda: MacroBlockControl2Engine(
         num_pages=20, d=4, D=6
-    ),
-    "adaptive-m12": lambda: AdaptiveControl2Engine(
-        DensityParams(num_pages=12, d=4, D=17)
     ),
 }
 

@@ -10,18 +10,11 @@ import random
 
 import pytest
 
-from repro import (
-    AdaptiveControl2Engine,
-    Control2Engine,
-    DenseSequentialFile,
-    DensityParams,
-)
+from repro import Control2Engine, DenseSequentialFile, DensityParams
 from repro.core.errors import FileFullError
 
 
-@pytest.mark.parametrize(
-    "engine_cls", [Control2Engine, AdaptiveControl2Engine]
-)
+@pytest.mark.parametrize("engine_cls", [Control2Engine])
 def test_long_mixed_session(engine_cls):
     params = DensityParams(num_pages=512, d=8, D=48)
     engine = engine_cls(params)

@@ -10,7 +10,7 @@ Modes
 -----
 ``engines``
     Each iteration draws a random geometry and command sequence, drives
-    a randomly chosen engine (CONTROL 1/2, adaptive, macro-block) next
+    a randomly chosen engine (CONTROL 1, CONTROL 2, macro-block) next
     to a plain sorted-set model, and checks contents plus every
     structural invariant after each command.
 
@@ -52,7 +52,6 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import (  # noqa: E402
-    AdaptiveControl2Engine,
     Control1Engine,
     Control2Engine,
     DensityParams,
@@ -90,14 +89,12 @@ def random_geometry(rng: random.Random):
 
 def build_engine(rng: random.Random, num_pages: int, d: int, cap_d: int):
     """A random engine over the geometry (macro-block gets a tight D)."""
-    choice = rng.randrange(4)
+    choice = rng.randrange(3)
     params = DensityParams(num_pages=num_pages, d=d, D=cap_d)
     if choice == 0:
         return Control1Engine(params)
     if choice == 1:
         return Control2Engine(params)
-    if choice == 2:
-        return AdaptiveControl2Engine(params, base_budget=rng.randint(1, 3))
     try:
         return MacroBlockControl2Engine(num_pages=num_pages, d=d, D=d + 2)
     except ConfigurationError:

@@ -531,19 +531,27 @@ class BufferedStore(PageStore):
         read that ends the last window this method faulted whole.  The
         window, cut to :attr:`readahead` pages and stripped of page
         numbers outside the file, goes to the pool in one
-        :meth:`~repro.storage.bufferpool.BufferPool.prefetch` call.  The
-        pool skips pages already resident and brings each other page in
-        as a clean, not-yet-used frame (one physical read) so the demand
-        read that follows is a hit.  The first page the pool declines —
-        every frame is held by a prefetched page still waiting to be
-        read — ends the offer.  A return below the number offered (a
-        page was resident or declined) makes the scan offer again after
-        its next read.  0 disables the whole path.  Returns the number
-        of pages faulted in.
+        :meth:`~repro.storage.bufferpool.BufferPool.prefetch` call, one
+        speculative admission run.  A list that already fits the window
+        and lies inside the file (what the scan walk offers) is passed
+        through as it is, uncopied.  The pool skips pages already
+        resident and brings each other page in as a clean,
+        not-yet-used frame (one physical read) so the demand read that
+        follows is a hit.  The first page the pool declines — its LRU
+        victim is a prefetched page still waiting to be read, which the
+        pool puts back at the head — ends the offer.  A return below
+        the number offered (a page was resident or declined) makes the
+        scan offer again after its next read.  0 disables the whole
+        path.  Returns the number of pages faulted in.
         """
-        if not self.readahead:
+        readahead = self.readahead
+        if not readahead:
             return 0
-        window = list(islice(page_numbers, self.readahead))
+        # The scan walk offers a list that already fits the window.
+        if isinstance(page_numbers, list) and len(page_numbers) <= readahead:
+            window = page_numbers
+        else:
+            window = list(islice(page_numbers, readahead))
         # A scan offers its own run's pages: one C-level check passes them.
         if window and not 1 <= min(window) <= max(window) <= self.num_pages:
             num_pages = self.num_pages
@@ -617,14 +625,21 @@ def make_store(
 
     ``"buffered"`` wraps a :class:`DiskStore` when ``path`` is given and
     a :class:`MemoryStore` otherwise; ``cache_pages`` sizes its frame
-    pool and ``readahead`` its scan-prefetch window.  ``"disk"``
-    requires ``path`` and creates a fresh file (pass ``overwrite=True``
-    to clobber); opening an existing file goes through
-    :meth:`DiskStore.open` or the persistent facade.
+    pool (``None`` means :data:`DEFAULT_CACHE_PAGES`; a value below 1
+    is refused) and ``readahead`` its scan-prefetch window.  The other
+    backends have no cache: they ignore ``cache_pages`` and refuse a
+    nonzero ``readahead``.  ``"disk"`` requires ``path`` and creates a
+    fresh file (pass ``overwrite=True`` to clobber); opening an existing
+    file goes through :meth:`DiskStore.open` or the persistent facade.
     """
     if backend not in BACKENDS:
         raise ConfigurationError(
             f"unknown backend {backend!r}; pick one of {BACKENDS}"
+        )
+    if readahead and backend != "buffered":
+        raise ConfigurationError(
+            f"readahead prefetches into a page cache; the {backend} "
+            "backend has none (use the buffered backend)"
         )
     if backend == "memory":
         return MemoryStore(num_pages)
@@ -646,8 +661,12 @@ def make_store(
         inner = MemoryStore(num_pages)
     if backend == "disk":
         return inner
-    return BufferedStore(
-        inner,
-        capacity=cache_pages or DEFAULT_CACHE_PAGES,
-        readahead=readahead,
-    )
+    try:
+        return BufferedStore(
+            inner,
+            capacity=DEFAULT_CACHE_PAGES if cache_pages is None else cache_pages,
+            readahead=readahead,
+        )
+    except ConfigurationError:
+        inner.close()
+        raise

@@ -33,9 +33,18 @@ offers past its own last page, so on scans ``prefetch_hits`` equals
 ``prefetches`` unless a demand miss evicts a prefetched frame before it
 is read.
 
-A demand miss and a prefetch enter the pool through one helper,
-``_admit``: it evicts the LRU frame when the pool is full (writing it
-back if dirty), counts the physical read and faults the page in.
+A demand miss and a readahead window enter the pool through one run
+primitive, ``_admit``, which holds the one eviction rule: for each page
+of the run not yet resident, a full pool pops its LRU frame once
+(``popitem(last=False)``), writes it back if dirty, then counts the
+physical read and faults the page in.  A demand miss is a run of one
+page that never declines.  A window is one speculative run: when the
+popped victim is itself a prefetched frame still unread, the run puts
+it back at the head, unchanged, and ends there (the decline), so no
+page pays a separate look at the LRU head.  Counters move page by page
+in the order the hooks fire, so a hook that raises partway through a
+window leaves the counters, frames and unread set as the hook calls
+before it left them.
 
 ``access(kind, page, touches)`` applies several consecutive touches of
 one page in one call.  Only the first can miss or consume a prefetch;
@@ -51,7 +60,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Mapping, Optional
 
-from ..core.errors import ConfigurationError
+from ..core.errors import ConfigurationError, UsageError
 from .tracing import AccessEvent, WRITE
 
 
@@ -132,8 +141,11 @@ class BufferPool:
         Every touch after the first finds the page resident, most recent
         and no longer prefetched, so it counts one plain hit: the
         counters, frame order and dirty bits end exactly as after
-        ``touches`` separate calls.
+        ``touches`` separate calls.  ``touches`` below 1 is refused with
+        :class:`~repro.core.errors.UsageError`.
         """
+        if touches < 1:
+            raise UsageError(f"touches must be at least 1, not {touches}")
         frames = self._frames
         if page in frames:
             self.stats.hits += touches
@@ -146,8 +158,9 @@ class BufferPool:
             return True
         self.stats.misses += 1
         self.stats.hits += touches - 1
-        # Both read and write misses fault the page in first.
-        self._admit(page, kind == WRITE)
+        # Both read and write misses fault the page in first: a run of
+        # one page that never declines.
+        self._admit((page,), kind == WRITE, False)
         return False
 
     def prefetch(self, pages: Iterable[int]) -> int:
@@ -162,48 +175,69 @@ class BufferPool:
         counts a normal hit plus one ``prefetch_hits``.  Resident pages
         are skipped.
 
-        A page that would evict a frame still waiting to be read
+        The whole window is one speculative run of :meth:`_admit`.  A
+        page that would evict a frame still waiting to be read
         (prefetched but not yet accessed) is declined, and the decline
         ends the window: that victim is exactly what the scan cursor
         needs next, and evicting it to make room for a further-ahead
         page turns readahead into thrash whenever the window approaches
         the pool capacity.
         """
+        return self._admit(pages, False, True)
+
+    def _admit(self, pages: Iterable[int], dirty: bool, speculative: bool) -> int:
+        """Fault each page of ``pages`` not yet resident in, in order, as
+        the most recent frame; returns the number brought in.
+
+        The one eviction rule: a full pool pops its least-recently-used
+        frame, writes it back when dirty, and then the page costs one
+        physical read.  A demand miss is a run of one page that never
+        declines.  A speculative run (readahead) brings its pages in
+        clean, counts each under ``prefetches`` and marks it unread;
+        when the popped victim is itself still unread, the run puts it
+        back at the head, unchanged, and ends.  Counters move page by
+        page in the order the hooks fire, so a hook that raises leaves
+        them, the frames and the unread set as the event sequence up to
+        that call left them.
+        """
         frames = self._frames
         prefetched = self._prefetched
+        stats = self.stats
         capacity = self.capacity
-        faulted = 0
+        on_fault = self.on_fault
+        admitted = 0
         for page in pages:
             if page in frames:
                 continue
-            if len(frames) >= capacity and next(iter(frames)) in prefetched:
-                break
-            self.stats.prefetches += 1
-            self._admit(page, False)
-            prefetched.add(page)
-            faulted += 1
-        return faulted
-
-    def _admit(self, page: int, dirty: bool) -> None:
-        """Fault ``page`` in as the most recent frame: the one eviction rule.
-
-        A full pool first evicts its least-recently-used frame, writing
-        it back when dirty; then the page costs one physical read.
-        """
-        frames = self._frames
-        stats = self.stats
-        if len(frames) >= self.capacity:
-            victim, victim_dirty = frames.popitem(last=False)
-            self._prefetched.discard(victim)
-            stats.evictions += 1
-            if victim_dirty:
-                stats.physical_writes += 1
-                if self.on_writeback is not None:
-                    self.on_writeback(victim)
-        stats.physical_reads += 1
-        if self.on_fault is not None:
-            self.on_fault(page)
-        frames[page] = dirty
+            victim = None
+            if len(frames) >= capacity:
+                # ``False`` is ``last=False`` (the LRU end), passed
+                # positionally: this line runs once per admitted page.
+                victim, victim_dirty = frames.popitem(False)
+                if victim in prefetched:
+                    if speculative:
+                        # The decline: the unread victim goes back at
+                        # the head with its dirty bit, and the run ends.
+                        frames[victim] = victim_dirty
+                        frames.move_to_end(victim, False)
+                        break
+                    prefetched.discard(victim)
+            if speculative:
+                stats.prefetches += 1
+            if victim is not None:
+                stats.evictions += 1
+                if victim_dirty:
+                    stats.physical_writes += 1
+                    if self.on_writeback is not None:
+                        self.on_writeback(victim)
+            stats.physical_reads += 1
+            if on_fault is not None:
+                on_fault(page)
+            frames[page] = dirty
+            if speculative:
+                prefetched.add(page)
+            admitted += 1
+        return admitted
 
     def flush(self) -> int:
         """Write back every dirty frame; returns the number written."""

@@ -136,3 +136,99 @@ def test_claim_must_name_an_end_to_end_metric(abtest, capsys):
         abtest.main(["HEAD", "--workload", "update_uniform", "--claim", "nope"])
     assert exit_info.value.code == 2
     assert "not an end-to-end metric" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# --cell: one cell of ``repro bench``
+# ----------------------------------------------------------------------
+
+
+def bench_report(ops_per_sec, page_accesses=1024, scenario="stream_scan",
+                 backend="buffered"):
+    """A synthetic ``repro bench`` report holding one cell beside another."""
+    other = {"scenario": "mixed", "backend": backend, "ops_per_sec": 1.0,
+             "page_accesses": 7}
+    return {
+        "schema": "repro-bench/1",
+        "results": [other, {
+            "scenario": scenario, "backend": backend,
+            "ops_per_sec": ops_per_sec, "page_accesses": page_accesses,
+        }],
+    }
+
+
+def cells(abtest, values, **kwargs):
+    return [abtest.cell_result(bench_report(value, **kwargs), "stream_scan",
+                               "buffered") for value in values]
+
+
+def test_cell_result_picks_the_named_cell(abtest):
+    cell = abtest.cell_result(bench_report(2.5e6, 512), "stream_scan",
+                              "buffered")
+    assert cell["metrics"] == {"ops_per_sec": {"value": 2.5e6}}
+    assert cell["exact"] == {"page_accesses": 512}
+
+
+def test_cell_summary_and_claim(abtest):
+    base = cells(abtest, [100, 102, 98, 101, 99, 100, 103, 97, 100, 100])
+    change = cells(abtest, [110, 111, 109, 112, 108, 110, 110, 111, 109, 99])
+    [row] = abtest.summarize(base, change, abtest.CELL_METRICS)
+    assert row.name == "ops_per_sec" and row.wins == 9
+    identical = abtest.exact_identical(base + change, abtest.CELL_EXACT)
+    assert identical and abtest.gain(row, 10, identical)
+    text = abtest.render([row], 10, identical, abtest.CELL_EXACT)
+    assert "ops_per_sec" in text and "9/10" in text
+    assert text.endswith("exact counts (page_accesses): identical")
+
+
+def test_cell_page_accesses_must_agree(abtest):
+    runs = cells(abtest, [100, 101]) + cells(abtest, [99], page_accesses=1025)
+    assert not abtest.exact_identical(runs, abtest.CELL_EXACT)
+    assert abtest.render([], 1, False, abtest.CELL_EXACT).endswith("DIFFER")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--cell", "stream_scan"], "SCENARIO/BACKEND"),
+    (["--cell", "/buffered"], "SCENARIO/BACKEND"),
+    (["--cell", "stream_scan/buffered", "--claim", "ops_per_s"],
+     "not a cell metric"),
+    (["--cell", "stream_scan/buffered", "--workload", "scan_mixed"],
+     "not allowed with"),
+])
+def test_cell_arguments_are_checked(abtest, capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        abtest.main(["HEAD"] + argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_run_cell_pins_its_child_to_one_cpu(abtest, tmp_path):
+    """``run_cell`` on a stand-in tree whose ``repro`` writes a report
+    naming the CPUs the child may use."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text(
+        "import json, os, sys\n"
+        "args = sys.argv[1:]\n"
+        "value = lambda flag: args[args.index(flag) + 1]\n"
+        "cell = {'scenario': value('--scenario'),\n"
+        "        'backend': value('--bench-backend'),\n"
+        "        'ops_per_sec': float(value('--seed')),\n"
+        "        'page_accesses': len(os.sched_getaffinity(0))}\n"
+        "with open(value('--out'), 'w') as handle:\n"
+        "    json.dump({'results': [cell]}, handle)\n"
+    )
+    out = str(tmp_path / "cell.json")
+    cell = abtest.run_cell(str(tmp_path), "stream_scan", "buffered", 3, out)
+    assert cell["metrics"]["ops_per_sec"]["value"] == 3.0
+    assert cell["exact"]["page_accesses"] == 1
+
+
+def test_a_failing_cell_run_is_none(abtest, tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text("raise SystemExit(1)\n")
+    out = str(tmp_path / "cell.json")
+    assert abtest.run_cell(str(tmp_path), "mixed", "memory", 0, out) is None

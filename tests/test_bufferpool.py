@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import UsageError
 from repro.storage.bufferpool import BufferPool, PoolStats, miss_curve, replay
 from repro.storage.tracing import AccessEvent, READ, WRITE
 
@@ -63,6 +64,14 @@ class TestBufferPool:
         assert pool.flush() == 2
         assert pool.flush() == 0  # now clean
 
+    @pytest.mark.parametrize("touches", [0, -3])
+    def test_touches_below_one_are_refused(self, touches):
+        pool = BufferPool(2)
+        with pytest.raises(UsageError, match="touches"):
+            pool.access(READ, 1, touches)
+        assert asdict(pool.stats) == asdict(PoolStats(capacity=2))
+        assert pool.resident_pages() == []
+
     def test_every_miss_is_a_physical_read(self):
         pool = BufferPool(2)
         for page in (1, 2, 3, 1):
@@ -70,29 +79,57 @@ class TestBufferPool:
         assert pool.stats.physical_reads == pool.stats.misses
 
 
+class HookFailure(Exception):
+    """Raised by an armed :class:`Hooks` on its ``fail_at``-th call."""
+
+
+class Hooks:
+    """``on_fault``/``on_writeback`` that log every call in one ordered
+    list and, while armed, raise :class:`HookFailure` on the
+    ``fail_at``-th call (counting from 1)."""
+
+    def __init__(self, fail_at=None):
+        self.events = []
+        self.fail_at = fail_at
+        self.armed = True
+
+    def fault(self, page):
+        self._call("fault", page)
+
+    def writeback(self, page):
+        self._call("writeback", page)
+
+    def _call(self, kind, page):
+        self.events.append((kind, page))
+        if self.armed and len(self.events) == self.fail_at:
+            raise HookFailure(kind, page)
+
+
 class ReferenceLRU:
     """A plain list-and-dict write-back LRU, the spec for :class:`BufferPool`.
 
+    Every counter moves just before the hook call it meters, so a hook
+    that raises leaves the counters as the events up to it left them.
     ``fired`` names the rarer rules a sequence exercised, so the tests
     can show that their sequences reach them.
     """
 
-    def __init__(self, capacity):
+    def __init__(self, capacity, hooks):
         self.capacity = capacity
         self.order = []  # least recently used first
         self.dirty = {}
         self.unread = set()  # prefetched, not yet accessed
         self.stats = asdict(PoolStats(capacity=capacity))
-        self.faults = []
-        self.writebacks = []
+        self.hooks = hooks
         self.fired = set()
 
     def _write_back(self, page):
         self.stats["physical_writes"] += 1
-        self.writebacks.append(page)
+        self.hooks.writeback(page)
 
     def _bring_in(self, page, dirty):
-        """Evict the LRU page of a full pool, then read ``page`` in."""
+        """Evict the LRU page of a full pool, then read ``page`` in;
+        return whether the victim was written back."""
         evicted_dirty = False
         if len(self.order) == self.capacity:
             victim = self.order.pop(0)
@@ -102,7 +139,7 @@ class ReferenceLRU:
             if evicted_dirty:
                 self._write_back(victim)
         self.stats["physical_reads"] += 1
-        self.faults.append(page)
+        self.hooks.fault(page)
         self.order.append(page)
         self.dirty[page] = dirty
         return evicted_dirty
@@ -169,32 +206,65 @@ PREFETCH_WRITEBACK = (2, [("write", 1), ("read", 2), ("prefetch", [3])])
 #: frame.
 DECLINE_PARTWAY = (2, [("read", 1), ("prefetch", [1, 2, 3, 4])])
 WRITEBACK_PARTWAY = (2, [("read", 1), ("write", 2), ("prefetch", [3, 4])])
+#: Pinned hook failures inside a window: the fault of its second page
+#: (event 5: faults 1, 2, write-back 1, faults 3, 4), and the write-back
+#: its second page forces (event 4: faults 1, 2, 3, write-back 2).
+FAULT_RAISES_PARTWAY = (
+    2, [("write", 1), ("read", 2), ("prefetch", [3, 4]), ("read", 3)], 5,
+)
+WRITEBACK_RAISES_PARTWAY = (
+    2, [("read", 1), ("write", 2), ("prefetch", [3, 4]), ("read", 4)], 4,
+)
 
 
-def _drive(capacity, operations):
-    """Run ``operations`` on a pool and the reference; compare each step."""
-    faults, writebacks = [], []
+def _step(target, kind, page):
+    """Apply one operation; ``page`` is the window for a prefetch."""
+    if kind == "flush":
+        return target.flush()
+    if kind == "prefetch":
+        return target.prefetch(page)
+    if isinstance(target, BufferPool):
+        return target.access(WRITE if kind == "write" else READ, page)
+    return target.access(kind == "write", page)
+
+
+def _outcome(target, kind, page):
+    try:
+        return "returned", _step(target, kind, page)
+    except HookFailure as failure:
+        return "raised", failure.args
+
+
+def _drive(capacity, operations, fail_at=None):
+    """Run ``operations`` on a pool and the reference; compare each step.
+
+    With ``fail_at``, the ``fail_at``-th hook call of an access or a
+    prefetch raises on both sides (a flush never raises here), and the
+    comparison goes on from the state the failure left.
+    """
+    hooks = Hooks(fail_at)
     pool = BufferPool(
-        capacity, on_fault=faults.append, on_writeback=writebacks.append
+        capacity, on_fault=hooks.fault, on_writeback=hooks.writeback
     )
-    reference = ReferenceLRU(capacity)
+    reference = ReferenceLRU(capacity, Hooks(fail_at))
     for kind, page in operations:
-        if kind == "flush":
-            assert pool.flush() == reference.flush()
-        elif kind == "prefetch":
-            # ``page`` is the window here: a list of page numbers.
-            assert pool.prefetch(page) == reference.prefetch(page)
-        else:
-            write = kind == "write"
-            got = pool.access(WRITE if write else READ, page)
-            assert got == reference.access(write, page)
+        hooks.armed = reference.hooks.armed = kind != "flush"
+        before = pool.stats.prefetches
+        outcome = _outcome(pool, kind, page)
+        assert outcome == _outcome(reference, kind, page)
+        if outcome[0] == "raised" and kind == "prefetch":
+            partway = pool.stats.prefetches - before > 1
+            reference.fired.add(
+                f"{outcome[1][0]}-raises" + ("-partway" if partway else "")
+            )
         assert asdict(pool.stats) == reference.stats
         assert list(pool.frames.items()) == [
             (frame, reference.dirty[frame]) for frame in reference.order
         ]
         assert pool._prefetched == reference.unread
-        assert faults == reference.faults
-        assert writebacks == reference.writebacks
+        # One ordered list of hook calls: faults and write-backs
+        # interleave exactly as the reference issues them.
+        assert hooks.events == reference.hooks.events
     return reference.fired
 
 
@@ -208,11 +278,26 @@ class TestAgainstReferenceLRU:
     def test_every_step_matches_the_reference(self, capacity, operations):
         _drive(capacity, operations)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        capacity=st.integers(1, 6),
+        operations=OPERATIONS,
+        fail_at=st.integers(1, 40),
+    )
+    @example(*FAULT_RAISES_PARTWAY)
+    @example(*WRITEBACK_RAISES_PARTWAY)
+    def test_a_raising_hook_leaves_the_reference_state(
+        self, capacity, operations, fail_at
+    ):
+        _drive(capacity, operations, fail_at)
+
     def test_pinned_sequences_reach_the_rare_rules(self):
         assert "decline" in _drive(*DECLINE)
         assert "prefetch-writeback" in _drive(*PREFETCH_WRITEBACK)
         assert "decline-partway" in _drive(*DECLINE_PARTWAY)
         assert "writeback-partway" in _drive(*WRITEBACK_PARTWAY)
+        assert "fault-raises-partway" in _drive(*FAULT_RAISES_PARTWAY)
+        assert "writeback-raises-partway" in _drive(*WRITEBACK_RAISES_PARTWAY)
 
     def test_pinned_windows_end_where_the_rules_say(self):
         faults, writebacks = [], []
@@ -232,6 +317,62 @@ class TestAgainstReferenceLRU:
         assert pool.prefetch([3, 4]) == 2
         assert writebacks == [2]
         assert pool.stats.prefetches == 2 and pool.stats.evictions == 2
+
+
+class TestRangeScanStreamGolden:
+    """A buffered range-scan stream whose windows are mostly cut short:
+    six frames under a readahead of eight, with inserts dirtying pages
+    between the scans.  Its pool counters and its ordered hook calls
+    are pinned to the values the per-page readahead admission gave."""
+
+    @staticmethod
+    def _drive():
+        import random
+
+        from repro import DenseSequentialFile
+
+        rng = random.Random(27)
+        dense = DenseSequentialFile(
+            256, 8, 48, backend="buffered", cache_pages=6, readahead=8
+        )
+        present = set(rng.sample(range(40000), 1200))
+        dense.bulk_load((key, key) for key in sorted(present))
+        pool = dense.store.pool
+        events = []
+        fault, writeback = pool.on_fault, pool.on_writeback
+        pool.on_fault = lambda page: (events.append(("fault", page)),
+                                      fault(page))
+        pool.on_writeback = lambda page: (events.append(("writeback", page)),
+                                          writeback(page))
+        scanned = 0
+        for _ in range(400):
+            key = rng.randrange(40000)
+            if rng.random() < 0.8:
+                scanned += len(list(dense.range(key, key + 1500)))
+            elif key not in present:
+                dense.insert(key, key)
+                present.add(key)
+        dense.validate()
+        return dense, events, scanned
+
+    def test_pool_counters_and_hook_calls_match_the_golden_values(self):
+        import hashlib
+
+        dense, events, scanned = self._drive()
+        assert scanned == 14669
+        assert asdict(dense.store.pool.stats) == {
+            "capacity": 6,
+            "hits": 3157,
+            "misses": 664,
+            "physical_reads": 3704,
+            "physical_writes": 319,
+            "evictions": 3698,
+            "prefetches": 3040,
+            "prefetch_hits": 3021,
+        }
+        assert len(events) == 3517
+        digest = hashlib.sha256(repr(events).encode()).hexdigest()
+        assert digest[:16] == "38b7b37f0c98d5ef"
 
 
 class TestReplay:

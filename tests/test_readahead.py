@@ -15,7 +15,12 @@ import pytest
 
 from repro import DenseSequentialFile, PersistentDenseFile
 from repro.core.errors import ConfigurationError
-from repro.storage.backend import BufferedStore, MemoryStore
+from repro.storage.backend import (
+    DEFAULT_CACHE_PAGES,
+    BufferedStore,
+    MemoryStore,
+    make_store,
+)
 
 GEOMETRY = dict(num_pages=64, d=8, D=40)
 
@@ -316,3 +321,66 @@ class TestPersistentWiring:
             stats = dense.store_stats()
             assert stats["readahead"] == 4
             assert stats["prefetch_hits"] > 0
+
+
+class TestStoreConfiguration:
+    """``cache_pages=None`` means the default pool; any other value is the
+    pool size, so one below 1 meets the pool's refusal; readahead needs
+    a cache to prefetch into."""
+
+    def test_none_means_the_default_pool(self):
+        store = make_store("buffered", 16, cache_pages=None)
+        assert store.pool.capacity == DEFAULT_CACHE_PAGES
+        dense = DenseSequentialFile(backend="buffered", **GEOMETRY)
+        assert dense.store.pool.capacity == DEFAULT_CACHE_PAGES
+
+    @pytest.mark.parametrize("cache_pages", [0, -2])
+    def test_make_store_refuses_an_empty_pool(self, cache_pages):
+        with pytest.raises(ConfigurationError, match="at least one frame"):
+            make_store("buffered", 16, cache_pages=cache_pages)
+
+    def test_dense_file_refuses_an_empty_pool(self):
+        with pytest.raises(ConfigurationError, match="at least one frame"):
+            DenseSequentialFile(backend="buffered", cache_pages=0, **GEOMETRY)
+
+    def test_buffered_disk_refusal_closes_the_file_it_created(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.storage.backend import DiskStore
+
+        created = []
+        create = DiskStore.create
+
+        def recording_create(*args, **kwargs):
+            created.append(create(*args, **kwargs))
+            return created[-1]
+
+        monkeypatch.setattr(DiskStore, "create", recording_create)
+        path = str(tmp_path / "empty-pool.dsf")
+        with pytest.raises(ConfigurationError, match="at least one frame"):
+            make_store("buffered", 16, d=8, D=40, path=path, cache_pages=0)
+        assert len(created) == 1 and created[0].closed
+
+    def test_readahead_without_a_cache_is_refused(self):
+        with pytest.raises(ConfigurationError, match="readahead"):
+            DenseSequentialFile(16, 2, 8, readahead=8)
+        with pytest.raises(ConfigurationError, match="readahead"):
+            make_store("memory", 16, readahead=4)
+
+    def test_disk_readahead_is_refused_before_the_file_exists(self, tmp_path):
+        path = tmp_path / "no-cache.dsf"
+        with pytest.raises(ConfigurationError, match="readahead"):
+            make_store("disk", 16, d=8, D=40, path=str(path), readahead=4)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("backend", ["memory", "disk", "buffered"])
+    def test_cache_pages_is_accepted_by_every_backend(self, backend, tmp_path):
+        # The stress harness passes cache_pages=8 whatever the stack.
+        path = str(tmp_path / "any.dsf") if backend == "disk" else None
+        store = make_store(backend, 16, d=8, D=40, path=path, cache_pages=8)
+        try:
+            assert store.readahead == 0
+            if backend == "buffered":
+                assert store.pool.capacity == 8
+        finally:
+            store.close()

@@ -76,7 +76,7 @@ from typing import Any, Callable, List, NoReturn, Optional, Tuple
 from . import benchmark
 from .analysis.heatmap import fill_summary, occupancy_bar, occupancy_legend
 from .analysis.stats import flatten_counters
-from .core.errors import ReproError
+from .core.errors import ConfigurationError, ReproError
 from .persistent import JournaledDenseFile, PersistentDenseFile
 from .storage.codec import CodecError
 from .storage.ondisk import CorruptPageError
@@ -140,7 +140,8 @@ def _add_backend(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--readahead", type=int, default=0,
         help="scan readahead window for --backend buffered "
-        "(prefetch up to K upcoming pages on stream retrievals)",
+        "(prefetch up to K upcoming pages on stream retrievals); "
+        "refused on the other backends, which have no page cache",
     )
 
 
@@ -564,6 +565,11 @@ def _pending_replay(args, out) -> bool:
 
 
 def _dispatch(args, argv: List[str], out) -> int:
+    if getattr(args, "readahead", 0) and args.backend != "buffered":
+        raise ConfigurationError(
+            f"--readahead prefetches into a page cache; the {args.backend} "
+            "backend has none (use --backend buffered)"
+        )
     if args.command == "create":
         common = dict(
             num_pages=args.pages,

@@ -135,8 +135,7 @@ class CalibratorTree:
         path of ``dest_page`` strictly below the least common ancestor
         of the two pages, ordered leaf-first.
         """
-        # Hot inside SHIFT: the range test is inlined (same predicate as
-        # contains_page) so the walk costs no method calls per level.
+        # SHIFT's reference: CONTROL 2 fuses this walk into its own.
         nodes = []
         lo = self.lo
         hi = self.hi
@@ -189,24 +188,15 @@ class CalibratorTree:
             if son >= 0:
                 count[inner] = count[son] + count[right[inner]]
 
-    def transfer(
-        self,
-        source_page: int,
-        dest_page: int,
-        moved: int,
-        dest_nodes: Optional[List[int]] = None,
-    ) -> List[int]:
+    def transfer(self, source_page: int, dest_page: int, moved: int) -> List[int]:
         """Account for ``moved`` records moving between two pages.
 
         Returns the node ids whose counters changed (those on exactly one
-        of the two leaf-to-root paths).  ``dest_nodes`` lets a caller
-        that already computed ``nodes_separating(dest_page, source_page)``
-        (SHIFT does, for its guards) pass it in instead of walking the
-        tree a second time.
+        of the two leaf-to-root paths).  CONTROL 2's SHIFT moves its
+        counters itself; this is the reference it must equal.
         """
         count = self.count
-        if dest_nodes is None:
-            dest_nodes = self.nodes_separating(dest_page, source_page)
+        dest_nodes = self.nodes_separating(dest_page, source_page)
         changed = list(dest_nodes)
         for node in dest_nodes:
             count[node] += moved

@@ -19,6 +19,7 @@ Orientation conventions (matching the paper):
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from operator import sub
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -161,27 +162,32 @@ class Control2Engine(BaseEngine):
         side).  Rolling ``DEST(y)`` back to the near boundary of
         ``RANGE(f_w)`` puts ``y``'s sweep in position to repair anything
         the new sweep may later undo.
+
+        The candidates, warning nodes whose father is a proper ancestor
+        of ``father``, are found by a range test over the flagged set
+        (normally 0-2 nodes): ranges nest, and no son's range equals its
+        father's.  Each roll-back touches only its own DEST, so the
+        order of the set does not matter.
         """
         tree = self.calibrator
-        lo = tree.lo[father]
-        hi = tree.hi[father]
-        ancestor = tree.parent[father]
-        while ancestor >= 0:
-            for candidate in (tree.left[ancestor], tree.right[ancestor]):
-                if candidate < 0 or not self.calibrator.flag[candidate]:
-                    continue
-                dest = self.destinations.get(candidate)
-                if dest is None:
-                    continue
-                if tree.is_right_child(candidate):
-                    # Roll-back rule 1: leftward sweep.
-                    if lo + 1 <= dest <= hi:
-                        self.destinations[candidate] = lo
-                else:
-                    # Roll-back rule 0: rightward sweep.
-                    if lo <= dest <= hi - 1:
-                        self.destinations[candidate] = hi
-            ancestor = tree.parent[ancestor]
+        lo, hi, parent = tree.lo, tree.hi, tree.parent
+        low = lo[father]
+        high = hi[father]
+        destinations = self.destinations
+        for candidate in tree.flagged_set:
+            above = parent[candidate]
+            if above < 0 or above == father or lo[above] > low or hi[above] < high:
+                continue  # the root, a son of ``father``, or not above it
+            dest = destinations.get(candidate)
+            if dest is None:
+                continue
+            if tree.right[above] == candidate:
+                # Roll-back rule 1: leftward sweep.
+                if low + 1 <= dest <= high:
+                    destinations[candidate] = low
+            elif low <= dest <= high - 1:
+                # Roll-back rule 0: rightward sweep.
+                destinations[candidate] = high
 
     # ------------------------------------------------------------------
     # SELECT(L)
@@ -195,18 +201,6 @@ class Control2Engine(BaseEngine):
         warning descendant of ``alpha`` (smallest ``A-`` on depth ties).
         Returns ``None`` when no node is in a warning state.
         """
-        flagged = self.calibrator.flagged_set
-        if len(flagged) == 1:
-            # With exactly one warning node W (not the root, which
-            # ACTIVATE never flags), SELECT provably returns W for
-            # every leaf: alpha exists (the root has W as a proper
-            # descendant, and the leaf-to-root walk reaches it) and W
-            # is the only candidate in any alpha's subtree.  This skips
-            # the two tree walks on the commonest step-4 state — the
-            # single warning step 3 just raised.
-            for node in flagged:
-                if node:
-                    return node
         alpha = self.calibrator.lowest_ancestor_with_flagged_proper_descendant(
             leaf_page
         )
@@ -218,76 +212,86 @@ class Control2Engine(BaseEngine):
     # SHIFT(v)
     # ------------------------------------------------------------------
 
-    def _shift(self, node: int) -> List[int]:
+    def _shift(self, node: int) -> Tuple[int, ...]:
         """Perform one SHIFT on warning node ``node``.
 
-        Returns the list of calibrator nodes whose counters changed (the
-        set step 4c must re-examine).  Implements the three steps of the
-        paper's SHIFT: recompute SOURCE, move the maximal batch of
-        records allowed by the ``p(x) >= g(x, 0)`` guards, then advance
-        DEST past the least-depth saturated guard node.
+        Returns the calibrator nodes whose counters changed (the set step
+        4c must re-examine), or ``()`` when no move was attempted.
+        Implements the three steps of the paper's SHIFT: recompute
+        SOURCE, move the maximal batch of records allowed by the
+        ``p(x) >= g(x, 0)`` guards, then advance DEST past the
+        least-depth saturated guard node.
 
-        The source page's length is its leaf's rank counter: a leaf
-        spans one page, and the counter equals the page's record count
-        whenever SHIFT runs, because every command mutates its page
-        before bumping the path and :meth:`CalibratorTree.transfer`
-        follows every move (``validate()`` checks the two agree).  So
-        SHIFT asks the store for no page length.
+        SOURCE is one bisect of the non-empty directory; one walk up
+        DEST's path to the common ancestor gives ``UP(v)`` and its
+        headroom, and SOURCE's path below it loses the moved records (the
+        reference: ``CalibratorTree.nodes_separating``/``transfer``).
+        The source's length is its leaf counter (``validate()`` checks).
         """
         self.shift_calls += 1
         tree = self.calibrator
         father = tree.parent[node]
         dest = self.destinations[node]
-        moving_left = tree.is_right_child(node)  # DIR(v) == 1
+        lo, hi = tree.lo, tree.hi
+        nonempty = self.pagefile._nonempty
 
-        # --- step 1: SOURCE(v) -------------------------------------------
+        # --- step 1: SOURCE(v), 0 when RANGE(f_v) has none -----------------
+        moving_left = tree.right[father] == node  # DIR(v) == 1
         if moving_left:
-            source = self.pagefile.next_nonempty_right(dest)
-            if source is not None and source > tree.hi[father]:
-                source = None
+            index = bisect_right(nonempty, dest)
+            source = nonempty[index] if index < len(nonempty) else 0
+            if source > hi[father]:
+                source = 0
         else:
-            source = self.pagefile.next_nonempty_left(dest)
-            if source is not None and source < tree.lo[father]:
-                source = None
-        if source is None:
+            index = bisect_left(nonempty, dest)
+            source = nonempty[index - 1] if index else 0
+            if source < lo[father]:
+                source = 0
+        if not source:
             # Defensive: no records beyond DEST inside RANGE(f_v).  The
             # paper's preconditions make this unreachable; count it so
             # the test suite can assert that it never fires.
             self.stuck_shifts += 1
-            return []
+            return ()
         self.sources[node] = source
 
         # --- step 2: bounded record movement ------------------------------
-        guards = tree.nodes_separating(dest, source)  # the paper's UP(v)
-        # g(x, 0) as a record count: a guard's capacity.  UP(v) never
-        # holds the root, so every capacity is positive.
+        # g(x, 0) as a record count: a guard's capacity.  UP(v) always
+        # holds DEST's leaf, whose room starts the minimum.
         full_at = self._ge_thresholds[0]
         count = tree.count
-        headroom = None
-        for guard in guards:
+        up = tree.paths[dest]
+        headroom = full_at[up[0]] - count[up[0]]
+        for below, guard in enumerate(up):
+            if lo[guard] <= source <= hi[guard]:
+                break  # the lowest common ancestor: UP(v) is up[:below]
             room = full_at[guard] - count[guard]
-            if headroom is None or room < headroom:
+            if room < headroom:
                 headroom = room
-        movable = min(count[tree.leaf_of_page[source]], max(0, headroom))
-        changed: List[int] = []
+        guards = up[:below]
+        down = tree.paths[source]
+        losers = down[: len(down) - len(up) + below]
+        movable = min(count[down[0]], headroom)
+        changed: Tuple[int, ...] = ()
         if movable > 0:
             moved = self.pagefile.move_records(source, dest, movable)
             self.records_moved_total += moved
-            # ``guards`` is exactly nodes_separating(dest, source), so
-            # transfer can reuse it instead of re-walking the tree.
-            changed = tree.transfer(source, dest, moved, dest_nodes=guards)
+            for guard in guards:
+                count[guard] += moved
+            for loser in losers:
+                updated = count[loser] - moved
+                if updated < 0:
+                    raise UsageError(f"negative rank counter at node {loser}")
+                count[loser] = updated
+            changed = guards + losers
 
         # --- step 3: advance DEST past the saturated guard ----------------
-        saturated = None
         for guard in reversed(guards):  # shallowest first
             if count[guard] >= full_at[guard]:  # p(x) >= g(x, 0)
-                saturated = guard
+                self.destinations[node] = (
+                    hi[guard] + 1 if moving_left else lo[guard] - 1
+                )
                 break
-        if saturated is not None:
-            if moving_left:
-                self.destinations[node] = tree.hi[saturated] + 1
-            else:
-                self.destinations[node] = tree.lo[saturated] - 1
         return changed
 
     # ------------------------------------------------------------------
@@ -295,76 +299,47 @@ class Control2Engine(BaseEngine):
     # ------------------------------------------------------------------
 
     def _run_steps_2_to_4(self, page: int) -> None:
-        # This is the per-command maintenance loop — the single hottest
-        # code path in the repository — so it trades a little repetition
-        # for flatness: the moment listener is guarded inline, and the
-        # density tests read the precomputed per-node thresholds directly.
+        """Figure 2 steps 2-4 in the paper's order with a moment after
+        each: the reference the fused path below must match, run only
+        with a moment listener attached (the Figure 4 trace)."""
         tree = self.calibrator
-        path = tree.paths[page]
         listener = self.moment_listener
-        if listener is not None:
-            listener(STEP_1, self)
-
+        listener(STEP_1, self)
         # Step 2: lower warning flags that fell to p <= g(., 1/3).
-        flag = tree.flag
-        count = tree.count
-        if tree.flags_below[0]:
-            sparse_at = self._le_thresholds[1]
-            for node in path:
-                if flag[node] and count[node] <= sparse_at[node]:
-                    self._lower_flag(node)
-        if listener is not None:
-            listener(STEP_2, self)
-
+        self._lower_flags_if_sparse(tree.paths[page])
+        listener(STEP_2, self)
         # Step 3: raise warnings (deepest first, as in Example 5.2) for
-        # non-root, non-warning nodes that reached p >= g(., 2/3).  The
-        # pairs pre-resolve both the root exclusion and the per-node
-        # threshold; the count test runs first because it is the one
-        # that is almost always False.
+        # non-root, non-warning nodes that reached p >= g(., 2/3).
+        count = tree.count
+        flag = tree.flag
         for node, warn_limit in self._step3_pairs[page]:
             if count[node] >= warn_limit and not flag[node]:
                 self._activate(node)
-        if listener is not None:
-            listener(STEP_3, self)
-
-        # Step 4: J iterations of SELECT / SHIFT / flag-lowering.  The
-        # calibrator's O(1) flags_below[0] skips the O(log M) SELECT walk
-        # in the (common) flag-free steady state; the moment sequence is
-        # unchanged because SELECT returns None exactly then.
-        flags_below = tree.flags_below
-        if listener is None and not flags_below[0]:
-            # Flag-free steady state with nobody observing moments:
-            # the first SELECT would return None and break immediately.
-            return
+        listener(STEP_3, self)
+        # Step 4: J iterations of SELECT / SHIFT / flag-lowering.
         for _ in range(self._shift_budget):
-            target = self._select(page) if flags_below[0] else None
-            if listener is not None:
-                listener(STEP_4A, self)
+            target = self._select(page) if tree.flags_below[0] else None
+            listener(STEP_4A, self)
             if target is None:
                 break
             changed = self._shift(target)
-            if listener is not None:
-                listener(STEP_4B, self)
+            listener(STEP_4B, self)
             self._lower_flags_if_sparse(changed)
-            if listener is not None:
-                listener(STEP_4C, self)
+            listener(STEP_4C, self)
 
     # -- fused counter bump + maintenance ------------------------------
     #
-    # In the flag-free steady state (the overwhelmingly common one: a
-    # warning raised by step 3 is resolved by step 4 within the same
-    # command) the unfused sequence walks the calibrator path twice —
-    # once in ``add`` and once in the step-3 scan — and steps 2 and 4
-    # are no-ops.  The overrides below do both walks in one, with the
-    # same node order (leaf first, root last) and the same state
-    # transitions; any entry flag or attached moment listener falls
-    # back to the verbatim sequence.
+    # Without a listener a command makes one leaf-to-root pass that bumps
+    # each counter, then applies step 2 or step 3 to that node; step 4
+    # runs only with a warning up.  Against the paper's order the only
+    # difference is a deeper activation's roll-back moving the DEST of a
+    # shallower node that is then lowered, which drops that DEST.  A
+    # command that starts flag-free has no step 2 to apply.
 
     def _apply_insert(self, page: int) -> None:
         tree = self.calibrator
         if self.moment_listener is not None or tree.flags_below[0]:
-            tree.add(page, 1)
-            self._run_steps_2_to_4(page)
+            self._apply_warned(page, 1)
             return
         count = tree.count
         flag = tree.flag
@@ -382,8 +357,7 @@ class Control2Engine(BaseEngine):
     def _apply_delete(self, page: int) -> None:
         tree = self.calibrator
         if self.moment_listener is not None or tree.flags_below[0]:
-            tree.add(page, -1)
-            self._run_steps_2_to_4(page)
+            self._apply_warned(page, -1)
             return
         count = tree.count
         flag = tree.flag
@@ -403,17 +377,61 @@ class Control2Engine(BaseEngine):
         if activated:
             self._run_step_4_quiet(page)
 
+    def _apply_warned(self, page: int, delta: int) -> None:
+        """The pass for a command that starts with a warning up or under
+        a moment listener (which gets ``tree.add`` and the reference
+        :meth:`_run_steps_2_to_4` instead)."""
+        tree = self.calibrator
+        if self.moment_listener is not None:
+            tree.add(page, delta)
+            self._run_steps_2_to_4(page)
+            return
+        count = tree.count
+        flag = tree.flag
+        sparse_at = self._le_thresholds[1]
+        for node, warn_limit in self._step3_pairs[page]:
+            updated = count[node] + delta
+            if updated < 0:
+                raise UsageError(f"negative rank counter at node {node}")
+            count[node] = updated
+            if flag[node]:
+                if updated <= sparse_at[node]:
+                    self._lower_flag(node)
+            elif updated >= warn_limit:
+                self._activate(node)
+        updated = count[0] + delta
+        if updated < 0:
+            raise UsageError("negative rank counter at node 0")
+        count[0] = updated
+        if flag[0] and updated <= sparse_at[0]:
+            self._lower_flag(0)  # step 2 only: the root is never activated
+        if tree.flagged_set:
+            self._run_step_4_quiet(page)
+
     def _run_step_4_quiet(self, page: int) -> None:
-        """Figure 2 step 4 with no listener attached (fused-path tail)."""
-        flags_below = self.calibrator.flags_below
+        """Figure 2 step 4 with no listener attached, SELECT's
+        single-warning case and step 4c inlined."""
+        tree = self.calibrator
+        flagged = tree.flagged_set
+        flag = tree.flag
+        count = tree.count
+        sparse_at = self._le_thresholds[1]
         for _ in range(self._shift_budget):
-            if not flags_below[0]:
+            if not flagged:
                 break
-            target = self._select(page)
-            if target is None:
-                break
-            changed = self._shift(target)
-            self._lower_flags_if_sparse(changed)
+            # With one warning node W, not the root, SELECT returns W for
+            # every leaf: the root has W as a proper descendant, so alpha
+            # exists, and W is the only candidate under it.
+            target = 0
+            if len(flagged) == 1:
+                (target,) = flagged
+            if not target:
+                target = self._select(page)
+                if target is None:
+                    break
+            for node in self._shift(target):
+                if flag[node] and count[node] <= sparse_at[node]:
+                    self._lower_flag(node)
 
     def _after_bulk_delete(self, touched_pages) -> None:
         """Bulk analogue of step 2: lower flags over every touched path."""

@@ -9,6 +9,7 @@ scans, which is the workload the paper argues dense files exist for.
 
 from __future__ import annotations
 
+import os
 from typing import Iterator, List, Optional
 
 from ..records import Record
@@ -51,7 +52,10 @@ def build_engine(
     :func:`~repro.storage.backend.make_store` with ``path`` /
     ``cache_pages`` / ``overwrite``), or passed ready-made as
     ``store`` — every engine is backend-agnostic, so the logical page
-    accesses the paper bounds are identical on all of them.
+    accesses the paper bounds are identical on all of them.  With a
+    ready-made ``store``, a ``backend`` other than the default, a
+    ``path``, ``cache_pages`` or ``readahead`` that the store contradicts
+    raises :class:`ConfigurationError` rather than going unused.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(
@@ -86,6 +90,8 @@ def build_engine(
             f"store has {store.num_pages} pages but the engine needs "
             f"{engine_params.num_pages}"
         )
+    else:
+        _refuse_store_conflicts(store, backend, path, cache_pages, readahead)
     if algorithm == "control1":
         return Control1Engine(params, model=model, store=store)
     if not use_macro:
@@ -93,6 +99,34 @@ def build_engine(
     return MacroBlockControl2Engine(
         num_pages, d, D, j=j, model=model, store=store
     )
+
+
+def _refuse_store_conflicts(
+    store: PageStore,
+    backend: str,
+    path: Optional[str],
+    cache_pages: Optional[int],
+    readahead: int,
+) -> None:
+    """Refuse a store-building option that a ready-made ``store``
+    contradicts; an option at its default asks for nothing."""
+    layer, held_path = store, None
+    while layer is not None and held_path is None:
+        held_path, layer = getattr(layer, "path", None), getattr(layer, "inner", None)
+    pool = getattr(store, "pool", None)
+    conflicts = [name for name, clash in (
+        ("backend", backend not in ("memory", store.name)),
+        ("path", path is not None and (
+            held_path is None or os.path.abspath(path) != os.path.abspath(held_path)
+        )),
+        ("cache_pages", cache_pages not in (None, getattr(pool, "capacity", None))),
+        ("readahead", readahead not in (0, store.readahead)),
+    ) if clash]
+    if conflicts:
+        raise ConfigurationError(
+            f"{', '.join(conflicts)} contradicts the given {store.name} "
+            "store; pass the store alone"
+        )
 
 
 class DenseSequentialFile:

@@ -163,6 +163,24 @@ class BufferPool:
         self._admit((page,), kind == WRITE, False)
         return False
 
+    def move_hits(self, source: int, dest: int) -> bool:
+        """A SHIFT move's three touches (read ``source``, write ``dest``,
+        write ``source``) as one step, ending exactly as the three
+        :meth:`access` hits would, when both pages are resident and read;
+        returns False, having touched nothing, otherwise."""
+        frames = self._frames
+        if source not in frames or dest not in frames:
+            return False
+        prefetched = self._prefetched
+        if prefetched and (source in prefetched or dest in prefetched):
+            return False
+        self.stats.hits += 3
+        frames.move_to_end(dest)
+        frames[dest] = True
+        frames.move_to_end(source)
+        frames[source] = True
+        return True
+
     def prefetch(self, pages: Iterable[int]) -> int:
         """Speculatively fault a window of ``pages`` in, in order, without
         counting a hit or miss; returns the number faulted in.
@@ -240,17 +258,18 @@ class BufferPool:
         return admitted
 
     def flush(self) -> int:
-        """Write back every dirty frame; returns the number written."""
-        written = 0
-        for page, dirty in self._frames.items():
-            if dirty:
-                written += 1
-                if self.on_writeback is not None:
-                    self.on_writeback(page)
-        self.stats.physical_writes += written
-        for page in list(self._frames):
-            self._frames[page] = False
-        return written
+        """Write back every dirty frame, least recently used first;
+        returns the number written.  A frame is counted and marked clean
+        once its ``on_writeback`` returns, so a raising hook leaves the
+        counters equal to the completed write-backs."""
+        frames = self._frames
+        dirty_pages = [page for page, dirty in frames.items() if dirty]
+        for page in dirty_pages:
+            if self.on_writeback is not None:
+                self.on_writeback(page)
+            self.stats.physical_writes += 1
+            frames[page] = False
+        return len(dirty_pages)
 
     @property
     def frames(self) -> Mapping[int, bool]:

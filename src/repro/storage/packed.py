@@ -40,7 +40,7 @@ import sys
 from typing import Any, List, Optional
 
 from ..records import Record
-from .codec import CodecError, decode_page, encode_page
+from .codec import _TAG_INT, _TAG_U32, CodecError, decode_page, encode_value
 from .page import Page
 
 PAGE_FORMAT_OBJECT = 0
@@ -155,10 +155,11 @@ def encode_records_image(records: List[Record]) -> bytes:
 
 def _encode_columns(keys: List[Any], values: List[Any]) -> bytes:
     if keys:
-        packed = _pack_keys(keys)
-        if packed is not None:
-            value_section = _pack_values(values)
-            if value_section is not None:
+        # Values first: an unpackable column fails on its first value.
+        value_section = _pack_values(values)
+        if value_section is not None:
+            packed = _pack_keys(keys)
+            if packed is not None:
                 page_format, key_section = packed
                 flags = _FLAG_HAS_VALUES if value_section else 0
                 return (
@@ -166,9 +167,21 @@ def _encode_columns(keys: List[Any], values: List[Any]) -> bytes:
                     + key_section
                     + value_section
                 )
-    return bytes([PAGE_FORMAT_OBJECT]) + encode_page(
-        list(map(Record, keys, values))
-    )
+    # The object image, byte for byte PAGE_FORMAT_OBJECT then
+    # encode_page(records), built from the columns with plain ints inline.
+    out: List[bytes] = [_TAG_U32.pack(PAGE_FORMAT_OBJECT, len(keys))]
+    append = out.append
+    for pair in zip(keys, values):
+        for item in pair:
+            if type(item) is int:
+                payload = item.to_bytes(
+                    (item.bit_length() + 8) // 8, "little", signed=True
+                )
+                append(_TAG_U32.pack(_TAG_INT, len(payload)))
+                append(payload)
+            else:
+                encode_value(item, out)
+    return b"".join(out)
 
 
 def _unpack_keys(

@@ -232,3 +232,94 @@ def test_a_failing_cell_run_is_none(abtest, tmp_path):
     (package / "__main__.py").write_text("raise SystemExit(1)\n")
     out = str(tmp_path / "cell.json")
     assert abtest.run_cell(str(tmp_path), "mixed", "memory", 0, out) is None
+
+
+# ----------------------------------------------------------------------
+# repeated --workload and the bounds verdict
+# ----------------------------------------------------------------------
+
+
+def bounded_rows(abtest, base_ops, change_ops, base_p50, change_p50):
+    base = [result(ops, p50) for ops, p50 in zip(base_ops, base_p50)]
+    change = [result(ops, p50) for ops, p50 in zip(change_ops, change_p50)]
+    return abtest.summarize(base, change, METRICS)
+
+
+def test_rows_carry_their_bound(abtest):
+    ops, p50 = bounded_rows(abtest, [100], [100], [90], [90])
+    assert ops.bound == 0.1 and p50.bound == 0.1
+    [row] = abtest.summarize([result(100, 90)], [result(100, 90)],
+                             [{"name": "ops_per_s", "better": "higher"}])
+    assert row.bound is None and not abtest.past_bound(row)
+
+
+@pytest.mark.parametrize("change_ops, change_p50, breached", [
+    ([95, 96, 94], [95, 96, 97], []),  # 5% slower, ~7% higher p50: within
+    ([89, 89, 88], [90, 90, 90], ["ops_per_s"]),  # 11% fewer ops/s
+    ([100, 100, 100], [100, 99, 101], ["latency_p50_us"]),  # p50 +11.1%
+    ([120, 121, 119], [80, 81, 79], []),  # better on both
+])
+def test_past_bound_is_the_rejection_rule(abtest, change_ops, change_p50,
+                                          breached):
+    rows = bounded_rows(abtest, [100, 100, 100], change_ops, [90, 90, 90],
+                        change_p50)
+    assert [row.name for row in rows if abtest.past_bound(row)] == breached
+
+
+def test_exactly_at_the_bound_is_within(abtest):
+    ops, p50 = bounded_rows(abtest, [100], [90], [90], [99])
+    assert not abtest.past_bound(ops) and not abtest.past_bound(p50)
+
+
+def test_bounds_verdict_names_every_breach_by_workload(abtest):
+    good = bounded_rows(abtest, [100] * 3, [101] * 3, [90] * 3, [89] * 3)
+    slow = bounded_rows(abtest, [100] * 3, [80] * 3, [90] * 3, [90] * 3)
+    assert abtest.bounds_verdict({"a": good, "b": good}) == "bounds: within"
+    verdict = abtest.bounds_verdict({"a": good, "b": slow})
+    assert verdict.startswith("bounds: EXCEEDED ")
+    assert "b ops_per_s -20.0% (bound 10%)" in verdict
+    assert "a " not in verdict
+
+
+def report_tree(tmp_path, body):
+    """A stand-in checkout whose ``bench/run.py`` runs ``body``."""
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json, sys\n"
+        "args = sys.argv[1:]\n"
+        "names = [args[i + 1] for i, a in enumerate(args) if a == '--workload']\n"
+        "out = args[args.index('--out') + 1]\n" + body
+    )
+    return str(tmp_path)
+
+
+def test_run_once_runs_every_workload_in_one_report(abtest, tmp_path):
+    tree = report_tree(tmp_path, (
+        "report = {'workloads': {name: dict(ops=len(name), failed=0)\n"
+        "                        for name in names + ['other']}}\n"
+        "json.dump(report, open(out, 'w'))\n"
+    ))
+    found = abtest.run_once(tree, ["scan_mixed", "cluster_rpc"], 0,
+                            str(tmp_path / "out.json"))
+    assert found == {"scan_mixed": {"ops": 10, "failed": 0},
+                     "cluster_rpc": {"ops": 11, "failed": 0}}
+
+
+def test_run_once_fails_when_any_workload_failed(abtest, tmp_path):
+    tree = report_tree(tmp_path, (
+        "report = {'workloads': {name: dict(failed=int(name == 'b'))\n"
+        "                        for name in names}}\n"
+        "json.dump(report, open(out, 'w'))\n"
+    ))
+    assert abtest.run_once(tree, ["a"], 0, str(tmp_path / "a.json")) == {
+        "a": {"failed": 0}
+    }
+    assert abtest.run_once(tree, ["a", "b"], 0, str(tmp_path / "b.json")) is None
+
+
+def test_workload_is_repeatable(abtest, capsys):
+    # Both workloads parse; the bad claim is what stops the run.
+    with pytest.raises(SystemExit):
+        abtest.main(["HEAD", "--workload", "scan_mixed", "--workload",
+                     "cluster_rpc", "--claim", "nope"])
+    assert "not an end-to-end metric" in capsys.readouterr().err

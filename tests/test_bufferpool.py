@@ -178,9 +178,12 @@ class ReferenceLRU:
         return admitted
 
     def flush(self):
+        """Write each dirty page back in LRU order, counting it and
+        marking it clean once its hook returned."""
         written = [page for page in self.order if self.dirty[page]]
         for page in written:
-            self._write_back(page)
+            self.hooks.writeback(page)
+            self.stats["physical_writes"] += 1
             self.dirty[page] = False
         return len(written)
 
@@ -215,6 +218,13 @@ FAULT_RAISES_PARTWAY = (
 WRITEBACK_RAISES_PARTWAY = (
     2, [("read", 1), ("write", 2), ("prefetch", [3, 4]), ("read", 4)], 4,
 )
+#: A flush whose second write-back raises (event 5: faults 1, 2, 3,
+#: then write-backs 2, 3): page 2 is written, counted and clean, page 3
+#: stays dirty, and the flush after it writes page 3 alone.
+FLUSH_RAISES_PARTWAY = (
+    3, [("write", 1), ("write", 2), ("write", 3), ("read", 1),
+        ("flush", 0), ("flush", 0)], 5,
+)
 
 
 def _step(target, kind, page):
@@ -238,9 +248,9 @@ def _outcome(target, kind, page):
 def _drive(capacity, operations, fail_at=None):
     """Run ``operations`` on a pool and the reference; compare each step.
 
-    With ``fail_at``, the ``fail_at``-th hook call of an access or a
-    prefetch raises on both sides (a flush never raises here), and the
-    comparison goes on from the state the failure left.
+    With ``fail_at``, the ``fail_at``-th hook call of an access, a
+    prefetch or a flush raises on both sides, and the comparison goes
+    on from the state the failure left.
     """
     hooks = Hooks(fail_at)
     pool = BufferPool(
@@ -248,14 +258,17 @@ def _drive(capacity, operations, fail_at=None):
     )
     reference = ReferenceLRU(capacity, Hooks(fail_at))
     for kind, page in operations:
-        hooks.armed = reference.hooks.armed = kind != "flush"
-        before = pool.stats.prefetches
+        before = pool.stats.prefetches, pool.stats.physical_writes
         outcome = _outcome(pool, kind, page)
         assert outcome == _outcome(reference, kind, page)
-        if outcome[0] == "raised" and kind == "prefetch":
-            partway = pool.stats.prefetches - before > 1
+        if outcome[0] == "raised" and kind in ("prefetch", "flush"):
+            counted = (
+                pool.stats.prefetches - before[0] > 1
+                if kind == "prefetch"
+                else pool.stats.physical_writes > before[1]
+            )
             reference.fired.add(
-                f"{outcome[1][0]}-raises" + ("-partway" if partway else "")
+                f"{kind}-{outcome[1][0]}-raises" + ("-partway" if counted else "")
             )
         assert asdict(pool.stats) == reference.stats
         assert list(pool.frames.items()) == [
@@ -286,6 +299,7 @@ class TestAgainstReferenceLRU:
     )
     @example(*FAULT_RAISES_PARTWAY)
     @example(*WRITEBACK_RAISES_PARTWAY)
+    @example(*FLUSH_RAISES_PARTWAY)
     def test_a_raising_hook_leaves_the_reference_state(
         self, capacity, operations, fail_at
     ):
@@ -296,8 +310,11 @@ class TestAgainstReferenceLRU:
         assert "prefetch-writeback" in _drive(*PREFETCH_WRITEBACK)
         assert "decline-partway" in _drive(*DECLINE_PARTWAY)
         assert "writeback-partway" in _drive(*WRITEBACK_PARTWAY)
-        assert "fault-raises-partway" in _drive(*FAULT_RAISES_PARTWAY)
-        assert "writeback-raises-partway" in _drive(*WRITEBACK_RAISES_PARTWAY)
+        assert "prefetch-fault-raises-partway" in _drive(*FAULT_RAISES_PARTWAY)
+        assert "prefetch-writeback-raises-partway" in _drive(
+            *WRITEBACK_RAISES_PARTWAY
+        )
+        assert "flush-writeback-raises-partway" in _drive(*FLUSH_RAISES_PARTWAY)
 
     def test_pinned_windows_end_where_the_rules_say(self):
         faults, writebacks = [], []

@@ -384,3 +384,83 @@ class TestStoreConfiguration:
                 assert store.pool.capacity == 8
         finally:
             store.close()
+
+
+class TestReadyMadeStoreConflicts:
+    """A ready-made ``store=`` plus an option that contradicts it is
+    refused; options that describe the store, or are left at their
+    defaults, are accepted."""
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"readahead": 8},
+            {"cache_pages": 4},
+            {"path": "elsewhere.dsf"},
+            {"backend": "disk"},
+        ],
+        ids=lambda option: next(iter(option)),
+    )
+    def test_a_contradicting_option_is_refused(self, option):
+        with pytest.raises(ConfigurationError, match=next(iter(option))):
+            DenseSequentialFile(store=MemoryStore(64), **option, **GEOMETRY)
+
+    def test_options_that_describe_the_store_are_accepted(self, tmp_path):
+        store = BufferedStore(MemoryStore(64), capacity=4, readahead=8)
+        dense = DenseSequentialFile(
+            store=store, backend="buffered", cache_pages=4, readahead=8,
+            **GEOMETRY,
+        )
+        assert dense.store is store and dense.store.readahead == 8
+        path = str(tmp_path / "ready.dsf")
+        disk = make_store("buffered", 64, d=8, D=40, path=path, cache_pages=4)
+        try:
+            dense = DenseSequentialFile(store=disk, path=path, **GEOMETRY)
+            assert dense.store is disk
+        finally:
+            disk.close()
+
+    def test_defaults_ask_for_nothing(self):
+        store = BufferedStore(MemoryStore(64), capacity=4, readahead=8)
+        assert DenseSequentialFile(store=store, **GEOMETRY).store is store
+
+
+CLI_GEOMETRY = ["--pages", "16", "--low-density", "8", "--capacity", "40"]
+
+
+class TestCliRefusesReadaheadWithoutACache:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["create", "{path}", *CLI_GEOMETRY, "--readahead", "4"],
+            ["create", "{path}", *CLI_GEOMETRY, "--backend", "disk",
+             "--readahead", "4"],
+            ["info", "{path}", "--backend", "disk", "--readahead", "4"],
+            ["verify", "{path}", "--readahead", "4"],
+        ],
+        ids=["create-journaled", "create-disk", "info-disk", "verify-journaled"],
+    )
+    def test_readahead_off_the_buffered_backend_is_exit_1(self, tmp_path, argv):
+        import io
+
+        from repro.cli import EXIT_ERROR, main
+
+        path = str(tmp_path / "cli.dsf")
+        if argv[0] != "create":
+            assert main(["create", path, *CLI_GEOMETRY], out=io.StringIO()) == 0
+        out = io.StringIO()
+        argv = [part.format(path=path) for part in argv]
+        assert main(argv, out=out) == EXIT_ERROR
+        assert "--readahead prefetches into a page cache" in out.getvalue()
+
+    def test_buffered_backend_takes_the_window(self, tmp_path):
+        import io
+
+        from repro.cli import main
+
+        path = str(tmp_path / "cli.dsf")
+        assert main(["create", path, *CLI_GEOMETRY], out=io.StringIO()) == 0
+        out = io.StringIO()
+        assert main(["info", path, "--backend", "buffered", "--cache-pages",
+                     "4", "--readahead", "4"], out=out) == 0
+        assert "readahead: window 4" in out.getvalue()

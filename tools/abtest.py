@@ -1,9 +1,9 @@
-"""A/B-test two revisions on one workload of the repository benchmark,
-or on one cell of ``repro bench``.
+"""A/B-test two revisions on workloads of the repository benchmark, or
+on one cell of ``repro bench``.
 
 Usage:
-    python tools/abtest.py BASE [CHANGE] --workload W --pairs N [--seed S]
-                           [--claim METRIC]
+    python tools/abtest.py BASE [CHANGE] --workload W [--workload W2 ...]
+                           --pairs N [--seed S] [--claim METRIC]
     python tools/abtest.py BASE [CHANGE] --cell SCENARIO/BACKEND --pairs N
                            [--seed S] [--claim ops_per_sec]
 
@@ -13,13 +13,17 @@ revision exported the same way, or a directory holding a checkout; it
 defaults to this working tree.  The tool runs ``N`` pairs, one run in
 each tree, alternating which side goes first.
 
-``--workload W`` runs ``python3 bench/run.py --workload W --seed S
---out FILE`` and prints, for every end-to-end metric of
+``--workload W`` (repeatable) runs ``python3 bench/run.py --workload W
+... --seed S --out FILE``, every named workload in one run per side, and
+prints one table per workload: for every end-to-end metric of
 ``BENCHMARK.json``, the base median, the base interquartile range, the
 change median, the change in percent and how many pairs the change won,
 then whether the exact counts (``accesses_per_cmd``,
 ``max_accesses_per_cmd``, ``write_bytes_per_cmd``) were identical
-across every run.
+across every run.  A last ``bounds`` line applies the benchmark's
+rejection rule: ``within`` when no metric's change median is worse than
+its base median by more than the metric's ``bound``, else ``EXCEEDED``
+and every metric past its bound.
 
 ``--cell SCENARIO/BACKEND`` runs one in-process cell of the package's
 own matrix, ``python -m repro bench --scenario SCENARIO --bench-backend
@@ -28,13 +32,14 @@ BACKEND --seed S --out FILE`` with the tree's ``src`` on
 prints the same summary for the cell's ``ops_per_sec``, and its exact
 count is the cell's ``page_accesses``.
 
-``--claim METRIC`` adds a verdict line for one of the metrics printed:
-``gain`` when the change won every pair but at most one, its median
-beats the base median by more than the base interquartile range, and
-the exact counts are identical; ``no gain`` otherwise.
+``--claim METRIC`` adds a verdict line per table for one of the metrics
+printed: ``gain`` when the change won every pair but at most one, its
+median beats the base median by more than the base interquartile range,
+and the exact counts are identical; ``no gain`` otherwise.
 
-Exit status: 0 when every run succeeded, the exact counts agree and a
-claimed gain held; 1 otherwise.
+Exit status: 0 when every run succeeded, the exact counts agree, every
+metric stayed within its bound and every claimed gain held; 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -70,6 +75,9 @@ class Row:
     change_median: float
     delta_pct: float
     wins: int
+    #: The largest allowed worsening, as a fraction of the base median
+    #: (``BENCHMARK.json``'s ``bound``); None when the metric has none.
+    bound: Optional[float] = None
 
 
 def iqr(values: Sequence[float]) -> float:
@@ -104,8 +112,32 @@ def summarize(
             delta_pct=100.0 * (change_median - base_median) / base_median
             if base_median else 0.0,
             wins=sum(sign * (n - o) > 0 for o, n in zip(old, new)),
+            bound=metric.get("bound"),
         ))
     return rows
+
+
+def past_bound(row: Row) -> bool:
+    """Whether the change median is worse than the base median by more
+    than the row's bound (the benchmark's rejection rule)."""
+    if row.bound is None or not row.base_median:
+        return False
+    sign = 1 if row.better == "higher" else -1
+    worsening = sign * (row.base_median - row.change_median) / abs(row.base_median)
+    return worsening > row.bound
+
+
+def bounds_verdict(tables: Dict[str, List[Row]]) -> str:
+    """The ``bounds`` line over every workload's rows."""
+    breaches = [
+        f"{label} {row.name} {row.delta_pct:+.1f}% (bound {100 * row.bound:g}%)"
+        for label, rows in tables.items()
+        for row in rows
+        if past_bound(row)
+    ]
+    if breaches:
+        return "bounds: EXCEEDED " + "; ".join(breaches)
+    return "bounds: within"
 
 
 def exact_identical(
@@ -158,11 +190,16 @@ def export(revision: str, dest: str) -> str:
     return dest
 
 
-def run_once(tree: str, workload: str, seed: int, out: str) -> Optional[Dict[str, Any]]:
-    """One ``bench/run.py`` run in ``tree``; its workload result, or None."""
+def run_once(
+    tree: str, workloads: Sequence[str], seed: int, out: str
+) -> Optional[Dict[str, Dict[str, Any]]]:
+    """One ``bench/run.py`` run of ``workloads`` in ``tree``; each
+    workload's result by name, or None."""
+    command = [sys.executable, os.path.join(tree, "bench", "run.py")]
+    for workload in workloads:
+        command += ["--workload", workload]
     done = subprocess.run(
-        [sys.executable, os.path.join(tree, "bench", "run.py"),
-         "--workload", workload, "--seed", str(seed), "--out", out],
+        command + ["--seed", str(seed), "--out", out],
         cwd=tree, stdout=subprocess.DEVNULL,
     )
     if done.returncode != 0 or not os.path.exists(out):
@@ -170,12 +207,13 @@ def run_once(tree: str, workload: str, seed: int, out: str) -> Optional[Dict[str
               file=sys.stderr)
         return None
     with open(out) as handle:
-        result = json.load(handle)["workloads"][workload]
-    if result["failed"]:
-        print(f"abtest: {result['failed']} commands failed in {tree}",
-              file=sys.stderr)
-        return None
-    return result
+        results = json.load(handle)["workloads"]
+    for workload in workloads:
+        if results[workload]["failed"]:
+            print(f"abtest: {results[workload]['failed']} {workload} commands "
+                  f"failed in {tree}", file=sys.stderr)
+            return None
+    return {workload: results[workload] for workload in workloads}
 
 
 def cell_result(report: Dict[str, Any], scenario: str, backend: str) -> Dict[str, Any]:
@@ -218,13 +256,14 @@ def run_cell(
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Alternating A/B pairs of bench/run.py on one workload, "
+        description="Alternating A/B pairs of bench/run.py on workloads, "
         "or of repro bench on one cell.")
     parser.add_argument("base", help="git revision of the base")
     parser.add_argument("change", nargs="?", default=ROOT,
                         help="git revision or directory (default: this tree)")
     target = parser.add_mutually_exclusive_group(required=True)
-    target.add_argument("--workload")
+    target.add_argument("--workload", action="append",
+                        help="a bench/run.py workload (repeatable)")
     target.add_argument("--cell", metavar="SCENARIO/BACKEND",
                         help="one cell of repro bench, e.g. stream_scan/buffered")
     parser.add_argument("--pairs", type=int, default=5)
@@ -238,50 +277,67 @@ def main(argv: Optional[List[str]] = None) -> int:
         scenario, _, backend = args.cell.partition("/")
         if not scenario or not backend or "/" in backend:
             parser.error("--cell takes SCENARIO/BACKEND")
-        label, metrics, exact, kind = args.cell, CELL_METRICS, CELL_EXACT, "a cell"
+        labels, metrics, exact, kind = [args.cell], CELL_METRICS, CELL_EXACT, "a cell"
         headline = "ops_per_sec"
 
-        def run(tree: str, out: str) -> Optional[Dict[str, Any]]:
-            return run_cell(tree, scenario, backend, args.seed, out)
+        def run(tree: str, out: str) -> Optional[Dict[str, Dict[str, Any]]]:
+            result = run_cell(tree, scenario, backend, args.seed, out)
+            return None if result is None else {args.cell: result}
     else:
         with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
             metrics = json.load(handle)["end_to_end"]
-        label, exact, kind = args.workload, EXACT, "an end-to-end"
+        labels = list(dict.fromkeys(args.workload))
+        exact, kind = EXACT, "an end-to-end"
         headline = "ops_per_s"
 
-        def run(tree: str, out: str) -> Optional[Dict[str, Any]]:
-            return run_once(tree, args.workload, args.seed, out)
+        def run(tree: str, out: str) -> Optional[Dict[str, Dict[str, Any]]]:
+            return run_once(tree, labels, args.seed, out)
     if args.claim and args.claim not in [metric["name"] for metric in metrics]:
         parser.error(f"--claim {args.claim} is not {kind} metric")
+    results: Dict[str, Dict[str, List[Dict[str, Any]]]] = {
+        label: {"base": [], "change": []} for label in labels
+    }
     with tempfile.TemporaryDirectory(prefix="abtest-") as scratch:
         trees = {"base": export(args.base, os.path.join(scratch, "base"))}
         trees["change"] = (
             args.change if os.path.isdir(args.change)
             else export(args.change, os.path.join(scratch, "change"))
         )
-        results: Dict[str, List[Dict[str, Any]]] = {"base": [], "change": []}
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for side in order:
                 out = os.path.join(scratch, f"{side}-{pair}.json")
-                result = run(trees[side], out)
-                if result is None:
+                found = run(trees[side], out)
+                if found is None:
                     return 1
-                results[side].append(result)
-                print(f"pair {pair + 1}/{args.pairs} {side:6} {headline} "
-                      f"{result['metrics'][headline]['value']:.6g}",
-                      file=sys.stderr)
-    identical = exact_identical(results["base"] + results["change"], exact)
-    rows = summarize(results["base"], results["change"], metrics)
-    print(f"abtest {label}: {args.pairs} pairs, seed {args.seed}, "
+                for label in labels:
+                    results[label][side].append(found[label])
+                    print(f"pair {pair + 1}/{args.pairs} {side:6} {label} "
+                          f"{headline} "
+                          f"{found[label]['metrics'][headline]['value']:.6g}",
+                          file=sys.stderr)
+    print(f"abtest: {args.pairs} pairs, seed {args.seed}, "
           f"base {args.base} vs change {args.change}")
-    print(render(rows, args.pairs, identical, exact))
-    if args.claim:
-        row = next(row for row in rows if row.name == args.claim)
-        held = gain(row, args.pairs, identical)
-        print(f"claim {args.claim}: {'gain' if held else 'no gain'}")
-        return 0 if held else 1
-    return 0 if identical else 1
+    status = 0
+    tables: Dict[str, List[Row]] = {}
+    for label in labels:
+        base, change = results[label]["base"], results[label]["change"]
+        identical = exact_identical(base + change, exact)
+        rows = tables[label] = summarize(base, change, metrics)
+        print(f"== {label}")
+        print(render(rows, args.pairs, identical, exact))
+        status |= not identical
+        if args.claim:
+            row = next(row for row in rows if row.name == args.claim)
+            held = gain(row, args.pairs, identical)
+            print(f"claim {args.claim}: {'gain' if held else 'no gain'}")
+            status |= not held
+    if not args.cell:
+        verdict = bounds_verdict(tables)
+        print(verdict)
+        status |= verdict != "bounds: within"
+    return int(status)
+
 
 if __name__ == "__main__":
     sys.exit(main())

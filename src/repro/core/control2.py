@@ -31,6 +31,10 @@ from .params import DensityParams
 from .trace import STEP_1, STEP_2, STEP_3, STEP_4A, STEP_4B, STEP_4C
 
 
+def _no_moment(moment: str, engine: "Control2Engine") -> None:
+    """The moment listener of an engine that has none."""
+
+
 class Control2Engine(BaseEngine):
     """The paper's headline algorithm, CONTROL 2."""
 
@@ -299,11 +303,15 @@ class Control2Engine(BaseEngine):
     # ------------------------------------------------------------------
 
     def _run_steps_2_to_4(self, page: int) -> None:
-        """Figure 2 steps 2-4 in the paper's order with a moment after
-        each: the reference the fused path below must match, run only
-        with a moment listener attached (the Figure 4 trace)."""
+        """Figure 2 steps 2-4 in the paper's order, after ``tree.add``.
+
+        A command that starts with a warning up runs this, and step 4
+        is :meth:`_run_step_4_quiet`.  With a moment listener attached it
+        is the reference the fused path must match: a moment after each
+        step (the Figure 4 trace) and step 4 spelled out.
+        """
         tree = self.calibrator
-        listener = self.moment_listener
+        listener = self.moment_listener or _no_moment
         listener(STEP_1, self)
         # Step 2: lower warning flags that fell to p <= g(., 1/3).
         self._lower_flags_if_sparse(tree.paths[page])
@@ -316,6 +324,9 @@ class Control2Engine(BaseEngine):
             if count[node] >= warn_limit and not flag[node]:
                 self._activate(node)
         listener(STEP_3, self)
+        if listener is _no_moment:
+            self._run_step_4_quiet(page)
+            return
         # Step 4: J iterations of SELECT / SHIFT / flag-lowering.
         for _ in range(self._shift_budget):
             target = self._select(page) if tree.flags_below[0] else None
@@ -329,17 +340,20 @@ class Control2Engine(BaseEngine):
 
     # -- fused counter bump + maintenance ------------------------------
     #
-    # Without a listener a command makes one leaf-to-root pass that bumps
-    # each counter, then applies step 2 or step 3 to that node; step 4
-    # runs only with a warning up.  Against the paper's order the only
-    # difference is a deeper activation's roll-back moving the DEST of a
-    # shallower node that is then lowered, which drops that DEST.  A
-    # command that starts flag-free has no step 2 to apply.
+    # In the flag-free steady state (the overwhelmingly common one: a
+    # warning raised by step 3 is resolved by step 4 within the same
+    # command) the unfused sequence walks the calibrator path twice —
+    # once in ``add`` and once in the step-3 scan — and steps 2 and 4
+    # are no-ops.  The overrides below do both walks in one, with the
+    # same node order (leaf first, root last) and the same state
+    # transitions; any entry flag or attached moment listener falls
+    # back to the verbatim sequence.
 
     def _apply_insert(self, page: int) -> None:
         tree = self.calibrator
         if self.moment_listener is not None or tree.flags_below[0]:
-            self._apply_warned(page, 1)
+            tree.add(page, 1)
+            self._run_steps_2_to_4(page)
             return
         count = tree.count
         flag = tree.flag
@@ -357,7 +371,8 @@ class Control2Engine(BaseEngine):
     def _apply_delete(self, page: int) -> None:
         tree = self.calibrator
         if self.moment_listener is not None or tree.flags_below[0]:
-            self._apply_warned(page, -1)
+            tree.add(page, -1)
+            self._run_steps_2_to_4(page)
             return
         count = tree.count
         flag = tree.flag
@@ -375,37 +390,6 @@ class Control2Engine(BaseEngine):
             raise UsageError("negative rank counter at node 0")
         count[0] = updated
         if activated:
-            self._run_step_4_quiet(page)
-
-    def _apply_warned(self, page: int, delta: int) -> None:
-        """The pass for a command that starts with a warning up or under
-        a moment listener (which gets ``tree.add`` and the reference
-        :meth:`_run_steps_2_to_4` instead)."""
-        tree = self.calibrator
-        if self.moment_listener is not None:
-            tree.add(page, delta)
-            self._run_steps_2_to_4(page)
-            return
-        count = tree.count
-        flag = tree.flag
-        sparse_at = self._le_thresholds[1]
-        for node, warn_limit in self._step3_pairs[page]:
-            updated = count[node] + delta
-            if updated < 0:
-                raise UsageError(f"negative rank counter at node {node}")
-            count[node] = updated
-            if flag[node]:
-                if updated <= sparse_at[node]:
-                    self._lower_flag(node)
-            elif updated >= warn_limit:
-                self._activate(node)
-        updated = count[0] + delta
-        if updated < 0:
-            raise UsageError("negative rank counter at node 0")
-        count[0] = updated
-        if flag[0] and updated <= sparse_at[0]:
-            self._lower_flag(0)  # step 2 only: the root is never activated
-        if tree.flagged_set:
             self._run_step_4_quiet(page)
 
     def _run_step_4_quiet(self, page: int) -> None:

@@ -54,8 +54,9 @@ def build_engine(
     ``store`` — every engine is backend-agnostic, so the logical page
     accesses the paper bounds are identical on all of them.  With a
     ready-made ``store``, a ``backend`` other than the default, a
-    ``path``, ``cache_pages`` or ``readahead`` that the store contradicts
-    raises :class:`ConfigurationError` rather than going unused.
+    ``path``, ``cache_pages`` or ``readahead`` that the store contradicts,
+    or ``overwrite=True``, raises :class:`ConfigurationError` rather than
+    going unused.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(
@@ -91,7 +92,9 @@ def build_engine(
             f"{engine_params.num_pages}"
         )
     else:
-        _refuse_store_conflicts(store, backend, path, cache_pages, readahead)
+        _refuse_store_conflicts(
+            store, backend, path, cache_pages, readahead, overwrite
+        )
     if algorithm == "control1":
         return Control1Engine(params, model=model, store=store)
     if not use_macro:
@@ -107,9 +110,11 @@ def _refuse_store_conflicts(
     path: Optional[str],
     cache_pages: Optional[int],
     readahead: int,
+    overwrite: bool,
 ) -> None:
     """Refuse a store-building option that a ready-made ``store``
-    contradicts; an option at its default asks for nothing."""
+    contradicts; an option at its default asks for nothing, and
+    ``overwrite`` asks for a store this call no longer builds."""
     layer, held_path = store, None
     while layer is not None and held_path is None:
         held_path, layer = getattr(layer, "path", None), getattr(layer, "inner", None)
@@ -121,6 +126,7 @@ def _refuse_store_conflicts(
         )),
         ("cache_pages", cache_pages not in (None, getattr(pool, "capacity", None))),
         ("readahead", readahead not in (0, store.readahead)),
+        ("overwrite", overwrite),
     ) if clash]
     if conflicts:
         raise ConfigurationError(
@@ -157,8 +163,10 @@ class DenseSequentialFile:
         memory otherwise).  The logical access counts the paper bounds
         are identical on every backend.
     store:
-        A ready-made :class:`~repro.storage.backend.PageStore`
-        (overrides ``backend``).
+        A ready-made :class:`~repro.storage.backend.PageStore`, used as
+        given: a ``backend``, ``path``, ``cache_pages`` or ``readahead``
+        it contradicts, or ``overwrite=True``, raises
+        :class:`ConfigurationError`.
 
     Examples
     --------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from typing import Any, List, Tuple
+from typing import Any, Iterable, List, Tuple
 
 from ..core.errors import ReproError
 from ..records import Record
@@ -183,12 +183,30 @@ def decode_record(buffer: bytes, offset: int) -> Tuple[Record, int]:
 
 def encode_page(records: List[Record]) -> bytes:
     """Serialize a whole page payload (count-prefixed record list)."""
-    # One flat chunk list and a single join for the whole page — the
-    # per-record encode_record/join round trip doubled the allocations.
-    out: List[bytes] = [_U32.pack(len(records))]
-    for record in records:
-        encode_value(record.key, out)
-        encode_value(record.value, out)
+    return _encode_pairs(len(records), records)
+
+
+def encode_columns(keys: List[Any], values: List[Any]) -> bytes:
+    """:func:`encode_page` over a page's key and value columns: the same
+    bytes, with no :class:`Record` list built."""
+    return _encode_pairs(len(keys), zip(keys, values))
+
+
+def _encode_pairs(count: int, pairs: Iterable[Tuple[Any, Any]]) -> bytes:
+    # One flat chunk list and a single join for the whole page; plain
+    # ints, the common key and value, are encoded inline.
+    out: List[bytes] = [_U32.pack(count)]
+    append = out.append
+    for pair in pairs:
+        for item in pair:
+            if type(item) is int:
+                payload = item.to_bytes(
+                    (item.bit_length() + 8) // 8, "little", signed=True
+                )
+                append(_TAG_U32.pack(_TAG_INT, len(payload)))
+                append(payload)
+            else:
+                encode_value(item, out)
     return b"".join(out)
 
 

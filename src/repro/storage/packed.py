@@ -40,7 +40,7 @@ import sys
 from typing import Any, List, Optional
 
 from ..records import Record
-from .codec import _TAG_INT, _TAG_U32, CodecError, decode_page, encode_value
+from .codec import CodecError, decode_page, encode_columns
 from .page import Page
 
 PAGE_FORMAT_OBJECT = 0
@@ -54,6 +54,7 @@ PAGE_FORMATS = (
     PAGE_FORMAT_F64,
     PAGE_FORMAT_STR,
 )
+_OBJECT_PREFIX = bytes([PAGE_FORMAT_OBJECT])
 
 #: format byte, flags, reserved, record count
 _PACKED_HEADER = struct.Struct("<BBHI")
@@ -167,21 +168,7 @@ def _encode_columns(keys: List[Any], values: List[Any]) -> bytes:
                     + key_section
                     + value_section
                 )
-    # The object image, byte for byte PAGE_FORMAT_OBJECT then
-    # encode_page(records), built from the columns with plain ints inline.
-    out: List[bytes] = [_TAG_U32.pack(PAGE_FORMAT_OBJECT, len(keys))]
-    append = out.append
-    for pair in zip(keys, values):
-        for item in pair:
-            if type(item) is int:
-                payload = item.to_bytes(
-                    (item.bit_length() + 8) // 8, "little", signed=True
-                )
-                append(_TAG_U32.pack(_TAG_INT, len(payload)))
-                append(payload)
-            else:
-                encode_value(item, out)
-    return b"".join(out)
+    return _OBJECT_PREFIX + encode_columns(keys, values)
 
 
 def _unpack_keys(

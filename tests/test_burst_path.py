@@ -1,9 +1,9 @@
 """CONTROL 2's listener-less burst path against its reference.
 
-The path that runs when no moment listener is attached fuses Figure 2
-into one leaf-to-root pass per command (counter, step 2, step 3 per
-node), inlines SELECT's single-warning case and step 4c into step 4,
-walks SHIFT's two paths itself instead of calling
+The path that runs when no moment listener is attached fuses a
+flag-free command's counter bump with step 3, inlines SELECT's
+single-warning case and step 4c into step 4, walks SHIFT's two paths
+itself instead of calling
 ``CalibratorTree.nodes_separating``/``transfer``, rolls sweeps back
 over the flagged set only, and makes a SHIFT move's three pool touches
 in one step when both frames are resident and read.  A moment listener
@@ -17,12 +17,13 @@ switches all of that off: the command then takes ``tree.add`` and
   calibrator's ``nodes_separating``/``transfer`` and the pool's
   three-touch shortcut switched off, comparing the whole algorithm
   state, the meter and the pool after every command;
-* the object-format column encoder against ``encode_page`` byte for
-  byte.
+* ``encode_page`` and the column encoder against a value-by-value
+  reference, byte for byte.
 """
 
 import hashlib
 import random
+import struct
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -40,7 +41,7 @@ from repro.core.invariants import (
 )
 from repro.core.trace import MomentRecorder
 from repro.records import Record
-from repro.storage.codec import encode_page
+from repro.storage.codec import encode_columns, encode_page, encode_value
 from repro.storage.packed import (
     PAGE_FORMAT_OBJECT,
     decode_page_image,
@@ -366,9 +367,9 @@ BURSTS = st.lists(
     max_size=8,
 )
 
-#: Pinned mixes (found by a seeded search) that reach the rules the
-#: fused pass reorders: a roll-back inside a command that started with
-#: a warning up, and a step-2 lowering beside several warnings.
+#: Pinned mixes (found by a seeded search) that reach a roll-back
+#: inside a command that started with a warning up, and a step-2
+#: lowering beside several warnings, before the inlined step 4.
 ROLL_BACK = (
     "memory", 1, [("descending", 18, 15), ("descending", 8, 18)], 0,
     [1, 0, 1, 0, 0, 1, 0, 1, 6, 4, 4, 3, 3, 6, 5, 6],
@@ -451,6 +452,16 @@ VALUES = st.recursive(
 )
 
 
+def reference_encode_page(records):
+    """The page payload built value by value through ``encode_value``,
+    the generic tag path with no inline int case."""
+    out = [struct.pack("<I", len(records))]
+    for record in records:
+        encode_value(record.key, out)
+        encode_value(record.value, out)
+    return b"".join(out)
+
+
 class TestObjectColumnEncoder:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -465,9 +476,12 @@ class TestObjectColumnEncoder:
         size = min(len(keys), len(values))
         keys, values = keys[:size], values[:size]
         records = list(map(Record, keys, values))
+        page = encode_page(records)
+        assert page == reference_encode_page(records)
+        assert encode_columns(keys, values) == page
         image = encode_records_image(records)
         if image[0] == PAGE_FORMAT_OBJECT:
-            assert image == bytes([PAGE_FORMAT_OBJECT]) + encode_page(records)
+            assert image == bytes([PAGE_FORMAT_OBJECT]) + page
         assert decode_page_image(image) == records
 
     def test_int_values_take_the_object_format(self):

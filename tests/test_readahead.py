@@ -398,6 +398,7 @@ class TestReadyMadeStoreConflicts:
             {"cache_pages": 4},
             {"path": "elsewhere.dsf"},
             {"backend": "disk"},
+            {"overwrite": True},
         ],
         ids=lambda option: next(iter(option)),
     )

@@ -51,7 +51,7 @@ from ..core.errors import (
 )
 from ..storage.codec import CodecError
 from .store import ShardedDenseFile
-from .transport import recv_frames
+from .transport import arm_timeouts, recv_frames
 from .wire import decode_bytes, encode_frame, error_response, ok_response
 
 #: Error classes whose outcome means the write was NOT applied — these
@@ -68,6 +68,10 @@ NOT_APPLIED_ERRORS = (
 
 #: Operations that mutate state (idempotency tokens apply to these).
 MUTATING_OPS = frozenset({"insert", "delete"})
+
+#: Seconds a connection may sit idle, or block on a send, before the
+#: server drops it.  Armed in the kernel once per connection.
+IDLE_TIMEOUT = 30.0
 
 
 class IdempotencyTable:
@@ -505,7 +509,10 @@ class ClusterServer:
     def _serve_connection(self, conn: socket.socket) -> None:
         pending = b""
         try:
-            conn.settimeout(30.0)
+            # A blocking socket with the idle timeout in the kernel:
+            # each read and write is one system call, with no poll.
+            conn.settimeout(None)
+            arm_timeouts(conn, int(IDLE_TIMEOUT * 1_000_000))
             while not self._stopping.is_set():
                 # Every complete frame in the buffer is served, in
                 # order, before the next read.
@@ -513,9 +520,10 @@ class ClusterServer:
                 for frame in frames:
                     conn.sendall(self.handle_frame(frame))
         except OSError:
-            # Reset, timeout, the peer leaving or a bad frame header
-            # (both network errors are OSErrors): connection-scoped,
-            # the server drops this stream and keeps serving.
+            # Reset, an idle timeout (BlockingIOError), the peer
+            # leaving or a bad frame header (both network errors are
+            # OSErrors): connection-scoped, the server drops this
+            # stream and keeps serving.
             return
         finally:
             try:

@@ -7,9 +7,13 @@ connection:
 :class:`SocketChannel`
     A real TCP connection (used by ``repro serve`` deployments and the
     networked benchmark cell).  A response normally arrives in one
-    ``recv``; reads carry a socket timeout, so a stalled peer surfaces
-    as :class:`~repro.core.errors.OperationTimeout` raw material
-    (``socket.timeout``) rather than a hang.
+    ``recv``.  The socket is a plain blocking one whose timeouts live
+    in the kernel (``SO_RCVTIMEO``/``SO_SNDTIMEO``), armed only when
+    the budget's 10 ms step changes, so an exchange is one ``send``
+    and one ``recv`` with no ``poll`` beside them.  A stalled peer
+    makes the call fail with ``BlockingIOError`` (``EAGAIN``), which
+    is wrapped as :class:`~repro.core.errors.TransientNetworkError`
+    rather than left to hang.
 :class:`LocalChannel`
     Calls the server's dispatcher in-process, byte-for-byte through the
     same encode/decode path.  The chaos harness wraps this one in a
@@ -17,14 +21,21 @@ connection:
     are deterministic and wall-clock-free.
 
 Failures that mean *the connection is gone* (reset, refused, truncated
-stream) raise :class:`~repro.core.errors.TransientNetworkError`; the
-client's retry loop reconnects and retries those while the deadline
-budget lasts.
+stream, a kernel timeout) raise
+:class:`~repro.core.errors.TransientNetworkError`; the client's retry
+loop reconnects and retries those while the deadline budget lasts.
+
+A kernel timeout is a ``struct timeval``, packed natively as two C
+``long`` values (seconds, microseconds).  That is its layout on Linux and
+the BSDs, and on 64-bit little-endian macOS, whose 4-byte
+``tv_usec`` is the low half of the second ``long``.  Windows, which
+takes a ``DWORD`` of milliseconds, is not covered.
 """
 
 from __future__ import annotations
 
 import socket
+import struct
 import threading
 from typing import Callable, List, Optional, Protocol, Tuple
 
@@ -34,6 +45,37 @@ from .wire import HEADER, frame_size
 #: Bytes asked of the kernel per read: any request or response the
 #: cluster makes in steady state fits, so one frame costs one read.
 RECV_SIZE = 65536
+
+#: Kernel timeouts are armed in whole steps of this many microseconds
+#: (10 ms): a budget is rounded down to its step, and the socket is
+#: re-armed only when the step changes.
+TIMEOUT_STEP_US = 10_000
+#: ``struct timeval`` as two native C longs (see the module docstring).
+_TIMEVAL = struct.Struct("@ll")
+
+
+def kernel_timeout_us(timeout: Optional[float]) -> int:
+    """The receive/send timeout to arm for a ``timeout``-second budget.
+
+    In microseconds, rounded down to a whole :data:`TIMEOUT_STEP_US`;
+    a budget under one step is kept exact.  ``None`` is 0, the
+    kernel's "no timeout"; a budget is never 0, or it would mean the
+    same, so the least one is 1 µs.
+    """
+    if timeout is None:
+        return 0
+    micros = int(timeout * 1_000_000)
+    if micros >= TIMEOUT_STEP_US:
+        return micros - micros % TIMEOUT_STEP_US
+    return max(micros, 1)
+
+
+def arm_timeouts(sock: socket.socket, micros: int) -> None:
+    """Set ``sock``'s kernel receive and send timeouts to ``micros``
+    (0 = none).  The socket must be blocking (``settimeout(None)``)."""
+    value = _TIMEVAL.pack(*divmod(micros, 1_000_000))
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, value)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, value)
 
 
 def recv_frames(
@@ -105,6 +147,8 @@ class SocketChannel:
     failure was surfaced — the caller decides whether to retry.  All
     socket-level errors are wrapped in :class:`TransientNetworkError`
     so the client's retry predicate stays a single isinstance check.
+    ``connects`` counts connections made and ``arms`` the times a
+    kernel timeout was set on one.
     """
 
     def __init__(self, host: str, port: int, connect_timeout: float = 5.0):
@@ -113,7 +157,10 @@ class SocketChannel:
         self.connect_timeout = connect_timeout
         self._mutex = threading.Lock()
         self._sock: Optional[socket.socket] = None
+        #: The kernel timeout armed on ``_sock``, in microseconds.
+        self._armed = 0
         self.connects = 0
+        self.arms = 0
 
     def _connect(self) -> socket.socket:
         try:
@@ -124,7 +171,16 @@ class SocketChannel:
             raise TransientNetworkError(
                 f"connect to {self.host}:{self.port} failed: {error}"
             ) from error
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        try:
+            # Blocking from here on: the kernel holds the timeouts.
+            sock.settimeout(None)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError as error:
+            sock.close()
+            raise TransientNetworkError(
+                f"setting up {self.host}:{self.port} failed: {error}"
+            ) from error
+        self._armed = 0
         self.connects += 1
         return sock
 
@@ -132,18 +188,27 @@ class SocketChannel:
         """Send one frame, read one framed response, return its bytes.
 
         ``timeout`` bounds every blocking socket call for this
-        exchange; expiry raises ``socket.timeout`` (an ``OSError``)
-        wrapped as :class:`TransientNetworkError` after the connection
-        is torn down, so the next attempt starts clean.  Only one
-        request is ever in flight, so bytes past the end of the
-        response frame are a :class:`WireProtocolError`.
+        exchange.  It is armed in the kernel, rounded down to a 10 ms
+        step (:func:`kernel_timeout_us`), so no call waits longer than
+        ``timeout`` nor more than one step less; the socket is re-armed
+        only when the step changes, so a stream of requests on the
+        same budget arms once.  ``None`` waits without limit.  Expiry
+        fails the call with ``BlockingIOError``, which is wrapped as
+        :class:`TransientNetworkError` after the connection is torn
+        down, so the next attempt starts clean.  Only one request is
+        ever in flight, so bytes past the end of the response frame
+        are a :class:`WireProtocolError`.
         """
         with self._mutex:
             if self._sock is None:
                 self._sock = self._connect()
             sock = self._sock
             try:
-                sock.settimeout(timeout)
+                micros = kernel_timeout_us(timeout)
+                if micros != self._armed:
+                    arm_timeouts(sock, micros)
+                    self._armed = micros
+                    self.arms += 1
                 sock.sendall(frame)
                 frames, rest = recv_frames(sock)
                 if len(frames) > 1 or rest:
@@ -156,7 +221,7 @@ class SocketChannel:
                 self._teardown()
                 raise
             except OSError as error:
-                # Socket timeouts and resets alike: the connection
+                # Kernel timeouts and resets alike: the connection
                 # state is unknown, so drop it and let the retry path
                 # reconnect instead of reading a stale stream.
                 self._teardown()

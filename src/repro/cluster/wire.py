@@ -55,7 +55,7 @@ import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import WireProtocolError
-from ..storage.codec import CodecError, decode_value, encode_value
+from ..storage.codec import CodecError, decode_value, encode_int, encode_value
 
 #: Frame header: magic, body length, CRC-32 of the body.
 HEADER = struct.Struct(">2sII")
@@ -75,6 +75,24 @@ _RESPONSE = struct.Struct("<BBH")
 _OK = 1
 _REPLAYED = 2
 _HAS_DETAIL = 4
+
+#: The point commands' argument names, each with its length byte.
+_ARG_HEADS = {
+    name: bytes((len(name),)) + name.encode("utf-8")
+    for name in ("key", "value")
+}
+
+
+def _encoded(value: Any) -> bytes:
+    out: List[bytes] = []
+    encode_value(value, out)
+    return b"".join(out)
+
+
+#: ``None`` in ``encode_value`` form, and the header of a two-item list,
+#: which a point command's ``[key, value]`` result starts with.
+_NONE_VALUE = _encoded(None)
+_PAIR_HEAD = _encoded([0, 0])[: -2 * len(encode_int(0))]
 
 #: What a mangled body can make the decoder raise; all of it becomes
 #: one WireProtocolError.  (CodecError and UnicodeDecodeError are
@@ -156,31 +174,46 @@ def _encode_request(body: Dict[str, Any]) -> bytes:
         token_raw,
     ]
     for name, value in args.items():
-        raw = name.encode("utf-8")
-        out.append(bytes((len(raw),)))
-        out.append(raw)
+        head = _ARG_HEADS.get(name)
+        if head is None:
+            raw = name.encode("utf-8")
+            head = bytes((len(raw),)) + raw
+        out.append(head)
         encode_value(value, out)
     return b"".join(out)
 
 
 def _encode_response(body: Dict[str, Any]) -> bytes:
     request_id = body["id"].encode("utf-8")
-    out: List[bytes] = [b"", request_id]
     if body.get("ok"):
         flags = _OK
-        encode_value(body.get("result"), out)
+        result = body.get("result")
+        # The point commands' results inline: None, or a [key, value]
+        # pair of ints (a bool is not an int here: it keeps its tag).
+        if result is None:
+            value = _NONE_VALUE
+        elif (
+            type(result) is list and len(result) == 2
+            and type(result[0]) is int and type(result[1]) is int
+        ):
+            value = _PAIR_HEAD + encode_int(result[0]) + encode_int(result[1])
+        else:
+            value = _encoded(result)
     else:
         flags = 0
-        encode_value(str(body.get("error", "ClusterError")), out)
-        encode_value(str(body.get("message", "")), out)
+        value = _encoded(str(body.get("error", "ClusterError"))) + _encoded(
+            str(body.get("message", ""))
+        )
         detail = body.get("detail")
         if detail:
             flags |= _HAS_DETAIL
-            encode_value(detail, out)
+            value += _encoded(detail)
     if body.get("replayed"):
         flags |= _REPLAYED
-    out[0] = _RESPONSE.pack(_KIND_RESPONSE, flags, len(request_id))
-    return b"".join(out)
+    return (
+        _RESPONSE.pack(_KIND_RESPONSE, flags, len(request_id))
+        + request_id + value
+    )
 
 
 def decode_bytes(data: bytes) -> Dict[str, Any]:

@@ -55,24 +55,28 @@ class CodecError(ReproError, ValueError):
     """
 
 
-def _encode_int(number: int, out: List[bytes]) -> None:
+def encode_int(number: int) -> bytes:
+    """One ``int`` in :func:`encode_value` form: the tag, a u32 length
+    and the shortest signed little-endian payload."""
     payload = number.to_bytes(
-        (number.bit_length() + 8) // 8 or 1, "little", signed=True
+        (number.bit_length() + 8) // 8, "little", signed=True
     )
-    out.append(_TAG_U32.pack(_TAG_INT, len(payload)))
-    out.append(payload)
+    return _TAG_U32.pack(_TAG_INT, len(payload)) + payload
 
 
 def encode_value(value: Any, out: List[bytes]) -> None:
     """Append the encoding of one value to ``out``."""
-    if value is None:
+    if type(value) is int:
+        # First: the common key and value (a bool keeps its own tag).
+        out.append(encode_int(value))
+    elif value is None:
         out.append(_NONE_BYTES)
     elif value is True:
         out.append(_TRUE_BYTES)
     elif value is False:
         out.append(_FALSE_BYTES)
     elif isinstance(value, int):
-        _encode_int(value, out)
+        out.append(encode_int(value))
     elif isinstance(value, float):
         out.append(_FLOAT_BYTES)
         out.append(_F64.pack(value))
@@ -85,8 +89,8 @@ def encode_value(value: Any, out: List[bytes]) -> None:
         out.append(value)
     elif isinstance(value, Fraction):
         out.append(_FRACTION_BYTES)
-        _encode_int(value.numerator, out)
-        _encode_int(value.denominator, out)
+        out.append(encode_int(value.numerator))
+        out.append(encode_int(value.denominator))
     elif isinstance(value, tuple):
         out.append(_TAG_U32.pack(_TAG_TUPLE, len(value)))
         for item in value:
@@ -113,12 +117,6 @@ def decode_value(buffer: bytes, offset: int) -> Tuple[Any, int]:
         raise CodecError("truncated value")
     tag = buffer[offset]
     offset += 1
-    if tag == _TAG_NONE:
-        return None, offset
-    if tag == _TAG_TRUE:
-        return True, offset
-    if tag == _TAG_FALSE:
-        return False, offset
     if tag == _TAG_INT:
         (length,) = _U32.unpack_from(buffer, offset)
         offset += 4
@@ -126,6 +124,12 @@ def decode_value(buffer: bytes, offset: int) -> Tuple[Any, int]:
         if len(payload) != length:
             raise CodecError("truncated int")
         return int.from_bytes(payload, "little", signed=True), offset + length
+    if tag == _TAG_NONE:
+        return None, offset
+    if tag == _TAG_TRUE:
+        return True, offset
+    if tag == _TAG_FALSE:
+        return False, offset
     if tag == _TAG_FLOAT:
         (value,) = _F64.unpack_from(buffer, offset)
         return value, offset + 8

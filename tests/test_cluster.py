@@ -10,6 +10,7 @@ harness's success / typed-failure / provably-not-applied trichotomy.
 import io
 import json
 import socket
+import struct
 import sys
 import threading
 import time
@@ -1273,6 +1274,177 @@ class TestSocketFraming:
                 client.insert(6, "ok")
                 assert client.search(6).value == "ok"
                 assert client.channel.connects == 1
+        finally:
+            server.stop()
+            sharded.close()
+
+
+class TestKernelTimeouts:
+    """Socket timeouts armed in the kernel, once per budget step."""
+
+    @staticmethod
+    def scripted_peer(answer_from):
+        """A listener that holds connections ``0 .. answer_from - 1``
+        open without a word and answers one ping on each later one."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.1)
+        stop = threading.Event()
+
+        def serve():
+            held = []
+            accepted = 0
+            while not stop.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except socket.timeout:
+                    continue
+                conn.settimeout(5.0)
+                held.append(conn)
+                accepted += 1
+                if accepted > answer_from:
+                    (frame,), _rest = recv_frames(conn)
+                    request = wire.decode_bytes(frame)
+                    conn.sendall(wire.encode_frame(
+                        wire.ok_response(request["id"], "pong")))
+            for conn in held:
+                conn.close()
+            listener.close()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+
+        def close():
+            stop.set()
+            thread.join(5.0)
+
+        return listener.getsockname(), close
+
+    @staticmethod
+    def receive_timeouts(monkeypatch):
+        """Record the socket's armed SO_RCVTIMEO as each response is read."""
+        from repro.cluster import transport
+
+        seen = []
+        original = transport.recv_frames
+
+        def spying(sock, pending=b""):
+            raw = sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, 16)
+            seconds, micros = struct.unpack("@ll", raw)
+            seen.append(seconds + micros / 1e6)
+            return original(sock, pending)
+
+        monkeypatch.setattr(transport, "recv_frames", spying)
+        return seen
+
+    PING = wire.encode_frame(wire.request("ping", "r1"))
+
+    def test_a_silent_peer_times_out_within_the_budget(self):
+        address, close = self.scripted_peer(answer_from=99)
+        channel = SocketChannel(*address)
+        try:
+            started = time.monotonic()
+            with pytest.raises(TransientNetworkError) as raised:
+                channel.request(self.PING, timeout=0.3)
+            elapsed = time.monotonic() - started
+            assert 0.3 - 0.01 <= elapsed <= 0.3 + 0.5
+            assert isinstance(raised.value.__cause__, BlockingIOError)
+            assert channel._sock is None  # torn down for a clean retry
+        finally:
+            channel.close()
+            close()
+
+    def test_a_budget_under_one_step_is_armed_never_as_zero(self, monkeypatch):
+        seen = self.receive_timeouts(monkeypatch)
+        address, close = self.scripted_peer(answer_from=99)
+        channel = SocketChannel(*address)
+        try:
+            for budget in (0.005, 1e-9):
+                with pytest.raises(TransientNetworkError):
+                    channel.request(self.PING, timeout=budget)
+            # The kernel keeps whole scheduler ticks, so the read-back
+            # may exceed the armed value by one tick, but never reads
+            # zero, which would mean "wait forever".
+            assert len(seen) == 2
+            assert all(0.0 < armed < 0.05 for armed in seen)
+        finally:
+            channel.close()
+            close()
+
+    def test_no_budget_leaves_no_kernel_timeout(self, monkeypatch):
+        seen = self.receive_timeouts(monkeypatch)
+        address, close = self.scripted_peer(answer_from=0)
+        channel = SocketChannel(*address)
+        try:
+            raw = channel.request(self.PING, timeout=None)
+            assert wire.decode_bytes(raw)["result"] == "pong"
+            assert seen == [0.0]
+            assert channel.arms == 0
+        finally:
+            channel.close()
+            close()
+
+    def test_a_stream_on_the_default_budget_arms_once(self):
+        sharded = ShardedDenseFile.build(num_shards=2, key_space=1000)
+        server = ClusterServer(sharded)
+        host, port = server.start()
+        # A frozen client clock: every call sees the same 30 s budget.
+        client = ClusterClient(SocketChannel(host, port),
+                               default_timeout=30.0, clock=FakeClock())
+        try:
+            for key in range(100):
+                client.insert(key, key)
+            for key in range(100):
+                assert client.search(key).value == key
+            assert client.channel.arms == 1
+            assert client.channel.connects == 1
+        finally:
+            client.close()
+            server.stop()
+            sharded.close()
+
+    def test_kernel_timeout_rounds_down_to_its_step(self):
+        from repro.cluster.transport import TIMEOUT_STEP_US, kernel_timeout_us
+
+        assert kernel_timeout_us(None) == 0
+        assert kernel_timeout_us(29.999_999) == 29_990_000
+        assert kernel_timeout_us(0.019_999) == 10_000
+        assert kernel_timeout_us(0.009_999) == 9_999
+        assert kernel_timeout_us(1e-9) == 1
+        for budget in (0.0, 1e-7, 0.003, 0.01, 0.25, 30.0):
+            armed = kernel_timeout_us(budget)
+            assert armed > 0
+            assert armed <= max(budget * 1e6, 1)
+            assert armed > budget * 1e6 - TIMEOUT_STEP_US
+
+    def test_a_rebuilt_connection_is_armed_again(self):
+        address, close = self.scripted_peer(answer_from=1)
+        channel = SocketChannel(*address)
+        try:
+            with pytest.raises(TransientNetworkError):
+                channel.request(self.PING, timeout=0.2)
+            raw = channel.request(self.PING, timeout=0.2)
+            assert wire.decode_bytes(raw)["result"] == "pong"
+            assert channel.connects == 2
+            assert channel.arms == 2
+        finally:
+            channel.close()
+            close()
+
+    def test_the_server_drops_an_idle_connection(self, monkeypatch):
+        from repro.cluster import server as server_module
+
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT", 0.2)
+        sharded = ShardedDenseFile.build(num_shards=1, key_space=10)
+        server = ClusterServer(sharded)
+        host, port = server.start()
+        try:
+            with socket.create_connection((host, port), timeout=5.0) as conn:
+                conn.sendall(self.PING)
+                (frame,), _ = recv_frames(conn)
+                assert wire.decode_bytes(frame)["result"] == "pong"
+                started = time.monotonic()
+                assert conn.recv(64) == b""  # closed by the server
+                assert 0.15 <= time.monotonic() - started < 3.0
         finally:
             server.stop()
             sharded.close()

@@ -7,9 +7,13 @@ that compares equal but comes back as another type (a tuple as a list,
 bytes as str) is a failure, on the client and in the server's store.
 """
 
+import struct
+import zlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import DenseSequentialFile
 from repro.cluster import (
@@ -27,6 +31,8 @@ from repro.cluster.wire import (
     request,
 )
 from repro.concurrent.file import ThreadSafeDenseFile
+from repro.core.errors import WireProtocolError
+from repro.storage.codec import encode_value
 
 KEY_FAMILIES = {
     "str": ["apple", "banana", "cherry", "date", "fig"],
@@ -170,3 +176,125 @@ def test_golden_frame_bytes(name):
     # calls), and the frame decodes back to the body, types included.
     assert encode_frame(body) == frame
     assert same(decode_bytes(bytes.fromhex(golden)), body)
+
+
+# ----------------------------------------------------------------------
+# the point-command fast path: same bytes as value-by-value encoding
+# ----------------------------------------------------------------------
+
+
+def reference_frame(body):
+    """The frame for ``body``, with one ``encode_value`` call per field.
+
+    Written from the layout in the wire module's docstring, with no
+    shortcut for any value shape; the encoder's inline paths for ints,
+    ``None`` and ``[key, value]`` pairs must give exactly these bytes.
+    """
+    out = []
+    if "op" in body:
+        op = body["op"].encode("utf-8")
+        request_id = body["id"].encode("utf-8")
+        token, budget = body.get("token"), body.get("budget")
+        token_raw = b"" if token is None else token.encode("utf-8")
+        args = body.get("args") or {}
+        flags = (token is not None) | (budget is not None) << 1
+        out.append(struct.pack(
+            "<BBdHHHB", 1, flags, 0.0 if budget is None else budget,
+            len(op), len(request_id), len(token_raw), len(args),
+        ))
+        out += [op, request_id, token_raw]
+        for name, value in args.items():
+            raw = name.encode("utf-8")
+            out += [bytes((len(raw),)), raw]
+            encode_value(value, out)
+    else:
+        request_id = body["id"].encode("utf-8")
+        values = []
+        if body.get("ok"):
+            flags = 1
+            encode_value(body.get("result"), values)
+        else:
+            flags = 0
+            encode_value(body["error"], values)
+            encode_value(body["message"], values)
+            if body.get("detail"):
+                flags |= 4
+                encode_value(body["detail"], values)
+        if body.get("replayed"):
+            flags |= 2
+        out += [struct.pack("<BBH", 2, flags, len(request_id)), request_id]
+        out += values
+    payload = b"".join(out)
+    return struct.pack(">2sII", b"DB", len(payload), zlib.crc32(payload)) + payload
+
+
+#: Ints at the edges of the payload lengths, then any int.
+INTS = st.one_of(
+    st.sampled_from([0, 1, -1, 2**63, -(2**63), 2**63 - 1, 2**200, -(2**200)]),
+    st.integers(),
+)
+SCALARS = st.one_of(INTS, st.booleans(), st.none(), st.text(max_size=8))
+VALUES_DRAWN = st.one_of(
+    SCALARS,
+    st.lists(SCALARS, max_size=3),
+    st.tuples(INTS, INTS).map(list),  # a point command's [key, value]
+    st.tuples(SCALARS, SCALARS).map(list),  # and look-alikes: [True, 1]
+)
+NAMES = st.sampled_from(["key", "value", "lo", "count", "\u00e9t\u00e9"])
+
+
+@st.composite
+def request_bodies(draw):
+    args = draw(st.dictionaries(NAMES, VALUES_DRAWN, max_size=3))
+    return request(
+        draw(st.sampled_from(["insert", "delete", "search", "scan"])),
+        draw(st.text(min_size=1, max_size=12)),
+        args=args,
+        token=draw(st.none() | st.text(max_size=12)),
+        budget=draw(st.none() | st.floats(0.0, 60.0)),
+    )
+
+
+@st.composite
+def response_bodies(draw):
+    request_id = draw(st.text(min_size=1, max_size=12))
+    if draw(st.booleans()):
+        body = ok_response(request_id, draw(VALUES_DRAWN))
+    else:
+        body = error_response(request_id, "DuplicateKeyError",
+                              draw(st.text(max_size=12)))
+    if draw(st.booleans()):
+        body["replayed"] = True
+    return body
+
+
+BODIES = st.one_of(request_bodies(), response_bodies())
+
+
+@settings(max_examples=300, deadline=None)
+@given(BODIES)
+def test_fast_path_encodes_the_reference_bytes(body):
+    assert encode_frame(body) == reference_frame(body)
+
+
+@settings(max_examples=300, deadline=None)
+@given(BODIES)
+def test_fast_path_decodes_exact_types(body):
+    # True stays a bool and 1 an int, in arguments, results and lists.
+    assert same(decode_bytes(encode_frame(body)), body)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from(["key", "value"]), INTS, min_size=1),
+       st.none() | st.text(max_size=6))
+def test_every_cut_or_flip_of_an_int_argument_frame_is_refused(args, token):
+    frame = encode_frame(request("insert", "r1", args=args, token=token,
+                                 budget=1.5))
+    for cut in range(len(frame)):
+        with pytest.raises(WireProtocolError):
+            decode_bytes(frame[:cut])
+    for bit in range(len(frame) * 8):
+        flipped = bytearray(frame)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(WireProtocolError):
+            decode_bytes(bytes(flipped))

@@ -228,18 +228,22 @@ def decode_bytes(data: bytes) -> Dict[str, Any]:
             f"{HEADER.size} bytes)"
         )
     magic, length, crc = HEADER.unpack_from(data)
-    _check_header(magic, length)
     end = HEADER.size + length
-    if len(data) < end:
-        raise WireProtocolError(
-            f"connection closed mid-body ({len(data) - HEADER.size} of "
-            f"{end - HEADER.size} bytes)"
-        )
-    if len(data) > end:
+    if magic != MAGIC or length > MAX_FRAME or len(data) != end:
+        _check_header(magic, length)
+        if len(data) < end:
+            raise WireProtocolError(
+                f"connection closed mid-body ({len(data) - HEADER.size} of "
+                f"{end - HEADER.size} bytes)"
+            )
         raise WireProtocolError(
             f"{len(data) - end} bytes after the end of the frame"
         )
-    if zlib.crc32(memoryview(data)[HEADER.size:]) != crc:
+    # A point command's body is a few dozen bytes, which a slice copies
+    # faster than a memoryview is made; a large body is not copied.
+    if zlib.crc32(
+        data[HEADER.size:] if length < 1024 else memoryview(data)[HEADER.size:]
+    ) != crc:
         raise WireProtocolError("frame body failed its CRC-32 check")
     try:
         kind = data[HEADER.size] if end > HEADER.size else None

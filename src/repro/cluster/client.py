@@ -276,6 +276,7 @@ class ClusterClient:
         )
         # prime() only adds breakers, so the lookup needs no mutex.
         breaker = None if shard_id is None else self._breakers.get(shard_id)
+        what = f"cluster {op}"
 
         def attempt() -> Any:
             # A spent client-side budget is not a shard failure: raise
@@ -284,7 +285,7 @@ class ClusterClient:
             # never contacted.  Past this point an OperationTimeout is
             # the server's answer.  The one clock reading also gives
             # the request's budget field and the socket timeout.
-            remaining = budget.left(f"cluster {op}")
+            remaining = budget.left(what)
             # Encode before admission too: an argument the wire cannot
             # carry raises the non-retryable CodecError here, without
             # touching the breaker or the network.
@@ -340,7 +341,7 @@ class ClusterClient:
             deadline=budget,
             sleep=self._sleep,
             counters=self.counters,
-            what=f"cluster {op}",
+            what=what,
         )
 
     # -- point operations ------------------------------------------------

@@ -94,6 +94,8 @@ def recv_frames(
     while len(data) < HEADER.size:
         data += _recv_some(sock, RECV_SIZE, len(data))
     end = frame_size(data)
+    if len(data) == end:
+        return [data], b""  # the common case: one read, one frame
     if len(data) < end:
         parts = [data]
         have = len(data)

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.errors import WireProtocolError
 from ..storage.codec import CodecError, decode_value, encode_int, encode_value
@@ -62,6 +62,9 @@ HEADER = struct.Struct(">2sII")
 MAGIC = b"DB"  # dense-file wire, binary bodies
 #: Hard cap on one frame's body; refuse before allocating.
 MAX_FRAME = 8 * 1024 * 1024
+#: A body shorter than this is CRC-checked from a copy: a point
+#: command's few dozen bytes copy faster than a memoryview is made.
+_COPY_BELOW = 1024
 
 _KIND_REQUEST = 1
 _KIND_RESPONSE = 2
@@ -219,8 +222,9 @@ def _encode_response(body: Dict[str, Any]) -> bytes:
 def decode_bytes(data: bytes) -> Dict[str, Any]:
     """Decode exactly one frame from a complete byte string.
 
-    Parses in place: offsets into ``data``, with no copy of the body;
-    only the strings and values themselves are materialized.
+    Parses in place: offsets into ``data``, with no copy of a body past
+    :data:`_COPY_BELOW` bytes; only the strings and values themselves
+    are materialized.
     """
     if len(data) < HEADER.size:
         raise WireProtocolError(
@@ -239,11 +243,11 @@ def decode_bytes(data: bytes) -> Dict[str, Any]:
         raise WireProtocolError(
             f"{len(data) - end} bytes after the end of the frame"
         )
-    # A point command's body is a few dozen bytes, which a slice copies
-    # faster than a memoryview is made; a large body is not copied.
-    if zlib.crc32(
-        data[HEADER.size:] if length < 1024 else memoryview(data)[HEADER.size:]
-    ) != crc:
+    body_bytes: Union[bytes, memoryview] = (
+        data[HEADER.size:] if length < _COPY_BELOW
+        else memoryview(data)[HEADER.size:]
+    )
+    if zlib.crc32(body_bytes) != crc:
         raise WireProtocolError("frame body failed its CRC-32 check")
     try:
         kind = data[HEADER.size] if end > HEADER.size else None

@@ -8,7 +8,7 @@ itself instead of calling
 over the flagged set only, and makes a SHIFT move's three pool touches
 in one step when both frames are resident and read.  A moment listener
 switches all of that off: the command then takes ``tree.add`` and
-``_run_steps_2_to_4``.  Three checks pin the fused path:
+``_run_steps_2_to_4``.  Four checks pin the fused path:
 
 * golden digests of ``hotspot_burst``-shaped runs (consecutive-key
   bursts into one gap, then shuffled deletes) taken before the fusion;
@@ -17,6 +17,10 @@ switches all of that off: the command then takes ``tree.add`` and
   calibrator's ``nodes_separating``/``transfer`` and the pool's
   three-touch shortcut switched off, comparing the whole algorithm
   state, the meter and the pool after every command;
+* generated mixes that reach roll-back rule 0 or 1 in most draws (a
+  shallow sweep, then an activation inside the range it crosses) and
+  a sweep followed by its sibling's activation, which no rule touches,
+  against the same reference;
 * ``encode_page`` and the column encoder against a value-by-value
   reference, byte for byte.
 """
@@ -603,8 +607,8 @@ VALUES = st.recursive(
 
 
 def reference_encode_page(records):
-    """The page payload built value by value through ``encode_value``,
-    the generic tag path with no inline int case."""
+    """The page payload built value by value, one ``encode_value``
+    call per key and per value."""
     out = [struct.pack("<I", len(records))]
     for record in records:
         encode_value(record.key, out)

@@ -37,6 +37,7 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import time
 from typing import Callable, List, Optional, Protocol, Tuple
 
 from ..core.errors import TransientNetworkError, WireProtocolError
@@ -70,28 +71,37 @@ def kernel_timeout_us(timeout: Optional[float]) -> int:
     return max(micros, 1)
 
 
-def arm_timeouts(sock: socket.socket, micros: int) -> None:
-    """Set ``sock``'s kernel receive and send timeouts to ``micros``
-    (0 = none).  The socket must be blocking (``settimeout(None)``)."""
+def arm_timeouts(
+    sock: socket.socket, micros: int, send: bool = True
+) -> None:
+    """Set ``sock``'s kernel receive timeout, and its send timeout
+    unless ``send`` is false, to ``micros`` (0 = none).  The socket
+    must be blocking (``settimeout(None)``)."""
     value = _TIMEVAL.pack(*divmod(micros, 1_000_000))
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, value)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, value)
+    if send:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, value)
 
 
 def recv_frames(
-    sock: socket.socket, pending: bytes = b""
+    sock: socket.socket,
+    pending: bytes = b"",
+    rearm: Optional[Callable[[socket.socket], None]] = None,
 ) -> Tuple[List[bytes], bytes]:
     """Read from ``sock`` until at least one whole frame is buffered.
 
     ``pending`` is what an earlier call left over.  Returns every
     complete frame in arrival order plus the bytes of the next,
     incomplete one.  A frame normally arrives in one ``recv``; a short
-    read is finished with reads of exactly the missing length.  A bad
-    header raises :class:`WireProtocolError`, and a peer that closes
-    first raises :class:`TransientNetworkError`.
+    read is finished with reads of exactly the missing length, each
+    after a call of ``rearm`` (if given), which may re-arm the receive
+    timeout.  A bad header raises :class:`WireProtocolError`, and a
+    peer that closes first raises :class:`TransientNetworkError`.
     """
     data = pending
     while len(data) < HEADER.size:
+        if data and rearm is not None:
+            rearm(sock)
         data += _recv_some(sock, RECV_SIZE, len(data))
     end = frame_size(data)
     if len(data) == end:
@@ -100,6 +110,8 @@ def recv_frames(
         parts = [data]
         have = len(data)
         while have < end:
+            if rearm is not None:
+                rearm(sock)
             chunk = _recv_some(sock, min(end - have, RECV_SIZE), have)
             parts.append(chunk)
             have += len(chunk)
@@ -159,8 +171,11 @@ class SocketChannel:
         self.connect_timeout = connect_timeout
         self._mutex = threading.Lock()
         self._sock: Optional[socket.socket] = None
-        #: The kernel timeout armed on ``_sock``, in microseconds.
+        #: The kernel timeout armed on ``_sock``, in microseconds; -1
+        #: when the receive and send timeouts differ.
         self._armed = 0
+        #: When the exchange in flight must end (``time.monotonic``).
+        self._deadline = 0.0
         self.connects = 0
         self.arms = 0
 
@@ -194,7 +209,10 @@ class SocketChannel:
         step (:func:`kernel_timeout_us`), so no call waits longer than
         ``timeout`` nor more than one step less; the socket is re-armed
         only when the step changes, so a stream of requests on the
-        same budget arms once.  ``None`` waits without limit.  Expiry
+        same budget arms once.  A response that needs more than one
+        read re-arms before each later read with what is left of
+        ``timeout``, so a peer that trickles bytes cannot stretch the
+        exchange past it.  ``None`` waits without limit.  Expiry
         fails the call with ``BlockingIOError``, which is wrapped as
         :class:`TransientNetworkError` after the connection is torn
         down, so the next attempt starts clean.  Only one request is
@@ -211,8 +229,12 @@ class SocketChannel:
                     arm_timeouts(sock, micros)
                     self._armed = micros
                     self.arms += 1
+                rearm: Optional[Callable[[socket.socket], None]] = None
+                if timeout is not None:
+                    self._deadline = time.monotonic() + timeout
+                    rearm = self._rearm
                 sock.sendall(frame)
-                frames, rest = recv_frames(sock)
+                frames, rest = recv_frames(sock, b"", rearm)
                 if len(frames) > 1 or rest:
                     extra = sum(map(len, frames[1:])) + len(rest)
                     raise WireProtocolError(
@@ -233,6 +255,15 @@ class SocketChannel:
             except BaseException:
                 self._teardown()
                 raise
+
+    def _rearm(self, sock: socket.socket) -> None:
+        """Arm the receive timeout with what is left of the exchange."""
+        left = self._deadline - time.monotonic()
+        if left <= 0.0:
+            raise TimeoutError("the budget ran out inside a response frame")
+        arm_timeouts(sock, kernel_timeout_us(left), send=False)
+        self._armed = -1  # the send timeout differs: arm both next time
+        self.arms += 1
 
     def _teardown(self) -> None:
         if self._sock is not None:

@@ -1316,6 +1316,40 @@ class TestKernelTimeouts:
         def close():
             stop.set()
             thread.join(5.0)
+            assert not thread.is_alive()
+
+        return listener.getsockname(), close
+
+    @staticmethod
+    def trickling_peer(gap):
+        """A listener that answers one ping a byte at a time, ``gap``
+        seconds apart."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        done = threading.Event()
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                (frame,), _rest = recv_frames(conn)
+                response = wire.encode_frame(
+                    wire.ok_response(wire.decode_bytes(frame)["id"], "pong"))
+                for index in range(len(response)):
+                    if done.wait(gap):
+                        break
+                    try:
+                        conn.send(response[index : index + 1])
+                    except OSError:
+                        break  # the client gave up and closed
+            listener.close()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+
+        def close():
+            done.set()
+            thread.join(5.0)
+            assert not thread.is_alive()
 
         return listener.getsockname(), close
 
@@ -1327,11 +1361,11 @@ class TestKernelTimeouts:
         seen = []
         original = transport.recv_frames
 
-        def spying(sock, pending=b""):
+        def spying(sock, *rest):
             raw = sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, 16)
             seconds, micros = struct.unpack("@ll", raw)
             seen.append(seconds + micros / 1e6)
-            return original(sock, pending)
+            return original(sock, *rest)
 
         monkeypatch.setattr(transport, "recv_frames", spying)
         return seen
@@ -1349,6 +1383,20 @@ class TestKernelTimeouts:
             assert 0.3 - 0.01 <= elapsed <= 0.3 + 0.5
             assert isinstance(raised.value.__cause__, BlockingIOError)
             assert channel._sock is None  # torn down for a clean retry
+        finally:
+            channel.close()
+            close()
+
+    def test_a_trickled_response_cannot_stretch_the_budget(self):
+        # 25 bytes 0.1 s apart would take 2.5 s; each read after the
+        # first is armed with what is left of the 0.3 s.
+        address, close = self.trickling_peer(gap=0.1)
+        channel = SocketChannel(*address)
+        try:
+            started = time.monotonic()
+            with pytest.raises(TransientNetworkError):
+                channel.request(self.PING, timeout=0.3)
+            assert 0.3 - 0.01 <= time.monotonic() - started <= 0.3 + 0.5
         finally:
             channel.close()
             close()

@@ -213,7 +213,8 @@ class SocketChannel:
         read re-arms before each later read with what is left of
         ``timeout``, so a peer that trickles bytes cannot stretch the
         exchange past it.  ``None`` waits without limit.  Expiry
-        fails the call with ``BlockingIOError``, which is wrapped as
+        fails the call with ``BlockingIOError`` (``TimeoutError`` when
+        the budget runs out between two reads), which is wrapped as
         :class:`TransientNetworkError` after the connection is torn
         down, so the next attempt starts clean.  Only one request is
         ever in flight, so bytes past the end of the response frame

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import WireProtocolError
 from ..storage.codec import CodecError, decode_value, encode_int, encode_value
@@ -62,9 +62,6 @@ HEADER = struct.Struct(">2sII")
 MAGIC = b"DB"  # dense-file wire, binary bodies
 #: Hard cap on one frame's body; refuse before allocating.
 MAX_FRAME = 8 * 1024 * 1024
-#: A body shorter than this is CRC-checked from a copy: a point
-#: command's few dozen bytes copy faster than a memoryview is made.
-_COPY_BELOW = 1024
 
 _KIND_REQUEST = 1
 _KIND_RESPONSE = 2
@@ -222,9 +219,8 @@ def _encode_response(body: Dict[str, Any]) -> bytes:
 def decode_bytes(data: bytes) -> Dict[str, Any]:
     """Decode exactly one frame from a complete byte string.
 
-    Parses in place: offsets into ``data``, with no copy of a body past
-    :data:`_COPY_BELOW` bytes; only the strings and values themselves
-    are materialized.
+    Parses in place: offsets into ``data``, with no copy of the body;
+    only the strings and values themselves are materialized.
     """
     if len(data) < HEADER.size:
         raise WireProtocolError(
@@ -232,22 +228,18 @@ def decode_bytes(data: bytes) -> Dict[str, Any]:
             f"{HEADER.size} bytes)"
         )
     magic, length, crc = HEADER.unpack_from(data)
+    _check_header(magic, length)
     end = HEADER.size + length
-    if magic != MAGIC or length > MAX_FRAME or len(data) != end:
-        _check_header(magic, length)
-        if len(data) < end:
-            raise WireProtocolError(
-                f"connection closed mid-body ({len(data) - HEADER.size} of "
-                f"{end - HEADER.size} bytes)"
-            )
+    if len(data) < end:
+        raise WireProtocolError(
+            f"connection closed mid-body ({len(data) - HEADER.size} of "
+            f"{end - HEADER.size} bytes)"
+        )
+    if len(data) > end:
         raise WireProtocolError(
             f"{len(data) - end} bytes after the end of the frame"
         )
-    body_bytes: Union[bytes, memoryview] = (
-        data[HEADER.size:] if length < _COPY_BELOW
-        else memoryview(data)[HEADER.size:]
-    )
-    if zlib.crc32(body_bytes) != crc:
+    if zlib.crc32(memoryview(data)[HEADER.size:]) != crc:
         raise WireProtocolError("frame body failed its CRC-32 check")
     try:
         kind = data[HEADER.size] if end > HEADER.size else None

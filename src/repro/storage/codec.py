@@ -153,16 +153,6 @@ def decode_value(buffer: bytes, offset: int) -> Tuple[Any, int]:
         offset += 4
         items = []
         for _ in range(arity):
-            if offset < len(buffer) and buffer[offset] == _TAG_INT:
-                # A plain int item inline: a [key, value] pair's shape.
-                (length,) = _U32.unpack_from(buffer, offset + 1)
-                start = offset + 5
-                offset = start + length
-                payload = buffer[start:offset]
-                if len(payload) != length:
-                    raise CodecError("truncated int")
-                items.append(int.from_bytes(payload, "little", signed=True))
-                continue
             item, offset = decode_value(buffer, offset)
             items.append(item)
         if tag == _TAG_TUPLE:

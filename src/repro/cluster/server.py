@@ -51,7 +51,7 @@ from ..core.errors import (
 )
 from ..storage.codec import CodecError
 from .store import ShardedDenseFile
-from .transport import arm_timeouts, recv_frames
+from .transport import arm_timeouts, recv_frames, require_timeval
 from .wire import decode_bytes, encode_frame, error_response, ok_response
 
 #: Error classes whose outcome means the write was NOT applied — these
@@ -465,7 +465,11 @@ class ClusterServer:
             return host, port
 
     def start(self, host: str = "127.0.0.1", port: int = 0) -> Tuple[str, int]:
-        """Bind and serve on a background thread; returns the address."""
+        """Bind and serve on a background thread; returns the address.
+
+        Refuses a platform whose socket timeouts are not a ``struct
+        timeval`` (see :mod:`repro.cluster.transport`)."""
+        require_timeval()
         with self._mutex:
             if self._listener is not None:
                 raise ConfigurationError("server is already listening")

@@ -28,19 +28,27 @@ loop reconnects and retries those while the deadline budget lasts.
 A kernel timeout is a ``struct timeval``, packed natively as two C
 ``long`` values (seconds, microseconds).  That is its layout on Linux and
 the BSDs, and on 64-bit little-endian macOS, whose 4-byte
-``tv_usec`` is the low half of the second ``long``.  Windows, which
-takes a ``DWORD`` of milliseconds, is not covered.
+``tv_usec`` is the low half of the second ``long``.  Windows takes a
+``DWORD`` of milliseconds instead, so there :func:`arm_timeouts`,
+:class:`SocketChannel` and the server refuse to start with
+:class:`~repro.core.errors.ConfigurationError` rather than arm a
+wrong timeout.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
+import sys
 import threading
 import time
 from typing import Callable, List, Optional, Protocol, Tuple
 
-from ..core.errors import TransientNetworkError, WireProtocolError
+from ..core.errors import (
+    ConfigurationError,
+    TransientNetworkError,
+    WireProtocolError,
+)
 from .wire import HEADER, frame_size
 
 #: Bytes asked of the kernel per read: any request or response the
@@ -51,8 +59,20 @@ RECV_SIZE = 65536
 #: (10 ms): a budget is rounded down to its step, and the socket is
 #: re-armed only when the step changes.
 TIMEOUT_STEP_US = 10_000
+#: :data:`TIMEOUT_STEP_US` in seconds.
+_STEP_S = TIMEOUT_STEP_US / 1_000_000
 #: ``struct timeval`` as two native C longs (see the module docstring).
 _TIMEVAL = struct.Struct("@ll")
+
+
+def require_timeval() -> None:
+    """Refuse a platform whose socket timeouts are not a ``struct
+    timeval`` (Windows) with :class:`ConfigurationError`."""
+    if sys.platform == "win32":
+        raise ConfigurationError(
+            "kernel socket timeouts are packed as a struct timeval, "
+            "which Windows does not take"
+        )
 
 
 def kernel_timeout_us(timeout: Optional[float]) -> int:
@@ -71,47 +91,35 @@ def kernel_timeout_us(timeout: Optional[float]) -> int:
     return max(micros, 1)
 
 
-def arm_timeouts(
-    sock: socket.socket, micros: int, send: bool = True
-) -> None:
-    """Set ``sock``'s kernel receive timeout, and its send timeout
-    unless ``send`` is false, to ``micros`` (0 = none).  The socket
-    must be blocking (``settimeout(None)``)."""
+def arm_timeouts(sock: socket.socket, micros: int) -> None:
+    """Set ``sock``'s kernel receive and send timeouts to ``micros``
+    (0 = none).  The socket must be blocking (``settimeout(None)``)."""
+    require_timeval()
     value = _TIMEVAL.pack(*divmod(micros, 1_000_000))
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, value)
-    if send:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, value)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, value)
 
 
 def recv_frames(
-    sock: socket.socket,
-    pending: bytes = b"",
-    rearm: Optional[Callable[[socket.socket], None]] = None,
+    sock: socket.socket, pending: bytes = b""
 ) -> Tuple[List[bytes], bytes]:
     """Read from ``sock`` until at least one whole frame is buffered.
 
     ``pending`` is what an earlier call left over.  Returns every
     complete frame in arrival order plus the bytes of the next,
     incomplete one.  A frame normally arrives in one ``recv``; a short
-    read is finished with reads of exactly the missing length, each
-    after a call of ``rearm`` (if given), which may re-arm the receive
-    timeout.  A bad header raises :class:`WireProtocolError`, and a
-    peer that closes first raises :class:`TransientNetworkError`.
+    read is finished with reads of exactly the missing length.  A bad
+    header raises :class:`WireProtocolError`, and a peer that closes
+    first raises :class:`TransientNetworkError`.
     """
     data = pending
     while len(data) < HEADER.size:
-        if data and rearm is not None:
-            rearm(sock)
         data += _recv_some(sock, RECV_SIZE, len(data))
     end = frame_size(data)
-    if len(data) == end:
-        return [data], b""  # the common case: one read, one frame
     if len(data) < end:
         parts = [data]
         have = len(data)
         while have < end:
-            if rearm is not None:
-                rearm(sock)
             chunk = _recv_some(sock, min(end - have, RECV_SIZE), have)
             parts.append(chunk)
             have += len(chunk)
@@ -166,16 +174,15 @@ class SocketChannel:
     """
 
     def __init__(self, host: str, port: int, connect_timeout: float = 5.0):
+        require_timeval()
         self.host = host
         self.port = port
         self.connect_timeout = connect_timeout
         self._mutex = threading.Lock()
         self._sock: Optional[socket.socket] = None
-        #: The kernel timeout armed on ``_sock``, in microseconds; -1
-        #: when the receive and send timeouts differ.
+        #: The kernel timeout (receive and send alike) armed on
+        #: ``_sock``, in microseconds.
         self._armed = 0
-        #: When the exchange in flight must end (``time.monotonic``).
-        self._deadline = 0.0
         self.connects = 0
         self.arms = 0
 
@@ -204,17 +211,18 @@ class SocketChannel:
     def request(self, frame: bytes, timeout: Optional[float] = None) -> bytes:
         """Send one frame, read one framed response, return its bytes.
 
-        ``timeout`` bounds every blocking socket call for this
-        exchange.  It is armed in the kernel, rounded down to a 10 ms
-        step (:func:`kernel_timeout_us`), so no call waits longer than
-        ``timeout`` nor more than one step less; the socket is re-armed
-        only when the step changes, so a stream of requests on the
-        same budget arms once.  A response that needs more than one
-        read re-arms before each later read with what is left of
-        ``timeout``, so a peer that trickles bytes cannot stretch the
-        exchange past it.  ``None`` waits without limit.  Expiry
-        fails the call with ``BlockingIOError`` (``TimeoutError`` when
-        the budget runs out between two reads), which is wrapped as
+        ``timeout`` bounds the whole exchange.  It is armed in the
+        kernel, rounded down to a 10 ms step (:func:`kernel_timeout_us`),
+        and the socket is re-armed only when the step changes, so a
+        stream of requests on the same budget arms once.  A call after
+        the first (the rest of a partial send, a read after a send that
+        took more than one step, or the rest of a short read) is first
+        armed with what is left of ``timeout``, so no call waits longer
+        than the budget left (within one step) and a peer that stops
+        reading or trickles its answer cannot stretch the exchange.
+        ``None`` waits without limit.  Expiry fails the call with
+        ``BlockingIOError`` (``TimeoutError`` when the budget runs out
+        between two calls), which is wrapped as
         :class:`TransientNetworkError` after the connection is torn
         down, so the next attempt starts clean.  Only one request is
         ever in flight, so bytes past the end of the response frame
@@ -225,23 +233,21 @@ class SocketChannel:
                 self._sock = self._connect()
             sock = self._sock
             try:
-                micros = kernel_timeout_us(timeout)
-                if micros != self._armed:
-                    arm_timeouts(sock, micros)
-                    self._armed = micros
-                    self.arms += 1
-                rearm: Optional[Callable[[socket.socket], None]] = None
-                if timeout is not None:
-                    self._deadline = time.monotonic() + timeout
-                    rearm = self._rearm
-                sock.sendall(frame)
-                frames, rest = recv_frames(sock, b"", rearm)
-                if len(frames) > 1 or rest:
-                    extra = sum(map(len, frames[1:])) + len(rest)
-                    raise WireProtocolError(
-                        f"{extra} bytes past the end of the response frame"
-                    )
-                return frames[0]
+                self._arm(sock, kernel_timeout_us(timeout))
+                if timeout is None:
+                    sock.sendall(frame)
+                    return self._read_response(sock, None)
+                started = time.monotonic()
+                deadline = started + timeout
+                sent = sock.send(frame)
+                if sent < len(frame):
+                    view = memoryview(frame)
+                    while sent < len(view):
+                        self._arm_left(sock, deadline)
+                        sent += sock.send(view[sent:])
+                if time.monotonic() - started > _STEP_S:
+                    self._arm_left(sock, deadline)
+                return self._read_response(sock, deadline)
             except (TransientNetworkError, WireProtocolError):
                 self._teardown()
                 raise
@@ -257,14 +263,46 @@ class SocketChannel:
                 self._teardown()
                 raise
 
-    def _rearm(self, sock: socket.socket) -> None:
-        """Arm the receive timeout with what is left of the exchange."""
-        left = self._deadline - time.monotonic()
+    def _arm(self, sock: socket.socket, micros: int) -> None:
+        if micros != self._armed:
+            arm_timeouts(sock, micros)
+            self._armed = micros
+            self.arms += 1
+
+    def _arm_left(self, sock: socket.socket, deadline: Optional[float]) -> None:
+        """Arm the timeouts with what is left before ``deadline``
+        (``None``: no limit, nothing to do)."""
+        if deadline is None:
+            return
+        left = deadline - time.monotonic()
         if left <= 0.0:
-            raise TimeoutError("the budget ran out inside a response frame")
-        arm_timeouts(sock, kernel_timeout_us(left), send=False)
-        self._armed = -1  # the send timeout differs: arm both next time
-        self.arms += 1
+            raise TimeoutError("the exchange's budget ran out")
+        self._arm(sock, kernel_timeout_us(left))
+
+    def _read_response(
+        self, sock: socket.socket, deadline: Optional[float]
+    ) -> bytes:
+        """Read exactly one response frame; each read after the first
+        is armed with what is left before ``deadline``."""
+        data = _recv_some(sock, RECV_SIZE, 0)
+        while len(data) < HEADER.size:
+            self._arm_left(sock, deadline)
+            data += _recv_some(sock, RECV_SIZE, len(data))
+        end = frame_size(data)
+        if len(data) < end:
+            parts = [data]
+            have = len(data)
+            while have < end:
+                self._arm_left(sock, deadline)
+                chunk = _recv_some(sock, min(end - have, RECV_SIZE), have)
+                parts.append(chunk)
+                have += len(chunk)
+            data = b"".join(parts)
+        if len(data) > end:
+            raise WireProtocolError(
+                f"{len(data) - end} bytes past the end of the response frame"
+            )
+        return data
 
     def _teardown(self) -> None:
         if self._sock is not None:

@@ -1354,21 +1354,55 @@ class TestKernelTimeouts:
         return listener.getsockname(), close
 
     @staticmethod
+    def slow_reader(start, gap, size=16384):
+        """A listener whose one connection reads nothing for ``start``
+        seconds, then ``size`` bytes every ``gap`` seconds, and never
+        answers."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        done = threading.Event()
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(0.5)
+                done.wait(start)
+                while not done.wait(gap):
+                    try:
+                        if not conn.recv(size):
+                            break
+                    except OSError:
+                        continue  # nothing arrived within 0.5 s
+            listener.close()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+
+        def close():
+            done.set()
+            thread.join(5.0)
+            assert not thread.is_alive()
+
+        return listener.getsockname(), close
+
+    @staticmethod
     def receive_timeouts(monkeypatch):
         """Record the socket's armed SO_RCVTIMEO as each response is read."""
-        from repro.cluster import transport
-
         seen = []
-        original = transport.recv_frames
+        original = SocketChannel._read_response
 
-        def spying(sock, *rest):
+        def spying(channel, sock, *rest):
             raw = sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, 16)
             seconds, micros = struct.unpack("@ll", raw)
             seen.append(seconds + micros / 1e6)
-            return original(sock, *rest)
+            return original(channel, sock, *rest)
 
-        monkeypatch.setattr(transport, "recv_frames", spying)
+        monkeypatch.setattr(SocketChannel, "_read_response", spying)
         return seen
+
+    #: A request far larger than the socket buffers between the two
+    #: ends (its bytes need not be a valid frame: the peer never
+    #: parses them).
+    BIG = bytes(16 * 1024 * 1024)
 
     PING = wire.encode_frame(wire.request("ping", "r1"))
 
@@ -1400,6 +1434,53 @@ class TestKernelTimeouts:
         finally:
             channel.close()
             close()
+
+    @pytest.mark.parametrize("gap", [99.0, 0.02], ids=["never", "trickle"])
+    def test_a_peer_that_does_not_read_cannot_stretch_the_budget(self, gap):
+        # A send blocked on a full buffer times out after its armed
+        # budget; the rest of the frame is armed with what is left.
+        # A peer that reads a little every 20 ms would otherwise let
+        # each partial send wait the whole budget again.
+        address, close = self.slow_reader(start=0.0, gap=gap)
+        channel = SocketChannel(*address)
+        try:
+            started = time.monotonic()
+            with pytest.raises(TransientNetworkError):
+                channel.request(self.BIG, timeout=0.3)
+            assert 0.3 - 0.01 <= time.monotonic() - started <= 0.3 + 0.5
+        finally:
+            channel.close()
+            close()
+
+    def test_a_slow_send_leaves_the_read_only_what_is_left(self):
+        # The peer drains the request from 0.6 s on and never answers:
+        # the read is armed with the 0.4 s left, not the full second.
+        address, close = self.slow_reader(start=0.6, gap=0.001, size=1 << 20)
+        channel = SocketChannel(*address)
+        try:
+            started = time.monotonic()
+            with pytest.raises(TransientNetworkError):
+                channel.request(self.BIG, timeout=1.0)
+            assert 1.0 - 0.01 <= time.monotonic() - started <= 1.0 + 0.3
+        finally:
+            channel.close()
+            close()
+
+    def test_a_platform_without_a_timeval_is_refused(self, monkeypatch):
+        from repro.cluster import transport
+
+        monkeypatch.setattr(transport.sys, "platform", "win32")
+        with pytest.raises(ConfigurationError, match="struct timeval"):
+            SocketChannel("127.0.0.1", 1)
+        sharded = ShardedDenseFile.build(num_shards=1, key_space=10)
+        try:
+            with pytest.raises(ConfigurationError, match="struct timeval"):
+                ClusterServer(sharded).start()
+        finally:
+            sharded.close()
+        with socket.socket() as sock:
+            with pytest.raises(ConfigurationError, match="struct timeval"):
+                transport.arm_timeouts(sock, 1000)
 
     def test_a_budget_under_one_step_is_armed_never_as_zero(self, monkeypatch):
         seen = self.receive_timeouts(monkeypatch)

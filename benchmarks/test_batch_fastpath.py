@@ -70,7 +70,7 @@ def test_readahead_stream_scan(benchmark):
 
     total = once(benchmark, lambda: sum(1 for _ in dense.range(0, 6_000)))
     assert total == 6_000
-    stats = dense.store_stats()
+    stats = dense.store.stats()
     emit(
         banner("stream scan with readahead=8"),
         f"prefetches: {stats['prefetches']}, "

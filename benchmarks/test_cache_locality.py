@@ -117,7 +117,7 @@ def test_live_cache_agrees_with_replay(benchmark):
             dense.validate()
             store.flush()  # replay() ends with a flush; match it
             replayed = replay(list(dense.disk.trace), capacity)
-            results.append((capacity, store.pool_stats, replayed))
+            results.append((capacity, store.pool.stats, replayed))
         return results
 
     results = once(benchmark, run)

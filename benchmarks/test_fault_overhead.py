@@ -18,7 +18,8 @@ from bench_helpers import banner, emit, once
 
 from repro import Control2Engine, DensityParams
 from repro.analysis import render_table
-from repro.storage.backend import MemoryStore
+from repro.obs import Metrics
+from repro.storage.backend import MemoryStore, register_store
 from repro.storage.faults import FaultPlan, fault_tolerant_stack
 from repro.workloads import converging_inserts, run_workload
 
@@ -40,7 +41,9 @@ def run_stack(decorated: bool):
     run_workload(engine, converging_inserts(OPERATIONS))
     elapsed = time.perf_counter() - started
     engine.validate()
-    return engine.stats, elapsed, store.stats()
+    metrics = Metrics()
+    register_store(metrics, store)
+    return engine.stats, elapsed, metrics.snapshot()
 
 
 def test_disabled_fault_layer_is_free(benchmark):
@@ -57,9 +60,9 @@ def test_disabled_fault_layer_is_free(benchmark):
             f"{getattr(bare, field)} vs {getattr(deco, field)}"
         )
     # The retrying layer absorbed nothing because nothing was injected.
-    assert deco_stats["retries"] == 0
-    assert deco_stats["giveups"] == 0
-    assert deco_stats["inner"]["plan"]["transients_injected"] == 0
+    assert deco_stats["storage.faults.retries"] == 0
+    assert deco_stats["storage.faults.giveups"] == 0
+    assert deco_stats["storage.faults.transients_injected"] == 0
     emit(
         banner(
             f"EXP-R1: disabled FaultyStore+RetryingStore overhead, "

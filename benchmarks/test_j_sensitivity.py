@@ -5,8 +5,10 @@ is loose by at least an order of magnitude ("and probably by 1 1/2
 magnitudes"), and says J ~ 18 is typical.  This ablation sweeps J over
 three scenarios (comfortable slack, slack barely above 3 log M, and a
 surge followed by calm traffic), reporting per J: commands that ended
-with BALANCE(d, D) violated, the maximum page fill reached, and the
-worst per-command page-access cost (the price of a larger budget).
+with BALANCE(d, D) violated, the least BALANCE headroom seen at a
+command's end (the ``core.balance_headroom`` gauge: negative exactly
+when BALANCE is broken), the maximum page fill reached, and the worst
+per-command page-access cost (the price of a larger budget).
 
 Measured finding: J = 1 is not safe.  The two high-fill adversaries
 stay balanced at J = 1, but the surge-then-calm session (800 inserts
@@ -21,7 +23,7 @@ from bench_helpers import banner, emit, once
 
 from repro import Control2Engine, DensityParams
 from repro.analysis import render_table
-from repro.core.invariants import balance_violations
+from repro.core.invariants import balance_scan
 from repro.workloads import (
     converging_inserts,
     interleaved_point_inserts,
@@ -73,12 +75,16 @@ def violations_for(j: int, d: int, cap_d: int, preload: float, points):
     log = engine.enable_operation_log()
     bad_commands = 0
     max_fill = 0
+    least_headroom = params.max_records
     for key in keys:
         engine.insert(key)
-        if balance_violations(engine.calibrator, params):
+        violating, headroom = balance_scan(engine.calibrator, params)
+        assert (headroom < 0) == bool(violating)
+        if violating:
             bad_commands += 1
+        least_headroom = min(least_headroom, headroom)
         max_fill = max(max_fill, max(engine.occupancies()))
-    return bad_commands, max_fill, log.worst_case_accesses
+    return bad_commands, least_headroom, max_fill, log.worst_case_accesses
 
 
 def test_j_sweep(benchmark):
@@ -96,13 +102,13 @@ def test_j_sweep(benchmark):
     for label, d, cap_d, preload, points in SCENARIOS:
         table = results[label]
         rows = [
-            [j, bad, fill, worst, "yes" if bad == 0 else "no"]
-            for j, (bad, fill, worst) in table.items()
+            [j, bad, headroom, fill, worst, "yes" if bad == 0 else "no"]
+            for j, (bad, headroom, fill, worst) in table.items()
         ]
         chunks.append(
             render_table(
-                ["J", "unbalanced commands", "max page fill",
-                 "worst accesses/op", "safe"],
+                ["J", "unbalanced commands", "least headroom",
+                 "max page fill", "worst accesses/op", "safe"],
                 rows,
                 title=f"scenario: {label} (d={d}, D={cap_d})",
             )
@@ -127,26 +133,30 @@ def test_j_sweep(benchmark):
     )
     emit(*chunks)
 
-    # J = 1 leaves BALANCE broken after some surge-then-calm commands;
-    # every larger tested J keeps it.
+    # J = 1 leaves BALANCE broken after some surge-then-calm commands,
+    # so its headroom goes negative; every larger tested J keeps it.
     surge = results[SURGE_THEN_CALM_LABEL]
-    assert surge[1][0] > 0
-    assert all(bad == 0 for j, (bad, _, _) in surge.items() if j >= 2)
+    assert surge[1][0] > 0 and surge[1][1] < 0
+    assert all(
+        bad == 0 and headroom >= 0
+        for j, (bad, headroom, _, _) in surge.items()
+        if j >= 2
+    )
 
     for label in results:
         table = results[label]
         if label != SURGE_THEN_CALM_LABEL:
             # The high-fill adversaries are violation-free at every
             # tested J, confirming the paper's constants are conservative...
-            assert all(bad == 0 for bad, _, _ in table.values())
+            assert all(bad == 0 for bad, _, _, _ in table.values())
         # ...while larger J monotonically (weakly) raises the worst-case
         # cost ceiling actually paid.
-        worsts = [worst for _, _, worst in table.values()]
+        worsts = [worst for _, _, _, worst in table.values()]
         assert worsts[-1] >= worsts[0]
         # And no page ever exceeded its capacity D.
         for (scenario_label, d, cap_d, _, _) in SCENARIOS:
             if scenario_label == label:
-                assert all(fill <= cap_d for _, fill, _ in table.values())
+                assert all(fill <= cap_d for _, _, fill, _ in table.values())
 
 
 def test_capacity_respected_at_recommended_j(benchmark):

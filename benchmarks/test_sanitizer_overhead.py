@@ -42,7 +42,7 @@ def test_off_mode_builds_the_plain_stack():
     # No-op by construction: with no runtime the builder returns the
     # bare stack — there is no disabled wrapper left in the chain to
     # pay for, and nothing sanitizer-shaped in the report.
-    dense, _plan = build_file(StressConfig(seed=SEED, total_ops=TOTAL_OPS))
+    dense = build_file(StressConfig(seed=SEED, total_ops=TOTAL_OPS))
     chain = []
     store = getattr(dense.engine, "store", None)
     while store is not None:

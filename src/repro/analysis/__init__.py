@@ -11,7 +11,6 @@ from .treeview import render_calibrator, render_figure_1b
 from .stats import (
     SUMMARY_HEADERS,
     Summary,
-    flatten_counters,
     growth_exponent,
     percentile,
     summarize,
@@ -22,7 +21,6 @@ __all__ = [
     "SUMMARY_HEADERS",
     "Summary",
     "fill_summary",
-    "flatten_counters",
     "growth_exponent",
     "occupancy_bar",
     "occupancy_history",

@@ -65,28 +65,6 @@ def summarize(values: Sequence[float]) -> Summary:
     )
 
 
-def flatten_counters(stats: dict, prefix: str = "") -> dict:
-    """Flatten a nested backend/journal ``stats()`` dict to dotted keys.
-
-    Storage stacks nest their counters (a ``BufferedStore`` reports an
-    ``"inner"`` dict, a journaled file a ``"journal"`` dict).  Reports
-    and the benchmark JSON want one flat namespace of numeric counters:
-    ``{"hits": 9, "inner": {"reads": 3}}`` becomes
-    ``{"hits": 9, "inner.reads": 3}``.  Non-numeric leaves (backend
-    names, paths) are dropped; booleans are kept as 0/1.
-    """
-    flat: dict = {}
-    for key, value in stats.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            flat.update(flatten_counters(value, prefix=f"{name}."))
-        elif isinstance(value, bool):
-            flat[name] = int(value)
-        elif isinstance(value, (int, float)):
-            flat[name] = value
-    return flat
-
-
 def tail_profile(values: Sequence[float], bins: int = 10) -> List[int]:
     """Histogram of a series (equal-width bins up to the maximum).
 

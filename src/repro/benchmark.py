@@ -36,10 +36,9 @@ accesses (the paper's metered quantity, identical on every backend),
 p50/p99 per-operation latency, the worst single command's page accesses
 (``max_accesses_per_command``, on the per-operation ``mixed`` cells
 only; a local one also carries the Theorem 5.5 ceiling
-``worst_case_bound``, which :func:`validate_report` enforces), and the
-flattened physical counters of the backend stack (cache hits,
-prefetches, journal fsyncs ... via
-:func:`repro.analysis.stats.flatten_counters`).
+``worst_case_bound``, which :func:`validate_report` enforces), and a
+snapshot of the stack's counter registry (:mod:`repro.obs`: cache hits,
+prefetches, BALANCE headroom ... keyed ``"layer.counter"``).
 
 :func:`compare_reports` implements the regression gate: given a
 baseline report it flags cells whose throughput dropped by more than a
@@ -57,7 +56,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .analysis.stats import flatten_counters, percentile
+from .analysis.stats import percentile
 from .baselines.btree import BPlusTree
 from .core.dense_file import DenseSequentialFile
 from .core.errors import ConfigurationError
@@ -199,15 +198,9 @@ class _ClusterFile:
         for key in keys:
             insert(key)
 
-    def store_stats(self) -> Dict[str, float]:
-        server = self._server
-        return {
-            "num_shards": float(self._store.shard_map.num_shards),
-            "requests": float(server.requests),
-            "errors": float(server.errors),
-            "dedup_replays": float(server.dedup_replays),
-            "client_retries": float(self._client.client_stats()["retries"]),
-        }
+    def snapshot(self) -> Dict[str, float]:
+        """The server's and the client's counter snapshots, merged."""
+        return {**self._server.metrics.snapshot(), **self._client.client_stats()}
 
     def close(self) -> None:
         try:
@@ -376,7 +369,9 @@ def _run_scenario(
             if backend != "cluster":
                 extra = {"baseline": _btree_scan(_geometry(ops), ops)}
         accesses = meter.page_accesses - before
-        counters = flatten_counters(dense.store_stats())
+        counters = (
+            dense.snapshot() if backend == "cluster" else dense.store_stats()
+        )
     finally:
         dense.close()
     cell = _result(

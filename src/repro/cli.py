@@ -75,7 +75,6 @@ from typing import Any, Callable, List, NoReturn, Optional, Tuple
 
 from . import benchmark
 from .analysis.heatmap import fill_summary, occupancy_bar, occupancy_legend
-from .analysis.stats import flatten_counters
 from .core.errors import ConfigurationError, ReproError
 from .persistent import JournaledDenseFile, PersistentDenseFile
 from .storage.codec import CodecError
@@ -673,7 +672,7 @@ def _verify(args, out) -> int:
     with _open_backend(args) as dense:
         dense.validate()
         degraded = bool(getattr(dense, "read_only", False))
-        counters = flatten_counters(dense.store_stats())
+        counters = dense.store_stats()
     if degraded:
         print(
             "DEGRADED: structure verifies but the file is quarantined "
@@ -692,7 +691,7 @@ def _verify(args, out) -> int:
     interesting = {
         key: value
         for key, value in sorted(counters.items())
-        if ("prefetch" in key or "journal" in key or key == "readahead")
+        if key.startswith("storage.wal.") or "prefetch" in key
     }
     if interesting:
         line = ", ".join(f"{key}={value}" for key, value in interesting.items())
@@ -1131,8 +1130,17 @@ def _dispatch_on_file(args, dense, out) -> int:
         print(f"fill:      {fill_summary(occupancies, params.D)}", file=out)
         print(f"layout:    |{occupancy_bar(occupancies, params.D)}|", file=out)
         print(f"           {occupancy_legend(params.D)}", file=out)
-        stats = dense.store_stats()
-        print(f"backend:   {stats['backend']}", file=out)
+        counters = dense.store_stats()
+        store = dense.store
+        journaled = isinstance(dense, JournaledDenseFile)
+        print(
+            f"backend:   {'journaled' if journaled else store.name}", file=out
+        )
+        print(
+            f"balance:   headroom {counters['core.balance_headroom']} records "
+            "(negative = BALANCE(d,D) broken)",
+            file=out,
+        )
         if getattr(dense, "read_only", False):
             print(
                 f"state:     DEGRADED (read-only); quarantined pages "
@@ -1140,39 +1148,39 @@ def _dispatch_on_file(args, dense, out) -> int:
                 "restore from backup",
                 file=out,
             )
-        if stats["backend"] == "buffered":
+        if store.name == "buffered":
+            pool = store.stats()
             print(
-                f"cache:     {stats['capacity']} frames, "
-                f"{stats['hits']} hits / {stats['misses']} misses "
-                f"(hit rate {stats['hit_rate']:.3f}), "
-                f"{stats['evictions']} evictions",
+                f"cache:     {store.pool.stats.capacity} frames, "
+                f"{pool['hits']} hits / {pool['misses']} misses "
+                f"(hit rate {pool['hit_rate']:.3f}), "
+                f"{pool['evictions']} evictions",
                 file=out,
             )
             print(
-                f"readahead: window {stats['readahead']}, "
-                f"{stats['prefetches']} prefetches, "
-                f"{stats['prefetch_hits']} prefetch hits",
+                f"readahead: window {store.readahead}, "
+                f"{pool['prefetches']} prefetches, "
+                f"{pool['prefetch_hits']} prefetch hits",
                 file=out,
             )
             print(
-                f"physical:  {stats['physical_reads']} reads, "
-                f"{stats['physical_writes']} writes",
+                f"physical:  {pool['physical_reads']} reads, "
+                f"{pool['physical_writes']} writes",
                 file=out,
             )
-        journal = stats.get("journal")
-        if journal is not None:
+        if journaled:
             print(
-                f"journal:   {journal['transactions']} transactions, "
-                f"{journal['pages_journaled']} pages journaled, "
-                f"{journal['fsyncs']} fsyncs (group commit coalesces "
-                "commands per fsync)",
+                f"journal:   {counters['storage.wal.transactions']} "
+                f"transactions, {counters['storage.wal.pages_journaled']} "
+                f"pages journaled, {counters['storage.wal.fsyncs']} fsyncs "
+                "(group commit coalesces commands per fsync)",
                 file=out,
             )
         from .storage.wal import journal_state
 
         state = journal_state(dense.path)
         if (
-            journal is not None
+            journaled
             or state.durable_sequence
             or not state.clean
             or state.applied_retained
@@ -1208,7 +1216,7 @@ def _demo(out, backend: str = "memory", cache_pages: Optional[int] = None) -> in
     print("matches Figure 4 of the paper; invariants hold", file=out)
     if store is not None:
         store.flush()
-        pool = store.pool_stats
+        pool = store.pool.stats
         print(
             f"live cache ({pool.capacity} frames): {pool.hits} hits / "
             f"{pool.misses} misses (hit rate {pool.hit_rate:.3f}), "

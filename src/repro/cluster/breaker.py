@@ -41,6 +41,7 @@ import time
 from typing import Callable, Dict
 
 from ..core.errors import CircuitOpenError, ConfigurationError
+from ..obs import Number, view
 
 #: The three breaker states.
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
@@ -48,6 +49,12 @@ CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 
 class CircuitBreaker:
     """Consecutive-failure breaker with a single half-open probe."""
+
+    LAYER = "cluster.breaker"
+    COUNTERS = (
+        "consecutive_failures", "opens", "closes", "rejections", "probes",
+        "releases",
+    )
 
     def __init__(
         self,
@@ -66,7 +73,7 @@ class CircuitBreaker:
         self._clock = clock
         self._mutex = threading.Lock()
         self._state = CLOSED
-        self._consecutive_failures = 0
+        self.consecutive_failures = 0
         self._opened_at = 0.0
         self._probe_in_flight = False
         # Observability counters (read under the mutex).
@@ -100,7 +107,7 @@ class CircuitBreaker:
                     self.rejections += 1
                     raise CircuitOpenError(
                         f"circuit for shard {self.shard_id} is open "
-                        f"({self._consecutive_failures} consecutive "
+                        f"({self.consecutive_failures} consecutive "
                         f"failures); probe in "
                         f"{self.reset_timeout - elapsed:.3f}s",
                         shard_id=self.shard_id,
@@ -122,12 +129,12 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         """The admitted call succeeded; close from half-open."""
-        if self._state == CLOSED and not self._consecutive_failures:
+        if self._state == CLOSED and not self.consecutive_failures:
             # Nothing to reset or close: skip the mutex.  A failure
             # recorded concurrently is ordered after this success.
             return
         with self._mutex:
-            self._consecutive_failures = 0
+            self.consecutive_failures = 0
             if self._state != CLOSED:
                 self._state = CLOSED
                 self._probe_in_flight = False
@@ -136,7 +143,7 @@ class CircuitBreaker:
     def record_failure(self) -> None:
         """The admitted call failed; trip or re-open as appropriate."""
         with self._mutex:
-            self._consecutive_failures += 1
+            self.consecutive_failures += 1
             if self._state == HALF_OPEN:
                 self._state = OPEN
                 self._opened_at = self._clock()
@@ -144,7 +151,7 @@ class CircuitBreaker:
                 self.opens += 1
             elif (
                 self._state == CLOSED
-                and self._consecutive_failures >= self.failure_threshold
+                and self.consecutive_failures >= self.failure_threshold
             ):
                 self._state = OPEN
                 self._opened_at = self._clock()
@@ -183,16 +190,7 @@ class CircuitBreaker:
                 return HALF_OPEN
             return self._state
 
-    def stats(self) -> Dict[str, object]:
-        """State and transition counters as a printable dictionary."""
+    def stats(self) -> Dict[str, Number]:
+        """Transition counters (the state word is :attr:`state`)."""
         with self._mutex:
-            return {
-                "shard_id": self.shard_id,
-                "state": self._state,
-                "consecutive_failures": self._consecutive_failures,
-                "opens": self.opens,
-                "closes": self.closes,
-                "rejections": self.rejections,
-                "probes": self.probes,
-                "releases": self.releases,
-            }
+            return view(self, self.COUNTERS)

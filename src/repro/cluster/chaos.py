@@ -351,11 +351,9 @@ def run_chaos(config: ChaosConfig) -> ChaosReport:
         report.dedup_replays = server.dedup_replays
         for client, plan in zip(clients, plans):
             stats = client.client_stats()
-            report.retries += stats["retries"]
-            report.breaker_opens += sum(
-                breaker["opens"] for breaker in stats["breakers"].values()
-            )
-            for kind, count in plan.describe()["injected"].items():
+            report.retries += int(stats["cluster.client.retries"])
+            report.breaker_opens += int(stats.get("cluster.breaker.opens", 0))
+            for kind, count in plan.injected.items():
                 report.faults[kind] = report.faults.get(kind, 0) + count
             client.close()
         store.close()

@@ -53,6 +53,7 @@ from ..core.errors import (
     UsageError,
     WireProtocolError,
 )
+from ..obs import Metrics, Number
 from ..records import Record
 from ..storage.codec import CodecError
 from .breaker import CircuitBreaker
@@ -169,6 +170,10 @@ class ClusterClient:
         self._clock = clock
         self._sleep = sleep
         self.counters = RetryCounters()
+        #: This client's counter registry; each breaker joins it when
+        #: it is built (see :mod:`repro.obs`).
+        self.metrics = Metrics()
+        self.metrics.register("cluster.client", self.counters, RetryCounters.COUNTERS)
         self._mutex = threading.Lock()
         self._sequence = itertools.count()
         self._shard_map: Optional[ShardMap] = None
@@ -213,11 +218,14 @@ class ClusterClient:
             self._shard_map = shard_map
             for shard_id in range(shard_map.num_shards):
                 if shard_id not in self._breakers:
-                    self._breakers[shard_id] = CircuitBreaker(
+                    breaker = self._breakers[shard_id] = CircuitBreaker(
                         shard_id=shard_id,
                         failure_threshold=self.breaker_threshold,
                         reset_timeout=self.breaker_reset,
                         clock=self._clock,
+                    )
+                    self.metrics.register(
+                        breaker.LAYER, breaker, breaker.COUNTERS
                     )
 
     def breaker(self, shard_id: int) -> CircuitBreaker:
@@ -482,8 +490,8 @@ class ClusterClient:
         self,
         timeout: Optional[float] = None,
         deadline: Optional[Deadline] = None,
-    ) -> Dict[str, Any]:
-        """Server-side cluster stats."""
+    ) -> Dict[str, Number]:
+        """The server's counter snapshot (``cluster.server.*``)."""
         return dict(self._call("stats", {}, timeout=timeout, deadline=deadline))
 
     def token_outcome(self, token: str) -> Optional[Dict[str, Any]]:
@@ -502,21 +510,12 @@ class ClusterClient:
         """Admin: return a shard to service."""
         return str(self._call("revive_shard", {"shard_id": shard_id})["state"])
 
-    def client_stats(self) -> Dict[str, Any]:
-        """Client-side counters: retries, giveups, breaker transitions."""
+    def client_stats(self) -> Dict[str, Number]:
+        """Client-side counters: retries, giveups and the breakers'
+        transitions summed over shards (one breaker's own counters are
+        ``client.breaker(shard_id).stats()``)."""
         with self._mutex:
-            breakers = {
-                shard_id: breaker.stats()
-                for shard_id, breaker in sorted(self._breakers.items())
-            }
-        return {
-            "client_id": self.client_id,
-            "retries": self.counters.retries,
-            "giveups": self.counters.giveups,
-            "deadline_giveups": self.counters.deadline_giveups,
-            "backoff_total": self.counters.backoff_total,
-            "breakers": breakers,
-        }
+            return self.metrics.snapshot()
 
     def close(self) -> None:
         """Release the transport."""

@@ -135,16 +135,6 @@ class NetFaultPlan:
         self.injected[chosen] += 1
         return chosen, extra_delay if chosen == "delay" else 0.0
 
-    def describe(self) -> Dict[str, object]:
-        """JSON-ready summary for chaos reports."""
-        return {
-            "seed": self.seed,
-            "rates": dict(self.rates),
-            "exchanges": self.exchanges,
-            "injected": dict(self.injected),
-            "total_injected": self.total_injected,
-        }
-
 
 class ChaosChannel:
     """A :class:`Channel` decorator that mangles exchanges per a plan.

@@ -36,6 +36,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -49,6 +50,7 @@ from ..core.errors import (
     ShardUnavailableError,
     WireProtocolError,
 )
+from ..obs import Metrics
 from ..storage.codec import CodecError
 from .store import ShardedDenseFile
 from .transport import arm_timeouts, recv_frames, require_timeval
@@ -206,6 +208,9 @@ def _error_detail(error: ReproError) -> Dict[str, Any]:
 class ClusterServer:
     """Serve a sharded dense file over frames (TCP or in-process)."""
 
+    LAYER = "cluster.server"
+    COUNTERS = ("requests", "errors", "dedup_replays")
+
     def __init__(
         self,
         store: ShardedDenseFile,
@@ -226,6 +231,13 @@ class ClusterServer:
         self.requests = 0
         self.errors = 0
         self.dedup_replays = 0
+        #: This server's counter registry (see :mod:`repro.obs`); each
+        #: shard's file keeps its own.  It reads the server through a
+        #: weak proxy: server -> registry -> server would be a cycle
+        #: that keeps a stopped server and its shards alive until a
+        #: full collection.
+        self.metrics = Metrics()
+        self.metrics.register(self.LAYER, weakref.proxy(self), self.COUNTERS)
 
     # -- the dispatcher (shared by TCP and LocalChannel) ----------------
 
@@ -430,12 +442,7 @@ class ClusterServer:
         if op == "health":
             return store.health()
         if op == "stats":
-            stats = dict(store.stats())
-            stats["requests"] = self.requests
-            stats["errors"] = self.errors
-            stats["dedup_replays"] = self.dedup_replays
-            stats["tokens_recorded"] = len(self.tokens)
-            return stats
+            return self.metrics.snapshot()
         if op == "ping":
             return "pong"
         if op == "token":

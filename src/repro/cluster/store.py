@@ -404,20 +404,6 @@ class ShardedDenseFile:
         for shard in self.shards:
             shard.close()
 
-    def stats(self) -> Dict[str, object]:
-        """Cluster-wide stats: routing table, health, per-shard sizes."""
-        sizes = [
-            len(self.shards[sid]) if self.state_of(sid) != DOWN else None
-            for sid in range(self.shard_map.num_shards)
-        ]
-        return {
-            "num_shards": self.shard_map.num_shards,
-            "ranges": [r.describe() for r in self.shard_map.ranges()],
-            "health": self.health(),
-            "records_per_shard": sizes,
-            "records_total": sum(size or 0 for size in sizes),
-        }
-
 
 # Re-exported convenience: the unavailable states (tests and the chaos
 # harness compare against these instead of string literals).

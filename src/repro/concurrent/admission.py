@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from ..core.errors import (
     ConfigurationError,
@@ -33,6 +33,7 @@ from ..core.errors import (
     OverloadError,
     UsageError,
 )
+from ..obs import Number, view
 from .deadline import Deadline
 
 #: Operation classes the gate distinguishes for shedding decisions.
@@ -57,6 +58,12 @@ class _Admission:
 class AdmissionGate:
     """Semaphore with a bounded, deadline-aware wait queue."""
 
+    LAYER = "concurrent.admission"
+    COUNTERS = (
+        "in_flight", "queue_depth", "admitted", "rejected", "shed_writes",
+        "timeouts", "peak_in_flight", "peak_queued",
+    )
+
     def __init__(
         self,
         max_in_flight: int = 64,
@@ -75,7 +82,7 @@ class AdmissionGate:
         self._in_flight = 0
         self._queued = 0
         self._clock = clock
-        # Observability counters (read under the internal mutex).
+        # Observability counters (written under the internal mutex).
         self.admitted = 0
         self.rejected = 0
         self.shed_writes = 0
@@ -164,19 +171,7 @@ class AdmissionGate:
         with self._cond:
             return self._queued
 
-    def stats(self) -> dict:
-        """Admission and shedding counters as a printable dictionary."""
+    def stats(self) -> Dict[str, Number]:
+        """Admission and shedding counters (the caps are attributes)."""
         with self._cond:
-            return {
-                "max_in_flight": self.max_in_flight,
-                "max_queued": self.max_queued,
-                "shed_load": self.shed_load,
-                "in_flight": self._in_flight,
-                "queued": self._queued,
-                "admitted": self.admitted,
-                "rejected": self.rejected,
-                "shed_writes": self.shed_writes,
-                "timeouts": self.timeouts,
-                "peak_in_flight": self.peak_in_flight,
-                "peak_queued": self.peak_queued,
-            }
+            return view(self, self.COUNTERS)

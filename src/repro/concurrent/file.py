@@ -216,6 +216,12 @@ class ThreadSafeDenseFile:
             )
         self.default_timeout = default_timeout
         self._bypass_lock = bypass_lock
+        #: The wrapped file's counter registry, which the lock and the
+        #: gate join (they are part of its stack now).
+        self.metrics = inner.metrics
+        for part in (self._lock, self._gate):
+            if part is not None:
+                self.metrics.register(part.LAYER, part, part.COUNTERS)
         store = getattr(inner, "store", None)
         self._retrying = find_retrying_stores(store)
         if shared_reads is None:
@@ -521,17 +527,4 @@ class ThreadSafeDenseFile:
     def shared_reads(self) -> bool:
         """Whether queries run concurrently on this stack."""
         return self._shared_reads
-
-    def concurrency_stats(self) -> dict:
-        """Lock, admission and retry-absorption counters in one dict."""
-        report = {
-            "shared_reads": self._shared_reads,
-            "lock": self._lock.stats(),
-            "admission": self._gate.stats() if self._gate else None,
-        }
-        if self._retrying:
-            report["retries"] = [
-                layer.counters() for layer in self._retrying
-            ]
-        return report
 

@@ -66,6 +66,7 @@ from ..core.errors import (
     WireProtocolError,
 )
 from ..core.params import ceil_log2
+from ..obs import Number
 from ..storage.backend import (
     DelegatingStore,
     MemoryStore,
@@ -153,14 +154,13 @@ class StressReport:
     violations: List[str] = field(default_factory=list)
     deadlocks: List[str] = field(default_factory=list)
     races: List[str] = field(default_factory=list)
-    sanitizer_counters: Optional[Dict[str, int]] = None
+    sanitizer_counters: Optional[Dict[str, Number]] = None
     timeouts: int = 0
     overloads: int = 0
     errors: Dict[str, int] = field(default_factory=dict)
-    retry_counters: Optional[dict] = None
-    faults_injected: int = 0
-    lock_stats: Optional[dict] = None
-    gate_stats: Optional[dict] = None
+    #: The stack's registry snapshot at the end of the run: lock, gate
+    #: and retry-layer counters among them (see :mod:`repro.obs`).
+    counters: Dict[str, Number] = field(default_factory=dict)
     elapsed: float = 0.0
 
     @property
@@ -182,12 +182,14 @@ class StressReport:
             lines.append(
                 f"  timeouts={self.timeouts} overloads={self.overloads}"
             )
-        if self.retry_counters is not None:
+        if "storage.faults.retries" in self.counters:
             lines.append(
-                f"  transients injected={self.faults_injected} "
-                f"absorbed={self.retry_counters['retries']} "
-                f"giveups={self.retry_counters['giveups']} "
-                f"deadline_giveups={self.retry_counters['deadline_giveups']}"
+                "  transients injected="
+                f"{self.counters['storage.faults.transients_injected']} "
+                f"absorbed={self.counters['storage.faults.retries']} "
+                f"giveups={self.counters['storage.faults.giveups']} "
+                "deadline_giveups="
+                f"{self.counters['storage.faults.deadline_giveups']}"
             )
         if self.sanitizer_counters is not None:
             lines.append(
@@ -429,8 +431,8 @@ def stress_geometry(total_ops: int) -> Tuple[int, int, int]:
 def build_file(
     config: StressConfig,
     runtime: Optional["SanitizerRuntime"] = None,
-) -> Tuple[DenseSequentialFile, Optional[FaultPlan]]:
-    """The dense file (and fault plan, for the ``faulty`` stack).
+) -> DenseSequentialFile:
+    """The dense file over the stack the config names.
 
     With a :class:`~repro.sanitizer.SanitizerRuntime` the *outermost*
     store of whichever stack the config names is wrapped in a
@@ -438,7 +440,6 @@ def build_file(
     exactly the logical access sequence the engine issues.
     """
     num_pages, d, D = stress_geometry(config.total_ops)
-    plan = None
     store: PageStore
     if config.stack == "faulty":
         plan = FaultPlan(seed=config.seed, transient_rate=config.transient_rate)
@@ -456,7 +457,7 @@ def build_file(
         from ..sanitizer import SanitizedStore
 
         store = SanitizedStore(store, runtime)
-    return DenseSequentialFile(num_pages, d, D, store=store), plan
+    return DenseSequentialFile(num_pages, d, D, store=store)
 
 
 # ----------------------------------------------------------------------
@@ -653,7 +654,7 @@ def run_stress(config: StressConfig) -> StressReport:
 
         runtime = SanitizerRuntime()
         lock = SanitizedRWLock(runtime)
-    dense, plan = build_file(config, runtime=runtime)
+    dense = build_file(config, runtime=runtime)
     shared = ThreadSafeDenseFile(
         dense,
         max_in_flight=config.max_in_flight,
@@ -679,14 +680,7 @@ def run_stress(config: StressConfig) -> StressReport:
             report.deadlocks.append(run.hang)
     finally:
         report.elapsed = time.monotonic() - start
-        report.lock_stats = shared.lock.stats()
-        if shared.gate is not None:
-            report.gate_stats = shared.gate.stats()
-        layers = shared.concurrency_stats().get("retries")
-        if layers:
-            report.retry_counters = layers[0]
-        if plan is not None:
-            report.faults_injected = plan.transients_injected
+        report.counters = shared.metrics.snapshot()
         if runtime is not None:
             race_report = runtime.report()
             report.races = [

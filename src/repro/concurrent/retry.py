@@ -98,7 +98,8 @@ class RetryCounters:
     scheduled).
     """
 
-    __slots__ = ("retries", "giveups", "deadline_giveups", "backoff_total")
+    COUNTERS = ("retries", "giveups", "deadline_giveups", "backoff_total")
+    __slots__ = COUNTERS
 
     def __init__(self) -> None:
         self.retries = 0

@@ -40,9 +40,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from ..core.errors import LockProtocolError, OperationTimeout
+from ..obs import Number, view
 from .deadline import Deadline
 
 
@@ -77,14 +78,20 @@ class _LockHandle:
 class FairRWLock:
     """FIFO-fair shared/exclusive lock with per-acquisition deadlines."""
 
+    LAYER = "concurrent.rwlock"
+    COUNTERS = (
+        "readers_served", "writers_served", "timeouts", "max_queue_depth",
+        "active_readers", "writer_active", "queue_depth",
+    )
+
     def __init__(self, clock: Callable[[], float] = time.monotonic):
         self._mutex = threading.Lock()
         self._cond = threading.Condition(self._mutex)
         self._queue: deque = deque()
-        self._active_readers = 0
-        self._writer_active = False
+        self.active_readers = 0
+        self.writer_active = False
         self._clock = clock
-        # Observability counters (read under the internal mutex).
+        # Observability counters (written under the internal mutex).
         self.readers_served = 0
         self.writers_served = 0
         self.timeouts = 0
@@ -96,11 +103,11 @@ class FairRWLock:
         """FIFO rule: enter only when nothing conflicting is ahead."""
         if waiter.wants_write:
             return (
-                not self._writer_active
-                and self._active_readers == 0
+                not self.writer_active
+                and self.active_readers == 0
                 and self._queue[0] is waiter
             )
-        if self._writer_active:
+        if self.writer_active:
             return False
         for ahead in self._queue:
             if ahead is waiter:
@@ -113,8 +120,8 @@ class FairRWLock:
         with self._mutex:
             if (
                 not self._queue
-                and not self._writer_active
-                and not (wants_write and self._active_readers)
+                and not self.writer_active
+                and not (wants_write and self.active_readers)
             ):
                 # Uncontended: a ticket would stand alone at the head
                 # of the queue and pass _may_enter at once, so enter
@@ -152,10 +159,10 @@ class FairRWLock:
     def _enter(self, wants_write: bool) -> None:
         """Take the lock (caller holds the mutex and passed the rule)."""
         if wants_write:
-            self._writer_active = True
+            self.writer_active = True
             self.writers_served += 1
         else:
-            self._active_readers += 1
+            self.active_readers += 1
             self.readers_served += 1
 
     # -- public API -----------------------------------------------------
@@ -171,18 +178,18 @@ class FairRWLock:
     def release_read(self) -> None:
         """Leave the readers; wakes the queue when the last one leaves."""
         with self._mutex:
-            if self._active_readers <= 0:
+            if self.active_readers <= 0:
                 raise LockProtocolError("release_read without a matching acquire")
-            self._active_readers -= 1
-            if self._active_readers == 0 and self._queue:
+            self.active_readers -= 1
+            if self.active_readers == 0 and self._queue:
                 self._cond.notify_all()
 
     def release_write(self) -> None:
         """Release exclusivity and wake the queue."""
         with self._mutex:
-            if not self._writer_active:
+            if not self.writer_active:
                 raise LockProtocolError("release_write without a matching acquire")
-            self._writer_active = False
+            self.writer_active = False
             if self._queue:
                 self._cond.notify_all()
 
@@ -204,15 +211,6 @@ class FairRWLock:
         with self._mutex:
             return len(self._queue)
 
-    def stats(self) -> dict:
-        """Service and contention counters as a printable dictionary."""
-        with self._mutex:
-            return {
-                "readers_served": self.readers_served,
-                "writers_served": self.writers_served,
-                "timeouts": self.timeouts,
-                "max_queue_depth": self.max_queue_depth,
-                "active_readers": self._active_readers,
-                "writer_active": self._writer_active,
-                "queued": len(self._queue),
-            }
+    def stats(self) -> Dict[str, Number]:
+        """Service and contention counters (each read once, unlocked)."""
+        return view(self, self.COUNTERS)

@@ -10,11 +10,12 @@ scans, which is the workload the paper argues dense files exist for.
 from __future__ import annotations
 
 import os
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
+from ..obs import Metrics, Number
 from ..records import Record
-from ..storage.backend import PageStore, make_store
-from ..storage.cost import CostModel, PAGE_ACCESS_MODEL
+from ..storage.backend import PageStore, make_store, register_store
+from ..storage.cost import AccessStats, CostModel, PAGE_ACCESS_MODEL
 from .control1 import Control1Engine
 from .control2 import Control2Engine
 from .errors import ConfigurationError
@@ -210,6 +211,12 @@ class DenseSequentialFile:
             readahead=readahead,
         )
         self.algorithm = algorithm
+        #: This stack's counter registry (see :mod:`repro.obs`).
+        self.metrics = Metrics()
+        engine = self.engine
+        self.metrics.register(engine.LAYER, engine, engine.COUNTERS)
+        self.metrics.register("storage.disk", engine.disk.stats, AccessStats.COUNTERS)
+        register_store(self.metrics, engine.store)
         # Hot-path aliases: bind insert/delete straight to the engine's
         # bound methods so the per-command loop skips one wrapper frame.
         # Only for this exact class — a subclass overriding either
@@ -357,10 +364,10 @@ class DenseSequentialFile:
         """The physical backend under this file's pages."""
         return self.engine.store
 
-    def store_stats(self) -> dict:
-        """Physical-layer counters of the backend (hits/misses for
-        ``"buffered"``, write-through counts for ``"disk"``)."""
-        return self.engine.store.stats()
+    def store_stats(self) -> Dict[str, Number]:
+        """A snapshot of every counter of this file's stack, keyed
+        ``"layer.counter"`` (:meth:`repro.obs.Metrics.snapshot`)."""
+        return self.metrics.snapshot()
 
     def flush(self) -> int:
         """Push buffered pages down to the backing medium (no-op in memory)."""

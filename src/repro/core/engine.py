@@ -37,6 +37,9 @@ class BaseEngine:
 
     #: Subclasses override with their paper name ("CONTROL 1" / "CONTROL 2").
     algorithm_name = "abstract"
+    #: The registry layer and counters of every engine.
+    LAYER = "core"
+    COUNTERS = ("records_moved_total", "balance_headroom")
 
     def __init__(
         self,
@@ -506,6 +509,15 @@ class BaseEngine:
     @property
     def stats(self):
         return self.disk.stats
+
+    @property
+    def balance_headroom(self) -> int:
+        """Records the tightest calibrator node takes before BALANCE(d, D)
+        breaks; negative exactly when it is broken (one pass over the
+        nodes, so read it per snapshot, not per command)."""
+        from .invariants import balance_scan
+
+        return balance_scan(self.calibrator, self.params)[1]
 
     def enable_operation_log(self) -> OperationLog:
         """Start recording per-command cost; returns the live log."""

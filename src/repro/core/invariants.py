@@ -19,7 +19,7 @@ Theorem 5.5 makes its guarantee.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from .errors import InvariantViolationError
 
@@ -78,16 +78,28 @@ def check_balance(calibrator, params) -> List[int]:
 
 def balance_violations(calibrator, params) -> List[int]:
     """Return every node with ``p(v) > g(v, 1)`` (non-raising probe)."""
+    return balance_scan(calibrator, params)[0]
+
+
+def balance_scan(calibrator, params) -> Tuple[List[int], int]:
+    """``(violating nodes, headroom)`` in one pass over the nodes.
+
+    The headroom is the least ``⌊g(v, 1) · M_v⌋ − N_v`` over all nodes:
+    how many more records the tightest node takes before BALANCE(d, D)
+    breaks.  It is negative exactly when some node violates.
+    """
     violating = []
+    # No minimum exceeds this start: the root's room is d*M - N.
+    headroom = params.max_records
+    count, depth, pages_in = calibrator.count, calibrator.depth, calibrator.pages_in
+    ceiling = params.balance_ceiling
     for node in calibrator.iter_nodes():
-        if params.density_exceeds(
-            calibrator.count[node],
-            calibrator.pages_in(node),
-            calibrator.depth[node],
-            3,
-        ):
+        room = ceiling(pages_in(node), depth[node]) - count[node]
+        if room < 0:  # N_v > ⌊g(v,1)·M_v⌋ iff p(v) > g(v, 1)
             violating.append(node)
-    return violating
+        if room < headroom:
+            headroom = room
+    return violating, headroom
 
 
 def check_counters(pagefile, calibrator) -> None:

@@ -157,6 +157,14 @@ class DensityParams:
         """Exact test of ``p(v) > g(v, thirds/3)`` (BALANCE violation at thirds=3)."""
         return 3 * self.log_m * count > self._coefficient(depth, thirds) * pages
 
+    def balance_ceiling(self, pages: int, depth: int) -> int:
+        """``⌊g(v, 1) · M_v⌋``: the most records BALANCE lets a node hold.
+
+        ``N_v <= balance_ceiling`` iff ``p(v) <= g(v, 1)``; computed
+        from the integer coefficient, never from a float.
+        """
+        return self._coefficient(depth, 3) * pages // (3 * self.log_m)
+
     def threshold_count(self, pages: int, depth: int, thirds: int) -> int:
         """Smallest integer ``N`` with ``N / pages >= g(depth, thirds/3)``.
 

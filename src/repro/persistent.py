@@ -414,6 +414,9 @@ class JournaledDenseFile(PersistentDenseFile):
     ):
         super().__init__(store, cache_pages, readahead)
         self.journal = TransactionJournal.beside(store.path)
+        self.metrics.register(
+            self.journal.LAYER, self.journal, self.journal.COUNTERS
+        )
         #: Nesting depth of open :meth:`transaction` blocks; while
         #: positive, per-command commits are deferred (group commit).
         self._txn_depth = 0
@@ -548,12 +551,6 @@ class JournaledDenseFile(PersistentDenseFile):
         if self._dirty and not self.closed:
             self._commit()
         super().close()
-
-    def store_stats(self) -> dict:
-        """Physical-layer counters plus journal/group-commit activity."""
-        stats = super().store_stats()
-        stats["journal"] = self.journal.counters()
-        return stats
 
     @property
     def durable_sequence(self) -> int:

@@ -56,6 +56,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..obs import Number, view
 from .vectorclock import Epoch, VectorClock
 
 #: Access kinds reported by the instrumented store.
@@ -86,6 +87,11 @@ class RaceFinding:
 class RaceReport:
     """Everything one sanitized run observed, findings first."""
 
+    COUNTERS = (
+        "accesses", "lock_events", "threads", "locks", "resources",
+        "lock_edges",
+    )
+
     findings: List[RaceFinding] = field(default_factory=list)
     accesses: int = 0
     lock_events: int = 0
@@ -99,17 +105,9 @@ class RaceReport:
         """Clean run: no unlocked access, no lock-order cycle."""
         return not self.findings
 
-    def counters(self) -> Dict[str, int]:
-        """The volume counters as a flat dict (for StressReport)."""
-        return {
-            "accesses": self.accesses,
-            "lock_events": self.lock_events,
-            "threads": self.threads,
-            "locks": self.locks,
-            "resources": self.resources,
-            "lock_edges": self.lock_edges,
-            "findings": len(self.findings),
-        }
+    def counters(self) -> Dict[str, Number]:
+        """The volume counters and the finding count (for StressReport)."""
+        return dict(view(self, self.COUNTERS), findings=len(self.findings))
 
     def summary(self) -> str:
         """Human-readable verdict with the volume counters."""

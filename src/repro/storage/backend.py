@@ -47,10 +47,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import ConfigurationError
-from .bufferpool import BufferPool, PoolStats
+from ..obs import Metrics, Number, view
+from .bufferpool import BufferPool
 from .page import Page
 from .tracing import READ, WRITE
 
@@ -98,8 +99,12 @@ class PageStore:
     sensible defaults expressed in terms of those three.
     """
 
-    #: Short backend identifier surfaced by :meth:`stats` and the CLI.
+    #: Short backend identifier surfaced by the CLI.
     name = "abstract"
+    #: The registry layer of this store's counters, and the counters
+    #: :meth:`stats` reports, declared once per class.
+    LAYER = "storage.backend"
+    COUNTERS: Tuple[str, ...] = ()
     num_pages = 0
     #: Readahead window: how many upcoming pages a sequential scan may
     #: hand to :meth:`prefetch`.  0 (the default) disables readahead;
@@ -165,9 +170,13 @@ class PageStore:
         """Push buffered state down to the backing medium; returns pages written."""
         return 0
 
-    def stats(self) -> Dict[str, object]:
-        """Physical-layer counters as a flat, printable dictionary."""
-        raise NotImplementedError
+    def counter_source(self) -> object:
+        """The object whose attributes :attr:`COUNTERS` name."""
+        return self
+
+    def stats(self) -> Dict[str, Number]:
+        """This layer's own counters (never a wrapped layer's)."""
+        return view(self.counter_source(), self.COUNTERS)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -244,14 +253,12 @@ class DelegatingStore(PageStore):
     def closed(self) -> bool:
         return self.inner.closed
 
-    def stats(self) -> Dict[str, object]:
-        return self.inner.stats()
-
 
 class MemoryStore(PageStore):
     """Zero-copy in-memory backend: the behaviour the simulator always had."""
 
     name = "memory"
+    COUNTERS = ("gets", "puts")
 
     def __init__(self, num_pages: int):
         if num_pages < 1:
@@ -276,12 +283,8 @@ class MemoryStore(PageStore):
     def put_page(self, page_number: int) -> None:
         self._stats.puts += 1
 
-    def stats(self) -> Dict[str, object]:
-        return {
-            "backend": self.name,
-            "gets": self._stats.gets,
-            "puts": self._stats.puts,
-        }
+    def counter_source(self) -> object:
+        return self._stats
 
 
 class DiskStore(PageStore):
@@ -297,6 +300,7 @@ class DiskStore(PageStore):
     """
 
     name = "disk"
+    COUNTERS = ("gets", "puts", "physical_reads", "physical_writes")
 
     def __init__(self, raw: "DiskPagedStore", write_through: bool = True):
         from .ondisk import DiskPagedStore  # cycle guard
@@ -450,16 +454,8 @@ class DiskStore(PageStore):
         self.raw.flush()
         return written
 
-    def stats(self) -> Dict[str, object]:
-        return {
-            "backend": self.name,
-            "path": self.raw.path,
-            "gets": self._stats.gets,
-            "puts": self._stats.puts,
-            "physical_reads": self._stats.physical_reads,
-            "physical_writes": self._stats.physical_writes,
-            "quarantined": sorted(self.quarantined),
-        }
+    def counter_source(self) -> object:
+        return self._stats
 
 
 class BufferedStore(PageStore):
@@ -488,6 +484,11 @@ class BufferedStore(PageStore):
     """
 
     name = "buffered"
+    LAYER = "storage.bufferpool"
+    COUNTERS = (
+        "hits", "misses", "hit_rate", "evictions", "prefetches",
+        "prefetch_hits", "physical_reads", "physical_writes",
+    )
 
     def __init__(
         self,
@@ -595,27 +596,16 @@ class BufferedStore(PageStore):
     def closed(self) -> bool:
         return self.inner.closed
 
-    @property
-    def pool_stats(self) -> PoolStats:
-        """The live :class:`~repro.storage.bufferpool.PoolStats` counters."""
+    def counter_source(self) -> object:
         return self.pool.stats
 
-    def stats(self) -> Dict[str, object]:
-        pool = self.pool.stats
-        return {
-            "backend": self.name,
-            "capacity": pool.capacity,
-            "hits": pool.hits,
-            "misses": pool.misses,
-            "hit_rate": pool.hit_rate,
-            "evictions": pool.evictions,
-            "readahead": self.readahead,
-            "prefetches": pool.prefetches,
-            "prefetch_hits": pool.prefetch_hits,
-            "physical_reads": pool.physical_reads,
-            "physical_writes": pool.physical_writes,
-            "inner": self.inner.stats(),
-        }
+
+def register_store(metrics: Metrics, store: Optional[PageStore]) -> None:
+    """Register every layer of a store stack, outermost first."""
+    while store is not None:
+        if store.COUNTERS:
+            metrics.register(store.LAYER, store.counter_source(), store.COUNTERS)
+        store = getattr(store, "inner", None)
 
 
 def make_store(

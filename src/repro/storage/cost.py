@@ -107,6 +107,9 @@ class AccessStats:
     cost: float = 0.0
     _marks: dict = field(default_factory=dict)
 
+    #: The meter's counters in a registry (layer ``storage.disk``).
+    COUNTERS = ("reads", "writes", "seeks", "cost")
+
     @property
     def page_accesses(self) -> int:
         """Total page accesses (reads plus writes) so far."""

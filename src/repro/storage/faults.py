@@ -53,9 +53,9 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, List, Optional, Tuple, TypeVar
 
-from ..concurrent.retry import RetryPolicy, retry_call
+from ..concurrent.retry import RetryCounters, RetryPolicy, retry_call
 from ..core.errors import (
     ConfigurationError,
     ReproError,
@@ -136,6 +136,11 @@ class FaultPlan(FaultInjector):
         a seeded position — silent corruption the next read's CRC check
         must catch.
     """
+
+    COUNTERS = (
+        "ops_seen", "physical_writes", "transients_injected", "crashes",
+        "torn_writes", "bitflips",
+    )
 
     def __init__(
         self,
@@ -227,20 +232,6 @@ class FaultPlan(FaultInjector):
             return bytes(corrupted)
         return frame
 
-    def stats(self) -> Dict[str, object]:
-        """Injection counters as a flat, printable dictionary."""
-        return {
-            "seed": self.seed,
-            "transient_rate": self.transient_rate,
-            "ops_seen": self.ops_seen,
-            "physical_writes": self.physical_writes,
-            "transients_injected": self.transients_injected,
-            "crashes": self.crashes,
-            "torn_writes": self.torn_writes,
-            "bitflips": self.bitflips,
-            "corrupted_pages": list(self.corrupted_pages),
-        }
-
 
 def find_disk_store(store: Optional[PageStore]) -> Optional[DiskStore]:
     """The :class:`DiskStore` layer inside a decorator stack, if any."""
@@ -269,6 +260,8 @@ class FaultyStore(PageStore):
     """
 
     name = "faulty"
+    LAYER = "storage.faults"
+    COUNTERS = FaultPlan.COUNTERS
 
     def __init__(self, inner: PageStore, plan: Optional[FaultPlan] = None):
         self.inner = inner
@@ -308,12 +301,8 @@ class FaultyStore(PageStore):
     def closed(self) -> bool:
         return self.inner.closed
 
-    def stats(self) -> Dict[str, object]:
-        return {
-            "backend": self.name,
-            "plan": self.plan.stats(),
-            "inner": self.inner.stats(),
-        }
+    def counter_source(self) -> object:
+        return self.plan
 
 
 class RetryingStore(PageStore):
@@ -343,6 +332,12 @@ class RetryingStore(PageStore):
     """
 
     name = "retrying"
+    LAYER = "storage.faults"
+    #: How many transients were absorbed (``retries``), how many
+    #: exhausted the policy (``giveups``), how many stopped early because
+    #: the operation's deadline ran out (``deadline_giveups``), and the
+    #: accumulated backoff time.
+    COUNTERS = RetryCounters.COUNTERS
 
     def __init__(
         self,
@@ -408,31 +403,6 @@ class RetryingStore(PageStore):
     @property
     def closed(self) -> bool:
         return self.inner.closed
-
-    def counters(self) -> Dict[str, object]:
-        """Just this layer's absorption counters (no inner stats).
-
-        The stress harness and ``scrub`` report these per run: how many
-        transients were absorbed (``retries``), how many exhausted the
-        policy (``giveups``), how many stopped early because the
-        operation's deadline ran out (``deadline_giveups``), and the
-        accumulated backoff time.
-        """
-        return {
-            "retries": self.retries,
-            "giveups": self.giveups,
-            "deadline_giveups": self.deadline_giveups,
-            "backoff_total": self.backoff_total,
-        }
-
-    def stats(self) -> Dict[str, object]:
-        report: Dict[str, object] = {
-            "backend": self.name,
-            "max_attempts": self.policy.max_attempts,
-        }
-        report.update(self.counters())
-        report["inner"] = self.inner.stats()
-        return report
 
 
 def fault_tolerant_stack(

@@ -230,6 +230,12 @@ def _read_bytes(path: str) -> Optional[bytes]:
 class TransactionJournal:
     """Append-once redo journal (and replication log) beside the store."""
 
+    LAYER = "storage.wal"
+    COUNTERS = (
+        "transactions", "pages_journaled", "bytes_journaled", "fsyncs",
+        "sequence",
+    )
+
     @classmethod
     def beside(cls, path: str) -> "TransactionJournal":
         """The journal of the main store file at ``path``."""
@@ -239,7 +245,7 @@ class TransactionJournal:
         self.path = path
         self.injector = injector
         #: Committed transactions written since this object was made.
-        self.transactions_written = 0
+        self.transactions = 0
         #: Page images journaled across all transactions.
         self.pages_journaled = 0
         #: Journal payload bytes written (page images only).
@@ -258,16 +264,6 @@ class TransactionJournal:
     def applied_path(self) -> str:
         """Where :meth:`mark_applied` retains the last applied image."""
         return self.path + APPLIED_SUFFIX
-
-    def counters(self) -> Dict[str, int]:
-        """Journal activity counters, for stats()/bench reporting."""
-        return {
-            "transactions": self.transactions_written,
-            "pages_journaled": self.pages_journaled,
-            "bytes_journaled": self.bytes_journaled,
-            "fsyncs": self.fsyncs,
-            "sequence": self.sequence,
-        }
 
     def _check(self) -> None:
         if self.injector is not None:
@@ -354,7 +350,7 @@ class TransactionJournal:
             self._check()
             os.fsync(handle.fileno())
         self.sequence = assigned
-        self.transactions_written += 1
+        self.transactions += 1
         self.pages_journaled += len(pages)
         self.bytes_journaled += sum(len(payload) for payload in pages.values())
         self.fsyncs += 1

@@ -195,5 +195,5 @@ class TestDeterministicParity:
         cached.validate()
         assert isinstance(cached.store, BufferedStore)
         assert isinstance(cached.store.inner, MemoryStore)
-        pool = cached.store.pool_stats
+        pool = cached.store.pool.stats
         assert pool.accesses == pool.hits + pool.misses > 0

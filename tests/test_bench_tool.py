@@ -150,6 +150,12 @@ CLUSTER_CELLS = {
     "stream_scan": (12000, 26, None, "per_chunk_mean", 20),
 }
 
+#: Requests each cluster cell's server answered: the timed commands
+#: (one per scan), plus one ``hello`` where they route by key.
+CLUSTER_REQUESTS = {
+    "bulk_load": 601, "insert_burst": 301, "mixed": 301, "stream_scan": 20,
+}
+
 
 class TestClusterCell:
     @pytest.mark.parametrize("scenario", sorted(CLUSTER_CELLS))
@@ -178,11 +184,16 @@ class TestClusterCell:
             cell["latency_source"],
             cell["latency_samples"],
         ) == CLUSTER_CELLS[scenario]
-        assert sorted(cell["counters"]) == [
-            "client_retries", "dedup_replays", "errors", "num_shards",
-            "requests",
-        ]
-        assert cell["counters"]["client_retries"] == 0
+        counters = cell["counters"]
+        assert {key: counters[key] for key in (
+            "cluster.server.requests", "cluster.server.errors",
+            "cluster.server.dedup_replays", "cluster.client.retries",
+        )} == {
+            "cluster.server.requests": CLUSTER_REQUESTS[scenario],
+            "cluster.server.errors": 0,
+            "cluster.server.dedup_replays": 0,
+            "cluster.client.retries": 0,
+        }
         assert cell["extra"] == {}
 
     def test_profile_covers_the_server_thread(self):

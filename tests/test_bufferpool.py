@@ -463,6 +463,35 @@ class TestClosedStoreLifetime:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("journaled", [False, True])
+    def test_snapshotted_stack_dies_without_a_collection(
+        self, tmp_path, journaled
+    ):
+        """The counter registry refers to the stack's components and
+        none of them refers back, so a file whose counters were read
+        is freed by reference counting alone once it is closed."""
+        import gc
+        import weakref
+
+        from repro import JournaledDenseFile, PersistentDenseFile
+
+        path = str(tmp_path / "f.dsf")
+        if journaled:
+            dense = JournaledDenseFile.create(path, 64, 8, 40)
+        else:
+            PersistentDenseFile.create(path, 64, 8, 40).close()
+            dense = PersistentDenseFile.open(path, cache_pages=4)
+        dense.insert_many(range(0, 300, 3))
+        assert dense.store_stats()["storage.disk.writes"] > 0
+        dense.close()
+        refs = [weakref.ref(part) for part in (dense, dense.metrics, dense.store)]
+        gc.disable()
+        try:
+            del dense
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
 
 class TestPhysicalEventsReachTheInnerStoreOnce:
     """A buffered-over-disk file meters each fault and write-back once:
@@ -530,9 +559,8 @@ class TestPhysicalEventsReachTheInnerStoreOnce:
             stats = dense.store.stats()
             assert "physical_cost" not in stats
             assert sorted(stats) == [
-                "backend", "capacity", "evictions", "hit_rate", "hits",
-                "inner", "misses", "physical_reads", "physical_writes",
-                "prefetch_hits", "prefetches", "readahead",
+                "evictions", "hit_rate", "hits", "misses", "physical_reads",
+                "physical_writes", "prefetch_hits", "prefetches",
             ]
         finally:
             dense.close()

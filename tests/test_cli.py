@@ -142,6 +142,17 @@ class TestInfoVerify:
         assert "200 records" in output
         assert "|" in output  # the heatmap strip
 
+    @pytest.mark.parametrize("backend, shown", [
+        ((), "journaled"), (("--backend", "journaled"), "journaled"),
+        (("--backend", "disk"), "disk"), (("--backend", "buffered"), "buffered"),
+    ])
+    def test_info_names_the_stack_it_opened(self, created, backend, shown):
+        run("load", created, "--keys", "0:200")
+        code, output = run("info", created, *backend)
+        assert code == 0
+        assert f"backend:   {shown}\n" in output
+        assert "balance:   headroom " in output
+
     def test_verify_clean(self, created):
         run("load", created, "--keys", "0:50")
         code, output = run("verify", created)
@@ -324,6 +335,7 @@ class TestExitCodeContract:
         code, output = run("info", created)
         assert code == 5, output
         assert "DEGRADED" in output
+        assert "backend:   disk\n" in output  # the degraded fallback
         code, output = run("scrub", created)
         assert code == 0, output
         assert "repaired pages" in output

@@ -357,7 +357,7 @@ class TestCircuitBreaker:
         breaker.allow()
         breaker.release()
         stats = breaker.stats()
-        assert stats["state"] == CLOSED
+        assert breaker.state == CLOSED
         # A connection-scoped fault must not reset the failure streak
         # the way record_success() would.
         assert stats["consecutive_failures"] == 1
@@ -436,7 +436,7 @@ class TestShardedStore:
         assert len(populated) == 100
         for key in (0, 250, 500, 990):
             assert populated.search(key).key == key
-        sizes = populated.stats()["records_per_shard"]
+        sizes = [len(shard) for shard in populated.shards]
         assert all(size > 0 for size in sizes)
         assert sum(sizes) == 100
 
@@ -626,6 +626,33 @@ def cluster():
 
 
 class TestClientServer:
+    def test_stats_is_the_registry_snapshot_and_keeps_no_cycle(self):
+        """The ``stats`` op answers with the server's registry snapshot,
+        and the registry holds the server weakly: a server whose
+        counters were read is freed by reference counting alone."""
+        import gc
+        import weakref
+
+        sharded = ShardedDenseFile.build(num_shards=2, key_space=100,
+                                         capacity_hint=64)
+        server = ClusterServer(sharded)
+        client = ClusterClient(LocalChannel(server.handle_frame))
+        assert client.ping() is True
+        assert client.stats() == {
+            "cluster.server.requests": 2,
+            "cluster.server.errors": 0,
+            "cluster.server.dedup_replays": 0,
+        }
+        client.close()
+        ref = weakref.ref(server)
+        gc.disable()
+        try:
+            del client, server
+            assert ref() is None
+        finally:
+            gc.enable()
+            sharded.close()
+
     def test_full_operation_surface(self, cluster):
         _, _, client = cluster
         assert client.ping() is True
@@ -805,7 +832,7 @@ class TestClientServer:
         )
         client.insert(77, "made-it")
         assert client.search(77).value == "made-it"
-        assert client.client_stats()["retries"] == 2
+        assert client.client_stats()["cluster.client.retries"] == 2
 
     def test_budget_spent_surfaces_as_operation_timeout(self, cluster):
         _, server, _ = cluster
@@ -935,7 +962,7 @@ class TestClientServer:
         with pytest.raises(OperationTimeout):
             client.search(1, timeout=0.0)
         stats = client.breaker(shard_id).stats()
-        assert stats["state"] == CLOSED
+        assert client.breaker(shard_id).state == CLOSED
         assert stats["consecutive_failures"] == 0
         assert server.requests == before  # the wire was never touched
 

@@ -273,9 +273,9 @@ class TestOverload:
 
     def test_no_gate_by_default(self, shared):
         assert shared.gate is None
-        report = shared.concurrency_stats()
-        assert report["admission"] is None
-        assert report["lock"]["writers_served"] >= 0
+        report = shared.metrics.snapshot()
+        assert not any(key.startswith("concurrent.admission.") for key in report)
+        assert report["concurrent.rwlock.writers_served"] >= 0
 
     def test_overload_reports_queue_depth_under_concurrent_writers(self):
         """Shed writes carry an honest snapshot of the congestion.
@@ -350,8 +350,8 @@ class TestDeadlineAwareRetries:
         # The loop gave up near the budget, not after 10k attempts.
         assert time.monotonic() - start < 2.0
         assert stack.deadline_giveups >= 1
-        report = shared.concurrency_stats()
-        assert report["retries"][0]["deadline_giveups"] >= 1
+        report = shared.metrics.snapshot()
+        assert report["storage.faults.deadline_giveups"] >= 1
 
     def test_unbounded_calls_keep_absorbing_transients(self):
         plan = FaultPlan(seed=2, transient_rate=0.2, max_transients=50)
@@ -396,7 +396,7 @@ def assert_idle(front):
     stats = front.lock.stats()
     assert stats["active_readers"] == 0
     assert not stats["writer_active"]
-    assert stats["queued"] == 0
+    assert stats["queue_depth"] == 0
     assert front.gate.in_flight == 0 and front.gate.queue_depth == 0
     layers = find_retrying_stores(front.inner.store)
     assert layers

@@ -26,7 +26,10 @@ from hypothesis import strategies as st
 
 from repro import DenseSequentialFile, JournaledDenseFile, PersistentDenseFile
 from repro.core.errors import ReadOnlyError, TransientIOError
-from repro.storage.backend import BufferedStore, DiskStore, MemoryStore
+from repro.obs import Metrics
+from repro.storage.backend import (
+    BufferedStore, DiskStore, MemoryStore, register_store,
+)
 from repro.concurrent.retry import RetryPolicy
 from repro.storage.faults import (
     FaultPlan,
@@ -104,12 +107,9 @@ class TestDisabledLayerIsTransparent:
                 dense = DenseSequentialFile(**GEOMETRY, store=store)
                 apply_commands(dense, set(), commands)
                 dense.flush()
-                counters = dict(inner.stats())
-                counters.pop("path", None)  # tempdir differs by run
-                if "inner" in counters:  # buffered wraps disk: same path
-                    counters["inner"] = dict(counters["inner"])
-                    counters["inner"].pop("path", None)
-                observed.append(counters)
+                metrics = Metrics()  # every layer under the fault stack
+                register_store(metrics, inner)
+                observed.append(metrics.snapshot())
                 dense.close()
         assert observed[0] == observed[1]
 

@@ -88,11 +88,21 @@ def state_digest(dense) -> str:
                    engine.disk.stats.cost))
 
 
-def pool_digest(store) -> str:
-    stats = dict(store.stats())
-    stats.pop("path", None)
-    stats["inner"] = {key: value for key, value in stats["inner"].items()
-                      if key != "path"}
+def pool_digest(dense) -> str:
+    """Digest of a buffered-over-disk file's counters, read from its
+    registry snapshot and laid out as the stores' ``stats()`` dicts were
+    before the registry (configuration and the nested ``"inner"`` dict
+    included), so the pinned digest proves every value unchanged."""
+    snapshot = dense.store_stats()
+    store = dense.store
+    stats = {name: snapshot[f"storage.bufferpool.{name}"]
+             for name in store.COUNTERS}
+    stats.update(backend="buffered", capacity=store.pool.stats.capacity,
+                 readahead=store.readahead)
+    stats["inner"] = {"backend": "disk", **{
+        name: snapshot[f"storage.backend.{name}"]
+        for name in ("gets", "puts", "physical_reads", "physical_writes")
+    }, "quarantined": sorted(store.inner.quarantined)}
     return digest(sorted((key, repr(value)) for key, value in stats.items()))
 
 
@@ -337,7 +347,7 @@ class TestBulkLoadState:
         try:
             dense.bulk_load(_records())
             assert state_digest(dense) == STATE_DIGESTS["buffered"]
-            assert pool_digest(dense.engine.store) == STATE_DIGESTS["pool"]
+            assert pool_digest(dense) == STATE_DIGESTS["pool"]
         finally:
             dense.close()
 
@@ -362,18 +372,30 @@ class TestBulkLoadState:
         assert {name: cell["page_accesses"] for name, cell in cells.items()} == {
             "memory": 256, "buffered": 256, "disk": 256,
         }
-        assert cells["memory"]["counters"] == {"gets": 0, "puts": 256}
+        memory = cells["memory"]["counters"]
+        assert {key: value for key, value in memory.items()
+                if key.startswith("storage.backend.")} == {
+            "storage.backend.gets": 0, "storage.backend.puts": 256,
+        }
         buffered = cells["buffered"]["counters"]
+        pool, inner = "storage.bufferpool.", "storage.backend."
         assert {key: buffered[key] for key in (
-            "misses", "evictions", "physical_reads", "physical_writes",
-            "inner.gets", "inner.puts", "hits", "prefetches",
+            pool + "misses", pool + "evictions", pool + "physical_reads",
+            pool + "physical_writes", inner + "gets", inner + "puts",
+            pool + "hits", pool + "prefetches",
         )} == {
-            "misses": 256, "evictions": 192, "physical_reads": 256,
-            "physical_writes": 192, "inner.gets": 256, "inner.puts": 192,
-            "hits": 0, "prefetches": 0,
+            pool + "misses": 256, pool + "evictions": 192,
+            pool + "physical_reads": 256, pool + "physical_writes": 192,
+            inner + "gets": 256, inner + "puts": 192, pool + "hits": 0,
+            pool + "prefetches": 0,
         }
         disk = cells["disk"]["counters"]
-        assert (disk["puts"], disk["physical_writes"], disk["gets"]) == (256, 256, 0)
+        assert (disk[inner + "puts"], disk[inner + "physical_writes"],
+                disk[inner + "gets"]) == (256, 256, 0)
+        for cell in cells.values():
+            meter = cell["counters"]
+            assert meter["storage.disk.reads"] + meter["storage.disk.writes"] == 256
+            assert meter["core.balance_headroom"] >= 0
 
 
 class TestLoadingRefusals:

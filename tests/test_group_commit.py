@@ -30,18 +30,18 @@ class TestFsyncCoalescing:
         with dense.transaction():
             for key in range(20):
                 dense.insert(key)
-        counters = dense.store_stats()["journal"]
-        assert counters["transactions"] == 1
-        assert counters["fsyncs"] == 1
+        counters = dense.store_stats()
+        assert counters["storage.wal.transactions"] == 1
+        assert counters["storage.wal.fsyncs"] == 1
         dense.close()
 
     def test_per_command_pays_n_fsyncs(self, path):
         dense = JournaledDenseFile.create(path, **GEOMETRY)
         for key in range(20):
             dense.insert(key)
-        counters = dense.store_stats()["journal"]
-        assert counters["transactions"] == 20
-        assert counters["fsyncs"] == 20
+        counters = dense.store_stats()
+        assert counters["storage.wal.transactions"] == 20
+        assert counters["storage.wal.fsyncs"] == 20
         dense.close()
 
     def test_hot_page_journaled_once_per_group(self, path):
@@ -50,13 +50,13 @@ class TestFsyncCoalescing:
         with dense.transaction():
             for key in range(10):
                 dense.insert(key)  # clustered: few distinct pages
-        grouped = dense.store_stats()["journal"]["pages_journaled"]
+        grouped = dense.store_stats()["storage.wal.pages_journaled"]
         dense.close()
 
         reference = JournaledDenseFile.create(path + ".ref", **GEOMETRY)
         for key in range(10):
             reference.insert(key)
-        per_command = reference.store_stats()["journal"]["pages_journaled"]
+        per_command = reference.store_stats()["storage.wal.pages_journaled"]
         reference.close()
         assert grouped < per_command
 
@@ -66,7 +66,7 @@ class TestFsyncCoalescing:
             dense.insert_many(range(50))
             dense.delete_range(10, 19)
             dense.insert(100)
-        assert dense.store_stats()["journal"]["fsyncs"] == 1
+        assert dense.store_stats()["storage.wal.fsyncs"] == 1
         assert len(dense) == 41
         dense.close()
 
@@ -101,9 +101,9 @@ class TestGroupAtomicity:
             with dense.transaction():
                 dense.insert(2)
             # Inner exit must not have committed anything yet.
-            assert dense.store_stats()["journal"]["transactions"] == 0
+            assert dense.store_stats()["storage.wal.transactions"] == 0
             dense.insert(3)
-        assert dense.store_stats()["journal"]["transactions"] == 1
+        assert dense.store_stats()["storage.wal.transactions"] == 1
         dense.close()
         with JournaledDenseFile.open(path) as reopened:
             assert [k for k, _ in contents(reopened)] == [1, 2, 3]
@@ -131,23 +131,23 @@ class TestCounterPlumbing:
     def test_journal_counters_exposed(self, path):
         dense = JournaledDenseFile.create(path, **GEOMETRY)
         dense.insert_many(range(25))
-        counters = dense.store_stats()["journal"]
-        assert set(counters) == {
-            "transactions",
-            "pages_journaled",
-            "bytes_journaled",
-            "fsyncs",
-            "sequence",
+        counters = dense.store_stats()
+        assert {key for key in counters if key.startswith("storage.wal.")} == {
+            "storage.wal.transactions",
+            "storage.wal.pages_journaled",
+            "storage.wal.bytes_journaled",
+            "storage.wal.fsyncs",
+            "storage.wal.sequence",
         }
-        assert counters["transactions"] == 1
-        assert counters["sequence"] == 1
-        assert counters["pages_journaled"] >= 1
-        assert counters["bytes_journaled"] > 0
+        assert counters["storage.wal.transactions"] == 1
+        assert counters["storage.wal.sequence"] == 1
+        assert counters["storage.wal.pages_journaled"] >= 1
+        assert counters["storage.wal.bytes_journaled"] > 0
         dense.close()
 
     def test_empty_group_writes_nothing(self, path):
         dense = JournaledDenseFile.create(path, **GEOMETRY)
         with dense.transaction():
             pass
-        assert dense.store_stats()["journal"]["transactions"] == 0
+        assert dense.store_stats()["storage.wal.transactions"] == 0
         dense.close()

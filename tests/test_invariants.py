@@ -1,8 +1,13 @@
 """Unit tests for the invariant checkers (including failure detection)."""
 
-import pytest
+import math
+from fractions import Fraction
 
-from repro import Control2Engine, DensityParams
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import Control2Engine, DenseSequentialFile, DensityParams
 from repro.core.errors import InvariantViolationError
 from repro.core.invariants import (
     balance_violations,
@@ -95,6 +100,71 @@ class TestBalance:
         for page, count in enumerate([3, 2, 1, 2], start=1):
             tree.add(page, count)
         assert balance_violations(tree, params) == []
+
+
+def brute_force_headroom(calibrator, params):
+    """min over nodes of ``⌊g(v, 1) · M_v⌋ − N_v``, in exact fractions,
+    with ``g(v, 1) = d + Depth(v) · (D − d) / ⌈log₂ M⌉``."""
+    return min(
+        math.floor(
+            (params.d + Fraction(calibrator.depth[node] * params.slack,
+                                 params.log_m))
+            * calibrator.pages_in(node)
+        )
+        - calibrator.count[node]
+        for node in calibrator.iter_nodes()
+    )
+
+
+class TestBalanceHeadroom:
+    @given(
+        algorithm=st.sampled_from(["control1", "control2"]),
+        num_pages=st.integers(2, 64),
+        d=st.integers(1, 8),
+        extra=st.integers(1, 12),
+        j=st.sampled_from([1, 2, None]),
+        script=st.lists(st.tuples(st.booleans(), st.integers(0, 5000)),
+                        max_size=150),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gauge_is_the_least_room_and_negative_iff_unbalanced(
+        self, algorithm, num_pages, d, extra, j, script
+    ):
+        # Slack just past 3⌈log₂M⌉, so CONTROL 2 runs on plain pages.
+        slack = 3 * DensityParams(num_pages, 1, 2).log_m + extra
+        dense = DenseSequentialFile(num_pages, d, d + slack,
+                                    algorithm=algorithm, j=j)
+        engine = dense.engine
+        tree, params = engine.calibrator, engine.params
+        present = set()
+        for insert, key in script:
+            if insert and key not in present and len(present) < params.max_records:
+                dense.insert(key)
+                present.add(key)
+            elif not insert and present:
+                victim = sorted(present)[key % len(present)]
+                dense.delete(victim)
+                present.discard(victim)
+            headroom = dense.store_stats()["core.balance_headroom"]
+            assert headroom == brute_force_headroom(tree, params)
+            assert (headroom < 0) == bool(balance_violations(tree, params))
+            assert balance_violations(tree, params) == [
+                node for node in tree.iter_nodes()
+                if params.density_exceeds(
+                    tree.count[node], tree.pages_in(node), tree.depth[node], 3
+                )
+            ]
+
+    def test_hand_raised_counters_pin_a_negative_value(self, params):
+        engine = Control2Engine(params)
+        engine.load_occupancies([9] * 8)
+        assert engine.balance_headroom == 0  # the root holds d*M = 72
+        # Ten records over page 1's counters: the leaf holds 19 > D = 18
+        # and the root 82 > d*M = 72, the tightest node.
+        engine.calibrator.add(1, 10)
+        assert engine.balance_headroom == -10
+        assert brute_force_headroom(engine.calibrator, params) == -10
+        assert balance_violations(engine.calibrator, params)
 
 
 class TestCounters:

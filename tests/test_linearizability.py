@@ -58,9 +58,11 @@ class TestLinearizableStacks:
         report = run_clean("faulty", seed, transient_rate=rate)
         # Deadlines are generous here, so every injected transient must
         # be absorbed by retries — none may surface or give up.
-        assert report.retry_counters["giveups"] == 0
-        assert report.retry_counters["deadline_giveups"] == 0
-        assert report.retry_counters["retries"] == report.faults_injected
+        assert report.counters["storage.faults.giveups"] == 0
+        assert report.counters["storage.faults.deadline_giveups"] == 0
+        counters = report.counters
+        assert (counters["storage.faults.retries"]
+                == counters["storage.faults.transients_injected"])
 
 
 class TestLinearizableUnderAdmission:
@@ -70,8 +72,8 @@ class TestLinearizableUnderAdmission:
         """Rejections (overloads) are fine; executed ops must still have
         a sequential witness."""
         report = run_clean("memory", seed, max_in_flight=cap)
-        assert report.gate_stats is not None
-        assert report.gate_stats["peak_in_flight"] <= cap
+        assert "concurrent.admission.admitted" in report.counters
+        assert report.counters["concurrent.admission.peak_in_flight"] <= cap
 
     @settings(max_examples=6, deadline=None)
     @given(seed=SEEDS)
@@ -79,6 +81,6 @@ class TestLinearizableUnderAdmission:
         report = run_clean(
             "memory", seed, max_in_flight=1, shed_load=True, threads=4
         )
-        assert report.gate_stats is not None
+        assert "concurrent.admission.admitted" in report.counters
         # Whatever was shed is accounted for, never silently dropped.
-        assert report.overloads == report.gate_stats["rejected"]
+        assert report.overloads == report.counters["concurrent.admission.rejected"]

@@ -49,9 +49,9 @@ class TestStreamScanHitRate:
         rates = {}
         for window in (0, 8):
             dense = _loaded(window)
-            before = dense.store_stats()
+            before = dense.store.stats()
             assert sum(1 for _ in dense.range(0, 499)) == 500
-            after = dense.store_stats()
+            after = dense.store.stats()
             rates[window] = _hit_rate(
                 {
                     key: after[key] - before[key]
@@ -67,8 +67,8 @@ class TestStreamScanHitRate:
     def test_prefetch_hits_counted(self):
         dense = _loaded(4)
         list(dense.range(0, 499))
-        stats = dense.store_stats()
-        assert stats["readahead"] == 4
+        stats = dense.store.stats()
+        assert dense.store.readahead == 4
         assert stats["prefetches"] > 0
         assert stats["prefetch_hits"] > 0
         dense.close()
@@ -76,8 +76,8 @@ class TestStreamScanHitRate:
     def test_no_readahead_no_prefetch_counters_move(self):
         dense = _loaded(0)
         list(dense.range(0, 499))
-        stats = dense.store_stats()
-        assert stats["readahead"] == 0
+        stats = dense.store.stats()
+        assert dense.store.readahead == 0
         assert stats["prefetches"] == 0
         assert stats["prefetch_hits"] == 0
         dense.close()
@@ -118,11 +118,11 @@ class TestWindowStopsAtLastPage:
         dense.bulk_load(range(1000))
         dense.flush()
         calls = _counting_pool_prefetch(dense)
-        before = dense.store_stats()
+        before = dense.store.stats()
         dense.stats.checkpoint("scan")
         assert _scan(dense, entry, 400, 80)
         pages = dense.stats.delta("scan").page_accesses
-        after = dense.store_stats()
+        after = dense.store.stats()
         prefetches = after["prefetches"] - before["prefetches"]
         assert pages > 8
         assert prefetches <= pages - 1
@@ -137,16 +137,16 @@ class TestWindowStopsAtLastPage:
         dense = _loaded(4, cache_pages=16)
         rng = random.Random(11)
         for number in range(60):
-            before = dense.store_stats()
+            before = dense.store.stats()
             _scan(dense, entry, rng.randrange(460), 30)
-            after = dense.store_stats()
+            after = dense.store.stats()
             # Every prefetched frame was read by the scan that asked.
             assert after["prefetches"] == after["prefetch_hits"]
             if number:
                 assert after["misses"] - before["misses"] <= 1
-        before = dense.store_stats()
+        before = dense.store.stats()
         assert len(list(dense.items())) == 500
-        after = dense.store_stats()
+        after = dense.store.stats()
         assert after["prefetches"] == after["prefetch_hits"]
         assert after["misses"] - before["misses"] <= 1
         dense.close()
@@ -181,11 +181,11 @@ class TestOncePerWindow:
         # Bulk loading leaves the highest pages resident; the scan
         # starts low, so none of its pages is cached when it begins.
         offers = _counting_store_prefetch(dense)
-        before = dense.store_stats()
+        before = dense.store.stats()
         dense.stats.checkpoint("scan")
         assert _scan(dense, entry, 0, 160)
         pages = dense.stats.delta("scan").page_accesses
-        after = dense.store_stats()
+        after = dense.store.stats()
         assert pages > 2 * window
         assert len(offers) <= math.ceil((pages - 1) / window)
         assert all(len(offer) <= window for offer in offers)
@@ -206,7 +206,7 @@ class TestOncePerWindow:
         # slid by one, after the next read.
         assert offers[0] == run[1:5]
         assert offers[1] == run[2:6]
-        stats = dense.store_stats()
+        stats = dense.store.stats()
         assert stats["prefetches"] == stats["prefetch_hits"]
         dense.close()
 
@@ -318,8 +318,8 @@ class TestPersistentWiring:
             path, cache_pages=8, readahead=4
         ) as dense:
             list(dense.range(0, 199))
-            stats = dense.store_stats()
-            assert stats["readahead"] == 4
+            stats = dense.store.stats()
+            assert dense.store.readahead == 4
             assert stats["prefetch_hits"] > 0
 
 

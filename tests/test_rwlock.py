@@ -214,7 +214,7 @@ class TestUncontendedPath:
         with pytest.raises(OperationTimeout):
             lock.acquire_read(Deadline.after(0.0))
         stats = lock.stats()
-        assert stats["active_readers"] == 1 and stats["queued"] == 1
+        assert stats["active_readers"] == 1 and stats["queue_depth"] == 1
         lock.release_read()
         writer.join(5.0)
         assert writer_in.is_set()
@@ -233,7 +233,7 @@ class TestUncontendedPath:
         lock.release_read()
         stats = lock.stats()
         assert stats["writers_served"] == 0 and stats["timeouts"] == 2
-        assert stats["queued"] == 0
+        assert stats["queue_depth"] == 0
         lock.acquire_write(Deadline.after(0.0))  # idle again: enters
         assert lock.stats()["writer_active"]
 
@@ -244,7 +244,7 @@ class TestUncontendedPath:
             with pytest.raises(OperationTimeout):
                 acquire(Deadline.after(0.0))
         lock.release_write()
-        assert lock.stats()["queued"] == 0
+        assert lock.stats()["queue_depth"] == 0
 
     def test_readers_behind_a_queued_writer_enter_after_it(self):
         lock = FairRWLock()
@@ -301,7 +301,7 @@ class TestUncontendedPath:
             "max_queue_depth": 1,
             "active_readers": 0,
             "writer_active": False,
-            "queued": 0,
+            "queue_depth": 0,
         }
         assert FairRWLock().stats()["max_queue_depth"] == 0
 
@@ -364,7 +364,7 @@ class TestUncontendedPath:
         assert stats["writers_served"] == 600
         assert stats["readers_served"] == 1800
         assert not stats["writer_active"] and stats["active_readers"] == 0
-        assert stats["queued"] == 0
+        assert stats["queue_depth"] == 0
 
     def test_release_wakes_the_condition_only_when_someone_waits(self):
         lock = FairRWLock()

@@ -76,14 +76,16 @@ class TestReports:
                          transient_rate=0.1)
         )
         assert report.ok, report.summary()
-        assert report.faults_injected > 0
-        assert report.retry_counters["retries"] == report.faults_injected
-        assert report.retry_counters["giveups"] == 0
+        assert report.counters["storage.faults.transients_injected"] > 0
+        counters = report.counters
+        assert (counters["storage.faults.retries"]
+                == counters["storage.faults.transients_injected"])
+        assert report.counters["storage.faults.giveups"] == 0
 
     def test_report_carries_lock_stats(self):
         report = run_stress(StressConfig(seed=1, total_ops=60))
-        assert report.lock_stats["writers_served"] > 0
-        assert report.lock_stats["queued"] == 0
+        assert report.counters["concurrent.rwlock.writers_served"] > 0
+        assert report.counters["concurrent.rwlock.queue_depth"] == 0
         assert report.elapsed > 0.0
 
     def test_disk_stack_cleans_up_and_passes(self):

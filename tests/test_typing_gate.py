@@ -38,6 +38,14 @@ def test_ast_gate_catches_missing_annotations(tmp_path):
     assert len(problems) == 2
     assert "missing annotations for x" in problems[0]
     assert "missing a return annotation" in problems[1]
+    # A single module on the ratchet is checked as its own entry.
+    single = typecheck.ast_gate(packages=("pkg/bad.py",), repo=str(tmp_path))
+    assert single == problems
+
+
+def test_single_module_entries_are_on_the_disk():
+    for entry in typecheck.STRICT_PACKAGES:
+        assert os.path.exists(os.path.join(REPO, entry)), entry
 
 
 def test_typecheck_cli_is_clean_in_ast_mode():

@@ -1,8 +1,9 @@
 """The typing gate: mypy when available, an AST fallback always.
 
 CI installs mypy and runs it against ``pyproject.toml``'s ``[tool.mypy]``
-config (strict on ``storage/``, ``concurrent/``, ``cluster/`` and
-``replication/``, base strictness everywhere else — the ratchet).  Development containers without mypy
+config (strict on ``storage/``, ``concurrent/``, ``cluster/``,
+``replication/`` and ``obs.py``, base strictness everywhere else — the
+ratchet).  Development containers without mypy
 still get a meaningful gate: the AST pass below enforces the part of
 strict mode that needs no type inference — ``disallow_untyped_defs`` /
 ``disallow_incomplete_defs`` — by walking every function signature in
@@ -29,12 +30,14 @@ from typing import Iterator, List, Tuple
 
 REPO = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 
-#: Packages held to strict typing (mirrors [tool.mypy] overrides).
+#: Packages and single modules held to strict typing (mirrors
+#: [tool.mypy] overrides).
 STRICT_PACKAGES = (
     "src/repro/storage",
     "src/repro/concurrent",
     "src/repro/cluster",
     "src/repro/replication",
+    "src/repro/obs.py",
 )
 
 
@@ -59,32 +62,38 @@ def incomplete_signature(fn) -> Tuple[List[str], bool]:
     return missing, missing_return
 
 
+def iter_sources(root: str) -> Iterator[str]:
+    """``root`` itself when it is a file, else every ``.py`` under it."""
+    if os.path.isfile(root):
+        yield root
+        return
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+        for filename in sorted(filenames):
+            if filename.endswith(".py"):
+                yield os.path.join(dirpath, filename)
+
+
 def ast_gate(packages=STRICT_PACKAGES, repo: str = REPO) -> List[str]:
     """Annotation-completeness findings for the strict packages."""
     problems = []
     for package in packages:
-        root = os.path.join(repo, package)
-        for dirpath, dirnames, filenames in os.walk(root):
-            dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-            for filename in sorted(filenames):
-                if not filename.endswith(".py"):
-                    continue
-                path = os.path.join(dirpath, filename)
-                with open(path, "r", encoding="utf-8") as handle:
-                    tree = ast.parse(handle.read(), filename=path)
-                for fn in iter_functions(tree):
-                    missing, missing_return = incomplete_signature(fn)
-                    rel = os.path.relpath(path, repo)
-                    if missing:
-                        problems.append(
-                            f"{rel}:{fn.lineno}: {fn.name} is missing "
-                            f"annotations for {', '.join(missing)}"
-                        )
-                    if missing_return:
-                        problems.append(
-                            f"{rel}:{fn.lineno}: {fn.name} is missing a "
-                            "return annotation"
-                        )
+        for path in iter_sources(os.path.join(repo, package)):
+            with open(path, "r", encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            for fn in iter_functions(tree):
+                missing, missing_return = incomplete_signature(fn)
+                rel = os.path.relpath(path, repo)
+                if missing:
+                    problems.append(
+                        f"{rel}:{fn.lineno}: {fn.name} is missing "
+                        f"annotations for {', '.join(missing)}"
+                    )
+                if missing_return:
+                    problems.append(
+                        f"{rel}:{fn.lineno}: {fn.name} is missing a "
+                        "return annotation"
+                    )
     return problems
 
 

@@ -3,7 +3,9 @@
 Wall-clock companion to ``tests/test_batch_operations.py``'s I/O-count
 assertions — the grouped ``insert_many`` touches each destination page
 once per run of same-page records, so both the physical work and the
-Python overhead drop.  Run with ``pytest benchmarks/ --benchmark-only``.
+Python overhead drop.  The per-record rows run the loop the bulk call
+replaces: one ``insert`` per sorted key, one ``delete`` per key in the
+range.  Run with ``pytest benchmarks/ --benchmark-only``.
 """
 
 import pytest
@@ -17,6 +19,20 @@ def _params(num_pages=1024):
     return DensityParams(num_pages=num_pages, d=8, D=48)
 
 
+def _insert(engine, keys, batch):
+    if batch:
+        return engine.insert_many(keys)
+    for key in sorted(keys):
+        engine.insert(key)
+
+
+def _delete(engine, lo, hi, batch):
+    if batch:
+        return engine.delete_range(lo, hi)
+    for key in range(lo, hi + 1):
+        engine.delete(key)
+
+
 @pytest.mark.parametrize("batch", [True, False],
                          ids=["batched", "per-record"])
 def test_sorted_burst(benchmark, batch):
@@ -24,7 +40,7 @@ def test_sorted_burst(benchmark, batch):
     engine = Control2Engine(_params(2048))
     keys = list(range(10_000))
 
-    once(benchmark, lambda: engine.insert_many(keys, batch=batch))
+    once(benchmark, lambda: _insert(engine, keys, batch))
     engine.validate()
     store = engine.store.stats()
     emit(
@@ -42,7 +58,7 @@ def test_clustered_burst_into_loaded_file(benchmark, batch):
     engine.bulk_load(range(0, 8_000, 4))
     burst = [k + 1 for k in range(0, 8_000, 4)]
 
-    once(benchmark, lambda: engine.insert_many(burst, batch=batch))
+    once(benchmark, lambda: _insert(engine, burst, batch))
     engine.validate()
 
 
@@ -53,7 +69,7 @@ def test_range_delete(benchmark, batch):
     engine = Control2Engine(_params())
     engine.bulk_load(range(8_000))
 
-    once(benchmark, lambda: engine.delete_range(2_000, 5_999, batch=batch))
+    once(benchmark, lambda: _delete(engine, 2_000, 5_999, batch))
     engine.validate()
 
 

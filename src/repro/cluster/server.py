@@ -96,6 +96,10 @@ class IdempotencyTable:
     than the rest of the claim.
     """
 
+    #: The registry layer of the table's counters (see :mod:`repro.obs`).
+    LAYER = "cluster.idempotency"
+    COUNTERS = ("hits", "evictions", "waits")
+
     def __init__(self, capacity: int = 8192):
         if capacity < 1:
             raise ConfigurationError("idempotency capacity must be positive")
@@ -109,25 +113,14 @@ class IdempotencyTable:
         self.evictions = 0
         self.waits = 0
 
-    def get(self, token: str) -> Optional[Dict[str, Any]]:
-        """The recorded outcome for ``token``, or ``None`` if unseen."""
-        with self._mutex:
-            outcome = self._outcomes.get(token)
-            if outcome is not None:
-                self.hits += 1
-            return outcome
-
     def peek(self, token: str) -> Optional[Dict[str, Any]]:
-        """Like :meth:`get` but without counting a dedup hit."""
+        """The recorded outcome for ``token``, or ``None`` if unseen
+        (not counted as a dedup hit)."""
         with self._mutex:
             return self._outcomes.get(token)
 
-    def put(self, token: str, outcome: Dict[str, Any]) -> None:
-        """Record a definite outcome, evicting the oldest past capacity."""
-        with self._mutex:
-            self._record_locked(token, outcome)
-
     def _record_locked(self, token: str, outcome: Dict[str, Any]) -> None:
+        """Record a definite outcome, evicting the oldest past capacity."""
         self._outcomes[token] = outcome
         while len(self._outcomes) > self.capacity:
             self._outcomes.popitem(last=False)
@@ -235,9 +228,12 @@ class ClusterServer:
         #: shard's file keeps its own.  It reads the server through a
         #: weak proxy: server -> registry -> server would be a cycle
         #: that keeps a stopped server and its shards alive until a
-        #: full collection.
+        #: full collection.  The token table refers to nothing, so the
+        #: registry holds it directly.
         self.metrics = Metrics()
         self.metrics.register(self.LAYER, weakref.proxy(self), self.COUNTERS)
+        tokens = self.tokens
+        self.metrics.register(tokens.LAYER, tokens, tokens.COUNTERS)
 
     # -- the dispatcher (shared by TCP and LocalChannel) ----------------
 

@@ -287,7 +287,6 @@ class ThreadSafeDenseFile:
         self,
         items: Iterable[Any],
         *,
-        batch: bool = True,
         timeout: Optional[float] = None,
         deadline: Optional[Deadline] = None,
     ) -> int:
@@ -295,23 +294,22 @@ class ThreadSafeDenseFile:
 
         The writer lock is taken once for the whole batch (the deadline
         budget covers lock acquisition plus the batch itself), so the
-        coalesced fast path (``batch=True``) also saves lock traffic.
+        coalesced insert path also saves lock traffic.
         """
         with self._guarded(WRITE, timeout, deadline):
-            return self._inner.insert_many(items, batch=batch)
+            return self._inner.insert_many(items)
 
     def delete_range(
         self,
         lo_key: Any,
         hi_key: Any,
         *,
-        batch: bool = True,
         timeout: Optional[float] = None,
         deadline: Optional[Deadline] = None,
     ) -> int:
         """Bulk-delete a key range atomically w.r.t. other threads."""
         with self._guarded(WRITE, timeout, deadline):
-            return self._inner.delete_range(lo_key, hi_key, batch=batch)
+            return self._inner.delete_range(lo_key, hi_key)
 
     def compact(
         self,

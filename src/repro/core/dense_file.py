@@ -14,7 +14,7 @@ from typing import Dict, Iterator, List, Optional
 
 from ..obs import Metrics, Number
 from ..records import Record
-from ..storage.backend import PageStore, make_store, register_store
+from ..storage.backend import ALGORITHM_CODES, PageStore, make_store, register_store
 from ..storage.cost import AccessStats, CostModel, PAGE_ACCESS_MODEL
 from .control1 import Control1Engine
 from .control2 import Control2Engine
@@ -22,7 +22,30 @@ from .errors import ConfigurationError
 from .macroblock import MacroBlockControl2Engine, macro_params
 from .params import DensityParams
 
-ALGORITHMS = ("control1", "control2")
+ALGORITHMS = tuple(sorted(ALGORITHM_CODES))
+
+
+def engine_params(
+    params: DensityParams, algorithm: str, on_disk: bool = False
+) -> DensityParams:
+    """The geometry of the engine's own pages for ``params``.
+
+    CONTROL 2 needs the slack condition ``D - d > 3 * ceil(log2 M)``;
+    where it fails, the engine runs on the macro-blocks of Theorem 5.7
+    and its pages are those blocks.  ``on_disk`` refuses that case with
+    a :class:`ConfigurationError`: a file's header records ``M``, ``d``
+    and ``D``, and the file reopens from them alone, so its pages must
+    be the engine's pages.
+    """
+    if algorithm != "control2" or params.satisfies_slack_condition:
+        return params
+    if on_disk:
+        raise ConfigurationError(
+            f"D - d = {params.D - params.d} <= 3*ceil(log2 M) = "
+            f"{3 * params.log_m}: CONTROL 2 needs macro-blocks here, which "
+            "a file on disk cannot hold; widen the slack or use more pages"
+        )
+    return macro_params(params.num_pages, params.d, params.D, j=params.j)
 
 
 def build_engine(
@@ -32,7 +55,6 @@ def build_engine(
     algorithm: str = "control2",
     j: Optional[int] = None,
     model: CostModel = PAGE_ACCESS_MODEL,
-    auto_macroblock: bool = True,
     backend: str = "memory",
     store: Optional[PageStore] = None,
     path: Optional[str] = None,
@@ -44,16 +66,16 @@ def build_engine(
 
     When ``algorithm="control2"`` and the slack condition
     ``D - d > 3 * ceil(log2 M)`` fails, the macro-block variant of
-    Theorem 5.7 is selected automatically (disable with
-    ``auto_macroblock=False`` to get a :class:`ConfigurationError`
-    instead).
+    Theorem 5.7 is selected automatically in memory and refused on
+    disk (:func:`engine_params`), before any file is made.
 
     The physical layer is chosen by ``backend``
     (``"memory" | "disk" | "buffered"``, built via
     :func:`~repro.storage.backend.make_store` with ``path`` /
     ``cache_pages`` / ``overwrite``), or passed ready-made as
     ``store`` — every engine is backend-agnostic, so the logical page
-    accesses the paper bounds are identical on all of them.  With a
+    accesses the paper bounds are identical on all of them.  A file
+    made at ``path`` records ``algorithm`` in its header.  With a
     ready-made ``store``, a ``backend`` other than the default, a
     ``path``, ``cache_pages`` or ``readahead`` that the store contradicts,
     or ``overwrite=True``, raises :class:`ConfigurationError` rather than
@@ -64,33 +86,25 @@ def build_engine(
             f"unknown algorithm {algorithm!r}; pick one of {ALGORITHMS}"
         )
     params = DensityParams(num_pages=num_pages, d=d, D=D, j=j)
-    use_macro = algorithm == "control2" and not params.satisfies_slack_condition
-    if use_macro and not auto_macroblock:
-        raise ConfigurationError(
-            f"D - d = {D - d} <= 3*ceil(log2 M) = {3 * params.log_m}; "
-            "enable auto_macroblock or widen the slack"
-        )
-    if use_macro:
-        # The engine's pages are macro-blocks; size the store to match.
-        engine_params = macro_params(num_pages, d, D, j=j)
-    else:
-        engine_params = params
+    on_disk = store is None and (backend == "disk" or path is not None)
+    sized = engine_params(params, algorithm, on_disk)
     if store is None:
         store = make_store(
             backend,
-            engine_params.num_pages,
-            d=engine_params.d,
-            D=engine_params.D,
-            j=engine_params.j or 0,
+            sized.num_pages,
+            d=sized.d,
+            D=sized.D,
+            j=sized.j or 0,
             path=path,
             cache_pages=cache_pages,
             overwrite=overwrite,
             readahead=readahead,
+            algorithm=algorithm,
         )
-    elif store.num_pages != engine_params.num_pages:
+    elif store.num_pages != sized.num_pages:
         raise ConfigurationError(
             f"store has {store.num_pages} pages but the engine needs "
-            f"{engine_params.num_pages}"
+            f"{sized.num_pages}"
         )
     else:
         _refuse_store_conflicts(
@@ -98,7 +112,7 @@ def build_engine(
         )
     if algorithm == "control1":
         return Control1Engine(params, model=model, store=store)
-    if not use_macro:
+    if sized is params:
         return Control2Engine(params, model=model, store=store)
     return MacroBlockControl2Engine(
         num_pages, d, D, j=j, model=model, store=store
@@ -162,7 +176,11 @@ class DenseSequentialFile:
         or ``"buffered"`` (a live write-back LRU cache of
         ``cache_pages`` frames over disk when ``path`` is given, over
         memory otherwise).  The logical access counts the paper bounds
-        are identical on every backend.
+        are identical on every backend.  A file made at ``path`` is the
+        one :meth:`~repro.persistent.PersistentDenseFile.create` makes:
+        :meth:`~repro.persistent.PersistentDenseFile.open` reopens it
+        with the same algorithm.  A geometry that needs macro-blocks is
+        refused there.
     store:
         A ready-made :class:`~repro.storage.backend.PageStore`, used as
         given: a ``backend``, ``path``, ``cache_pages`` or ``readahead``
@@ -187,7 +205,6 @@ class DenseSequentialFile:
         algorithm: str = "control2",
         j: Optional[int] = None,
         model: CostModel = PAGE_ACCESS_MODEL,
-        auto_macroblock: bool = True,
         backend: str = "memory",
         store: Optional[PageStore] = None,
         path: Optional[str] = None,
@@ -202,7 +219,6 @@ class DenseSequentialFile:
             algorithm=algorithm,
             j=j,
             model=model,
-            auto_macroblock=auto_macroblock,
             backend=backend,
             store=store,
             path=path,
@@ -252,18 +268,18 @@ class DenseSequentialFile:
         """Delete and return the record with ``key``."""
         return self.engine.delete(key)
 
-    def insert_many(self, items, batch: bool = True) -> int:
+    def insert_many(self, items) -> int:
         """Insert an iterable of records/keys in a key-ordered sweep.
 
-        ``batch=True`` (default) coalesces the read/write charges of
-        same-destination records; ``batch=False`` runs the plain
-        per-record loop.  Both produce identical final file state.
+        Same-destination records share one read and one write of their
+        page; the final file state is the one a plain :meth:`insert`
+        loop over the sorted items leaves.
         """
-        return self.engine.insert_many(items, batch=batch)
+        return self.engine.insert_many(items)
 
-    def delete_range(self, lo_key, hi_key, batch: bool = True) -> int:
+    def delete_range(self, lo_key, hi_key) -> int:
         """Bulk-delete every record with ``lo_key <= key <= hi_key``."""
-        return self.engine.delete_range(lo_key, hi_key, batch=batch)
+        return self.engine.delete_range(lo_key, hi_key)
 
     def update(self, key, value) -> Record:
         """Replace the value stored under an existing ``key`` in place."""

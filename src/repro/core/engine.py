@@ -260,7 +260,7 @@ class BaseEngine:
     # batch updates
     # ------------------------------------------------------------------
 
-    def insert_many(self, items, batch: bool = True) -> int:
+    def insert_many(self, items) -> int:
         """Insert an iterable of records/keys; returns the count inserted.
 
         Items are pre-sorted so the insertions sweep the file left to
@@ -268,25 +268,20 @@ class BaseEngine:
         its own command (and so keeps its worst-case bound), but the
         access pattern stays disk-arm friendly.
 
-        With ``batch=True`` (the default) consecutive records that land
-        on the same destination page share one *group*: the page is read
-        once (:meth:`~repro.storage.pagefile.PageFile.group_read`,
-        doubling as the step-1 verification read for every record in the
-        group), each record is applied and maintained in order, and the
-        page is written back once when the destination moves on.  The
+        Consecutive records that land on the same destination page share
+        one *group*: the page is read once
+        (:meth:`~repro.storage.pagefile.PageFile.group_read`, doubling
+        as the step-1 verification read for every record in the group),
+        each record is applied and maintained in order, and the page is
+        written back once when the destination moves on.  The
         destination is re-verified against the in-core directory after
         every record's maintenance — using the previous destination as a
         bisect hint — so the sequence of state mutations (page contents,
         calibrator counters, warning flags, maintenance decisions) is
-        *identical* to the per-record path; only the per-record
-        locate/read/write charges coalesce.  ``batch=False`` is the
-        escape hatch that runs the plain per-record loop.
+        *identical* to an :meth:`insert` loop over the sorted records;
+        only the per-record locate/read/write charges coalesce.
         """
         records = sorted_records(items)
-        if not batch:
-            for record in records:
-                self.insert(record.key, record.value)
-            return len(records)
         pagefile = self.pagefile
         total = len(records)
         index = 0
@@ -326,7 +321,7 @@ class BaseEngine:
                 pagefile.group_write(dest)
         return total
 
-    def delete_range(self, lo_key, hi_key, batch: bool = True) -> int:
+    def delete_range(self, lo_key, hi_key) -> int:
         """Delete every record with ``lo_key <= key <= hi_key`` in bulk.
 
         Range deletion is a single pass over the affected pages —
@@ -337,24 +332,11 @@ class BaseEngine:
         bound on local density, removing records wholesale can never
         violate them — only warning flags may need lowering afterwards
         (the bulk analogue of Figure 2's step 2).  Costs one read plus
-        one write per touched page; returns the number of records
-        deleted.
-
-        ``batch=False`` instead deletes the affected keys one
-        :meth:`delete` command at a time (each with its own maintenance
-        and command accounting) — the escape hatch matching the
-        per-record semantics exactly.
+        one write per touched page and counts as one command; returns
+        the number of records deleted.  A :meth:`delete` loop over the
+        keys is the per-record alternative, each key its own command
+        with its own maintenance.
         """
-        if not batch:
-            victims = [
-                record.key
-                for page in self.pagefile.nonempty_in_range(lo_key, hi_key)
-                for record in self.pagefile.page(page)
-                if lo_key <= record.key <= hi_key
-            ]
-            for key in victims:
-                self.delete(key)
-            return len(victims)
         if self.pagefile.locate_in_core(lo_key) is None:
             return 0
         touched = []

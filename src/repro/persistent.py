@@ -12,12 +12,21 @@ uses, and :meth:`PersistentDenseFile.open` rebuilds the complete engine
 state — page contents, in-core directory, calibrator rank counters, and
 the WARNING flags the paper's Fact 5.1 requires — from the file alone.
 
-This is deliberately a *write-through* design by default: the
-dense-file algorithms already bound how many pages one command touches
-(that is the entire point of the paper), so writing each touched page
+Both classes build their storage stack with
+:func:`~repro.storage.backend.make_store` and
+:func:`~repro.storage.backend.open_store`, the builders behind
+``DenseSequentialFile(backend="disk" | "buffered", path=...)`` too, so
+every file on disk has the same header and reopens here as the engine
+that wrote it.
+
+This is deliberately a *write-through* design: the dense-file
+algorithms already bound how many pages one command touches (that is
+the entire point of the paper), so writing each touched page
 immediately costs the same ``O(log^2 M / (D - d))`` I/Os the cost model
 meters.  Pass ``cache_pages`` to interpose a write-back LRU cache
 instead (fewer physical writes, weaker durability between flushes).
+Wrap either class in :class:`~repro.concurrent.ThreadSafeDenseFile` to
+share it between threads.
 
 Example
 -------
@@ -32,71 +41,71 @@ Example
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, cast
+import contextlib
+from typing import (
+    Any, Callable, Iterable, Iterator, Optional, Set, Tuple, Type, TypeVar,
+)
 
 from .core.control2 import Control2Engine
-from .core.dense_file import DenseSequentialFile
-from .core.errors import ConfigurationError, ReadOnlyError, UsageError
+from .core.dense_file import DenseSequentialFile, engine_params
+from .core.errors import (
+    ConfigurationError, InvariantViolationError, ReadOnlyError, UsageError,
+)
 from .core.params import DensityParams
 from .records import Record
-from .storage.backend import BufferedStore, DiskStore
+from .storage.backend import (
+    PageStore, find_disk_store, header_algorithm, make_store, open_store,
+)
+from .storage.faults import FaultInjector
 from .storage.ondisk import DiskPagedStore, StorageError
 from .storage.wal import TransactionJournal, recover_file
 
-_ALGORITHM_CODES = {"control2": 0, "control1": 1}
-_ALGORITHM_NAMES = {code: name for name, code in _ALGORITHM_CODES.items()}
-
-
-def _wrap_threadsafe(opened):
-    """Wrap a freshly created/opened file in the concurrency front-end."""
-    from .concurrent import ThreadSafeDenseFile
-
-    return ThreadSafeDenseFile(opened)
+T = TypeVar("T")
+P = TypeVar("P", bound="PersistentDenseFile")
 
 
 class PersistentDenseFile(DenseSequentialFile):
     """Durable ``(d, D)``-dense sequential file with CONTROL 2 updates."""
 
-    #: Whether the first mutation retires a retained ``.journal.applied``
-    #: image beside the file.  True for plain write-through files: once
-    #: this class writes pages the retained images (left by an earlier
-    #: journaled session) describe a superseded state and must not be
-    #: used as a heal source.  :class:`JournaledDenseFile` overrides
-    #: this — its own commits keep the applied image current.
-    _retires_applied = True
+    #: Whether each mutated page goes to the OS file at once.  False on
+    #: :class:`JournaledDenseFile`, which collects a command's pages and
+    #: commits them through its journal.  A write-through file also
+    #: retires, on its first mutation, any ``.journal.applied`` image an
+    #: earlier journaled session left beside the file: that image then
+    #: describes a superseded state and must not be used as a heal
+    #: source.  Journaled commits keep it current instead.
+    _write_through = True
 
-    def __init__(
-        self,
-        store: DiskStore,
-        cache_pages: Optional[int] = None,
-        readahead: int = 0,
-    ):
-        """Mount the facade over ``store``, cached when ``cache_pages`` is set.
+    def __init__(self, store: PageStore) -> None:
+        """Mount the facade over a disk stack built by
+        :func:`~repro.storage.backend.make_store` or
+        :func:`~repro.storage.backend.open_store`.
 
         The geometry and algorithm come from the file's header.  The
         engine starts empty; :meth:`open` restores it from the pages.
+        A refused mount closes ``store``.
         """
-        raw = store.raw
-        algorithm = _ALGORITHM_NAMES.get(raw.j >> 24)
-        if algorithm is None:
-            store.close()
-            raise StorageError(f"{raw.path}: unknown algorithm code")
-        if readahead and cache_pages is None:
+        disk = find_disk_store(store)
+        if disk is None:
             store.close()
             raise ConfigurationError(
-                "readahead prefetches into the page cache; pass cache_pages"
+                "a durable file needs a disk store; build it with "
+                "create() or open()"
             )
-        super().__init__(
-            store.num_pages,
-            raw.d,
-            raw.D,
-            algorithm=algorithm,
-            j=(raw.j & 0xFFFFFF) or None,
-            auto_macroblock=False,
-            store=store if cache_pages is None else BufferedStore(
-                store, capacity=cache_pages, readahead=readahead
-            ),
-        )
+        raw = disk.raw
+        try:
+            algorithm, j = header_algorithm(raw)
+            disk.write_through = self._write_through
+            super().__init__(
+                store.num_pages, raw.d, raw.D,
+                algorithm=algorithm, j=j, store=store,
+            )
+        except BaseException:
+            store.close()
+            raise
+        #: The :class:`~repro.storage.backend.DiskStore` layer (under
+        #: the cache, if any).
+        self._disk_store = disk
         self._applied_retired = False
         #: Read-only degraded mode: set when the file was opened over
         #: quarantined (unrepairable) pages.  Mutations raise
@@ -104,7 +113,7 @@ class PersistentDenseFile(DenseSequentialFile):
         #: scannable.
         self.read_only = False
         #: Quarantined page numbers (empty on a healthy file).
-        self.quarantined: tuple = ()
+        self.quarantined: Tuple[int, ...] = ()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -112,7 +121,7 @@ class PersistentDenseFile(DenseSequentialFile):
 
     @classmethod
     def create(
-        cls,
+        cls: Type[P],
         path: str,
         num_pages: int,
         d: int,
@@ -122,51 +131,36 @@ class PersistentDenseFile(DenseSequentialFile):
         slot_capacity: int = 0,
         overwrite: bool = False,
         cache_pages: Optional[int] = None,
-        write_through: bool = True,
-        threadsafe: bool = False,
         readahead: int = 0,
-    ) -> "PersistentDenseFile":
+    ) -> P:
         """Create a new file at ``path`` with the given geometry.
 
-        With ``threadsafe=True`` the file comes back wrapped in a
-        :class:`~repro.concurrent.ThreadSafeDenseFile` (fair
-        reader-writer locking plus per-operation deadlines), ready to
-        be shared between threads.
-
-        ``readahead=K`` (requires ``cache_pages``) makes stream scans
-        prefetch up to K upcoming pages into the cache.
+        ``cache_pages`` puts a write-back LRU cache of that many frames
+        over the file; ``readahead=K`` (requires ``cache_pages``) makes
+        stream scans prefetch up to K upcoming pages into it.  A
+        CONTROL 2 geometry that needs macro-blocks is refused before
+        the file is made.
         """
-        if algorithm not in _ALGORITHM_CODES:
-            raise ConfigurationError(f"unknown algorithm {algorithm!r}")
-        params = DensityParams(num_pages=num_pages, d=d, D=D, j=j)
-        if algorithm == "control2" and not params.satisfies_slack_condition:
-            raise ConfigurationError(
-                "persistent files require D - d > 3*ceil(log2 M); widen "
-                "the slack or use more pages"
-            )
-        # Encode the algorithm in the (otherwise unused) high bits of J.
-        stored_j = (params.j or 0) | (_ALGORITHM_CODES[algorithm] << 24)
-        store = DiskStore.create(
-            path,
-            num_pages=num_pages,
-            d=d,
-            D=D,
-            j=stored_j,
-            slot_capacity=slot_capacity,
-            overwrite=overwrite,
-            write_through=write_through,
+        # Refuses a geometry that needs macro-blocks, before any file.
+        engine_params(
+            DensityParams(num_pages=num_pages, d=d, D=D, j=j),
+            algorithm,
+            on_disk=True,
         )
-        created = cls(store, cache_pages, readahead)
-        return _wrap_threadsafe(created) if threadsafe else created
+        return cls(make_store(
+            "disk" if cache_pages is None else "buffered", num_pages, d, D,
+            j or 0, path, cache_pages, slot_capacity, overwrite, readahead,
+            algorithm,
+        ))
 
     @classmethod
     def open(
-        cls, path: str, cache_pages: Optional[int] = None,
-        write_through: bool = True,
+        cls: Type[P],
+        path: str,
+        cache_pages: Optional[int] = None,
         on_corruption: str = "raise",
-        threadsafe: bool = False,
         readahead: int = 0,
-    ) -> "PersistentDenseFile":
+    ) -> P:
         """Open an existing file, rebuilding all in-core state.
 
         Refuses to open a file with a pending transaction journal: that
@@ -180,10 +174,8 @@ class PersistentDenseFile(DenseSequentialFile):
         **read-only degraded mode** — queries and scans over intact
         ranges work, every mutation raises
         :class:`~repro.core.errors.ReadOnlyError` until ``repro scrub``
-        repairs the file.
-
-        ``threadsafe=True`` wraps the opened file in a
-        :class:`~repro.concurrent.ThreadSafeDenseFile`.
+        repairs the file.  ``cache_pages`` and ``readahead`` are as in
+        :meth:`create`.  A refused open closes the file.
         """
         if on_corruption not in ("raise", "degrade"):
             raise ConfigurationError(
@@ -195,21 +187,24 @@ class PersistentDenseFile(DenseSequentialFile):
                 f"{path} has a pending transaction journal; open it with "
                 "JournaledDenseFile.open() so recovery can run"
             )
-        store = DiskStore.open(
-            path,
-            write_through=write_through,
-            tolerate_corruption=on_corruption == "degrade",
-        )
-        opened = cls(store, cache_pages, readahead)
-        opened.engine.restore_from_store()
-        if isinstance(opened.engine, Control2Engine):
-            cls._rebuild_warning_flags(opened.engine)
-        if store.quarantined:
-            opened._degrade(store.quarantined)
-        return _wrap_threadsafe(opened) if threadsafe else opened
+        opened = cls(open_store(
+            path, cache_pages, readahead, on_corruption == "degrade"
+        ))
+        try:
+            opened.engine.restore_from_store()
+            if isinstance(opened.engine, Control2Engine):
+                cls._rebuild_warning_flags(opened.engine)
+        except BaseException:
+            opened.close()
+            raise
+        if opened._disk_store.quarantined:
+            opened._degrade(opened._disk_store.quarantined)
+        return opened
 
     @classmethod
-    def from_records(cls, records, num_pages: int, d: int, D: int, **kwargs):
+    def from_records(
+        cls, records: Any, num_pages: int, d: int, D: int, **kwargs: Any
+    ) -> "DenseSequentialFile":
         """Refused: a durable file needs a path, which this signature lacks.
 
         Raises :class:`~repro.core.errors.UsageError`; build it with
@@ -258,14 +253,6 @@ class PersistentDenseFile(DenseSequentialFile):
         return self
 
     @property
-    def _disk_store(self) -> DiskStore:
-        """The :class:`DiskStore` layer (under the cache, if any)."""
-        store = self.engine.store
-        if isinstance(store, BufferedStore):
-            store = store.inner
-        return store
-
-    @property
     def _raw(self) -> DiskPagedStore:
         """The slotted OS-file layer at the bottom of the stack."""
         return self._disk_store.raw
@@ -279,7 +266,7 @@ class PersistentDenseFile(DenseSequentialFile):
     # read-only degradation
     # ------------------------------------------------------------------
 
-    def _degrade(self, quarantined) -> None:
+    def _degrade(self, quarantined: Iterable[int]) -> None:
         """Flip into read-only degraded mode over ``quarantined`` pages."""
         self.read_only = True
         self.quarantined = tuple(sorted(quarantined))
@@ -291,7 +278,7 @@ class PersistentDenseFile(DenseSequentialFile):
                 f"pages {list(self.quarantined)}); run `repro scrub` or "
                 "restore from backup before writing"
             )
-        if self._retires_applied and not self._applied_retired:
+        if self._write_through and not self._applied_retired:
             # First mutation through the plain (write-through) path: any
             # retained applied-journal image now describes a stale state
             # and must stop being a heal source.  Read-only flows keep it.
@@ -302,36 +289,36 @@ class PersistentDenseFile(DenseSequentialFile):
     # the seven mutators, each through one guarded hook
     # ------------------------------------------------------------------
 
-    def _apply(self, operation: Callable[..., Any], *args: Any) -> Any:
+    def _apply(self, operation: Callable[..., T], *args: Any) -> T:
         """Run one mutator of the dense-file API once writes are allowed."""
         self._check_writable()
         return operation(*args)
 
-    def insert(self, key, value=None) -> None:
+    def insert(self, key: Any, value: Any = None) -> None:
         """Insert a record (written through to disk)."""
         self._apply(super().insert, key, value)
 
-    def delete(self, key) -> Record:
+    def delete(self, key: Any) -> Record:
         """Delete and return the record with ``key``."""
         return self._apply(super().delete, key)
 
-    def update(self, key, value) -> Record:
+    def update(self, key: Any, value: Any) -> Record:
         """Replace the value stored under an existing ``key`` in place."""
         return self._apply(super().update, key, value)
 
-    def insert_many(self, items, batch: bool = True) -> int:
+    def insert_many(self, items: Iterable[Any]) -> int:
         """Insert an iterable of records/keys in a key-ordered sweep."""
-        return self._apply(super().insert_many, items, batch)
+        return self._apply(super().insert_many, items)
 
-    def delete_range(self, lo_key, hi_key, batch: bool = True) -> int:
+    def delete_range(self, lo_key: Any, hi_key: Any) -> int:
         """Bulk-delete every record with ``lo_key <= key <= hi_key``."""
-        return self._apply(super().delete_range, lo_key, hi_key, batch)
+        return self._apply(super().delete_range, lo_key, hi_key)
 
     def compact(self) -> int:
         """Uniformly redistribute all records; returns pages rewritten."""
         return self._apply(super().compact)
 
-    def bulk_load(self, records) -> None:
+    def bulk_load(self, records: Iterable[Any]) -> None:
         """Uniformly load records into an empty file (durable)."""
         self._apply(super().bulk_load, records)
 
@@ -349,8 +336,6 @@ class PersistentDenseFile(DenseSequentialFile):
         are checked for on-disk/in-core agreement (and nothing is
         flushed — a degraded file is never written).
         """
-        from .core.errors import InvariantViolationError
-
         if not self.read_only:
             self.engine.validate()
             self.engine.store.flush()
@@ -378,9 +363,8 @@ class JournaledDenseFile(PersistentDenseFile):
     :class:`PersistentDenseFile` writes each page through as it mutates,
     which is durable but not atomic: a crash between the two page writes
     of one SHIFT could lose the records in flight.  This variant runs
-    its :class:`~repro.storage.backend.DiskStore` in write-back mode
-    (``write_through=False``), so every *public mutating call* becomes a
-    transaction:
+    its :class:`~repro.storage.backend.DiskStore` in write-back mode, so
+    every *public mutating call* becomes a transaction:
 
     1. the command runs in memory, the store collecting the dirty page
        set;
@@ -402,18 +386,11 @@ class JournaledDenseFile(PersistentDenseFile):
     reopen from disk.
     """
 
-    #: Journaled commits keep the retained applied image current; never
-    #: retire it (it is this class's own durable-LSN/heal-source record).
-    _retires_applied = False
+    _write_through = False
 
-    def __init__(
-        self,
-        store: DiskStore,
-        cache_pages: Optional[int] = None,
-        readahead: int = 0,
-    ):
-        super().__init__(store, cache_pages, readahead)
-        self.journal = TransactionJournal.beside(store.path)
+    def __init__(self, store: PageStore) -> None:
+        super().__init__(store)
+        self.journal = TransactionJournal.beside(self.path)
         self.metrics.register(
             self.journal.LAYER, self.journal, self.journal.COUNTERS
         )
@@ -426,7 +403,7 @@ class JournaledDenseFile(PersistentDenseFile):
     # ------------------------------------------------------------------
 
     @classmethod
-    def create(
+    def create(  # type: ignore[override]
         cls,
         path: str,
         num_pages: int,
@@ -436,52 +413,35 @@ class JournaledDenseFile(PersistentDenseFile):
         algorithm: str = "control2",
         slot_capacity: int = 0,
         overwrite: bool = False,
-        injector=None,
-        threadsafe: bool = False,
+        injector: Optional[FaultInjector] = None,
     ) -> "JournaledDenseFile":
-        """Create a new crash-atomic file at ``path``.
-
-        ``threadsafe=True`` wraps the file in a
-        :class:`~repro.concurrent.ThreadSafeDenseFile`.
-        """
+        """Create a new crash-atomic file at ``path``; ``injector``
+        schedules simulated faults on its journal and file."""
         created = super().create(
-            path,
-            num_pages=num_pages,
-            d=d,
-            D=D,
-            j=j,
-            algorithm=algorithm,
-            slot_capacity=slot_capacity,
-            overwrite=overwrite,
-            write_through=False,
+            path, num_pages, d, D, j, algorithm, slot_capacity, overwrite
         )
-        return cast("JournaledDenseFile", created)._armed(injector, threadsafe)
+        return created._armed(injector)
 
     @classmethod
-    def open(
-        cls, path: str, injector=None, threadsafe: bool = False
+    def open(  # type: ignore[override]
+        cls, path: str, injector: Optional[FaultInjector] = None
     ) -> "JournaledDenseFile":
-        """Open with journal recovery, rebuilding all in-core state.
-
-        ``threadsafe=True`` wraps the file in a
-        :class:`~repro.concurrent.ThreadSafeDenseFile`.
-        """
+        """Open with journal recovery, rebuilding all in-core state."""
         recover_file(path)
-        opened = super().open(path, write_through=False)
-        return cast("JournaledDenseFile", opened)._armed(injector, threadsafe)
+        return super().open(path)._armed(injector)
 
-    def _armed(self, injector, threadsafe: bool):
-        """Install the fault injector; wrap for threads when asked."""
+    def _armed(self, injector: Optional[FaultInjector]) -> "JournaledDenseFile":
+        """Install the fault injector on the journal and the file."""
         self.journal.injector = injector
         self._raw.fault_injector = injector
-        return _wrap_threadsafe(self) if threadsafe else self
+        return self
 
     # ------------------------------------------------------------------
     # transactions
     # ------------------------------------------------------------------
 
     @property
-    def _dirty(self) -> set:
+    def _dirty(self) -> Set[int]:
         """Pages touched since the last commit (lives in the store)."""
         return self._disk_store.dirty
 
@@ -502,13 +462,14 @@ class JournaledDenseFile(PersistentDenseFile):
         self.journal.commit(store.raw, payloads)
         store.dirty.clear()
 
-    def _apply(self, operation: Callable[..., Any], *args: Any) -> Any:
+    def _apply(self, operation: Callable[..., T], *args: Any) -> T:
         """Run one mutator as one atomic, durable transaction."""
         result = super()._apply(operation, *args)
         self._commit()
         return result
 
-    def transaction(self):
+    @contextlib.contextmanager
+    def transaction(self) -> Iterator["JournaledDenseFile"]:
         """Group commit: coalesce several commands into one transaction.
 
         Inside the ``with`` block every mutating call runs in memory
@@ -528,22 +489,15 @@ class JournaledDenseFile(PersistentDenseFile):
         disk restores the state before the ``with`` block.  Blocks nest;
         only the outermost exit commits.
         """
-        import contextlib
-
-        @contextlib.contextmanager
-        def _group():
-            self._check_writable()
-            self._txn_depth += 1
-            try:
-                yield self
-            except BaseException:
-                self._txn_depth -= 1
-                raise
-            else:
-                self._txn_depth -= 1
-                self._commit()
-
-        return _group()
+        self._check_writable()
+        self._txn_depth += 1
+        try:
+            yield self
+        except BaseException:
+            self._txn_depth -= 1
+            raise
+        self._txn_depth -= 1
+        self._commit()
 
     def close(self) -> None:
         """Commit any buffered transaction, then close the store."""
@@ -568,8 +522,6 @@ class JournaledDenseFile(PersistentDenseFile):
         dirty pages, or the comparison would be vacuous).
         """
         if self._dirty:
-            from .core.errors import InvariantViolationError
-
             raise InvariantViolationError(
                 "validate() called with an uncommitted transaction"
             )

@@ -57,9 +57,7 @@ class Replica:
         # discarded — identical to primary recovery.
         recover_file(path)
         self.journal = TransactionJournal.beside(path)
-        self._file: Optional[PersistentDenseFile] = PersistentDenseFile.open(
-            path, write_through=False
-        )
+        self._file: Optional[PersistentDenseFile] = PersistentDenseFile.open(path)
         self._promoted = False
         #: Why an apply raised part-way (then nothing is served).
         self._failure: Optional[str] = None

@@ -46,22 +46,26 @@ Access discipline (what makes cross-backend parity exact):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.errors import ConfigurationError
 from ..obs import Metrics, Number, view
 from .bufferpool import BufferPool
+from .ondisk import CorruptPageError, DiskPagedStore, StorageError
 from .page import Page
 from .tracing import READ, WRITE
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .ondisk import DiskPagedStore
 
 #: Default frame count for :class:`BufferedStore` when none is given.
 DEFAULT_CACHE_PAGES = 16
 
 BACKENDS = ("memory", "disk", "buffered")
+
+#: Each algorithm's code in a disk file's header.  The code sits in the
+#: high byte of the header's J field, above J itself; CONTROL 2's code
+#: is 0, so a CONTROL 2 header holds J alone.
+ALGORITHM_CODES = {"control2": 0, "control1": 1}
 
 
 @dataclass
@@ -294,27 +298,26 @@ class DiskStore(PageStore):
     copies the engine mutates) and every :meth:`put_page` re-serializes
     the touched page into its file slot — the write-through discipline
     the dense-file algorithms make affordable by bounding how many
-    pages one command touches.  With ``write_through=False`` the store
-    instead collects touched pages in :attr:`dirty` for a transactional
-    caller (the journaled facade) to commit as one atomic batch.
+    pages one command touches.  With :attr:`write_through` off the
+    store instead collects touched pages in :attr:`dirty` for a
+    transactional caller (the journaled facade, which turns it off
+    before its first write) to commit as one atomic batch.
     """
 
     name = "disk"
     COUNTERS = ("gets", "puts", "physical_reads", "physical_writes")
 
-    def __init__(self, raw: "DiskPagedStore", write_through: bool = True):
-        from .ondisk import DiskPagedStore  # cycle guard
-
+    def __init__(self, raw: DiskPagedStore):
         if not isinstance(raw, DiskPagedStore):
             raise TypeError("DiskStore wraps a DiskPagedStore")
         self.raw = raw
         self.num_pages = raw.num_pages
-        self.write_through = write_through
+        self.write_through = True
         #: Pages touched since the last flush (write-back mode only).
-        self.dirty: set = set()
+        self.dirty: Set[int] = set()
         #: Pages whose slot failed its CRC during a tolerant
         #: :meth:`load` — treated as empty in core and never rewritten.
-        self.quarantined: set = set()
+        self.quarantined: Set[int] = set()
         self._pages: List[Page] = [Page() for _ in range(self.num_pages + 1)]
         self._stats = StoreStats()
 
@@ -330,17 +333,15 @@ class DiskStore(PageStore):
         j: int = 0,
         slot_capacity: int = 0,
         overwrite: bool = False,
-        write_through: bool = True,
         version: int = 0,
     ) -> "DiskStore":
         """Create a fresh on-disk file with empty pages.
 
+        ``j`` is the header's whole J field (see :func:`header_j`).
         ``version`` picks the on-disk format (0 = the current default);
         version 1 files carry only the generic object codec, version 2
         files carry self-describing packed page images.
         """
-        from .ondisk import DiskPagedStore
-
         raw = DiskPagedStore.create(
             path,
             num_pages=num_pages,
@@ -351,15 +352,10 @@ class DiskStore(PageStore):
             overwrite=overwrite,
             version=version,
         )
-        return cls(raw, write_through=write_through)
+        return cls(raw)
 
     @classmethod
-    def open(
-        cls,
-        path: str,
-        write_through: bool = True,
-        tolerate_corruption: bool = False,
-    ) -> "DiskStore":
+    def open(cls, path: str, tolerate_corruption: bool = False) -> "DiskStore":
         """Open an existing file and materialize every stored page.
 
         With ``tolerate_corruption`` a page whose slot fails its CRC is
@@ -367,11 +363,12 @@ class DiskStore(PageStore):
         :attr:`quarantined`) instead of aborting the open — the degraded
         read-only path of :class:`~repro.persistent.PersistentDenseFile`.
         """
-        from .ondisk import DiskPagedStore
-
-        raw = DiskPagedStore.open(path)
-        store = cls(raw, write_through=write_through)
-        store.load(tolerate_corruption=tolerate_corruption)
+        store = cls(DiskPagedStore.open(path))
+        try:
+            store.load(tolerate_corruption=tolerate_corruption)
+        except BaseException:
+            store.raw.close()
+            raise
         return store
 
     def load(self, tolerate_corruption: bool = False) -> int:
@@ -382,8 +379,6 @@ class DiskStore(PageStore):
         Corrupt slots raise :class:`~repro.storage.ondisk.CorruptPageError`
         unless ``tolerate_corruption`` quarantines them instead.
         """
-        from .ondisk import CorruptPageError
-
         total = 0
         self.quarantined = set()
         for page_number in range(1, self.num_pages + 1):
@@ -608,6 +603,60 @@ def register_store(metrics: Metrics, store: Optional[PageStore]) -> None:
         store = getattr(store, "inner", None)
 
 
+def find_disk_store(store: Optional[PageStore]) -> Optional[DiskStore]:
+    """The :class:`DiskStore` layer inside a decorator stack, if any."""
+    while store is not None:
+        if isinstance(store, DiskStore):
+            return store
+        store = getattr(store, "inner", None)
+    return None
+
+
+def header_j(algorithm: str, j: int) -> int:
+    """The header J field of a file of ``algorithm`` with budget ``j``
+    (0 = the default budget)."""
+    if algorithm not in ALGORITHM_CODES:
+        raise ConfigurationError(
+            f"unknown algorithm {algorithm!r}; pick one of "
+            f"{tuple(ALGORITHM_CODES)}"
+        )
+    if not 0 <= j < 1 << 24:
+        raise ConfigurationError(f"J = {j} does not fit a file header")
+    return j | (ALGORITHM_CODES[algorithm] << 24)
+
+
+def header_algorithm(raw: DiskPagedStore) -> Tuple[str, Optional[int]]:
+    """``(algorithm, j)`` as ``raw``'s header records them; ``j`` is
+    ``None`` where the file was made with the default budget."""
+    code = raw.j >> 24
+    for algorithm, known in ALGORITHM_CODES.items():
+        if code == known:
+            return algorithm, (raw.j & 0xFFFFFF) or None
+    raise StorageError(f"{raw.path}: unknown algorithm code {code}")
+
+
+def _cached(
+    build: Callable[[], PageStore], cache_pages: Optional[int], readahead: int
+) -> PageStore:
+    """``build()`` under a :class:`BufferedStore` of ``cache_pages``
+    frames, or bare when ``cache_pages`` is ``None``.  Readahead without
+    a cache is refused before ``build`` runs; a refused cache closes
+    what it built."""
+    if readahead and cache_pages is None:
+        raise ConfigurationError(
+            "readahead prefetches into a page cache and this stack has "
+            "none; use the buffered backend or pass cache_pages"
+        )
+    inner = build()
+    if cache_pages is None:
+        return inner
+    try:
+        return BufferedStore(inner, capacity=cache_pages, readahead=readahead)
+    except ConfigurationError:
+        inner.close()
+        raise
+
+
 def make_store(
     backend: str,
     num_pages: int,
@@ -619,6 +668,7 @@ def make_store(
     slot_capacity: int = 0,
     overwrite: bool = False,
     readahead: int = 0,
+    algorithm: str = "control2",
 ) -> PageStore:
     """Build a backend from a ``"memory" | "disk" | "buffered"`` spec.
 
@@ -627,45 +677,41 @@ def make_store(
     pool (``None`` means :data:`DEFAULT_CACHE_PAGES`; a value below 1
     is refused) and ``readahead`` its scan-prefetch window.  The other
     backends have no cache: they ignore ``cache_pages`` and refuse a
-    nonzero ``readahead``.  ``"disk"`` requires ``path`` and creates a
-    fresh file (pass ``overwrite=True`` to clobber); opening an existing
-    file goes through :meth:`DiskStore.open` or the persistent facade.
+    nonzero ``readahead``.  ``"disk"`` requires ``path``.  A path makes
+    a fresh file (pass ``overwrite=True`` to clobber) whose header
+    records the geometry, ``j`` and ``algorithm``; :func:`open_store`
+    opens it again.  Every refusal but an empty pool's comes before the
+    file is made, and that one closes it.
     """
     if backend not in BACKENDS:
         raise ConfigurationError(
             f"unknown backend {backend!r}; pick one of {BACKENDS}"
         )
-    if readahead and backend != "buffered":
-        raise ConfigurationError(
-            f"readahead prefetches into a page cache; the {backend} "
-            "backend has none (use the buffered backend)"
-        )
-    if backend == "memory":
-        return MemoryStore(num_pages)
-    if backend == "disk" or path is not None:
-        if path is None:
-            raise ConfigurationError(
-                "the disk backend needs a path for its backing file"
-            )
-        inner: PageStore = DiskStore.create(
-            path,
-            num_pages=num_pages,
-            d=d,
-            D=D,
-            j=j,
-            slot_capacity=slot_capacity,
-            overwrite=overwrite,
-        )
+    if backend == "buffered":
+        cache = DEFAULT_CACHE_PAGES if cache_pages is None else cache_pages
     else:
-        inner = MemoryStore(num_pages)
-    if backend == "disk":
-        return inner
-    try:
-        return BufferedStore(
-            inner,
-            capacity=DEFAULT_CACHE_PAGES if cache_pages is None else cache_pages,
-            readahead=readahead,
+        cache = None
+    if backend == "disk" and path is None:
+        raise ConfigurationError(
+            "the disk backend needs a path for its backing file"
         )
-    except ConfigurationError:
-        inner.close()
-        raise
+    if backend == "memory" or path is None:
+        return _cached(partial(MemoryStore, num_pages), cache, readahead)
+    create = partial(
+        DiskStore.create, path, num_pages, d, D, header_j(algorithm, j),
+        slot_capacity, overwrite,
+    )
+    return _cached(create, cache, readahead)
+
+
+def open_store(
+    path: str,
+    cache_pages: Optional[int] = None,
+    readahead: int = 0,
+    tolerate_corruption: bool = False,
+) -> PageStore:
+    """Open the file at ``path`` as the stack :func:`make_store` built:
+    a :class:`DiskStore`, under a cache of ``cache_pages`` frames when
+    that is given.  ``tolerate_corruption`` is :meth:`DiskStore.open`'s."""
+    open_disk = partial(DiskStore.open, path, tolerate_corruption)
+    return _cached(open_disk, cache_pages, readahead)

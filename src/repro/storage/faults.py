@@ -61,7 +61,7 @@ from ..core.errors import (
     ReproError,
     TransientIOError,
 )
-from .backend import DiskStore, PageStore
+from .backend import PageStore, find_disk_store
 from .page import Page
 
 _T = TypeVar("_T")
@@ -231,15 +231,6 @@ class FaultPlan(FaultInjector):
             corrupted[position] ^= 1 << self._rng.randrange(8)
             return bytes(corrupted)
         return frame
-
-
-def find_disk_store(store: Optional[PageStore]) -> Optional[DiskStore]:
-    """The :class:`DiskStore` layer inside a decorator stack, if any."""
-    while store is not None:
-        if isinstance(store, DiskStore):
-            return store
-        store = getattr(store, "inner", None)
-    return None
 
 
 class FaultyStore(PageStore):

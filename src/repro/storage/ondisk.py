@@ -24,7 +24,7 @@ offset   contents
 
 Each page slot holds: payload length (u32), CRC32 of the payload
 (u32), then the payload (see :mod:`repro.storage.codec`), padded to the
-fixed slot capacity.  A payload that outgrows its slot raises
+fixed slot capacity.  A payload whose frame outgrows its slot raises
 :class:`PageOverflowError` — callers size slots from ``D`` and the
 maximum record size they intend to store.
 
@@ -39,7 +39,7 @@ import os
 import struct
 import zlib
 from itertools import repeat
-from typing import Any, List
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from ..core.errors import ReproError
 from ..records import Record
@@ -50,6 +50,9 @@ from .packed import (
     encode_records_image,
 )
 from .page import Page
+
+if TYPE_CHECKING:  # pragma: no cover - faults imports this module
+    from .faults import FaultInjector
 
 MAGIC = b"DSF1"
 #: Default format for newly created files.  Version 1 slots hold the
@@ -74,7 +77,8 @@ class CorruptPageError(StorageError):
 
 
 class PageOverflowError(StorageError):
-    """A page's encoded payload no longer fits its fixed slot."""
+    """A page's frame (encoded payload plus slot header) no longer fits
+    its fixed slot."""
 
 
 class DiskPagedStore:
@@ -99,7 +103,7 @@ class DiskPagedStore:
         #: :class:`~repro.storage.faults.FaultPlan`) consulted before and
         #: during every physical page write: ``check()`` may crash,
         #: ``filter_frame()`` may tear or bit-flip the frame.
-        self.fault_injector = None
+        self.fault_injector: Optional[FaultInjector] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -206,8 +210,9 @@ class DiskPagedStore:
         frame = SLOT_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         if len(frame) > slot_capacity:
             raise PageOverflowError(
-                f"page payload of {len(payload)} bytes exceeds the "
-                f"{slot_capacity}-byte slot"
+                f"page frame of {len(frame)} bytes ({len(payload)}-byte "
+                f"payload plus its {SLOT_HEADER.size}-byte slot header) "
+                f"exceeds the {slot_capacity}-byte slot"
             )
         return frame
 

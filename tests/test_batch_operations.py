@@ -126,10 +126,15 @@ class TestBatchFastPath:
                 assert pagefile.locate_in_core_hinted(key, hint) == expected
 
     def test_batch_false_escape_hatch(self, engine):
-        assert engine.insert_many(range(30), batch=False) == 30
-        assert engine.delete_range(5, 14, batch=False) == 10
+        """The per-record loops that replace the bulk calls leave a valid
+        file; each command counts on its own."""
+        for key in range(30):
+            engine.insert(key)
+        for key in range(5, 15):
+            engine.delete(key)
         engine.validate()
         assert len(engine) == 20
+        assert engine.commands_executed == 40
 
     def test_file_full_raised_mid_batch(self, engine):
         cap = engine.params.max_records
@@ -156,7 +161,11 @@ class TestBatchFastPath:
         for batch in (True, False):
             store = MemoryStore(2048)
             engine = Control2Engine(params, store=store)
-            engine.insert_many(range(10_000), batch=batch)
+            if batch:
+                engine.insert_many(range(10_000))
+            else:
+                for key in range(10_000):
+                    engine.insert(key)
             engine.validate()
             stats = store.stats()
             results[batch] = {

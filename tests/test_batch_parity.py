@@ -8,12 +8,14 @@ the destination re-verified against the in-core directory after every
 command's maintenance.  These tests prove the claim the cheap way —
 by running both paths and asserting byte-identical page contents,
 calibrator state and invariant outcomes — across random workloads,
-every backend, and under ``threadsafe=True``.
+every backend, and behind a :class:`ThreadSafeDenseFile`.  The
+per-record reference is the loop written out here: an ``insert`` per
+sorted key, a ``delete`` per key in the range.
 
 One asymmetry is inherent: per-record *deletes* under CONTROL 2 run
 steps 2-4 (including SHIFTs) after every command, while the bulk path
-runs only the flag-lowering repair, so ``delete_range(batch=False)``
-may leave records on different pages than ``batch=True``.  CONTROL 1
+runs only the flag-lowering repair, so a per-key ``delete`` loop may
+leave records on different pages than ``delete_range``.  CONTROL 1
 deletes perform no maintenance at all, so there the two delete paths
 are byte-identical too; for CONTROL 2 the parity claim is multiset
 equality plus intact invariants on both sides.
@@ -30,6 +32,7 @@ from repro import (
     Control2Engine,
     DensityParams,
     JournaledDenseFile,
+    ThreadSafeDenseFile,
 )
 from repro.storage.backend import BufferedStore, DiskStore, MemoryStore
 from repro.storage.codec import encode_page
@@ -77,6 +80,27 @@ def _keys_of(engine):
                   for r in records)
 
 
+def insert_each(target, keys):
+    """The per-record reference for ``insert_many``: one ``insert``
+    command per key, in key order."""
+    for key in sorted(keys):
+        target.insert(key)
+    return len(keys)
+
+
+def delete_each(target, lo, hi):
+    """The per-record reference for ``delete_range``: one ``delete``
+    command per key in ``[lo, hi]``, in key order.  An engine's keys
+    are read from its in-core pages, uncharged."""
+    if hasattr(target, "pagefile"):
+        victims = [key for key in _keys_of(target) if lo <= key <= hi]
+    else:
+        victims = [record.key for record in target.range(lo, hi)]
+    for key in victims:
+        target.delete(key)
+    return len(victims)
+
+
 def _apply(engine, steps, batch):
     inserted = set()
     for kind, payload in steps:
@@ -84,11 +108,14 @@ def _apply(engine, steps, batch):
             fresh = [k for k in payload if k not in inserted]
             if len(engine) + len(fresh) > engine.params.max_records:
                 continue
-            engine.insert_many(fresh, batch=batch)
+            if batch:
+                engine.insert_many(fresh)
+            else:
+                insert_each(engine, fresh)
             inserted.update(fresh)
         else:
             lo, hi = payload
-            engine.delete_range(lo, hi, batch=True)
+            engine.delete_range(lo, hi)
             inserted -= {k for k in inserted if lo <= k <= hi}
 
 
@@ -113,16 +140,16 @@ class TestInsertManyParity:
         reference = algorithm(_params())
         for engine in (batched, reference):
             engine.bulk_load(range(0, 60, 2))
-        batched.insert_many(range(1, 61, 20), batch=True)
-        reference.insert_many(range(1, 61, 20), batch=False)
+        batched.insert_many(range(1, 61, 20))
+        insert_each(reference, range(1, 61, 20))
         _assert_identical(batched, reference)
 
     def test_batched_charges_fewer_accesses(self):
         batched = Control2Engine(_params())
         reference = Control2Engine(_params())
         keys = list(range(48))
-        batched.insert_many(keys, batch=True)
-        reference.insert_many(keys, batch=False)
+        batched.insert_many(keys)
+        insert_each(reference, keys)
         _assert_identical(batched, reference)
         assert (
             batched.stats.page_accesses < reference.stats.page_accesses
@@ -141,8 +168,8 @@ class TestDeleteRangeParity:
         reference = Control1Engine(_params())
         for engine in (batched, reference):
             engine.insert_many(sorted(keys))
-        batched.delete_range(lo, hi, batch=True)
-        reference.delete_range(lo, hi, batch=False)
+        batched.delete_range(lo, hi)
+        delete_each(reference, lo, hi)
         # CONTROL 1 deletes run no maintenance, so even the page
         # placement matches; command accounting differs by design
         # (bulk = one command, per-record = one per key).
@@ -162,8 +189,8 @@ class TestDeleteRangeParity:
         reference = Control2Engine(_params())
         for engine in (batched, reference):
             engine.insert_many(sorted(keys))
-        removed_batched = batched.delete_range(lo, hi, batch=True)
-        removed_reference = reference.delete_range(lo, hi, batch=False)
+        removed_batched = batched.delete_range(lo, hi)
+        removed_reference = delete_each(reference, lo, hi)
         assert removed_batched == removed_reference
         assert _keys_of(batched) == _keys_of(reference)
         batched.validate()
@@ -221,25 +248,25 @@ class TestCrossBackendParity:
 class TestThreadSafeBatch:
     def test_threadsafe_wrapper_parity(self, tmp_path):
         path = str(tmp_path / "ts.dsf")
-        safe = JournaledDenseFile.create(
-            path, num_pages=M, d=LOW_D, D=HIGH_D, threadsafe=True
-        )
+        safe = ThreadSafeDenseFile(JournaledDenseFile.create(
+            path, num_pages=M, d=LOW_D, D=HIGH_D
+        ))
         reference = Control2Engine(_params())
         keys = list(range(0, 50))
-        assert safe.insert_many(keys, batch=True) == 50
-        reference.insert_many(keys, batch=True)
-        assert safe.delete_range(10, 19, batch=True) == 10
-        reference.delete_range(10, 19, batch=True)
+        assert safe.insert_many(keys) == 50
+        reference.insert_many(keys)
+        assert safe.delete_range(10, 19) == 10
+        reference.delete_range(10, 19)
         inner_engine = safe._inner.engine
         assert _page_images(inner_engine) == _page_images(reference)
         safe.close()
 
     def test_threadsafe_batch_false(self, tmp_path):
         path = str(tmp_path / "ts2.dsf")
-        safe = JournaledDenseFile.create(
-            path, num_pages=M, d=LOW_D, D=HIGH_D, threadsafe=True
-        )
-        assert safe.insert_many(range(20), batch=False) == 20
-        assert safe.delete_range(5, 9, batch=False) == 5
+        safe = ThreadSafeDenseFile(JournaledDenseFile.create(
+            path, num_pages=M, d=LOW_D, D=HIGH_D
+        ))
+        assert insert_each(safe, range(20)) == 20
+        assert delete_each(safe, 5, 9) == 5
         assert len(safe) == 15
         safe.close()

@@ -548,25 +548,31 @@ def events_built(monkeypatch):
     return built
 
 
+def _record(table, token, outcome):
+    """Claim ``token`` and record its definite ``outcome``."""
+    assert table.reserve(token) == ("execute", None)
+    table.finish(token, outcome)
+
+
 class TestIdempotencyTable:
     def test_records_and_replays(self):
         table = IdempotencyTable()
-        assert table.get("c0:t0") is None
-        table.put("c0:t0", {"ok": True})
-        assert table.get("c0:t0") == {"ok": True}
+        assert table.peek("c0:t0") is None
+        _record(table, "c0:t0", {"ok": True})
+        assert table.reserve("c0:t0") == ("replay", {"ok": True})
         assert table.hits == 1
 
     def test_peek_does_not_count_a_hit(self):
         table = IdempotencyTable()
-        table.put("t", {"ok": True})
+        _record(table, "t", {"ok": True})
         assert table.peek("t") == {"ok": True}
         assert table.hits == 0
 
     def test_bounded_capacity_evicts_oldest(self):
         table = IdempotencyTable(capacity=2)
-        table.put("a", {"n": 1})
-        table.put("b", {"n": 2})
-        table.put("c", {"n": 3})
+        _record(table, "a", {"n": 1})
+        _record(table, "b", {"n": 2})
+        _record(table, "c", {"n": 3})
         assert len(table) == 2
         assert table.peek("a") is None
         assert table.peek("c") == {"n": 3}
@@ -642,6 +648,9 @@ class TestClientServer:
             "cluster.server.requests": 2,
             "cluster.server.errors": 0,
             "cluster.server.dedup_replays": 0,
+            "cluster.idempotency.hits": 0,
+            "cluster.idempotency.evictions": 0,
+            "cluster.idempotency.waits": 0,
         }
         client.close()
         ref = weakref.ref(server)
@@ -651,6 +660,28 @@ class TestClientServer:
             assert ref() is None
         finally:
             gc.enable()
+            sharded.close()
+
+    def test_stats_report_a_token_evicted_past_capacity(self):
+        """Three write tokens through a two-token table: the oldest is
+        evicted, and the ``stats`` op says so; replaying the newest
+        counts a hit."""
+        sharded = ShardedDenseFile.build(num_shards=2, key_space=100,
+                                         capacity_hint=64)
+        server = ClusterServer(sharded, idempotency_capacity=2)
+        client = ClusterClient(LocalChannel(server.handle_frame))
+        try:
+            tokens = [client.new_token() for _ in range(3)]
+            for key, token in zip((10, 20, 30), tokens):
+                client.insert_with_token(key, f"v{key}", token=token)
+            stats = client.stats()
+            assert stats["cluster.idempotency.evictions"] == 1
+            assert stats["cluster.idempotency.hits"] == 0
+            client.insert_with_token(30, "v30", token=tokens[2])
+            assert client.stats()["cluster.idempotency.hits"] == 1
+            assert len(client) == 3
+        finally:
+            client.close()
             sharded.close()
 
     def test_full_operation_surface(self, cluster):

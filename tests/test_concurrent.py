@@ -513,14 +513,15 @@ class TestGuard:
 
 
 class TestThreadsafeOpenFlag:
+    """A durable file shared between threads is wrapped by its caller."""
+
     def test_journaled_threadsafe_round_trip(self, tmp_path):
         from repro import JournaledDenseFile
 
         path = str(tmp_path / "ts.dsf")
-        created = JournaledDenseFile.create(
-            path, num_pages=32, d=8, D=40, threadsafe=True
+        created = ThreadSafeDenseFile(
+            JournaledDenseFile.create(path, num_pages=32, d=8, D=40)
         )
-        assert isinstance(created, ThreadSafeDenseFile)
         with ThreadPoolExecutor(max_workers=4) as pool:
             list(
                 pool.map(
@@ -532,8 +533,7 @@ class TestThreadsafeOpenFlag:
             )
         created.validate()
         created.close()
-        reopened = JournaledDenseFile.open(path, threadsafe=True)
-        assert isinstance(reopened, ThreadSafeDenseFile)
+        reopened = ThreadSafeDenseFile(JournaledDenseFile.open(path))
         assert len(reopened) == 100
         assert reopened.shared_reads is False
         reopened.close()
@@ -542,15 +542,15 @@ class TestThreadsafeOpenFlag:
         from repro import PersistentDenseFile
 
         path = str(tmp_path / "ps.dsf")
-        created = PersistentDenseFile.create(
-            path, num_pages=32, d=8, D=40, threadsafe=True
+        created = ThreadSafeDenseFile(
+            PersistentDenseFile.create(path, num_pages=32, d=8, D=40)
         )
-        assert isinstance(created, ThreadSafeDenseFile)
         created.insert_many(range(10))
         created.close()
-        # Default stays the unwrapped facade.
+        # create/open return the unwrapped facade; the caller wraps it.
         plain = PersistentDenseFile.open(path)
         assert not isinstance(plain, ThreadSafeDenseFile)
+        assert len(plain) == 10
         plain.close()
 
 
@@ -592,7 +592,6 @@ class TestLifecyclePassThrough:
         shared = ThreadSafeDenseFile(
             PersistentDenseFile.create(
                 path, num_pages=64, d=8, D=40, cache_pages=4,
-                write_through=False,
             )
         )
 

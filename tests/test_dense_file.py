@@ -28,9 +28,15 @@ class TestEngineSelection:
         dense = DenseSequentialFile(num_pages=64, d=8, D=12)
         assert isinstance(dense.engine, MacroBlockControl2Engine)
 
-    def test_macro_blocks_can_be_refused(self):
-        with pytest.raises(ConfigurationError):
-            DenseSequentialFile(num_pages=64, d=8, D=12, auto_macroblock=False)
+    def test_macro_blocks_can_be_refused(self, tmp_path):
+        """A file on disk cannot hold macro-blocks: the geometry is
+        refused before the file is made."""
+        path = tmp_path / "macro.dsf"
+        with pytest.raises(ConfigurationError, match="macro-blocks"):
+            DenseSequentialFile(
+                num_pages=64, d=8, D=12, backend="disk", path=str(path)
+            )
+        assert not path.exists()
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -12,7 +12,12 @@ import os
 
 import pytest
 
-from repro import DenseSequentialFile, JournaledDenseFile, PersistentDenseFile
+from repro import (
+    DenseSequentialFile,
+    JournaledDenseFile,
+    PersistentDenseFile,
+    ThreadSafeDenseFile,
+)
 from repro.core.errors import ReadOnlyError, ReproError, UsageError
 from repro.records import Record
 from repro.storage.ondisk import DiskPagedStore
@@ -44,6 +49,12 @@ DURABLE = [
 ]
 
 
+def _create(cls, path, threadsafe):
+    """A fresh durable file, behind the thread-safe front-end if asked."""
+    durable = cls.create(path, **GEOMETRY)
+    return ThreadSafeDenseFile(durable) if threadsafe else durable
+
+
 def _reference(keys) -> DenseSequentialFile:
     reference = DenseSequentialFile(**GEOMETRY)
     reference.insert_many(Record(key, f"v{key}") for key in keys)
@@ -58,7 +69,7 @@ def path(tmp_path):
 class TestQueriesMatchTheInMemoryFile:
     @pytest.mark.parametrize("cls, threadsafe", DURABLE)
     def test_order_queries(self, path, cls, threadsafe):
-        durable = cls.create(path, **GEOMETRY, threadsafe=threadsafe)
+        durable = _create(cls, path, threadsafe)
         reference = _reference(KEYS)
         try:
             durable.insert_many([Record(key, f"v{key}") for key in KEYS])
@@ -75,7 +86,7 @@ class TestQueriesMatchTheInMemoryFile:
 
     @pytest.mark.parametrize("cls, threadsafe", DURABLE)
     def test_empty_file_has_no_extremes(self, path, cls, threadsafe):
-        durable = cls.create(path, **GEOMETRY, threadsafe=threadsafe)
+        durable = _create(cls, path, threadsafe)
         try:
             assert durable.min() is None and durable.max() is None
             assert durable.successor(0) is None

@@ -1,6 +1,8 @@
 """Unit tests for the slotted on-disk page store."""
 
 
+import re
+
 import pytest
 
 from repro.records import Record
@@ -99,6 +101,20 @@ class TestPageIO:
         ) as store:
             with pytest.raises(PageOverflowError):
                 store.write_page(1, [Record(1, "x" * 100)])
+
+    @pytest.mark.parametrize("short", [1, 4, 7])
+    def test_overflow_names_the_frame_it_checks(self, path, short):
+        """A payload less than 8 bytes under the slot still overflows
+        once its 8-byte slot header is added; the message reports that
+        frame, not the payload."""
+        with DiskPagedStore.create(
+            path, num_pages=2, d=1, D=2, slot_capacity=64
+        ) as store:
+            with pytest.raises(PageOverflowError) as raised:
+                store.write_page_payload(1, b"x" * (64 - short))
+        reported = int(re.search(r"(\d+) bytes", str(raised.value)).group(1))
+        assert reported == 64 - short + SLOT_HEADER.size > 64
+        assert "64-byte slot" in str(raised.value)
 
     def test_corrupted_payload_detected(self, path):
         with DiskPagedStore.create(path, num_pages=2, d=2, D=8) as store:

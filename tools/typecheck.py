@@ -2,8 +2,8 @@
 
 CI installs mypy and runs it against ``pyproject.toml``'s ``[tool.mypy]``
 config (strict on ``storage/``, ``concurrent/``, ``cluster/``,
-``replication/`` and ``obs.py``, base strictness everywhere else — the
-ratchet).  Development containers without mypy
+``replication/``, ``obs.py`` and ``persistent.py``, base strictness
+everywhere else — the ratchet).  Development containers without mypy
 still get a meaningful gate: the AST pass below enforces the part of
 strict mode that needs no type inference — ``disallow_untyped_defs`` /
 ``disallow_incomplete_defs`` — by walking every function signature in
@@ -38,6 +38,7 @@ STRICT_PACKAGES = (
     "src/repro/cluster",
     "src/repro/replication",
     "src/repro/obs.py",
+    "src/repro/persistent.py",
 )
 
 

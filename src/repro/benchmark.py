@@ -49,12 +49,14 @@ the worst command with none).
 
 from __future__ import annotations
 
+import math
 import os
 import random
+import statistics
 import sys
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .analysis.stats import percentile
 from .baselines.btree import BPlusTree
@@ -63,6 +65,9 @@ from .core.errors import ConfigurationError
 from .workloads.generators import INSERT, mixed_workload
 
 SCHEMA = "repro-bench/1"
+#: The fixed-schema ``measurement`` block ``tools/abtest.py --out``
+#: writes: one A/B run of the repository benchmark, every run kept.
+MEASUREMENT_SCHEMA = "repro-measurement/1"
 
 SCENARIOS = ("bulk_load", "insert_burst", "mixed", "stream_scan")
 BACKENDS = ("memory", "buffered", "disk", "cluster")
@@ -499,10 +504,24 @@ _REQUIRED_FIELDS = (
 
 
 def validate_report(report: dict) -> List[str]:
-    """Schema-check a report dict; returns problems (empty == valid)."""
+    """Schema-check a report dict; returns problems (empty == valid).
+
+    A report is a ``repro bench`` run (:data:`SCHEMA`), or an A/B
+    measurement alone: ``{"measurement": {...}}`` as ``tools/abtest.py
+    --out`` writes it.  A ``measurement`` block that names
+    :data:`MEASUREMENT_SCHEMA` is checked by :func:`validate_measurement`;
+    older reports carry free-form blocks, which are not.
+    """
     problems: List[str] = []
     if not isinstance(report, dict):
         return ["report is not an object"]
+    measurement = report.get("measurement")
+    if isinstance(measurement, dict) and (
+        "schema" in measurement or "results" not in report
+    ):
+        problems = validate_measurement(measurement)
+        if "results" not in report:
+            return problems
     if report.get("schema") != SCHEMA:
         problems.append(
             f"schema is {report.get('schema')!r}, expected {SCHEMA!r}"
@@ -547,6 +566,135 @@ def validate_report(report: dict) -> List[str]:
             problems.append(f"results[{index}].latency_source is not a string")
         if "counters" in cell and not isinstance(cell["counters"], dict):
             problems.append(f"results[{index}].counters is not an object")
+    return problems
+
+
+def _iqr(values: Sequence[float]) -> float:
+    """Upper minus lower inclusive quartile (0 for fewer than two)."""
+    if len(values) < 2:
+        return 0.0
+    lower, _, upper = statistics.quantiles(values, n=4, method="inclusive")
+    return upper - lower
+
+
+def _numbers(value: object, count: int) -> bool:
+    return (
+        isinstance(value, list) and len(value) == count
+        and all(isinstance(item, (int, float)) for item in value)
+    )
+
+
+def validate_measurement(block: dict) -> List[str]:
+    """Check one :data:`MEASUREMENT_SCHEMA` block; returns problems.
+
+    Beyond the fields' types, every derived figure must follow from
+    the runs it summarizes: each median, base IQR, change in percent
+    and win count, and each ``claim`` verdict by the gain rule (the
+    change wins all pairs but at most one, beats the base median by
+    more than the base IQR, and the exact counts are identical).
+    """
+    problems: List[str] = []
+    if block.get("schema") != MEASUREMENT_SCHEMA:
+        return [
+            f"measurement schema is {block.get('schema')!r}, expected "
+            f"{MEASUREMENT_SCHEMA!r}"
+        ]
+    for name in ("command", "base", "change"):
+        if not isinstance(block.get(name), str):
+            problems.append(f"measurement.{name} is not a string")
+    pairs = block.get("pairs")
+    if not isinstance(pairs, int) or pairs < 1:
+        return problems + ["measurement.pairs is not a positive integer"]
+    if not isinstance(block.get("seed"), int):
+        problems.append("measurement.seed is not an integer")
+    claim = block.get("claim")
+    if claim is not None and not isinstance(claim, str):
+        problems.append("measurement.claim is not a metric name")
+    bounds = block.get("bounds")
+    if bounds is not None and not (
+        isinstance(bounds, str) and bounds.startswith("bounds: ")
+    ):
+        problems.append("measurement.bounds is not a bounds verdict")
+    workloads = block.get("workloads")
+    if not isinstance(workloads, dict) or not workloads:
+        return problems + ["measurement.workloads must be a non-empty object"]
+    for label, workload in workloads.items():
+        where = f"measurement.workloads[{label!r}]"
+        if not isinstance(workload, dict):
+            problems.append(f"{where} is not an object")
+            continue
+        exact = workload.get("exact")
+        if not (
+            isinstance(exact, dict)
+            and isinstance(exact.get("identical"), bool)
+            and isinstance(exact.get("values"), dict)
+        ):
+            problems.append(f"{where}.exact needs identical and values")
+            continue
+        metrics = workload.get("metrics")
+        if not isinstance(metrics, dict) or not metrics:
+            problems.append(f"{where}.metrics must be a non-empty object")
+            continue
+        for name, row in metrics.items():
+            problems.extend(
+                _check_row(f"{where}.metrics[{name!r}]", row, pairs)
+            )
+        verdict = workload.get("claim")
+        if claim is None:
+            if verdict is not None:
+                problems.append(f"{where}.claim is set but nothing is claimed")
+            continue
+        row = metrics.get(claim)
+        if not isinstance(row, dict) or verdict not in ("gain", "no gain"):
+            problems.append(f"{where}.claim needs a verdict on {claim!r}")
+            continue
+        if _check_row("", row, pairs):
+            continue
+        sign = 1 if row["better"] == "higher" else -1
+        held = (
+            exact["identical"]
+            and row["wins"] >= pairs - 1
+            and sign * (row["change_median"] - row["base_median"])
+            > row["base_iqr"]
+        )
+        if verdict != ("gain" if held else "no gain"):
+            problems.append(
+                f"{where}.claim says {verdict!r}, but the runs say "
+                f"{'gain' if held else 'no gain'!r}"
+            )
+    return problems
+
+
+def _check_row(where: str, row: object, pairs: int) -> List[str]:
+    """Problems with one metric's row of a measurement block."""
+    if not isinstance(row, dict):
+        return [f"{where} is not an object"]
+    if row.get("better") not in ("higher", "lower"):
+        return [f"{where}.better is not 'higher' or 'lower'"]
+    base: Any = row.get("base")
+    change: Any = row.get("change")
+    if not _numbers(base, pairs) or not _numbers(change, pairs):
+        return [f"{where} needs {pairs} base and {pairs} change runs"]
+    sign = 1 if row["better"] == "higher" else -1
+    base_median = statistics.median(base)
+    change_median = statistics.median(change)
+    expected = {
+        "base_median": base_median,
+        "change_median": change_median,
+        "base_iqr": _iqr(base),
+        "delta_pct": 100.0 * (change_median - base_median) / base_median
+        if base_median else 0.0,
+        "wins": sum(sign * (new - old) > 0 for old, new in zip(base, change)),
+    }
+    problems = []
+    for name, value in expected.items():
+        found = row.get(name)
+        if not isinstance(found, (int, float)) or not math.isclose(
+            found, value, rel_tol=1e-9, abs_tol=1e-9
+        ):
+            problems.append(
+                f"{where}.{name} is {found!r}; its runs give {value!r}"
+            )
     return problems
 
 

@@ -789,8 +789,12 @@ def _bench(args, out) -> int:
     """Run the benchmark matrix, write the JSON report, gate on baseline;
     or, with ``--validate``/``--compare``, judge existing reports."""
     if args.validate:
-        _load_report(args.validate)
-        print(f"{args.validate}: valid {benchmark.SCHEMA} report", file=out)
+        report = _load_report(args.validate)
+        schema = (
+            benchmark.SCHEMA if "results" in report
+            else benchmark.MEASUREMENT_SCHEMA
+        )
+        print(f"{args.validate}: valid {schema} report", file=out)
         return EXIT_OK
     if args.compare:
         baseline_path, current_path = args.compare

@@ -111,6 +111,18 @@ def _rebuild_error(name: str, message: str, detail: Dict[str, Any]) -> ReproErro
     return ClusterError(f"{name}: {message}")
 
 
+def _answer(response: Dict[str, Any], request_id: str) -> Any:
+    """A decoded response's result, or its typed error raised."""
+    check_correlation(response, request_id)
+    if response.get("ok"):
+        return response.get("result")
+    raise _rebuild_error(
+        str(response.get("error", "ClusterError")),
+        str(response.get("message", "")),
+        response.get("detail") or {},
+    )
+
+
 def _to_record(payload: Optional[List[Any]]) -> Optional[Record]:
     return None if payload is None else Record(payload[0], payload[1])
 
@@ -249,9 +261,14 @@ class ClusterClient:
     # -- the call path ---------------------------------------------------
 
     def _exchange(
-        self, frame: bytes, request_id: str, timeout: Optional[float]
+        self, frame: bytes, request_id: Any, timeout: Optional[float]
     ) -> Any:
         """One attempt: send, decode, correlate, raise-or-return.
+
+        A ``bytes`` ``request_id`` marks a point-lane request: an OK
+        point response is read straight into its result (``None`` or a
+        :class:`Record`), its echoed id compared as bytes, and any
+        other answer (a replay, a typed error) through the dict path.
 
         The caller checks the budget *before* breaker admission; by the
         time we are here an ``OperationTimeout`` can only be the
@@ -259,32 +276,41 @@ class ClusterClient:
         treat it as a shard failure.
         """
         raw = self.channel.request(frame, timeout=timeout)
-        response = decode_bytes(raw)
-        check_correlation(response, request_id)
-        if response.get("ok"):
-            return response.get("result")
-        raise _rebuild_error(
-            str(response.get("error", "ClusterError")),
-            str(response.get("message", "")),
-            response.get("detail") or {},
-        )
+        if type(request_id) is not bytes:
+            return _answer(decode_bytes(raw), request_id)
+        response = decode_bytes(raw, lane=True)
+        if type(response) is tuple:
+            if response[0] != request_id:
+                raise WireProtocolError(
+                    f"response correlation mismatch: sent {request_id!r}, "
+                    f"got {response[0]!r} (reordered or stale response)"
+                )
+            return response[1]
+        return _to_record(_answer(response, request_id.decode("utf-8")))
 
     def _call(
         self,
         op: str,
-        args: Dict[str, Any],
+        args: Any,
         timeout: Optional[float] = None,
         deadline: Optional[Deadline] = None,
         token: Optional[str] = None,
         shard_id: Optional[int] = None,
     ) -> Any:
-        """The full robust call: breaker gate, retry loop, deadline."""
+        """The full robust call: breaker gate, retry loop, deadline.
+
+        ``args`` is the request's dict of named arguments or, for a
+        point command, its ``(key, value)`` pair, which sends it on the
+        point lane (see :mod:`repro.cluster.wire`): the frame is
+        encoded from the fields and a record comes back, not a pair.
+        """
         budget = Deadline.resolve(
             timeout, deadline, self.default_timeout, clock=self._clock
         )
         # prime() only adds breakers, so the lookup needs no mutex.
         breaker = None if shard_id is None else self._breakers.get(shard_id)
         what = f"cluster {op}"
+        lane = type(args) is tuple
 
         def attempt() -> Any:
             # A spent client-side budget is not a shard failure: raise
@@ -297,11 +323,18 @@ class ClusterClient:
             # Encode before admission too: an argument the wire cannot
             # carry raises the non-retryable CodecError here, without
             # touching the breaker or the network.
-            request_id = self._next_request_id()
-            frame = encode_frame(
-                request(op, request_id, args=args, token=token,
-                        budget=remaining)
-            )
+            request_id: Any
+            if lane:
+                request_id = self._next_request_id().encode("utf-8")
+                frame = encode_frame(
+                    (op, request_id, token, remaining, args[0], args[1])
+                )
+            else:
+                request_id = self._next_request_id()
+                frame = encode_frame(
+                    request(op, request_id, args=args, token=token,
+                            budget=remaining)
+                )
             if breaker is not None:
                 breaker.allow()
             # The breaker admitted this call, so exactly one outcome
@@ -363,14 +396,7 @@ class ClusterClient:
         deadline: Optional[Deadline] = None,
     ) -> None:
         """Insert ``key`` (at-most-once across retries via its token)."""
-        self._call(
-            "insert",
-            {"key": key, "value": value},
-            timeout=timeout,
-            deadline=deadline,
-            token=self._next_token(),
-            shard_id=self.shard_map.shard_for(key),
-        )
+        self.insert_with_token(key, value, timeout=timeout, deadline=deadline)
 
     def delete(
         self,
@@ -380,16 +406,7 @@ class ClusterClient:
         deadline: Optional[Deadline] = None,
     ) -> Optional[Record]:
         """Delete ``key`` and return the removed record."""
-        return _to_record(
-            self._call(
-                "delete",
-                {"key": key},
-                timeout=timeout,
-                deadline=deadline,
-                token=self._next_token(),
-                shard_id=self.shard_map.shard_for(key),
-            )
-        )
+        return self.delete_with_token(key, timeout=timeout, deadline=deadline)[1]
 
     def search(
         self,
@@ -399,15 +416,14 @@ class ClusterClient:
         deadline: Optional[Deadline] = None,
     ) -> Optional[Record]:
         """Point lookup for ``key``."""
-        return _to_record(
-            self._call(
-                "search",
-                {"key": key},
-                timeout=timeout,
-                deadline=deadline,
-                shard_id=self.shard_map.shard_for(key),
-            )
+        result: Optional[Record] = self._call(
+            "search",
+            (key, None),
+            timeout=timeout,
+            deadline=deadline,
+            shard_id=self.shard_map.shard_for(key),
         )
+        return result
 
     # -- fan-out operations ----------------------------------------------
 
@@ -491,7 +507,10 @@ class ClusterClient:
         timeout: Optional[float] = None,
         deadline: Optional[Deadline] = None,
     ) -> Dict[str, Number]:
-        """The server's counter snapshot (``cluster.server.*``)."""
+        """The server's counter snapshot: its own layers
+        (``cluster.server.*``, ``cluster.idempotency.*``) and every
+        shard's but a down one's, merged by name (counters summed,
+        ``core.balance_headroom`` the tightest shard's)."""
         return dict(self._call("stats", {}, timeout=timeout, deadline=deadline))
 
     def token_outcome(self, token: str) -> Optional[Dict[str, Any]]:
@@ -542,7 +561,7 @@ class ClusterClient:
         used = token if token is not None else self._next_token()
         self._call(
             "insert",
-            {"key": key, "value": value},
+            (key, value),
             timeout=timeout,
             deadline=deadline,
             token=used,
@@ -560,14 +579,12 @@ class ClusterClient:
     ) -> Tuple[str, Optional[Record]]:
         """Delete returning ``(token, removed record)`` (for audits)."""
         used = token if token is not None else self._next_token()
-        record = _to_record(
-            self._call(
-                "delete",
-                {"key": key},
-                timeout=timeout,
-                deadline=deadline,
-                token=used,
-                shard_id=self.shard_map.shard_for(key),
-            )
+        record: Optional[Record] = self._call(
+            "delete",
+            (key, None),
+            timeout=timeout,
+            deadline=deadline,
+            token=used,
+            shard_id=self.shard_map.shard_for(key),
         )
         return used, record

@@ -38,7 +38,7 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..concurrent.deadline import Deadline
 from ..core.errors import (
@@ -54,7 +54,13 @@ from ..obs import Metrics
 from ..storage.codec import CodecError
 from .store import ShardedDenseFile
 from .transport import arm_timeouts, recv_frames, require_timeval
-from .wire import decode_bytes, encode_frame, error_response, ok_response
+from .wire import (
+    PointResponse,
+    decode_bytes,
+    encode_frame,
+    error_response,
+    ok_response,
+)
 
 #: Error classes whose outcome means the write was NOT applied — these
 #: are never recorded against an idempotency token, so a retry after
@@ -238,24 +244,38 @@ class ClusterServer:
     # -- the dispatcher (shared by TCP and LocalChannel) ----------------
 
     def handle_frame(self, data: bytes) -> bytes:
-        """One framed request in, one framed response out."""
+        """One framed request in, one framed response out.
+
+        A point command's frame (see :mod:`repro.cluster.wire`) runs on
+        the point lane, :meth:`_serve_point`; every other frame is
+        decoded to its dict and runs through :meth:`handle_body`.
+        """
         try:
-            body = decode_bytes(data)
+            body = decode_bytes(data, lane=True)
         except WireProtocolError as error:
             # No correlation id is recoverable from a mangled frame.
             return encode_frame(
                 error_response("?", "WireProtocolError", str(error))
             )
-        response = self.handle_body(body)
+        if type(body) is tuple:
+            return self._serve_point(*body)
+        return self._send(self.handle_body(body))
+
+    def _send(self, body: Union[Dict[str, Any], PointResponse]) -> bytes:
+        """``body`` as a frame, or a typed ``CodecError`` answer when it
+        carries a stored value the wire cannot, so the connection keeps
+        serving."""
         try:
-            return encode_frame(response)
+            return encode_frame(body)
         except CodecError as error:
-            # A stored value the wire cannot carry: answer with a typed
-            # error so the connection keeps serving.
             self.errors += 1
+            request_id = (
+                str(body.get("id", "?")) if isinstance(body, dict)
+                else body[0].decode("utf-8")
+            )
             return encode_frame(
                 error_response(
-                    str(response.get("id", "?")),
+                    request_id,
                     "CodecError",
                     f"result cannot be sent: {error}",
                 )
@@ -283,29 +303,65 @@ class ClusterServer:
             deadline = self._budget_deadline(body.get("budget"))
             if token is not None and op in MUTATING_OPS:
                 return self._apply_once(
-                    request_id, str(token), op, args, deadline
+                    request_id, str(token), deadline, self._dispatch, op, args
                 )
-            return self._respond(request_id, op, args, deadline)
-        except ReproError as error:
-            # Typed refusals raised outside _respond's own accounting:
-            # malformed budget/args, a duplicate-token wait that hit
-            # the deadline.  All of them mean "not applied".
-            self.errors += 1
+            return self._respond(request_id, deadline, self._dispatch, op, args)
+        except Exception as error:  # lint: allow[errors]
+            return self._refusal(request_id, error)
+
+    def _serve_point(
+        self,
+        op: str,
+        request_id: bytes,
+        token: Optional[str],
+        budget: Optional[float],
+        key: Any,
+        value: Any,
+    ) -> bytes:
+        """:meth:`handle_body` for a point command, from its fields.
+
+        The same token protocol, store call and refusals, and the same
+        response bytes, with no request, args or response dict: only a
+        tokened write builds the outcome dict the idempotency table
+        records.
+        """
+        self.requests += 1
+        try:
+            deadline = self._budget_deadline(budget)
+            if token is None or op == "search":
+                result = self._point(op, key, value, deadline)
+            else:
+                response = self._apply_once(
+                    request_id.decode("utf-8"), token, deadline,
+                    self._point, op, key, value,
+                )
+                if "replayed" in response or not response["ok"]:
+                    return self._send(response)
+                result = response["result"]
+        except Exception as error:  # lint: allow[errors]
+            return self._send(self._refusal(request_id.decode("utf-8"), error))
+        return self._send((request_id, result))
+
+    def _refusal(self, request_id: str, error: Exception) -> Dict[str, Any]:
+        """The typed error response for a request that raised ``error``.
+
+        A :class:`ReproError` keeps its class name and payload; any
+        other exception is a request whose shape we did not anticipate,
+        which still gets a typed answer rather than a dead connection.
+        """
+        self.errors += 1
+        if isinstance(error, ReproError):
             return error_response(
                 request_id,
                 type(error).__name__,
                 str(error),
                 detail=_error_detail(error),
             )
-        except Exception as error:  # lint: allow[errors]
-            # A request whose shape we did not anticipate must still
-            # get a typed answer rather than a dead connection.
-            self.errors += 1
-            return error_response(
-                request_id,
-                "WireProtocolError",
-                f"malformed request: {type(error).__name__}: {error}",
-            )
+        return error_response(
+            request_id,
+            "WireProtocolError",
+            f"malformed request: {type(error).__name__}: {error}",
+        )
 
     def _budget_deadline(self, budget: Any) -> Optional[Deadline]:
         """The request's ``budget`` field as a server-side deadline."""
@@ -329,32 +385,28 @@ class ClusterServer:
     def _respond(
         self,
         request_id: str,
-        op: Any,
-        args: Dict[str, Any],
         deadline: Optional[Deadline],
+        execute: Callable[..., Any],
+        *operands: Any,
     ) -> Dict[str, Any]:
-        """Execute ``op`` and shape the outcome as a response body."""
+        """Run ``execute(*operands, deadline)`` and shape its outcome as
+        a response body."""
         try:
-            result = self._dispatch(op, args, deadline)
+            result = execute(*operands, deadline)
         except ReproError as error:
-            self.errors += 1
-            return error_response(
-                request_id,
-                type(error).__name__,
-                str(error),
-                detail=_error_detail(error),
-            )
+            return self._refusal(request_id, error)
         return ok_response(request_id, result)
 
     def _apply_once(
         self,
         request_id: str,
         token: str,
-        op: Any,
-        args: Dict[str, Any],
         deadline: Optional[Deadline],
+        execute: Callable[..., Any],
+        *operands: Any,
     ) -> Dict[str, Any]:
-        """Execute a mutating op at most once per idempotency token.
+        """Run a mutating op, ``execute(*operands, deadline)``, at most
+        once per idempotency token; its response body.
 
         The token is claimed atomically *before* dispatch, so a retried
         request that races a still-executing first attempt (the client
@@ -390,7 +442,9 @@ class ClusterServer:
             # release it on every path out, or duplicates wait forever.
             definite: Optional[Dict[str, Any]] = None
             try:
-                response = self._respond(request_id, op, args, deadline)
+                response = self._respond(
+                    request_id, deadline, execute, *operands
+                )
                 error_name = response.get("error")
                 if error_name is None or error_name not in NOT_APPLIED_ERRORS:
                     # Success or a domain error: the op executed, so
@@ -400,17 +454,24 @@ class ClusterServer:
             finally:
                 self.tokens.finish(token, definite)
 
+    def _point(
+        self, op: str, key: Any, value: Any, deadline: Optional[Deadline]
+    ) -> Optional[List[Any]]:
+        """The store call of a point command; a record as ``[key, value]``."""
+        store = self.store
+        if op == "insert":
+            store.insert(key, value, deadline=deadline)
+            return None
+        if op == "delete":
+            return _record_to_wire(store.delete(key, deadline=deadline))
+        return _record_to_wire(store.search(key, deadline=deadline))
+
     def _dispatch(
         self, op: Any, args: Dict[str, Any], deadline: Optional[Deadline]
     ) -> Any:
         store = self.store
-        if op == "insert":
-            store.insert(args["key"], args.get("value"), deadline=deadline)
-            return None
-        if op == "delete":
-            return _record_to_wire(store.delete(args["key"], deadline=deadline))
-        if op == "search":
-            return _record_to_wire(store.search(args["key"], deadline=deadline))
+        if op == "insert" or op == "delete" or op == "search":
+            return self._point(op, args["key"], args.get("value"), deadline)
         if op == "scan":
             scan = store.scan(args["key"], args["count"], deadline=deadline)
             return {
@@ -438,7 +499,7 @@ class ClusterServer:
         if op == "health":
             return store.health()
         if op == "stats":
-            return self.metrics.snapshot()
+            return store.store_stats(self.metrics.snapshot(), deadline=deadline)
         if op == "ping":
             return "pong"
         if op == "token":

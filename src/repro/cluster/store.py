@@ -41,6 +41,7 @@ from ..core.errors import (
     ShardUnavailableError,
 )
 from ..core.params import ceil_log2
+from ..obs import Number
 from ..records import Record
 from ..storage.backend import MemoryStore, PageStore
 from .sharding import ShardMap
@@ -392,6 +393,24 @@ class ShardedDenseFile:
         )
 
     # -- lifecycle and introspection ------------------------------------
+
+    def store_stats(
+        self,
+        into: Optional[Dict[str, Number]] = None,
+        *,
+        deadline: Optional[Deadline] = None,
+    ) -> Dict[str, Number]:
+        """Every shard's counter snapshot but a down one's, merged by
+        each registration's rule (counters summed, the
+        ``core.balance_headroom`` gauge the least), into ``into`` when
+        given.  Each shard is read under its read lock within one
+        budget."""
+        budget = Deadline.resolve(None, deadline, self.default_timeout)
+        flat: Dict[str, Number] = {} if into is None else into
+        for shard_id, shard in enumerate(self.shards):
+            if self.state_of(shard_id) != DOWN:
+                shard.store_stats(flat, deadline=budget)
+        return flat
 
     def validate(self) -> None:
         """Validate every available shard's structural invariants."""

@@ -46,16 +46,30 @@ first attempt.
 Encoding raises :class:`~repro.storage.codec.CodecError` for a body
 the format cannot carry (a ``set`` argument, say): that is the
 caller's mistake, not a network fault, so it is never retried.
+
+**The point lane.**  ``insert``, ``delete`` and ``search`` also travel
+as plain tuples, with the same bytes and no dict on either side.
+:func:`encode_frame` takes a :data:`PointRequest` ``(op, id, token,
+budget, key, value)`` or a :data:`PointResponse` ``(id, result)``
+wherever it takes a body, and ``decode_bytes(data, lane=True)``
+returns one of those tuples when the frame has a point shape: a
+request for one of the three ops whose arguments are exactly ``key``
+(and then ``value``, for an insert), or an OK response, not replayed,
+whose result is ``None`` or a ``[key, value]`` pair (read straight
+into a :class:`~repro.records.Record`).  Any other frame decodes to
+its dict, as without ``lane``.  Lane ids are bytes: the client
+compares the echoed id without decoding it.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.errors import WireProtocolError
-from ..storage.codec import CodecError, decode_value, encode_int, encode_value
+from ..records import Record, _tuple_new
+from ..storage.codec import CodecError, decode_value, encode_value
 
 #: Frame header: magic, body length, CRC-32 of the body.
 HEADER = struct.Struct(">2sII")
@@ -72,15 +86,28 @@ _HAS_TOKEN = 1
 _HAS_BUDGET = 2
 #: Response envelope: kind, flags, len(id).
 _RESPONSE = struct.Struct("<BBH")
+#: Where the strings after each envelope start.
+_REQUEST_END = HEADER.size + _REQUEST.size
+_RESPONSE_END = HEADER.size + _RESPONSE.size
 _OK = 1
 _REPLAYED = 2
 _HAS_DETAIL = 4
 
-#: The point commands' argument names, each with its length byte.
-_ARG_HEADS = {
-    name: bytes((len(name),)) + name.encode("utf-8")
-    for name in ("key", "value")
-}
+#: The point lane's ops, each with its argument count.
+POINT_OPS = {"insert": 2, "delete": 1, "search": 1}
+_POINT_OPS_RAW = {op.encode("utf-8"): (op, argc) for op, argc in POINT_OPS.items()}
+#: A point command's argument names, each after its length byte.
+_KEY_HEAD = b"\x03key"
+_VALUE_HEAD = b"\x05value"
+
+#: A point request on the lane: op, id, token, budget, key, value
+#: (``value`` is ignored for a delete or a search, and decodes as None).
+PointRequest = Tuple[str, bytes, Optional[str], Optional[float], Any, Any]
+#: An OK point response on the lane: the id and the result (``None``,
+#: or a ``(key, value)`` pair; decoded, a :class:`Record`).
+PointResponse = Tuple[bytes, Any]
+#: Anything :func:`encode_frame` takes.
+Body = Union[Dict[str, Any], PointRequest, PointResponse]
 
 
 def _encoded(value: Any) -> bytes:
@@ -92,7 +119,7 @@ def _encoded(value: Any) -> bytes:
 #: ``None`` in ``encode_value`` form, and the header of a two-item list,
 #: which a point command's ``[key, value]`` result starts with.
 _NONE_VALUE = _encoded(None)
-_PAIR_HEAD = _encoded([0, 0])[: -2 * len(encode_int(0))]
+_PAIR_HEAD = _encoded([None, None])[: -2 * len(_NONE_VALUE)]
 
 #: What a mangled body can make the decoder raise; all of it becomes
 #: one WireProtocolError.  (CodecError and UnicodeDecodeError are
@@ -130,12 +157,21 @@ def frame_size(data: bytes, offset: int = 0) -> int:
     return HEADER.size + length
 
 
-def encode_frame(body: Dict[str, Any]) -> bytes:
-    """One request or response body (told apart by ``"op"``) as a frame."""
+def encode_frame(body: Body) -> bytes:
+    """One body as a frame: a request or response dict (told apart by
+    ``"op"``), or a point-lane tuple (told apart by its length)."""
     try:
-        payload = (
-            _encode_request(body) if "op" in body else _encode_response(body)
-        )
+        if isinstance(body, dict):
+            payload = (
+                _encode_request(body) if "op" in body
+                else _encode_response(body)
+            )
+        else:
+            fields: Any = body  # a lane tuple, read by position
+            payload = (
+                _encode_point_response(*fields) if len(fields) == 2
+                else _encode_point_request(*fields)
+            )
     except CodecError:
         raise
     except _ENCODE_ERRORS as error:
@@ -150,12 +186,51 @@ def encode_frame(body: Dict[str, Any]) -> bytes:
     return HEADER.pack(MAGIC, len(payload), zlib.crc32(payload)) + payload
 
 
-def _encode_request(body: Dict[str, Any]) -> bytes:
-    op = body["op"].encode("utf-8")
-    request_id = body["id"].encode("utf-8")
-    token = body.get("token")
-    budget = body.get("budget")
-    args = body.get("args") or {}
+def _encode_point_request(
+    op: str,
+    request_id: bytes,
+    token: Optional[str],
+    budget: Optional[float],
+    key: Any,
+    value: Any,
+) -> bytes:
+    """A point request's body from its fields: the bytes
+    :func:`_encode_request` writes for ``{"key": key}`` (a delete or a
+    search) or ``{"key": key, "value": value}`` (an insert)."""
+    argc = POINT_OPS[op]
+    out = _request_head(op, request_id, token, budget, argc)
+    out.append(_KEY_HEAD)
+    encode_value(key, out)
+    if argc == 2:
+        out.append(_VALUE_HEAD)
+        encode_value(value, out)
+    return b"".join(out)
+
+
+def _encode_point_response(request_id: bytes, result: Any) -> bytes:
+    """An OK point response's body: the bytes :func:`_encode_response`
+    writes for ``None`` or for the list ``[key, value]``."""
+    out = [_RESPONSE.pack(_KIND_RESPONSE, _OK, len(request_id)), request_id]
+    if result is None:
+        out.append(_NONE_VALUE)
+    else:
+        key, value = result
+        out.append(_PAIR_HEAD)
+        encode_value(key, out)
+        encode_value(value, out)
+    return b"".join(out)
+
+
+def _request_head(
+    op: str,
+    request_id: bytes,
+    token: Optional[str],
+    budget: Optional[float],
+    argc: int,
+) -> List[bytes]:
+    """A request body's envelope and strings, for its arguments to
+    follow."""
+    op_raw = op.encode("utf-8")
     flags = 0
     if token is None:
         token_raw = b""
@@ -164,21 +239,26 @@ def _encode_request(body: Dict[str, Any]) -> bytes:
         flags |= _HAS_TOKEN
     if budget is not None:
         flags |= _HAS_BUDGET
-    out: List[bytes] = [
+    return [
         _REQUEST.pack(
             _KIND_REQUEST, flags, 0.0 if budget is None else budget,
-            len(op), len(request_id), len(token_raw), len(args),
+            len(op_raw), len(request_id), len(token_raw), argc,
         ),
-        op,
+        op_raw,
         request_id,
         token_raw,
     ]
+
+
+def _encode_request(body: Dict[str, Any]) -> bytes:
+    args = body.get("args") or {}
+    out = _request_head(
+        body["op"], body["id"].encode("utf-8"), body.get("token"),
+        body.get("budget"), len(args),
+    )
     for name, value in args.items():
-        head = _ARG_HEADS.get(name)
-        if head is None:
-            raw = name.encode("utf-8")
-            head = bytes((len(raw),)) + raw
-        out.append(head)
+        raw = name.encode("utf-8")
+        out.append(bytes((len(raw),)) + raw)
         encode_value(value, out)
     return b"".join(out)
 
@@ -187,18 +267,7 @@ def _encode_response(body: Dict[str, Any]) -> bytes:
     request_id = body["id"].encode("utf-8")
     if body.get("ok"):
         flags = _OK
-        result = body.get("result")
-        # The point commands' results inline: None, or a [key, value]
-        # pair of ints (a bool is not an int here: it keeps its tag).
-        if result is None:
-            value = _NONE_VALUE
-        elif (
-            type(result) is list and len(result) == 2
-            and type(result[0]) is int and type(result[1]) is int
-        ):
-            value = _PAIR_HEAD + encode_int(result[0]) + encode_int(result[1])
-        else:
-            value = _encoded(result)
+        value = _encoded(body.get("result"))
     else:
         flags = 0
         value = _encoded(str(body.get("error", "ClusterError"))) + _encoded(
@@ -216,11 +285,14 @@ def _encode_response(body: Dict[str, Any]) -> bytes:
     )
 
 
-def decode_bytes(data: bytes) -> Dict[str, Any]:
+def decode_bytes(data: bytes, lane: bool = False) -> Any:
     """Decode exactly one frame from a complete byte string.
 
     Parses in place: offsets into ``data``, with no copy of the body;
-    only the strings and values themselves are materialized.
+    only the strings and values themselves are materialized.  The
+    result is the body's dict or, with ``lane`` and a frame of a point
+    shape, a :data:`PointRequest` or :data:`PointResponse` tuple (see
+    the module docstring); the checks are the same either way.
     """
     if len(data) < HEADER.size:
         raise WireProtocolError(
@@ -244,9 +316,14 @@ def decode_bytes(data: bytes) -> Dict[str, Any]:
     try:
         kind = data[HEADER.size] if end > HEADER.size else None
         if kind == _KIND_REQUEST:
-            body, offset = _decode_request(data)
+            body, offset = (
+                _decode_point_request(data) if lane else _decode_request(data)
+            )
         elif kind == _KIND_RESPONSE:
-            body, offset = _decode_response(data)
+            body, offset = (
+                _decode_point_response(data) if lane
+                else _decode_response(data)
+            )
         else:
             raise WireProtocolError(f"unknown frame body kind {kind!r}")
     except _DECODE_ERRORS as error:
@@ -258,6 +335,60 @@ def decode_bytes(data: bytes) -> Dict[str, Any]:
             f"{end - offset} trailing bytes after the frame body"
         )
     return body
+
+
+def _decode_point_request(data: bytes) -> Tuple[Any, int]:
+    """A request of a point shape as a :data:`PointRequest`; any other
+    request, and every malformed one, through :func:`_decode_request`."""
+    _kind, flags, budget, op_len, id_len, token_len, argc = (
+        _REQUEST.unpack_from(data, HEADER.size)
+    )
+    op_end = _REQUEST_END + op_len
+    point = _POINT_OPS_RAW.get(data[_REQUEST_END:op_end])
+    id_end = op_end + id_len
+    offset = id_end + token_len
+    if (
+        point is None or argc != point[1]
+        or flags & ~(_HAS_TOKEN | _HAS_BUDGET)
+        or (token_len and not flags & _HAS_TOKEN)
+        or not data.startswith(_KEY_HEAD, offset)
+    ):
+        return _decode_request(data)
+    request_id = data[op_end:id_end]
+    request_id.decode("utf-8")  # a bad id is refused as on the dict path
+    key, offset = decode_value(data, offset + len(_KEY_HEAD))
+    value = None
+    if argc == 2:
+        if not data.startswith(_VALUE_HEAD, offset):
+            return _decode_request(data)
+        value, offset = decode_value(data, offset + len(_VALUE_HEAD))
+    return (
+        point[0],
+        request_id,
+        data[id_end : id_end + token_len].decode("utf-8")
+        if flags & _HAS_TOKEN else None,
+        budget if flags & _HAS_BUDGET else None,
+        key,
+        value,
+    ), offset
+
+
+def _decode_point_response(data: bytes) -> Tuple[Any, int]:
+    """An OK, unreplayed response whose result is ``None`` or a
+    ``[key, value]`` pair as a :data:`PointResponse` (the pair as a
+    :class:`Record`); any other response through
+    :func:`_decode_response`."""
+    _kind, flags, id_len = _RESPONSE.unpack_from(data, HEADER.size)
+    offset = _RESPONSE_END + id_len
+    if flags == _OK:
+        if data.startswith(_NONE_VALUE, offset):
+            return (data[_RESPONSE_END:offset], None), offset + len(_NONE_VALUE)
+        if data.startswith(_PAIR_HEAD, offset):
+            key, end = decode_value(data, offset + len(_PAIR_HEAD))
+            value, end = decode_value(data, end)
+            record = _tuple_new(Record, (key, value))
+            return (data[_RESPONSE_END:offset], record), end
+    return _decode_response(data)
 
 
 def _decode_request(data: bytes) -> Tuple[Dict[str, Any], int]:

@@ -38,8 +38,9 @@ a reader.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
+from ..obs import Number
 from ..records import Record
 from ..storage.backend import MemoryStore
 from ..storage.faults import FaultyStore, RetryingStore
@@ -498,6 +499,18 @@ class ThreadSafeDenseFile:
         """The wrapped file's density parameters (read-locked)."""
         with self._guarded(READ, None, None):
             return self._inner.params
+
+    def store_stats(
+        self,
+        into: Optional[Dict[str, Number]] = None,
+        *,
+        deadline: Optional[Deadline] = None,
+    ) -> Dict[str, Number]:
+        """The stack's counter snapshot, read under the read lock
+        (merged into ``into`` when given; see
+        :meth:`repro.obs.Metrics.snapshot`)."""
+        with self._guarded(READ, None, deadline):
+            return self.metrics.snapshot(into)
 
     @property
     def stats(self) -> Any:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterator, List, Optional
 
-from ..obs import Metrics, Number
+from ..obs import MIN, Metrics, Number
 from ..records import Record
 from ..storage.backend import ALGORITHM_CODES, PageStore, make_store, register_store
 from ..storage.cost import AccessStats, CostModel, PAGE_ACCESS_MODEL
@@ -231,6 +231,7 @@ class DenseSequentialFile:
         self.metrics = Metrics()
         engine = self.engine
         self.metrics.register(engine.LAYER, engine, engine.COUNTERS)
+        self.metrics.register(engine.LAYER, engine, engine.GAUGES, merge=MIN)
         self.metrics.register("storage.disk", engine.disk.stats, AccessStats.COUNTERS)
         register_store(self.metrics, engine.store)
         # Hot-path aliases: bind insert/delete straight to the engine's

@@ -37,9 +37,10 @@ class BaseEngine:
 
     #: Subclasses override with their paper name ("CONTROL 1" / "CONTROL 2").
     algorithm_name = "abstract"
-    #: The registry layer and counters of every engine.
+    #: The registry layer, counters and gauges of every engine.
     LAYER = "core"
-    COUNTERS = ("records_moved_total", "balance_headroom")
+    COUNTERS = ("records_moved_total",)
+    GAUGES = ("balance_headroom",)
 
     def __init__(
         self,

@@ -11,6 +11,13 @@ names.  The component's own ``stats()`` is :func:`view` over those
 names, and :meth:`Metrics.snapshot` reads the same attributes of every
 registered component into one flat ``{"layer.counter": number}`` dict.
 
+Each registration carries a merge rule, for when one name is read more
+than once: two breakers of one client, or the shards of a cluster
+merged into one view.  Counters are summed (:data:`SUM`, the default);
+a gauge registers with the rule its meaning needs — the engine's
+``balance_headroom`` takes the least reading (:data:`MIN`), the
+tightest shard.
+
 Counters stay plain attribute increments on the hot path; nothing here
 runs until a snapshot is asked for.  Configuration (a backend's name,
 a path, a capacity, a seed) and state words (a breaker's ``state``)
@@ -25,9 +32,22 @@ cycle.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+import operator
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
+#: How two readings of one name combine.
+Merge = Callable[[Number, Number], Number]
+#: The counters' rule: readings add up.
+SUM: Merge = operator.add
+
+
+def _least(first: Number, second: Number) -> Number:
+    """A headroom gauge's rule: the least reading stands for all."""
+    return first if first <= second else second
+
+
+MIN: Merge = _least
 
 
 def view(source: object, names: Sequence[str]) -> Dict[str, Number]:
@@ -39,21 +59,36 @@ class Metrics:
     """The declared counters of one stack, read only on :meth:`snapshot`."""
 
     def __init__(self) -> None:
-        self._entries: List[Tuple[str, object, Tuple[str, ...]]] = []
+        self._entries: List[Tuple[str, object, Tuple[str, ...], Merge]] = []
 
-    def register(self, layer: str, source: object, names: Sequence[str]) -> None:
+    def register(
+        self,
+        layer: str,
+        source: object,
+        names: Sequence[str],
+        merge: Merge = SUM,
+    ) -> None:
         """Report ``source``'s attributes ``names`` under ``layer``.
 
-        A layer registered more than once (one breaker per shard)
-        reports the sum of its components' counters.
+        A name read more than once (one breaker per shard, a layer of
+        every shard) reports ``merge`` over its readings: their sum by
+        default.
         """
-        self._entries.append((layer, source, tuple(names)))
+        self._entries.append((layer, source, tuple(names), merge))
 
-    def snapshot(self) -> Dict[str, Number]:
-        """Every registered counter as one flat ``{"layer.name": n}`` dict."""
-        flat: Dict[str, Number] = {}
-        for layer, source, names in self._entries:
+    def snapshot(
+        self, into: Optional[Dict[str, Number]] = None
+    ) -> Dict[str, Number]:
+        """Every registered counter as one flat ``{"layer.name": n}`` dict.
+
+        With ``into``, the readings are merged into that snapshot (of
+        another stack, say) by this registry's rules, and it is
+        returned.
+        """
+        flat: Dict[str, Number] = {} if into is None else into
+        for layer, source, names, merge in self._entries:
             for name in names:
                 key = f"{layer}.{name}"
-                flat[key] = flat.get(key, 0) + getattr(source, name)
+                value = getattr(source, name)
+                flat[key] = merge(flat[key], value) if key in flat else value
         return flat

@@ -491,8 +491,7 @@ class BufferedStore(PageStore):
         capacity: int = DEFAULT_CACHE_PAGES,
         readahead: int = 0,
     ):
-        if readahead < 0:
-            raise ConfigurationError("readahead must be >= 0")
+        _check_cache(capacity, readahead)
         self.inner = inner
         self.num_pages = inner.num_pages
         self.readahead = readahead
@@ -635,26 +634,30 @@ def header_algorithm(raw: DiskPagedStore) -> Tuple[str, Optional[int]]:
     raise StorageError(f"{raw.path}: unknown algorithm code {code}")
 
 
+def _check_cache(cache_pages: int, readahead: int) -> None:
+    """Refuse an empty page cache or a negative readahead window."""
+    if cache_pages < 1:
+        raise ConfigurationError("a buffer pool needs at least one frame")
+    if readahead < 0:
+        raise ConfigurationError("readahead must be >= 0")
+
+
 def _cached(
     build: Callable[[], PageStore], cache_pages: Optional[int], readahead: int
 ) -> PageStore:
     """``build()`` under a :class:`BufferedStore` of ``cache_pages``
-    frames, or bare when ``cache_pages`` is ``None``.  Readahead without
-    a cache is refused before ``build`` runs; a refused cache closes
-    what it built."""
+    frames, or bare when ``cache_pages`` is ``None``.  Every refusal —
+    readahead without a cache, an empty cache, a negative readahead —
+    comes before ``build`` runs, so a refused disk stack makes no file."""
     if readahead and cache_pages is None:
         raise ConfigurationError(
             "readahead prefetches into a page cache and this stack has "
             "none; use the buffered backend or pass cache_pages"
         )
-    inner = build()
     if cache_pages is None:
-        return inner
-    try:
-        return BufferedStore(inner, capacity=cache_pages, readahead=readahead)
-    except ConfigurationError:
-        inner.close()
-        raise
+        return build()
+    _check_cache(cache_pages, readahead)
+    return BufferedStore(build(), capacity=cache_pages, readahead=readahead)
 
 
 def make_store(
@@ -680,8 +683,7 @@ def make_store(
     nonzero ``readahead``.  ``"disk"`` requires ``path``.  A path makes
     a fresh file (pass ``overwrite=True`` to clobber) whose header
     records the geometry, ``j`` and ``algorithm``; :func:`open_store`
-    opens it again.  Every refusal but an empty pool's comes before the
-    file is made, and that one closes it.
+    opens it again.  Every refusal comes before the file is made.
     """
     if backend not in BACKENDS:
         raise ConfigurationError(

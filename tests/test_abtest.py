@@ -323,3 +323,115 @@ def test_workload_is_repeatable(abtest, capsys):
         abtest.main(["HEAD", "--workload", "scan_mixed", "--workload",
                      "cluster_rpc", "--claim", "nope"])
     assert "not an end-to-end metric" in capsys.readouterr().err
+
+
+def measured_run(abtest, monkeypatch, tmp_path, change_ops, claim=True):
+    """``abtest.main`` over synthetic runs, with ``--out``; returns the
+    written report."""
+    import json
+
+    def every_metric(run):
+        # The other end-to-end metrics of BENCHMARK.json, held still.
+        for name in ("setup_s", "accesses_per_cmd", "max_accesses_per_cmd",
+                     "peak_rss_mb"):
+            run["metrics"][name] = {"value": 1.0}
+        return run
+
+    base_runs = iter([every_metric(run) for run in
+                      (result(100, 90), result(101, 91), result(99, 92))])
+    change_runs = iter([every_metric(run) for run in change_ops])
+    monkeypatch.setattr(abtest, "export", lambda revision, dest: dest)
+
+    def fake_run_once(tree, workloads, seed, out):
+        side = "base" if tree.endswith("base") else "change"
+        found = next(base_runs) if side == "base" else next(change_runs)
+        return {workloads[0]: found}
+
+    monkeypatch.setattr(abtest, "run_once", fake_run_once)
+    out = tmp_path / "measurement.json"
+    argv = ["HEAD", "HEAD", "--workload", "cluster_rpc", "--pairs", "3",
+            "--seed", "4", "--out", str(out)]
+    if claim:
+        argv += ["--claim", "ops_per_s"]
+    abtest.main(argv)
+    return json.loads(out.read_text())
+
+
+def test_out_writes_a_measurement_block_that_validates(abtest, monkeypatch,
+                                                       tmp_path, capsys):
+    from repro.benchmark import MEASUREMENT_SCHEMA, validate_report
+
+    report = measured_run(abtest, monkeypatch, tmp_path, [
+        result(110, 80), result(112, 79), result(111, 81),
+    ])
+    block = report["measurement"]
+    assert block["schema"] == MEASUREMENT_SCHEMA == abtest.MEASUREMENT_SCHEMA
+    assert block["command"] == (
+        "python3 tools/abtest.py HEAD HEAD --workload cluster_rpc "
+        "--pairs 3 --seed 4 --claim ops_per_s"
+    )
+    assert len(block["base"]) == 40 and block["change"] == block["base"]
+    assert (block["seed"], block["pairs"]) == (4, 3)
+    workload = block["workloads"]["cluster_rpc"]
+    ops = workload["metrics"]["ops_per_s"]
+    assert ops["base"] == [100, 101, 99] and ops["change"] == [110, 112, 111]
+    assert (ops["base_median"], ops["change_median"], ops["wins"]) == (100, 111, 3)
+    assert ops["bound"] == 0.1
+    assert workload["exact"] == {"identical": True, "values": {
+        "accesses_per_cmd": 21.5, "max_accesses_per_cmd": 35,
+        "write_bytes_per_cmd": 362.0,
+    }}
+    assert workload["claim"] == "gain" and block["claim"] == "ops_per_s"
+    assert block["bounds"] == "bounds: within"
+    assert validate_report(report) == []
+    assert "claim ops_per_s: gain" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doctor, problem", [
+    (lambda b, w: w["metrics"]["ops_per_s"].update(change_median=130), "change_median"),
+    (lambda b, w: w["metrics"]["ops_per_s"].update(wins=1), "wins"),
+    (lambda b, w: w["metrics"]["ops_per_s"].update(base_iqr=0.5), "base_iqr"),
+    (lambda b, w: w["metrics"]["ops_per_s"]["base"].pop(), "3 base"),
+    (lambda b, w: w.update(claim="no gain"), "the runs say 'gain'"),
+    (lambda b, w: w["exact"].update(identical=False), "the runs say 'no gain'"),
+    (lambda b, w: b.update(schema="repro-measurement/0"), "schema"),
+    (lambda b, w: b.update(bounds="fine"), "bounds"),
+    (lambda b, w: b.update(pairs=0), "pairs"),
+], ids=["median", "wins", "iqr", "runs", "claim", "exact", "schema", "bounds",
+        "pairs"])
+def test_a_doctored_measurement_block_is_refused(abtest, monkeypatch, tmp_path,
+                                                 doctor, problem):
+    from repro.benchmark import validate_report
+
+    report = measured_run(abtest, monkeypatch, tmp_path, [
+        result(110, 80), result(112, 79), result(111, 81),
+    ])
+    block = report["measurement"]
+    doctor(block, block["workloads"]["cluster_rpc"])
+    problems = validate_report(report)
+    assert problems and any(problem in line for line in problems), problems
+
+
+def test_no_claim_writes_no_verdict(abtest, monkeypatch, tmp_path):
+    from repro.benchmark import validate_report
+
+    report = measured_run(abtest, monkeypatch, tmp_path, [
+        result(90, 80), result(112, 79), result(111, 81),
+    ], claim=False)
+    block = report["measurement"]
+    assert block["claim"] is None
+    assert block["workloads"]["cluster_rpc"]["claim"] is None
+    assert validate_report(report) == []
+
+
+def test_every_committed_bench_report_validates():
+    import glob
+    import json
+
+    from repro.benchmark import validate_report
+
+    reports = sorted(glob.glob(os.path.join(ROOT, "BENCH_PR*.json")))
+    assert len(reports) >= 7
+    for path in reports:
+        with open(path) as handle:
+            assert validate_report(json.load(handle)) == [], path

@@ -644,7 +644,8 @@ class TestClientServer:
         server = ClusterServer(sharded)
         client = ClusterClient(LocalChannel(server.handle_frame))
         assert client.ping() is True
-        assert client.stats() == {
+        stats = client.stats()
+        server_keys = {
             "cluster.server.requests": 2,
             "cluster.server.errors": 0,
             "cluster.server.dedup_replays": 0,
@@ -652,6 +653,11 @@ class TestClientServer:
             "cluster.idempotency.evictions": 0,
             "cluster.idempotency.waits": 0,
         }
+        assert {key: stats[key] for key in server_keys} == server_keys
+        # The rest is the shards' registries, merged under their names.
+        assert set(stats) - set(server_keys) == set(
+            sharded.shards[0].metrics.snapshot()
+        )
         client.close()
         ref = weakref.ref(server)
         gc.disable()
@@ -660,6 +666,33 @@ class TestClientServer:
             assert ref() is None
         finally:
             gc.enable()
+            sharded.close()
+
+    def test_stats_merge_the_shards_by_each_rule(self):
+        """The ``stats`` op adds every shard's registry: counters are
+        summed, and the headroom gauge is the tightest shard's."""
+        sharded = ShardedDenseFile.build(num_shards=2, key_space=100,
+                                         capacity_hint=64)
+        server = ClusterServer(sharded)
+        client = ClusterClient(LocalChannel(server.handle_frame))
+        try:
+            for key in range(0, 50, 2):  # shard 0 only
+                client.insert(key, "v")
+            client.search(60)  # one read on shard 1
+            engines = [shard.inner.engine for shard in sharded.shards]
+            headrooms = [engine.balance_headroom for engine in engines]
+            assert headrooms[0] != headrooms[1]
+            stats = client.stats()
+            assert stats["core.balance_headroom"] == min(headrooms)
+            assert stats["storage.disk.reads"] == sum(
+                engine.disk.stats.reads for engine in engines
+            )
+            assert stats["concurrent.rwlock.writers_served"] == 25
+            # A down shard is not read, and so drops out of the view.
+            client.kill_shard(0)
+            assert client.stats()["core.balance_headroom"] == headrooms[1]
+        finally:
+            client.close()
             sharded.close()
 
     def test_stats_report_a_token_evicted_past_capacity(self):

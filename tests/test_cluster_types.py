@@ -187,8 +187,9 @@ def reference_frame(body):
     """The frame for ``body``, with one ``encode_value`` call per field.
 
     Written from the layout in the wire module's docstring, with no
-    shortcut for any value shape; the encoder's inline paths for ints,
-    ``None`` and ``[key, value]`` pairs must give exactly these bytes.
+    shortcut for any value shape; the dict encoder must give exactly
+    these bytes (and the point lane the dict encoder's, which
+    ``test_cluster_lane.py`` checks).
     """
     out = []
     if "op" in body:

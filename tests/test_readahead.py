@@ -9,6 +9,7 @@ prefetched frames enter the pool clean.
 """
 
 import math
+import os
 import random
 
 import pytest
@@ -343,23 +344,24 @@ class TestStoreConfiguration:
         with pytest.raises(ConfigurationError, match="at least one frame"):
             DenseSequentialFile(backend="buffered", cache_pages=0, **GEOMETRY)
 
-    def test_buffered_disk_refusal_closes_the_file_it_created(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.storage.backend import DiskStore
-
-        created = []
-        create = DiskStore.create
-
-        def recording_create(*args, **kwargs):
-            created.append(create(*args, **kwargs))
-            return created[-1]
-
-        monkeypatch.setattr(DiskStore, "create", recording_create)
-        path = str(tmp_path / "empty-pool.dsf")
-        with pytest.raises(ConfigurationError, match="at least one frame"):
-            make_store("buffered", 16, d=8, D=40, path=path, cache_pages=0)
-        assert len(created) == 1 and created[0].closed
+    def test_buffered_disk_refusal_closes_the_file_it_created(self, tmp_path):
+        # Both cache refusals come before the file is made: none is
+        # left behind, and the same call with a good cache succeeds.
+        path = str(tmp_path / "refused.dsf")
+        refusals = [
+            ({"cache_pages": 0}, "at least one frame"),
+            ({"cache_pages": 4, "readahead": -1}, "readahead must be >= 0"),
+        ]
+        for options, message in refusals:
+            with pytest.raises(ConfigurationError, match=message):
+                make_store("buffered", 16, d=8, D=40, path=path, **options)
+            with pytest.raises(ConfigurationError, match=message):
+                PersistentDenseFile.create(path, 64, 8, 40, **options)
+            assert not os.path.exists(path)
+        with PersistentDenseFile.create(path, 64, 8, 40, cache_pages=4) as dense:
+            dense.insert(1, "v")
+        with PersistentDenseFile.open(path, cache_pages=4) as dense:
+            assert dense.search(1).value == "v"
 
     def test_readahead_without_a_cache_is_refused(self):
         with pytest.raises(ConfigurationError, match="readahead"):

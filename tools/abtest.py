@@ -3,9 +3,9 @@ on one cell of ``repro bench``.
 
 Usage:
     python tools/abtest.py BASE [CHANGE] --workload W [--workload W2 ...]
-                           --pairs N [--seed S] [--claim METRIC]
+                           --pairs N [--seed S] [--claim METRIC] [--out FILE]
     python tools/abtest.py BASE [CHANGE] --cell SCENARIO/BACKEND --pairs N
-                           [--seed S] [--claim ops_per_sec]
+                           [--seed S] [--claim ops_per_sec] [--out FILE]
 
 ``BASE`` is a git revision; it is exported with ``git archive`` into a
 temporary directory (no worktree, no network).  ``CHANGE`` is a git
@@ -37,6 +37,15 @@ printed: ``gain`` when the change won every pair but at most one, its
 median beats the base median by more than the base interquartile range,
 and the exact counts are identical; ``no gain`` otherwise.
 
+``--out FILE`` also writes the run as one fixed-schema ``measurement``
+block (``repro-measurement/1``): the command, the base and change
+revisions, the seed and the pairs; for each workload and metric every
+run of both sides, the medians, the base IQR, the change in percent and
+the wins; whether the exact counts were identical, and their values;
+and the ``claim`` and ``bounds`` verdicts.  ``python tools/bench.py
+--validate FILE`` checks it, down to recomputing every summary figure
+from the runs.
+
 Exit status: 0 when every run succeeded, the exact counts agree, every
 metric stayed within its bound and every claimed gain held; 1
 otherwise.
@@ -57,6 +66,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+#: The schema of the block ``--out`` writes (``repro.benchmark``
+#: validates it).
+MEASUREMENT_SCHEMA = "repro-measurement/1"
 EXACT = ("accesses_per_cmd", "max_accesses_per_cmd", "write_bytes_per_cmd")
 #: ``--cell`` mode: the timed metric of a ``repro bench`` cell and its
 #: exact count.
@@ -176,6 +188,69 @@ def render(
     return "\n".join(lines)
 
 
+def workload_block(
+    rows: List[Row],
+    base: List[Dict[str, Any]],
+    change: List[Dict[str, Any]],
+    identical: bool,
+    exact: Sequence[str] = EXACT,
+    claim: Optional[str] = None,
+) -> Dict[str, Any]:
+    """One workload's part of the ``measurement`` block: every run of
+    each metric with its summary row, the exact counts and the claim
+    verdict (None when nothing is claimed)."""
+    return {
+        "metrics": {
+            row.name: {
+                "better": row.better,
+                "bound": row.bound,
+                "base": [result["metrics"][row.name]["value"] for result in base],
+                "change": [
+                    result["metrics"][row.name]["value"] for result in change
+                ],
+                "base_median": row.base_median,
+                "base_iqr": row.base_iqr,
+                "change_median": row.change_median,
+                "delta_pct": row.delta_pct,
+                "wins": row.wins,
+            }
+            for row in rows
+        },
+        "exact": {
+            "identical": identical,
+            "values": {name: base[0]["exact"][name] for name in exact},
+        },
+        "claim": claim,
+    }
+
+
+def revision_label(revision: str) -> str:
+    """A revision as the commit it names, or ``working tree`` for a
+    directory (whose path means nothing to a later reader)."""
+    if os.path.isdir(revision):
+        return "working tree"
+    return subprocess.run(
+        ["git", "-C", ROOT, "rev-parse", "--verify", revision + "^{commit}"],
+        stdout=subprocess.PIPE, check=True, text=True,
+    ).stdout.strip()
+
+
+def command_line(args: argparse.Namespace) -> str:
+    """The ``abtest`` command that reruns ``args`` (a directory
+    ``CHANGE`` is left out: it means this working tree)."""
+    words = ["python3", "tools/abtest.py", args.base]
+    if not os.path.isdir(args.change):
+        words.append(args.change)
+    if args.cell:
+        words += ["--cell", args.cell]
+    for workload in args.workload or ():
+        words += ["--workload", workload]
+    words += ["--pairs", str(args.pairs), "--seed", str(args.seed)]
+    if args.claim:
+        words += ["--claim", args.claim]
+    return " ".join(words)
+
+
 def export(revision: str, dest: str) -> str:
     """Extract ``revision`` of this repository into ``dest``; returns it."""
     archive = subprocess.run(
@@ -270,6 +345,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--claim", metavar="METRIC",
                         help="print whether this metric gained")
+    parser.add_argument("--out", metavar="FILE",
+                        help="write the run as a measurement block")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -320,6 +397,7 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"base {args.base} vs change {args.change}")
     status = 0
     tables: Dict[str, List[Row]] = {}
+    workloads: Dict[str, Dict[str, Any]] = {}
     for label in labels:
         base, change = results[label]["base"], results[label]["change"]
         identical = exact_identical(base + change, exact)
@@ -327,15 +405,36 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"== {label}")
         print(render(rows, args.pairs, identical, exact))
         status |= not identical
+        claim = None
         if args.claim:
             row = next(row for row in rows if row.name == args.claim)
             held = gain(row, args.pairs, identical)
-            print(f"claim {args.claim}: {'gain' if held else 'no gain'}")
+            claim = "gain" if held else "no gain"
+            print(f"claim {args.claim}: {claim}")
             status |= not held
+        workloads[label] = workload_block(
+            rows, base, change, identical, exact, claim
+        )
+    bounds = None
     if not args.cell:
-        verdict = bounds_verdict(tables)
-        print(verdict)
-        status |= verdict != "bounds: within"
+        bounds = bounds_verdict(tables)
+        print(bounds)
+        status |= bounds != "bounds: within"
+    if args.out:
+        block = {
+            "schema": MEASUREMENT_SCHEMA,
+            "command": command_line(args),
+            "base": revision_label(args.base),
+            "change": revision_label(args.change),
+            "seed": args.seed,
+            "pairs": args.pairs,
+            "workloads": workloads,
+            "claim": args.claim,
+            "bounds": bounds,
+        }
+        with open(args.out, "w") as handle:
+            json.dump({"measurement": block}, handle, indent=1, sort_keys=True)
+            handle.write("\n")
     return int(status)
 
 

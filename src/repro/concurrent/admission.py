@@ -59,10 +59,11 @@ class AdmissionGate:
     """Semaphore with a bounded, deadline-aware wait queue."""
 
     LAYER = "concurrent.admission"
-    COUNTERS = (
-        "in_flight", "queue_depth", "admitted", "rejected", "shed_writes",
-        "timeouts", "peak_in_flight", "peak_queued",
-    )
+    #: Registered by kind, as :class:`~repro.concurrent.rwlock.FairRWLock`
+    #: registers its own.
+    GAUGES = ("in_flight", "queue_depth")
+    COUNTERS = ("admitted", "rejected", "shed_writes", "timeouts")
+    PEAKS = ("peak_in_flight", "peak_queued")
 
     def __init__(
         self,
@@ -174,4 +175,4 @@ class AdmissionGate:
     def stats(self) -> Dict[str, Number]:
         """Admission and shedding counters (the caps are attributes)."""
         with self._cond:
-            return view(self, self.COUNTERS)
+            return view(self, self.GAUGES + self.COUNTERS + self.PEAKS)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from ..obs import Number
+from ..obs import LOCAL, MAX, Number
 from ..records import Record
 from ..storage.backend import MemoryStore
 from ..storage.faults import FaultyStore, RetryingStore
@@ -223,6 +223,8 @@ class ThreadSafeDenseFile:
         for part in (self._lock, self._gate):
             if part is not None:
                 self.metrics.register(part.LAYER, part, part.COUNTERS)
+                self.metrics.register(part.LAYER, part, part.PEAKS, MAX)
+                self.metrics.register(part.LAYER, part, part.GAUGES, LOCAL)
         store = getattr(inner, "store", None)
         self._retrying = find_retrying_stores(store)
         if shared_reads is None:

@@ -449,9 +449,12 @@ def build_file(
     elif config.stack != "memory" and config.path is None:
         raise ConfigurationError(f"stack {config.stack!r} needs a path")
     else:
+        # A buffered stack reads ahead, so threaded scans cross window
+        # offers in its own scan walk.
         store = make_store(
             config.stack, num_pages, d=d, D=D, path=config.path,
             cache_pages=8, overwrite=True,
+            readahead=4 if config.stack == "buffered" else 0,
         )
     if runtime is not None:
         from ..sanitizer import SanitizedStore

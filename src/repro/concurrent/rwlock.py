@@ -79,10 +79,12 @@ class FairRWLock:
     """FIFO-fair shared/exclusive lock with per-acquisition deadlines."""
 
     LAYER = "concurrent.rwlock"
-    COUNTERS = (
-        "readers_served", "writers_served", "timeouts", "max_queue_depth",
-        "active_readers", "writer_active", "queue_depth",
-    )
+    #: Registered by kind, each with its merge rule (:mod:`repro.obs`):
+    #: counters add up, a peak takes the greatest, and the current-value
+    #: gauges stay in the lock's own stack.
+    COUNTERS = ("readers_served", "writers_served", "timeouts")
+    PEAKS = ("max_queue_depth",)
+    GAUGES = ("active_readers", "writer_active", "queue_depth")
 
     def __init__(self, clock: Callable[[], float] = time.monotonic):
         self._mutex = threading.Lock()
@@ -213,4 +215,4 @@ class FairRWLock:
 
     def stats(self) -> Dict[str, Number]:
         """Service and contention counters (each read once, unlocked)."""
-        return view(self, self.COUNTERS)
+        return view(self, self.COUNTERS + self.PEAKS + self.GAUGES)

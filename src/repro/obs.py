@@ -16,7 +16,12 @@ than once: two breakers of one client, or the shards of a cluster
 merged into one view.  Counters are summed (:data:`SUM`, the default);
 a gauge registers with the rule its meaning needs — the engine's
 ``balance_headroom`` takes the least reading (:data:`MIN`), the
-tightest shard.
+tightest shard, and a peak (a lock's ``max_queue_depth``) the greatest
+(:data:`MAX`).  An instantaneous gauge (a lock's ``active_readers``)
+registers with :data:`LOCAL`: its own stack's snapshot reports it, and
+a merged view leaves it out, since no sum, least or greatest of two
+stacks' current readings means anything (and a shard read for the view
+would count the read itself).
 
 Counters stay plain attribute increments on the hot path; nothing here
 runs until a snapshot is asked for.  Configuration (a backend's name,
@@ -50,6 +55,17 @@ def _least(first: Number, second: Number) -> Number:
 MIN: Merge = _least
 
 
+def _greatest(first: Number, second: Number) -> Number:
+    """A peak's rule: the greatest reading stands for all."""
+    return first if first >= second else second
+
+
+MAX: Merge = _greatest
+#: An instantaneous gauge's rule: reported by its own stack's snapshot,
+#: left out when merged into another's.
+LOCAL: Optional[Merge] = None
+
+
 def view(source: object, names: Sequence[str]) -> Dict[str, Number]:
     """``{name: source.name}`` for each declared counter, in order."""
     return {name: getattr(source, name) for name in names}
@@ -59,20 +75,23 @@ class Metrics:
     """The declared counters of one stack, read only on :meth:`snapshot`."""
 
     def __init__(self) -> None:
-        self._entries: List[Tuple[str, object, Tuple[str, ...], Merge]] = []
+        self._entries: List[
+            Tuple[str, object, Tuple[str, ...], Optional[Merge]]
+        ] = []
 
     def register(
         self,
         layer: str,
         source: object,
         names: Sequence[str],
-        merge: Merge = SUM,
+        merge: Optional[Merge] = SUM,
     ) -> None:
         """Report ``source``'s attributes ``names`` under ``layer``.
 
         A name read more than once (one breaker per shard, a layer of
         every shard) reports ``merge`` over its readings: their sum by
-        default.
+        default.  With :data:`LOCAL` the names are left out of a
+        snapshot merged ``into`` another.
         """
         self._entries.append((layer, source, tuple(names), merge))
 
@@ -83,10 +102,14 @@ class Metrics:
 
         With ``into``, the readings are merged into that snapshot (of
         another stack, say) by this registry's rules, and it is
-        returned.
+        returned; :data:`LOCAL` gauges are left out of it.
         """
         flat: Dict[str, Number] = {} if into is None else into
         for layer, source, names, merge in self._entries:
+            if merge is None:
+                if into is not None:
+                    continue
+                merge = SUM
             for name in names:
                 key = f"{layer}.{name}"
                 value = getattr(source, name)

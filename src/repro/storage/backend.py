@@ -38,7 +38,9 @@ Access discipline (what makes cross-backend parity exact):
   declares that the page handed out by ``get_page``/``peek`` was
   mutated and is one logical write.  ``PageFile`` pairs every
   ``SimulatedDisk`` charge with exactly one such store touch, in the
-  same order — which is why a live :class:`BufferedStore` and a
+  same order (a scan hands its run and the meter's ``read`` to the
+  store's ``walk(pages, charge)``, which pairs them page by page) —
+  which is why a live :class:`BufferedStore` and a
   :func:`~repro.storage.bufferpool.replay` of the recorded access trace
   agree counter for counter (benchmark EXP-A7 asserts this).
 """
@@ -48,7 +50,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..core.errors import ConfigurationError
 from ..obs import Metrics, Number, view
@@ -170,6 +174,39 @@ class PageStore:
         """
         return 0
 
+    def walk(
+        self, pages: Sequence[int], charge: Callable[[int], object]
+    ) -> Iterator[Page]:
+        """Charge, touch and yield each page of a scan's run, in order.
+
+        The one page loop under every scan.  ``pages`` is the run, fixed
+        when the scan starts, so a scan suspended across a mutation
+        still reads the pages it planned; ``charge`` is the logical
+        meter's ``read``.  Each page costs one ``charge(page)`` and then
+        one :meth:`get_page`.  Readahead is offered through
+        :meth:`prefetch` once per window: after the first read, and then
+        after the read that reaches the end of the last window the store
+        faulted whole, the next :attr:`readahead` pages of the run, never
+        past its end.  When the store takes fewer than were offered (a
+        page was already resident, or its pool had no frame to spare),
+        the walk offers again after the next read.  Decorators keep this
+        loop, so they see every ``get_page`` and ``prefetch``;
+        :class:`BufferedStore` overrides it with the same touches.
+        """
+        get_page = self.get_page
+        window = self.readahead
+        last = len(pages)
+        # Offsets up to ``ahead`` were read or faulted by a whole window.
+        ahead = 0
+        for offset, page_number in enumerate(pages, 1):
+            charge(page_number)
+            page = get_page(page_number)
+            if window and ahead <= offset < last:
+                offered = pages[offset : offset + window]
+                if self.prefetch(offered) == len(offered):
+                    ahead = offset + len(offered)
+            yield page
+
     def flush(self) -> int:
         """Push buffered state down to the backing medium; returns pages written."""
         return 0
@@ -208,13 +245,15 @@ class DelegatingStore(PageStore):
     (``raw``, ``pool``, ...), so stacking a decorator is invisible to
     callers that introspect the stack.  The fused :meth:`get_page2`
     keeps the :class:`PageStore` default: two :meth:`get_page` calls,
-    each seen by the decorator.  Subclasses override exactly the
-    methods they want to observe and delegate the rest; the sanitizer's
-    :class:`~repro.sanitizer.instrument.SanitizedStore` is the first
-    client.  Decorators whose read path adds no shared mutable state
-    should set :attr:`passthrough_reads` so
-    :func:`~repro.concurrent.file.reads_are_shareable` descends
-    through them.
+    each seen by the decorator.  So does the scan loop :meth:`walk`:
+    the decorator sees each page's :meth:`get_page` and each window's
+    :meth:`prefetch`, not the wrapped store's own loop.  Subclasses
+    override exactly the methods they want to observe and delegate the
+    rest; the sanitizer's :class:`~repro.sanitizer.instrument.SanitizedStore`
+    is the first client.  Decorators whose read path adds no shared
+    mutable state should set :attr:`passthrough_reads` so
+    :func:`~repro.concurrent.file.reads_are_shareable` descends through
+    them.
     """
 
     name = "delegating"
@@ -475,7 +514,9 @@ class BufferedStore(PageStore):
     longer prefetched, so it is a plain hit), and :meth:`move_records`
     issues the read of the source and the writes of dest and source
     as three ``access`` calls (or one ``move_hits`` step), the order
-    the logical meter charges.
+    the logical meter charges.  A scan's :meth:`walk` takes a resident
+    page through the pool's read-hit path inline, with the same
+    counters and frame order as an ``access`` call.
     """
 
     name = "buffered"
@@ -522,15 +563,15 @@ class BufferedStore(PageStore):
     def prefetch(self, page_numbers: Iterable[int]) -> int:
         """Fault up to :attr:`readahead` upcoming pages into the pool.
 
-        A scan offers the next window of its run (never past the run's
+        The base scan walk, run by a decorator in front of this store,
+        offers the next window of its run here (never past the run's
         last page) once per window: after its first read, then after the
-        read that ends the last window this method faulted whole.  The
-        window, cut to :attr:`readahead` pages and stripped of page
+        read that ends the last window this method faulted whole; this
+        store's own :meth:`walk` hands its windows to the pool directly.
+        The window, cut to :attr:`readahead` pages and stripped of page
         numbers outside the file, goes to the pool in one
         :meth:`~repro.storage.bufferpool.BufferPool.prefetch` call, one
-        speculative admission run.  A list that already fits the window
-        and lies inside the file (what the scan walk offers) is passed
-        through as it is, uncopied.  The pool skips pages already
+        speculative admission run.  The pool skips pages already
         resident and brings each other page in as a clean,
         not-yet-used frame (one physical read) so the demand read that
         follows is a hit.  The first page the pool declines — its LRU
@@ -543,16 +584,53 @@ class BufferedStore(PageStore):
         readahead = self.readahead
         if not readahead:
             return 0
-        # The scan walk offers a list that already fits the window.
-        if isinstance(page_numbers, list) and len(page_numbers) <= readahead:
-            window = page_numbers
-        else:
-            window = list(islice(page_numbers, readahead))
-        # A scan offers its own run's pages: one C-level check passes them.
-        if window and not 1 <= min(window) <= max(window) <= self.num_pages:
-            num_pages = self.num_pages
-            window = [page for page in window if 1 <= page <= num_pages]
-        return self.pool.prefetch(window)
+        num_pages = self.num_pages
+        return self.pool.prefetch(
+            [
+                page for page in islice(page_numbers, readahead)
+                if 1 <= page <= num_pages
+            ]
+        )
+
+    def walk(
+        self, pages: Sequence[int], charge: Callable[[int], object]
+    ) -> Iterator[Page]:
+        """:meth:`PageStore.walk` with the pool's touches inlined.
+
+        The same charges, touches and offers in the same order: a
+        resident page takes the pool's hit path here (the hit, the
+        prefetch hit of a frame still unread, the move to the most
+        recent end), a miss goes through ``pool.access``, and each
+        window goes straight to ``pool.prefetch``.  A run's pages always
+        lie in the file and a window is cut to :attr:`readahead`, so
+        :meth:`prefetch`'s trimming has nothing to do.
+        """
+        pool = self.pool
+        stats = pool.stats
+        frames = pool.frames
+        unread = pool.unread
+        move_to_end = frames.move_to_end
+        peek = self.inner.peek
+        window = self.readahead
+        last = len(pages)
+        # Offsets up to ``ahead`` were read or faulted by a whole window.
+        ahead = 0
+        for offset, page_number in enumerate(pages, 1):
+            charge(page_number)
+            if page_number in frames:
+                stats.hits += 1
+                if page_number in unread:
+                    stats.prefetch_hits += 1
+                    unread.discard(page_number)
+                move_to_end(page_number)
+            else:
+                pool.access(READ, page_number)
+            page = peek(page_number)
+            if window and ahead <= offset < last:
+                offered = pages[offset : offset + window]
+                if pool.prefetch(offered) == len(offered):
+                    ahead = offset + len(offered)
+            yield page
 
     def move_records(self, source: int, dest: int, count: int) -> int:
         # Same touch sequence the logical meter records (read source,

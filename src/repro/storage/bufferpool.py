@@ -24,9 +24,9 @@ For stream retrievals the pool additionally supports **readahead**:
 :meth:`BufferPool.prefetch` faults a window of pages in speculatively,
 charged to separate ``prefetches`` / ``prefetch_hits`` counters so
 demand hit/miss ratios stay honest.
-:class:`~repro.storage.backend.BufferedStore` drives it from the page
-file's scan walk, which offers the next window of its run once per
-window, in one call: after the page that ends the last window the pool
+:class:`~repro.storage.backend.BufferedStore` drives it from its scan
+walk, which offers the next window of the scan's run once per window,
+in one call: after the page that ends the last window the pool
 took whole (a window with a page already resident or declined is
 offered again, slid by one page, after the next read).  A scan never
 offers past its own last page, so on scans ``prefetch_hits`` equals
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Mapping, Optional
+from typing import Callable, Iterable, List, Optional, Set
 
 from ..core.errors import ConfigurationError, UsageError
 from .tracing import AccessEvent, WRITE
@@ -129,7 +129,7 @@ class BufferPool:
             raise ConfigurationError("a buffer pool needs at least one frame")
         self.capacity = capacity
         self._frames: "OrderedDict[int, bool]" = OrderedDict()  # page -> dirty
-        self._prefetched: set = set()  # resident but not yet accessed
+        self._prefetched: Set[int] = set()  # resident but not yet accessed
         self.stats = PoolStats(capacity=capacity)
         self.on_fault = on_fault
         self.on_writeback = on_writeback
@@ -272,13 +272,21 @@ class BufferPool:
         return len(dirty_pages)
 
     @property
-    def frames(self) -> Mapping[int, bool]:
+    def frames(self) -> OrderedDict[int, bool]:
         """The live frame table, page -> dirty, least-recently-used first.
 
-        A read-only view for callers that test residency on a hot path
-        without a method call per page (the store's readahead does).
+        For callers that test residency on a hot path without a method
+        call per page.  Only the buffered store's scan walk
+        (:meth:`~repro.storage.backend.BufferedStore.walk`) changes it,
+        applying :meth:`access`'s read-hit path in place.
         """
         return self._frames
+
+    @property
+    def unread(self) -> Set[int]:
+        """The live set of prefetched frames not yet accessed; changed in
+        place only by the same read-hit path as :attr:`frames`."""
+        return self._prefetched
 
     def resident_pages(self) -> List[int]:
         """Pages currently cached, least-recently-used first."""

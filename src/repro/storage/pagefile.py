@@ -610,33 +610,11 @@ class PageFile:
     def _walk(self, first: int, stop: Optional[int] = None) -> Iterator[Page]:
         """Charge and yield the pages of directory entries ``first .. stop-1``.
 
-        The one page loop under every scan: each page costs one
-        ``disk.read`` and one ``store.get_page``, in ascending order.
-        Readahead is offered once per window: after the first read, and
-        then after the read that reaches the end of the last window the
-        store faulted whole, the store is offered the next ``readahead``
-        pages of the run, never past its end.  When it takes fewer than
-        were offered (a page was already resident, or its pool had no
-        frame to spare), the walk offers again after the next read.  The
-        run is fixed when the walk starts, so a scan suspended across a
-        mutation still reads the pages it planned.
+        The store walks the run (:meth:`PageStore.walk`): each page is
+        one ``disk.read`` and one store touch, in ascending order, with
+        the store's readahead offered once per window.
         """
-        pages = self._nonempty[first:stop]
-        read = self.disk.read
-        store = self.store
-        get_page = store.get_page
-        window = store.readahead
-        last = len(pages)
-        # Offsets up to ``ahead`` were read or faulted by a whole window.
-        ahead = 0
-        for offset, page_number in enumerate(pages, 1):
-            read(page_number)
-            page = get_page(page_number)
-            if window and ahead <= offset < last:
-                offered = pages[offset : offset + window]
-                if store.prefetch(offered) == len(offered):
-                    ahead = offset + len(offered)
-            yield page
+        return self.store.walk(self._nonempty[first:stop], self.disk.read)
 
     def scan_range(self, lo_key: Any, hi_key: Any) -> Iterator[Record]:
         """Yield records with ``lo_key <= key <= hi_key`` in key order.

@@ -39,6 +39,7 @@ from repro.cluster import wire
 from repro.cluster.chaos import SWEEP_PROFILES
 from repro.cluster.transport import SocketChannel, recv_frames
 from repro.concurrent.retry import RetryPolicy
+from repro.concurrent.rwlock import FairRWLock
 from repro.core.errors import (
     CircuitOpenError,
     ConfigurationError,
@@ -654,10 +655,12 @@ class TestClientServer:
             "cluster.idempotency.waits": 0,
         }
         assert {key: stats[key] for key in server_keys} == server_keys
-        # The rest is the shards' registries, merged under their names.
-        assert set(stats) - set(server_keys) == set(
-            sharded.shards[0].metrics.snapshot()
-        )
+        # The rest is the shards' registries, merged under their names,
+        # but for the current-value gauges each shard keeps to itself.
+        gauges = {f"{FairRWLock.LAYER}.{name}" for name in FairRWLock.GAUGES}
+        shard_keys = set(sharded.shards[0].metrics.snapshot())
+        assert gauges <= shard_keys
+        assert set(stats) - set(server_keys) == shard_keys - gauges
         client.close()
         ref = weakref.ref(server)
         gc.disable()
@@ -691,6 +694,47 @@ class TestClientServer:
             # A down shard is not read, and so drops out of the view.
             client.kill_shard(0)
             assert client.stats()["core.balance_headroom"] == headrooms[1]
+        finally:
+            client.close()
+            sharded.close()
+
+    def test_stats_take_the_greatest_peak_and_no_gauge(self):
+        """A lock's peak merges as the largest shard's, not their sum,
+        and its current-value gauges stay out of the cluster view (each
+        would count the ``stats`` read itself, taken under its lock)."""
+        sharded = ShardedDenseFile.build(num_shards=2, key_space=100,
+                                         capacity_hint=64)
+        server = ClusterServer(sharded)
+        client = ClusterClient(LocalChannel(server.handle_frame))
+        lock = sharded.shards[0]._lock
+        try:
+            assert client.ping() is True
+            # Two readers queue behind a writer on shard 0 only.
+            lock.acquire_write()
+            readers = [
+                threading.Thread(
+                    target=lambda: (lock.acquire_read(), lock.release_read())
+                )
+                for _ in range(2)
+            ]
+            for reader in readers:
+                reader.start()
+            deadline = time.monotonic() + 10
+            while lock.queue_depth < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            lock.release_write()
+            for reader in readers:
+                reader.join()
+            peaks = [shard._lock.max_queue_depth for shard in sharded.shards]
+            assert peaks[0] >= 2 and peaks[0] != peaks[1]
+            stats = client.stats()
+            assert stats["concurrent.rwlock.max_queue_depth"] == max(peaks)
+            for name in FairRWLock.GAUGES:
+                assert f"concurrent.rwlock.{name}" not in stats
+            # Each shard's own registry still reports its gauges.
+            own = sharded.shards[1].store_stats()
+            assert own["concurrent.rwlock.active_readers"] == 1
+            assert own["concurrent.rwlock.writer_active"] is False
         finally:
             client.close()
             sharded.close()

@@ -94,12 +94,17 @@ def _scan(dense, entry, lo, width):
 
 
 def _counting_pool_prefetch(dense):
-    """Wrap the pool's ``prefetch`` so every call lands in a list."""
+    """Wrap the pool's ``prefetch``; log the pages of every window.
+
+    The buffered store's scan walk offers each window straight to the
+    pool, so this is where every offer shows.
+    """
     pool = dense.engine.pagefile.store.pool
     calls = []
     original = pool.prefetch
 
     def prefetch(window):
+        window = list(window)
         calls.append(window)
         return original(window)
 
@@ -153,20 +158,6 @@ class TestWindowStopsAtLastPage:
         dense.close()
 
 
-def _counting_store_prefetch(dense):
-    """Wrap the store's ``prefetch``; log the pages of every offer."""
-    store = dense.engine.pagefile.store
-    offers = []
-    original = store.prefetch
-
-    def prefetch(pages):
-        offers.append(list(pages))
-        return original(pages)
-
-    store.prefetch = prefetch
-    return offers
-
-
 class TestOncePerWindow:
     """The walk offers a window only after reading the last one through."""
 
@@ -181,7 +172,7 @@ class TestOncePerWindow:
         dense.flush()
         # Bulk loading leaves the highest pages resident; the scan
         # starts low, so none of its pages is cached when it begins.
-        offers = _counting_store_prefetch(dense)
+        offers = _counting_pool_prefetch(dense)
         before = dense.store.stats()
         dense.stats.checkpoint("scan")
         assert _scan(dense, entry, 0, 160)
@@ -201,7 +192,7 @@ class TestOncePerWindow:
         pagefile = dense.engine.pagefile
         run = pagefile.nonempty_in_range(0, 100)
         dense.search(pagefile.page(run[2]).min_key)  # one page is cached
-        offers = _counting_store_prefetch(dense)
+        offers = _counting_pool_prefetch(dense)
         list(dense.range(0, 100))
         # The first window held the resident page: it is offered again,
         # slid by one, after the next read.

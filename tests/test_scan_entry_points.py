@@ -7,8 +7,9 @@ frames) and checks, for every scan:
 
 * the records equal those of a sorted-list model;
 * the logical meter charges exactly the pages the scan must read, each
-  as one ``disk.read`` followed by one ``store.get_page``, in one
-  ascending sweep;
+  as one ``disk.read`` followed by one store touch, in one ascending
+  sweep (``store.get_page`` on memory, the pool on a buffered stack,
+  whose walk touches the pool directly);
 * that charge is the same on every backend and window.
 
 The file is loaded uniformly or grown by inserts.  Bounds are drawn on
@@ -18,11 +19,13 @@ empty; keys are ints or strings.
 """
 
 from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import DenseSequentialFile
+from repro.storage.backend import BufferedStore
 
 #: Slack 20 > 3 * ceil(log2 16), so every stack runs plain CONTROL 2;
 #: the file holds at most d * M = 64 records.
@@ -70,22 +73,58 @@ def _resolve(bound, numbers, edges):
     return index if kind == "outside" else -50
 
 
+class _TouchedFrames(OrderedDict):
+    """A pool's frame table that logs each page moved to the most recent
+    end: every read hit, through ``pool.access`` or inlined, makes one
+    such move (a declined prefetch moves its victim to the other end)."""
+
+    def __init__(self, frames, log):
+        super().__init__(frames)
+        self.log = log
+
+    def move_to_end(self, key, last=True):
+        if last:
+            self.log.append(("get", key))
+        super().move_to_end(key, last)
+
+
 def _spy(dense):
-    """Log every ``disk.read`` and ``store.get_page`` of the page file."""
+    """Log every ``disk.read`` and every store touch of the page file.
+
+    A scan touches a buffered stack's pool, not its ``get_page``: a hit
+    shows as the frame's move to the most recent end, a miss as a
+    ``pool.access`` call for a page not resident.  Any other stack's
+    touch is its ``get_page``.
+    """
     pagefile = dense.engine.pagefile
+    store = pagefile.store
     log = []
-    read, get_page = pagefile.disk.read, pagefile.store.get_page
+    read = pagefile.disk.read
 
     def logged_read(page):
         log.append(("read", page))
         return read(page)
 
-    def logged_get(page):
-        log.append(("get", page))
-        return get_page(page)
-
     pagefile.disk.read = logged_read
-    pagefile.store.get_page = logged_get
+    if isinstance(store, BufferedStore):
+        pool = store.pool
+        pool._frames = _TouchedFrames(pool._frames, log)
+        access = pool.access
+
+        def logged_access(kind, page, touches=1):
+            if page not in pool.frames:
+                log.append(("get", page))
+            return access(kind, page, touches)
+
+        pool.access = logged_access
+    else:
+        get_page = store.get_page
+
+        def logged_get(page):
+            log.append(("get", page))
+            return get_page(page)
+
+        store.get_page = logged_get
     return log
 
 
